@@ -2,7 +2,8 @@
 
 Each accelerated step probes the map twice, extrapolates with the steplength
 gamma = -||r|| / ||v|| (clamped at -1), and falls back toward the plain double
-map application whenever the extrapolated point would increase the objective.
+map application whenever the extrapolated point would increase the objective
+or overflows it.
 The fallback makes every accepted step nonincreasing regardless of how wild
 the extrapolation is.
 """
@@ -70,7 +71,11 @@ def squarem_step(
     accepted = None
     for attempt in range(MAX_BACKTRACKS + 1):
         cand = theta - 2.0 * gamma * r + gamma * gamma * v
-        if objective(cand) <= obj0 + ACCEPT_SLACK:
+        try:
+            accept = objective(cand) <= obj0 + ACCEPT_SLACK
+        except OverflowError:
+            accept = False  # the candidate left the region where the fidelity is finite
+        if accept:
             accepted = cand
             break
         evals += 1  # extra objective probe, counted as acceleration work

@@ -165,8 +165,13 @@ class FidelityModel:
             # descending time order: risk set of subject k (in sorted order)
             # is the prefix [0..j] with the same or later time
             self._cox_order = np.argsort(-response.time, kind="stable")
+            t = response.time[self._cox_order]
+            # subjects tied on time share a risk set: the last index of each tie block
+            ends = np.append(np.flatnonzero(t[1:] != t[:-1]), t.shape[0] - 1)
+            self._cox_last = np.repeat(ends, np.diff(ends, prepend=-1))
         else:
             self._cox_order = None
+            self._cox_last = None
 
     @property
     def n_coef(self) -> int:
@@ -274,17 +279,7 @@ def _cox_parts(model: FidelityModel, eta: np.ndarray):
     w = np.exp(e - shift)
     cum_w = np.cumsum(w)
     cum_wx = np.cumsum(w[:, None] * x, axis=0)
-    # subjects tied on time share a risk set: use the last index of each tie block
-    last_in_block = np.empty(t.shape[0], dtype=int)
-    i = 0
-    n = t.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and t[j + 1] == t[i]:
-            j += 1
-        last_in_block[i : j + 1] = j
-        i = j + 1
-    return t, s, e, x, w, cum_w, cum_wx, last_in_block, shift
+    return t, s, e, x, w, cum_w, cum_wx, model._cox_last, shift
 
 
 def _cox_neg_loglik(model: FidelityModel, eta: np.ndarray) -> float:

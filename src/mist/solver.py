@@ -9,7 +9,9 @@ Three fitting paths share one outer driver:
                        a closed-form minimizer, so each outer step is a single
                        soft-threshold map.
 * ``poisson_mm_fit``-- separable majorizer; each outer step minimizes one
-                       strictly convex scalar function per coordinate.
+                       strictly convex scalar function per coordinate, all of
+                       them at once by a batched safeguarded Newton iteration,
+                       with the per-column setup built once per fit.
 
 All paths enforce monotone descent of the penalized objective and report a
 KKT residual at the returned iterate.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -34,6 +36,9 @@ from .penalties import PenaltySpec
 DESCENT_SLACK = 1e-12
 #: safety margin keeping the step strictly inside (0, 2 / curvature)
 STEP_SAFETY = 0.95
+#: cap on the batched Newton iterations of one poisson map
+POISSON_NEWTON_MAX = 200
+EPS = float(np.finfo(float).eps)
 
 
 class Termination(str, enum.Enum):
@@ -114,6 +119,7 @@ class FitResult:
             "map_evals": int(self.map_evals),
             "kkt": float(self.kkt_residual),
             "termination": self.termination.value,
+            "descent_backtracks": int(self.descent_backtracks),
         }
         if self.coef.intercept is not None:
             out["intercept"] = float(self.coef.intercept)
@@ -134,6 +140,7 @@ class FitResult:
             map_evals=int(d["map_evals"]),
             kkt_residual=float(d["kkt"]),
             termination=Termination(d["termination"]),
+            descent_backtracks=int(d.get("descent_backtracks", 0)),
         )
 
 
@@ -449,119 +456,153 @@ def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -
 # -- Poisson componentwise path -------------------------------------------
 
 
-def _poisson_scalar_min(
-    dk: Callable[[float], float], g0: float, tau: float, ridge: float, hint: float
-) -> float:
-    """Minimize k_j(b) + ridge * b^2 + tau * |b| via safeguarded bisection.
+class _PoissonMap:
+    """The separable-majorizer MM map of one poisson problem.
 
-    ``dk`` is the (strictly increasing) derivative of k_j, ``g0 = dk(0)``.
-    ``hint`` scales the initial bracket expansion.
+    The majorizer splits into one strictly convex scalar problem per
+    coordinate, all anchored at the same eta = X theta.  What does not depend
+    on theta (the weights w, the ratios x_ij / w_ij and the curvature factors
+    x_ij^2 / w_ij, both zero where x_ij = 0, and the empty-column mask) is
+    built once per fit here.  Each call computes eta once and solves every
+    scalar problem together in ``_poisson_scalar_min``.
     """
-    if math.isinf(tau):
-        return 0.0
-    if abs(g0) <= tau:
-        return 0.0
 
-    if g0 > tau:  # minimizer is negative
-        sign_term = -tau
+    def __init__(self, problem: Problem):
+        model = problem.model
+        spec = problem.penalty
+        xt = model._xt
+        self.problem = problem
+        self.xt = xt
+        self.nz = xt != 0.0
+        self.ratio = np.divide(
+            xt, fid.poisson_weights(model.design), out=np.zeros_like(xt), where=self.nz
+        )
+        self.curv = xt * self.ratio
+        self.absx = np.abs(xt)
+        self.empty = ~np.any(self.nz, axis=0)
+        self.d = model.response.offsets
+        self.y = model.response.y
+        self.ridge = np.full(xt.shape[1], spec.lam * spec.epsilon)
+        if model.has_intercept:
+            self.ridge[0] = 0.0
+        self.pinned = _pinned_mask(problem)
 
-        def dphi(b):
-            return dk(b) + 2.0 * ridge * b + sign_term
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        if self.pinned is not None:
+            theta = np.where(self.pinned, 0.0, theta)
+        eta = self.xt @ theta
+        # u_ij = base_ij + ratio_ij * b; entries with x_ij = 0 stay at u = 0
+        base = np.where(self.nz, eta[:, None] - self.ratio * theta, 0.0)
+        return _poisson_scalar_min(self, base, _penalized_tau(self.problem, theta), theta)
 
-        lo, hi = None, 0.0
-        step = max(1.0, abs(hint))
-        for _ in range(200):
-            cand = hi - step if lo is None else lo - step
-            val = dphi(cand)
-            if val <= 0.0:
-                lo = cand
-                break
-            hi = cand
-            step *= 2.0
-        else:
-            raise ConvergenceError("poisson scalar bracket expansion failed (negative side)")
-    else:  # minimizer is positive
-        sign_term = tau
 
-        def dphi(b):
-            return dk(b) + 2.0 * ridge * b + sign_term
+def _next_probe(c, newton, lo, hi, max_step, double):
+    """The Newton point from c if it is safe, else a bisection or doubling.
 
-        lo, hi = 0.0, None
-        step = max(1.0, abs(hint))
-        for _ in range(200):
-            cand = lo + step
-            val = dphi(cand)
-            if val >= 0.0:
-                hi = cand
-                break
-            lo = cand
-            step *= 2.0
-        else:
-            raise ConvergenceError("poisson scalar bracket expansion failed (positive side)")
+    The Newton point is safe when it lies in (lo, hi) and, on a closed
+    bracket, moves at most ``max_step``; on a bracket still open above, when it
+    lies no farther out than max(2 lo, 1) and ``double`` is false.  Otherwise
+    a closed bracket is bisected and an open one is probed at max(2 lo, 1).
+    """
+    outer = np.maximum(2.0 * lo, 1.0)
+    is_open = np.isinf(hi)
+    ok = (newton > lo) & (newton < hi)
+    ok &= np.where(is_open, (newton <= outer) & ~double, np.abs(newton - c) <= max_step)
+    return np.where(ok, newton, np.where(is_open, outer, 0.5 * (lo + hi)))
 
-    if lo is None or hi is None:
-        raise ConvergenceError("poisson scalar bracketing failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 * (1.0 + abs(mid)):
-            return mid
-        if dphi(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+def _poisson_scalar_min(
+    pm: _PoissonMap, base: np.ndarray, tau: np.ndarray, theta: np.ndarray
+) -> np.ndarray:
+    """Minimize k_j(b) + ridge_j * b^2 + tau_j * |b| for every coordinate j.
+
+    ``k_j(b) = sum_i w_ij (d_i e^{u_ij} - y_i u_ij)`` with
+    ``u_ij = base_ij + ratio_ij * b`` is the j-th majorizer component.  Its
+    minimizer is 0 when |k_j'(0)| <= tau_j (always when tau_j is infinite);
+    otherwise it has the sign of -k_j'(0).  Flipping the columns of the
+    negative coordinates turns every search into one over c > 0 that starts
+    with the bracket [0, inf) and phi'(0+) < 0, and a batched Newton iteration
+    solves them together, starting from theta_j where theta_j lies in the
+    bracket, with one exponential over the active columns per iteration.
+    Each probe narrows its coordinate's bracket; ``_next_probe`` replaces an
+    unsafe Newton point by bisection or, while the bracket is open, by
+    doubling.  A coordinate stops when |phi'| is at the rounding level of its
+    own sum, or when its Newton step or bracket is at most 1e-15 (1 + |c|).
+    Empty columns keep theta_j.
+    """
+    y = pm.y[:, None]
+    eu0 = pm.d[:, None] * fid._guard_exp(base, "poisson coordinate update")
+    g0 = np.einsum("ij,ij->j", pm.xt, eu0 - y)
+    out = np.where(pm.empty, theta, 0.0)
+    act = np.flatnonzero(~pm.empty & (np.abs(g0) > tau))
+    if act.size == 0:
+        return out
+
+    sgn = np.where(g0[act] > tau[act], -1.0, 1.0)
+    tau_a, ridge_a = tau[act], pm.ridge[act]
+    x_a, r_a = pm.xt[:, act] * sgn, pm.ratio[:, act] * sgn
+    curv_a, absx_a, base_a = pm.curv[:, act], pm.absx[:, act], base[:, act]
+    lo = np.zeros(act.size)
+    hi = np.full(act.size, np.inf)
+    step = step_old = hi
+    # the first probe is theta_j where it lies in the bracket, else a step
+    # from c = 0, where the slope and the curvature are already known
+    c = sgn * theta[act]
+    from_theta = c > 0.0
+    dphi = sgn * g0[act] + tau_a
+    d2phi = np.einsum("ij,ij->j", curv_a, eu0[:, act]) + 2.0 * ridge_a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = -dphi / d2phi
+    c = np.where(from_theta, c, _next_probe(0.0, newton, lo, hi, np.inf, np.zeros(act.size, bool)))
+    dphi_prev = np.where(from_theta, np.inf, dphi)
+    for _ in range(POISSON_NEWTON_MAX):
+        eu = pm.d[:, None] * fid._guard_exp(base_a + r_a * c, "poisson coordinate update")
+        dphi = np.einsum("ij,ij->j", x_a, eu - y) + 2.0 * ridge_a * c + tau_a
+        d2phi = np.einsum("ij,ij->j", curv_a, eu) + 2.0 * ridge_a
+        scale = np.einsum("ij,ij->j", absx_a, eu + y) + np.abs(2.0 * ridge_a * c) + tau_a
+        # while the bracket is open, a slope that fell by less than 10x since
+        # the last probe means slow progress (phi' concave, or a minimizer
+        # only where e^u underflows): double instead
+        double = np.isinf(hi) & (dphi < 0.0) & (np.abs(dphi) > 0.1 * np.abs(dphi_prev))
+        lo = np.where(dphi < 0.0, c, lo)
+        hi = np.where(dphi > 0.0, c, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = c - dphi / d2phi
+        # on a closed bracket, a Newton step longer than half the one before
+        # the last bisects instead
+        nxt = _next_probe(c, newton, lo, hi, 0.5 * np.abs(step_old), double)
+        tol = 1e-15 * (1.0 + c)
+        done = (np.abs(dphi) <= 8.0 * EPS * scale) | (np.abs(newton - c) <= tol) | (hi - lo <= tol)
+        step_old, step, dphi_prev = step, nxt - c, dphi
+        if np.any(done):
+            out[act[done]] = sgn[done] * c[done]
+            keep = ~done
+            if not np.any(keep):
+                return out
+            act, sgn, tau_a, ridge_a = act[keep], sgn[keep], tau_a[keep], ridge_a[keep]
+            x_a, r_a, curv_a = x_a[:, keep], r_a[:, keep], curv_a[:, keep]
+            absx_a, base_a = absx_a[:, keep], base_a[:, keep]
+            lo, hi, nxt = lo[keep], hi[keep], nxt[keep]
+            step, step_old, dphi_prev = step[keep], step_old[keep], dphi_prev[keep]
+        c = nxt
+    raise ConvergenceError(
+        f"poisson coordinates {act.tolist()} did not converge in "
+        f"{POISSON_NEWTON_MAX} Newton steps",
+        last_iterate=theta,
+    )
 
 
 def poisson_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
-    """MM fit for the poisson family through the separable majorizer."""
-    model = problem.model
-    spec = problem.penalty
-    if model.family is not ResponseFamily.POISSON:
+    """MM fit for the poisson family through the separable majorizer.
+
+    Each outer step is one application of the batched-Newton map
+    ``_PoissonMap``, built once for the fit.
+    """
+    if problem.model.family is not ResponseFamily.POISSON:
         raise ValidationError("poisson_mm_fit requires a poisson model")
-    theta_w = fid.poisson_weights(model.design)
-    xt = model._xt
-    has_int = model.has_intercept
-    d_off = model.response.offsets
-    y = model.response.y
-    ridge = spec.lam * spec.epsilon
-
-    # per-coordinate precomputation over rows with a nonzero entry
-    cols = []
-    for j in range(xt.shape[1]):
-        mask = xt[:, j] != 0.0
-        cols.append(
-            (mask, xt[mask, j], xt[mask, j] / theta_w[mask, j], d_off[mask], y[mask])
-        )
-
-    def step_fn(theta, _omega):
-        coef = CoefficientVector.from_augmented(theta, has_int)
-        eta = model.linear_predictor(coef)
-        tau = _penalized_tau(problem, theta)
-        out = np.empty_like(theta)
-        for j, (mask, xj, ratio, dj, yj) in enumerate(cols):
-            if not np.any(mask):
-                out[j] = theta[j]
-                continue
-            base = eta[mask] - ratio * theta[j]
-
-            def dk(b, _r=ratio, _b=base, _x=xj, _d=dj, _y=yj):
-                u = _r * b + _b
-                eu = fid._guard_exp(u, "poisson coordinate update")
-                return float(np.sum(_x * (_d * eu - _y)))
-
-            is_intercept = has_int and j == 0
-            tau_j = 0.0 if is_intercept else tau[j]
-            ridge_j = 0.0 if is_intercept else ridge
-            try:
-                out[j] = _poisson_scalar_min(dk, dk(0.0), tau_j, ridge_j, theta[j])
-            except ConvergenceError as err:
-                raise ConvergenceError(
-                    f"poisson coordinate {j} failed to converge: {err}",
-                    last_iterate=theta,
-                ) from err
-        return out
-
-    return _drive(problem, config, start, step_fn, 1.0)
+    pmap = _PoissonMap(problem)
+    return _drive(problem, config, start, lambda theta, _omega: pmap(theta), 1.0)
 
 
 # -- one-step estimator and dispatch --------------------------------------
@@ -577,16 +618,7 @@ def fit(problem: Problem, config: SolverConfig, start: CoefficientVector) -> Fit
 def mm_map(problem: Problem, config: SolverConfig) -> Callable[[np.ndarray], np.ndarray]:
     """The per-iteration MM update as a plain map over augmented vectors."""
     if problem.model.family is ResponseFamily.POISSON:
-        cfg = config
-
-        def poisson_single(theta):
-            one = replace(cfg, max_outer=1, descent_check=False)
-            res = poisson_mm_fit(
-                problem, one, CoefficientVector.from_augmented(theta, problem.model.has_intercept)
-            )
-            return res.coef.augmented()
-
-        return poisson_single
+        return _PoissonMap(problem)
     omega = resolve_step(problem, config)
     return lambda theta: glm_map(problem, theta, omega)
 
@@ -602,9 +634,7 @@ def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
     if model.family is ResponseFamily.POISSON:
         # one application of the separable-majorizer map plays the role of the
         # single surrogate minimization
-        single = replace(config, max_outer=1, descent_check=False)
-        res = poisson_mm_fit(problem, single, mle)
-        theta1 = res.coef.augmented()
+        theta1 = _PoissonMap(problem)(theta0)
     else:
         tau = _penalized_tau(problem, theta0)
         lam_star = fid.curvature_bound(model)

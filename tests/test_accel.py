@@ -54,6 +54,29 @@ def test_fixed_point_returns_theta():
     assert state.map_evals == 2
 
 
+def test_objective_overflow_rejects_candidate():
+    # r=1, v=0.5 from theta=0: the first candidates land at 6, 4.125 and 3.28
+    theta = np.array([0.0])
+
+    def map_fn(t):
+        return np.array([1.0]) if t[0] == 0.0 else np.array([2.5])
+
+    def objective(limit):
+        def f(t):
+            if t[0] > limit:
+                raise OverflowError("linear predictor too large")
+            return -float(t[0])
+
+        return f
+
+    state = squarem_step(map_fn, objective(3.0), theta)
+    assert state.backtracks == 3 and state.gamma == pytest.approx(-1.125)
+    assert state.theta[0] == pytest.approx(2.0 * 1.125 + 1.125**2 * 0.5)
+    # every candidate overflows: the plain double step is kept
+    state = squarem_step(map_fn, objective(2.55), theta)
+    assert state.theta[0] == 2.5 and state.gamma == -1.0
+
+
 def test_degenerate_curvature_falls_back_to_double_step():
     # M adds a constant: v = 0 with r != 0
     state = squarem_step(lambda t: t + 1.0, lambda t: -float(t[0]), np.array([0.0]))

@@ -127,6 +127,31 @@ def test_cox_breslow_ties_share_denominator():
     assert v == pytest.approx(2.0 * math.log(3.0), abs=1e-12)
 
 
+def test_cox_tie_blocks_match_loop_reference():
+    rng = np.random.default_rng(41)
+    for ties in (1, 2, 3, 7):
+        n = 20
+        m = FidelityModel(
+            DesignMatrix(rng.standard_normal((n, 2)), has_intercept=False),
+            Response(
+                family=ResponseFamily.COX,
+                y=np.ones(n),
+                time=np.floor(rng.permutation(n) / ties) + 1.0,
+                status=np.ones(n),
+            ),
+        )
+        t = m.response.time[m._cox_order]
+        want = np.empty(n, dtype=int)
+        i = 0
+        while i < n:
+            j = i
+            while j + 1 < n and t[j + 1] == t[i]:
+                j += 1
+            want[i : j + 1] = j
+            i = j + 1
+        assert np.array_equal(m._cox_last, want)
+
+
 def test_poisson_gradient_hand_example():
     m = FidelityModel(
         DesignMatrix(np.array([[1.0]]), has_intercept=False),

@@ -1,8 +1,12 @@
 """MM engine: thresholding, inner solver, fit paths, one-step, diagnostics."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from conftest import make_model, random_coef
 from mist.exceptions import ConvergenceError, NotGloballyLipschitz, ValidationError
@@ -13,8 +17,10 @@ from mist.fidelity import (
     Response,
     ResponseFamily,
     fit_mle,
+    poisson_majorizer_component,
+    poisson_weights,
 )
-from mist.penalties import Family, PenaltySpec
+from mist.penalties import Family, PenaltySpec, threshold_vector
 from mist.solver import (
     FitResult,
     Problem,
@@ -420,6 +426,19 @@ def test_poisson_all_zero_counts_large_lasso_shrinks_to_zero():
     assert np.allclose(res.coef.beta, 0.0, atol=1e-8)
 
 
+def test_poisson_map_with_no_counts_moves_the_intercept_far_down():
+    # the intercept's component decreases forever: the map stops where the
+    # fitted means underflow, after doubling its way out
+    rng = np.random.default_rng(42)
+    m = FidelityModel(
+        DesignMatrix(rng.standard_normal((12, 2))),
+        Response(family=ResponseFamily.POISSON, y=np.zeros(12)),
+    )
+    prob = Problem(m, PenaltySpec(family=Family.LASSO, lam=1.0))
+    theta = mm_map(prob, SolverConfig())(np.zeros(3))
+    assert np.all(np.isfinite(theta)) and theta[0] < -30.0
+
+
 def test_poisson_mle_with_zero_threshold_is_fixed_point():
     model = make_model("poisson", n=60, p=3, seed=28)
     mle = fit_mle(model)
@@ -436,6 +455,107 @@ def test_poisson_fit_monotone_and_stationary():
     res = poisson_mm_fit(prob, SolverConfig(coef_tol=1e-9, obj_tol=1e-15), CoefficientVector.zeros(4, True))
     assert np.all(np.diff(res.trace) <= 1e-12)
     assert res.kkt_residual <= 1e-5
+
+
+def _poisson_map_oracle(prob, theta):
+    """The separable-majorizer map one coordinate at a time, by brentq on the
+    derivative of each component plus ridge and the threshold's subgradient."""
+    model, spec = prob.model, prob.penalty
+    has_int = model.has_intercept
+    pinned = np.isinf(spec.weights) if spec.weights is not None else np.zeros(model.design.n_cols, bool)
+    if has_int:
+        pinned = np.concatenate([[False], pinned])
+    anchor = np.where(pinned, 0.0, theta)  # the map holds pinned coordinates at zero
+    alpha = CoefficientVector.from_augmented(anchor, has_int)
+    tau = threshold_vector(spec, alpha.beta)
+    weights = poisson_weights(model.design)
+    out = np.zeros_like(theta)
+    for j in range(theta.shape[0]):
+        if not np.any(model._xt[:, j]):
+            out[j] = anchor[j]  # an empty column is left where it is
+            continue
+        is_int = has_int and j == 0
+        tau_j = 0.0 if is_int else tau[j - has_int]
+        ridge = 0.0 if is_int else spec.lam * spec.epsilon
+        g0 = poisson_majorizer_component(model, alpha, j, 0.0, weights)[1]
+        if abs(g0) <= tau_j:
+            continue
+        side = -1.0 if g0 > tau_j else 1.0
+
+        def dphi(b, _j=j, _r=ridge, _s=side * tau_j):
+            return poisson_majorizer_component(model, alpha, _j, b, weights)[1] + 2.0 * _r * b + _s
+
+        far = side
+        for _ in range(64):
+            if np.sign(dphi(far)) == side:
+                break
+            far *= 2.0
+        out[j] = brentq(dphi, min(0.0, far), max(0.0, far), xtol=1e-15, rtol=1e-15, maxiter=500)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 30),
+    p=st.integers(1, 5),
+    intercept=st.booleans(),
+    zero_col=st.booleans(),
+    indicator=st.booleans(),
+    offsets=st.booleans(),
+    pinned=st.booleans(),
+    ridge=st.booleans(),
+    lam=st.floats(0.01, 5.0),
+)
+def test_poisson_map_matches_per_coordinate_oracle(
+    seed, n, p, intercept, zero_col, indicator, offsets, pinned, ridge, lam
+):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    if indicator:
+        X[:, -1] = rng.random(n) < 0.4
+    if zero_col:
+        X[:, 0] = 0.0
+    d = np.exp(rng.uniform(-1.0, 1.0, n)) if offsets else None
+    mu = (d if offsets else 1.0) * np.exp(np.clip(0.3 + 0.4 * X @ rng.standard_normal(p), -5.0, 3.0))
+    y = rng.poisson(mu).astype(float)
+    # with no counts the intercept's component has no finite minimizer
+    assume(not intercept or np.any(y > 0))
+    model = FidelityModel(
+        DesignMatrix(X, has_intercept=intercept),
+        Response(family=ResponseFamily.POISSON, y=y, offsets=d),
+    )
+    weights = None
+    if pinned:
+        weights = rng.uniform(0.5, 2.0, p)
+        weights[-1] = math.inf
+    family = {
+        (False, False): Family.LASSO,
+        (False, True): Family.ELASTIC_NET,
+        (True, False): Family.ADAPTIVE_LASSO,
+        (True, True): Family.ADAPTIVE_ELASTIC_NET,
+    }[(pinned, ridge)]
+    spec = PenaltySpec(family=family, lam=lam, epsilon=0.5 if ridge else 0.0, weights=weights)
+    prob = Problem(model, spec)
+    theta = 0.5 * rng.standard_normal(model.n_coef)
+    got = mm_map(prob, SolverConfig())(theta)
+    want = _poisson_map_oracle(prob, theta)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+    if pinned:
+        assert got[-1] == 0.0
+
+
+def test_poisson_mm_map_matches_one_plain_iteration():
+    model = make_model("poisson", n=30, p=4, seed=39)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.5))
+    cfg = SolverConfig()
+    theta = random_coef(model, seed=40).augmented()
+    one = poisson_mm_fit(
+        prob,
+        replace(cfg, max_outer=1, descent_check=False),
+        CoefficientVector.from_augmented(theta, True),
+    )
+    assert np.array_equal(mm_map(prob, cfg)(theta), one.coef.augmented())
 
 
 def test_poisson_mm_fit_rejects_other_families():
@@ -521,6 +641,9 @@ def test_fit_result_json_round_trip():
     assert back.objective == res.objective
     assert back.termination == res.termination
     assert np.array_equal(back.trace, res.trace)
+    res.descent_backtracks = 4  # a value other than the default
+    back = FitResult.from_dict(__import__("json").loads(res.to_json()))
+    assert back.descent_backtracks == 4
 
 
 def test_mm_map_matches_one_plain_iteration():
