@@ -9,21 +9,22 @@ the extrapolation is.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable
+import math
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ConvergenceError, ValidationError
 from .fidelity import CoefficientVector
 from .solver import (
     FitResult,
     Problem,
     SolverConfig,
     Termination,
+    _start_theta,
     kkt_residual,
     mm_map,
-    total_objective,
 )
 
 #: backtracking attempts before falling back to the plain double step
@@ -42,14 +43,22 @@ class AccelState:
     gamma: float
     map_evals: int
     backtracks: int
+    #: the objective at ``theta``
+    objective: float
 
 
 def squarem_step(
     map_fn: Callable[[np.ndarray], np.ndarray],
     objective: Callable[[np.ndarray], float],
     theta: np.ndarray,
+    obj0: Optional[float] = None,
 ) -> AccelState:
-    """One safeguarded accelerated step from theta."""
+    """One safeguarded accelerated step from theta.
+
+    ``obj0`` is the objective at theta when the caller already has it.  The
+    objective at the returned point comes back in ``AccelState.objective``:
+    for an accepted candidate it is the value its acceptance test computed.
+    """
     theta = np.asarray(theta, dtype=float)
     m1 = map_fn(theta)
     m2 = map_fn(m1)
@@ -57,38 +66,35 @@ def squarem_step(
     r = m1 - theta
     v = m2 - 2.0 * m1 + theta
 
+    def state(point, gamma, backtracks, obj):
+        return AccelState(point, r, v, gamma, evals, backtracks, obj)
+
     norm_r = float(np.linalg.norm(r))
     norm_v = float(np.linalg.norm(v))
     if norm_r <= FIXED_POINT_TOL:
-        return AccelState(theta=theta.copy(), r=r, v=v, gamma=-1.0, map_evals=evals, backtracks=0)
+        return state(theta.copy(), -1.0, 0, objective(theta) if obj0 is None else obj0)
     if norm_v == 0.0:
         # degenerate curvature: the plain double step is all we can do
-        return AccelState(theta=m2, r=r, v=v, gamma=-1.0, map_evals=evals, backtracks=0)
+        return state(m2, -1.0, 0, objective(m2))
 
     gamma = min(-norm_r / norm_v, -1.0)
-    obj0 = objective(theta)
+    if obj0 is None:
+        obj0 = objective(theta)
     backtracks = 0
-    accepted = None
     for attempt in range(MAX_BACKTRACKS + 1):
         cand = theta - 2.0 * gamma * r + gamma * gamma * v
         try:
-            accept = objective(cand) <= obj0 + ACCEPT_SLACK
+            obj = objective(cand)
         except OverflowError:
-            accept = False  # the candidate left the region where the fidelity is finite
-        if accept:
-            accepted = cand
-            break
+            obj = math.inf  # the candidate left the region where the fidelity is finite
+        if obj <= obj0 + ACCEPT_SLACK:
+            return state(cand, gamma, backtracks, obj)
         evals += 1  # extra objective probe, counted as acceleration work
         if attempt < MAX_BACKTRACKS:
             backtracks += 1
             gamma = (gamma - 1.0) / 2.0
-    if accepted is None:
-        # MM descent guarantees the double step never increases the objective
-        accepted = m2
-        gamma = -1.0
-    return AccelState(
-        theta=accepted, r=r, v=v, gamma=gamma, map_evals=evals, backtracks=backtracks
-    )
+    # MM descent guarantees the double step never increases the objective
+    return state(m2, -1.0, backtracks, objective(m2))
 
 
 def accelerated_fit(
@@ -100,7 +106,9 @@ def accelerated_fit(
     """Fit with the single-map MM update, optionally accelerated.
 
     mode 'plain' delegates to the base fit; 'squarem' iterates accelerated
-    steps under the same stopping criteria.
+    steps under the same stopping criteria.  A squarem step that falls back
+    to the double map step and finds its objective not finite raises
+    ``ConvergenceError`` carrying the last iterate.
     """
     from . import solver
 
@@ -109,15 +117,9 @@ def accelerated_fit(
     if mode != "squarem":
         raise ValidationError(f"unknown acceleration mode {mode!r}")
 
-    model = problem.model
     map_fn = mm_map(problem, config)
-
-    def objective(theta):
-        return total_objective(
-            problem, CoefficientVector.from_augmented(theta, model.has_intercept)
-        )
-
-    theta = start.augmented().astype(float)
+    objective = map_fn.objective
+    theta = _start_theta(problem, start)
     obj = objective(theta)
     trace = [obj]
     map_evals = 0
@@ -125,14 +127,19 @@ def accelerated_fit(
     termination = Termination.MAX_ITER
     outer = 0
     for outer in range(1, config.max_outer + 1):
-        state = squarem_step(map_fn, objective, theta)
+        state = squarem_step(map_fn, objective, theta, obj)
         map_evals += state.map_evals
         backtracks += state.backtracks
-        obj_new = objective(state.theta)
+        if not math.isfinite(state.objective):
+            raise ConvergenceError(
+                "squarem: the fallback double map step has a non-finite objective",
+                last_iterate=theta,
+                residual=state.objective,
+            )
         # the map residual is the analog of the plain per-iteration step norm
         coef_delta = float(np.linalg.norm(state.r))
-        obj_delta = abs(obj_new - obj)
-        theta, obj = state.theta, obj_new
+        obj_delta = abs(state.objective - obj)
+        theta, obj = state.theta, state.objective
         trace.append(obj)
         if coef_delta < config.coef_tol:
             termination = Termination.COEF_TOL
@@ -141,7 +148,7 @@ def accelerated_fit(
             termination = Termination.OBJ_TOL
             break
 
-    coef = CoefficientVector.from_augmented(theta, model.has_intercept)
+    coef = CoefficientVector.from_augmented(theta, problem.model.has_intercept)
     return FitResult(
         coef=coef,
         objective=obj,

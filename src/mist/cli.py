@@ -246,9 +246,8 @@ def _emit_penalty_grid(spec: PenaltySpec, out: str):
 @_with_opts(_common_data_opts)
 @click.option("--lambda", "lams", type=float, multiple=True, required=True,
               help="penalty grid (repeatable)")
-@click.option("--threads", type=int, default=1, show_default=True)
 def path_cmd(data, family, response_col, time_col, status_col, offset_col, intercept,
-             penalty_json, solver_json, start, accel, out, fmt, lams, threads):
+             penalty_json, solver_json, start, accel, out, fmt, lams):
     """Warm-started coefficient path over a descending lambda grid."""
     try:
         if not lams:

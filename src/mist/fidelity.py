@@ -164,11 +164,16 @@ class FidelityModel:
         if self.family is ResponseFamily.COX:
             # descending time order: risk set of subject k (in sorted order)
             # is the prefix [0..j] with the same or later time
-            self._cox_order = np.argsort(-response.time, kind="stable")
-            t = response.time[self._cox_order]
+            order = np.argsort(-response.time, kind="stable")
+            t = response.time[order]
             # subjects tied on time share a risk set: the last index of each tie block
             ends = np.append(np.flatnonzero(t[1:] != t[:-1]), t.shape[0] - 1)
+            self._cox_order = order
             self._cox_last = np.repeat(ends, np.diff(ends, prepend=-1))
+            # the design and the event flags in that order, gathered once
+            self._cox_x = self._xt[order]
+            self._cox_event = response.status[order] == 1.0
+            self._cox_event_last = self._cox_last[self._cox_event]
         else:
             self._cox_order = None
             self._cox_last = None
@@ -208,7 +213,16 @@ def _guard_exp(eta: np.ndarray, context: str) -> np.ndarray:
 
 def neg_loglik(model: FidelityModel, coef: CoefficientVector) -> float:
     """Negative log-likelihood, up to family-specific additive constants."""
-    eta = model.linear_predictor(coef)
+    return nll_eta(model, model.linear_predictor(coef))
+
+
+def gradient(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:
+    """Gradient of the log-likelihood over the augmented coefficients."""
+    return grad_eta(model, model.linear_predictor(coef))
+
+
+def nll_eta(model: FidelityModel, eta: np.ndarray) -> float:
+    """``neg_loglik`` at the linear predictor eta = X theta, unchecked."""
     y = model.response.y
     fam = model.family
     if fam is ResponseFamily.GAUSSIAN:
@@ -224,9 +238,8 @@ def neg_loglik(model: FidelityModel, coef: CoefficientVector) -> float:
     raise ValidationError(f"unknown family {fam}")
 
 
-def gradient(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:
-    """Gradient of the log-likelihood over the augmented coefficients."""
-    eta = model.linear_predictor(coef)
+def grad_eta(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
+    """``gradient`` at the linear predictor eta = X theta, unchecked."""
     y = model.response.y
     fam = model.family
     xt = model._xt
@@ -269,40 +282,38 @@ def hessian(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:
 
 
 def _cox_parts(model: FidelityModel, eta: np.ndarray):
-    order = model._cox_order
-    t = model.response.time[order]
-    s = model.response.status[order]
-    e = eta[order]
-    x = model._xt[order]
+    """eta in descending time order, the risk weights and their running sums."""
+    e = eta[model._cox_order]
+    x = model._cox_x
     # stabilize: shift exponents by the running max
     shift = np.max(e)
     w = np.exp(e - shift)
     cum_w = np.cumsum(w)
     cum_wx = np.cumsum(w[:, None] * x, axis=0)
-    return t, s, e, x, w, cum_w, cum_wx, model._cox_last, shift
+    return e, w, cum_w, cum_wx, shift
 
 
 def _cox_neg_loglik(model: FidelityModel, eta: np.ndarray) -> float:
-    _, s, e, _, _, cum_w, _, last, shift = _cox_parts(model, eta)
-    ev = s == 1.0
-    denom = cum_w[last[ev]]
-    return float(-np.sum(e[ev] - (np.log(denom) + shift)))
+    e, _, cum_w, _, shift = _cox_parts(model, eta)
+    denom = cum_w[model._cox_event_last]
+    return float(-np.sum(e[model._cox_event] - (np.log(denom) + shift)))
 
 
 def _cox_score(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
-    _, s, _, x, _, cum_w, cum_wx, last, _ = _cox_parts(model, eta)
-    ev = s == 1.0
-    denom = cum_w[last[ev]]
-    xbar = cum_wx[last[ev]] / denom[:, None]
-    return np.sum(x[ev] - xbar, axis=0)
+    _, _, cum_w, cum_wx, _ = _cox_parts(model, eta)
+    last = model._cox_event_last
+    denom = cum_w[last]
+    xbar = cum_wx[last] / denom[:, None]
+    return np.sum(model._cox_x[model._cox_event] - xbar, axis=0)
 
 
 def _cox_neg_hessian(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
-    _, s, _, x, w, cum_w, cum_wx, last, _ = _cox_parts(model, eta)
+    _, w, cum_w, cum_wx, _ = _cox_parts(model, eta)
+    x, last = model._cox_x, model._cox_last
     p = x.shape[1]
     h = np.zeros((p, p))
     cum_wxx = np.cumsum(w[:, None, None] * (x[:, :, None] * x[:, None, :]), axis=0)
-    for i in np.nonzero(s == 1.0)[0]:
+    for i in np.flatnonzero(model._cox_event):
         j = last[i]
         d = cum_w[j]
         xbar = cum_wx[j] / d

@@ -190,15 +190,31 @@ def penalty_derivative(spec: PenaltySpec, j: int, r: float) -> float:
     raise ValidationError(f"unknown family {fam}")
 
 
-def penalty_value_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
-    """Vectorized penalty values over |coefficients| r (one entry per coordinate)."""
+def _check_r_vec(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if np.any(r < 0) or np.any(np.isnan(r)):
         raise ValidationError("penalty arguments must be >= 0")
+    return r
+
+
+def penalty_value_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
+    """Vectorized penalty values over |coefficients| r (one entry per coordinate)."""
+    return value_kernel(spec, _check_r_vec(r))
+
+
+def penalty_derivative_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
+    """Vectorized right-derivatives over |coefficients| r."""
+    return derivative_kernel(spec, _check_r_vec(r))
+
+
+def value_kernel(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
+    """``penalty_value_vec`` without its checks: r is a float array, all >= 0."""
     lam, a, d = spec.lam, spec.a, spec.delta
     fam = spec.family
     if fam in LINEAR_FAMILIES:
-        w = spec.weights if fam in ADAPTIVE_FAMILIES else np.ones_like(r)
+        if fam not in ADAPTIVE_FAMILIES:
+            return lam * r
+        w = spec.weights
         with np.errstate(invalid="ignore"):
             out = lam * w * r
         # pinned coordinates: 0 at the origin, +inf elsewhere
@@ -206,8 +222,7 @@ def penalty_value_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
         return out
     if fam is Family.SCAD:
         mid = (2 * a * lam * r - r * r - lam * lam) / (2 * (a - 1))
-        out = np.where(r <= lam, lam * r, np.where(r <= a * lam, mid, lam * lam * (a + 1) / 2))
-        return out
+        return np.where(r <= lam, lam * r, np.where(r <= a * lam, mid, lam * lam * (a + 1) / 2))
     if fam is Family.MCP:
         return np.where(r <= a * lam, lam * r - r * r / (2 * a), a * lam * lam / 2)
     if fam is Family.GEMAN:
@@ -217,16 +232,14 @@ def penalty_value_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
     raise ValidationError(f"unknown family {fam}")
 
 
-def penalty_derivative_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
-    """Vectorized right-derivatives over |coefficients| r."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0) or np.any(np.isnan(r)):
-        raise ValidationError("penalty arguments must be >= 0")
+def derivative_kernel(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
+    """``penalty_derivative_vec`` without its checks: r is a float array, all >= 0."""
     lam, a, d = spec.lam, spec.a, spec.delta
     fam = spec.family
     if fam in LINEAR_FAMILIES:
-        w = spec.weights if fam in ADAPTIVE_FAMILIES else np.ones_like(r)
-        return lam * w
+        if fam in ADAPTIVE_FAMILIES:
+            return lam * spec.weights
+        return np.full(r.shape, float(lam))
     if fam is Family.SCAD:
         return np.where(r <= lam, lam, np.maximum(a * lam - r, 0.0) / (a - 1))
     if fam is Family.MCP:

@@ -1,6 +1,6 @@
 """MM engine: iterated soft-thresholding, single-map GLM updates, diagnostics.
 
-Three fitting paths share one outer driver:
+Three fitting paths share one outer driver, ``_drive``:
 
 * ``mm_outer``      -- generic loop; each outer step fully minimizes the
                        surrogate with the inner iterated-soft-thresholding
@@ -13,8 +13,19 @@ Three fitting paths share one outer driver:
                        them at once by a batched safeguarded Newton iteration,
                        with the per-column setup built once per fit.
 
-All paths enforce monotone descent of the penalized objective and report a
-KKT residual at the returned iterate.
+The loops work on plain augmented arrays (intercept first).  A fit checks its
+start vector once, on entry (``_start_theta``), and then runs on the
+unchecked kernels ``fidelity.nll_eta``/``grad_eta`` and
+``penalties.value_kernel``/``derivative_kernel``; the public
+``total_objective``, ``kkt_residual`` and ``soft_threshold_vec`` check their
+arguments and call the same kernels.  Each fit builds one map object
+(``_GlmMap`` or ``_PoissonMap``, also returned by ``mm_map`` for squarem)
+whose ``objective`` remembers eta = X theta, so the map applied next at the
+same point does not multiply by X again.
+
+All paths enforce monotone descent of the penalized objective, reject a step
+whose objective is not finite, and report a KKT residual at the returned
+iterate.
 """
 from __future__ import annotations
 
@@ -161,6 +172,11 @@ def soft_threshold_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValidationError(f"shape mismatch {u.shape} vs {v.shape}")
     if np.any(v < 0):
         raise ValidationError("thresholds must be >= 0")
+    return _soft_threshold(u, v)
+
+
+def _soft_threshold(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``soft_threshold_vec`` without its checks."""
     with np.errstate(invalid="ignore"):
         shrunk = np.abs(u) - v
     return np.sign(u) * np.maximum(shrunk, 0.0)
@@ -168,33 +184,43 @@ def soft_threshold_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def total_objective(problem: Problem, coef: CoefficientVector) -> float:
     """Fidelity plus penalty plus ridge; intercept is never penalized."""
+    return _objective_at(problem, coef.beta, problem.model.linear_predictor(coef))
+
+
+def _objective_at(problem: Problem, beta: np.ndarray, eta: np.ndarray) -> float:
+    """``total_objective`` from the slopes and eta = X theta, unchecked."""
     spec = problem.penalty
-    beta = coef.beta
-    value = fid.neg_loglik(problem.model, coef)
-    value += float(np.sum(pen.penalty_value_vec(spec, np.abs(beta))))
+    value = fid.nll_eta(problem.model, eta)
+    value += float(np.sum(pen.value_kernel(spec, np.abs(beta))))
     value += spec.lam * spec.epsilon * float(beta @ beta)
     return value
 
 
 def kkt_residual(problem: Problem, coef: CoefficientVector) -> float:
-    """Largest violation of the nonsmooth first-order stationarity conditions."""
+    """Largest violation of the nonsmooth first-order stationarity conditions.
+
+    A nonzero coefficient on a pinned coordinate (infinite derivative) gives
+    +inf; a pinned coordinate held at zero gives 0; an exact zero is checked
+    against the subgradient interval [-p'(0), p'(0)].
+    """
     spec = problem.penalty
     grad_ll = fid.gradient(problem.model, coef)
     has_int = problem.model.has_intercept
     g = -grad_ll[1:] if has_int else -grad_ll  # gradient of the fidelity term
     beta = coef.beta
     s = g + 2.0 * spec.lam * spec.epsilon * beta
-    worst = abs(grad_ll[0]) if has_int else 0.0
-    for j in range(beta.shape[0]):
-        dj = pen.penalty_derivative(spec, j, abs(beta[j]))
-        if beta[j] != 0.0:
-            if math.isinf(dj):
-                return math.inf  # nonzero coefficient on a pinned coordinate
-            r = abs(s[j] + dj * math.copysign(1.0, beta[j]))
-        else:
-            r = 0.0 if math.isinf(dj) else max(abs(s[j]) - dj, 0.0)
-        worst = max(worst, r)
-    return worst
+    d = pen.penalty_derivative_vec(spec, np.abs(beta))
+    nonzero = beta != 0.0
+    pinned = np.isinf(d)
+    if np.any(nonzero & pinned):
+        return math.inf
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf on pinned zeros
+        r = np.where(
+            nonzero,
+            np.abs(s + d * np.sign(beta)),
+            np.where(pinned, 0.0, np.maximum(np.abs(s) - d, 0.0)),
+        )
+    return float(np.max(r, initial=abs(grad_ll[0]) if has_int else 0.0))
 
 
 # -- inner solver ---------------------------------------------------------
@@ -219,10 +245,13 @@ def ist_minimize(
     b = np.asarray(b0, dtype=float).copy()
     if tau.shape != b.shape:
         raise ValidationError("threshold vector and start must have equal length")
+    thresh = omega * tau
+    if np.any(thresh < 0):
+        raise ValidationError("thresholds must be >= 0")
     for n in range(1, inner_max + 1):
         delta = relaxation(n) if callable(relaxation) else relaxation
         d = b - omega * grad_m(b)
-        s = soft_threshold_vec(d, omega * tau)
+        s = _soft_threshold(d, thresh)
         b_new = b + delta * (s - b)
         resid = float(np.linalg.norm(b_new - b))
         b = b_new
@@ -252,7 +281,7 @@ def _penalized_tau(problem: Problem, theta: np.ndarray) -> np.ndarray:
     """Thresholds over the augmented vector (zero for the intercept slot)."""
     has_int = problem.model.has_intercept
     beta = theta[1:] if has_int else theta
-    tau = pen.threshold_vector(problem.penalty, beta)
+    tau = pen.derivative_kernel(problem.penalty, np.abs(beta))
     if has_int:
         tau = np.concatenate([[0.0], tau])
     return tau
@@ -279,25 +308,86 @@ def _ridge_grad(problem: Problem, theta: np.ndarray) -> np.ndarray:
     return g
 
 
+def _start_theta(problem: Problem, start: CoefficientVector) -> np.ndarray:
+    """The start as a fresh augmented array: the one check of a whole fit."""
+    theta = problem.model._check(start).astype(float)
+    if not np.all(np.isfinite(theta)):
+        raise ValidationError("start coefficients must be finite")
+    return theta
+
+
+class _Objective:
+    """The penalized objective over augmented arrays, remembering its last eta.
+
+    ``objective(theta)`` stores (theta, eta = X theta); ``eta(theta)`` hands
+    that eta back when it is asked about the same array object (the fits never
+    change an iterate in place), so a map applied to the point whose
+    objective was just evaluated does not multiply by X again.
+    """
+
+    def __init__(self, problem: Problem):
+        self.problem = problem
+        self.xt = problem.model._xt
+        self.has_int = problem.model.has_intercept
+        self._theta = None
+        self._eta = None
+
+    def objective(self, theta: np.ndarray) -> float:
+        eta = self.xt @ theta
+        self._theta, self._eta = theta, eta
+        return _objective_at(self.problem, theta[1:] if self.has_int else theta, eta)
+
+    def eta(self, theta: np.ndarray) -> np.ndarray:
+        return self._eta if theta is self._theta else self.xt @ theta
+
+
 # -- GLM single-map update ------------------------------------------------
 
 
-def glm_map(problem: Problem, theta: np.ndarray, omega: float) -> np.ndarray:
-    """One closed-form surrogate minimization for bounded-hessian families."""
+def glm_map(
+    problem: Problem, theta: np.ndarray, omega: float, eta: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """One closed-form surrogate minimization for bounded-hessian families.
+
+    ``eta`` is X theta when the caller already has it.  Nothing is checked:
+    theta is the augmented coefficient array of a problem's model.
+    """
     model = problem.model
     spec = problem.penalty
-    coef = CoefficientVector.from_augmented(theta, model.has_intercept)
-    grad_ll = fid.gradient(model, coef)
-    tau = _penalized_tau(problem, theta)
-    arg = theta + 0.5 * omega * grad_ll
-    new = soft_threshold_vec(arg, 0.5 * omega * tau)
+    theta = np.asarray(theta, dtype=float)
+    if eta is None:
+        eta = model._xt @ theta
+    grad_ll = fid.grad_eta(model, eta)
+    half = 0.5 * omega
+    arg = theta + half * grad_ll
     shrink = 1.0 / (1.0 + omega * spec.lam * spec.epsilon)
     if model.has_intercept:
+        tau = pen.derivative_kernel(spec, np.abs(theta[1:]))
         out = np.empty_like(theta)
-        out[0] = theta[0] + 0.5 * omega * grad_ll[0]
-        out[1:] = shrink * new[1:]
+        out[0] = theta[0] + half * grad_ll[0]
+        out[1:] = shrink * _soft_threshold(arg[1:], half * tau)
         return out
-    return shrink * new
+    tau = pen.derivative_kernel(spec, np.abs(theta))
+    return shrink * _soft_threshold(arg, half * tau)
+
+
+class _GlmMap(_Objective):
+    """The single soft-threshold MM map of one gaussian, logistic or cox problem.
+
+    Built once per fit.  Calling it applies ``glm_map`` at the fit's step
+    omega, or at a halved step passed as the second argument, with the eta of
+    the last objective evaluation when it is at the same point.  A plain
+    iteration then multiplies by X twice (X^T r in the map, eta in the
+    objective), and a squarem step four times plus once per backtrack.
+    """
+
+    def __init__(self, problem: Problem, omega: float):
+        super().__init__(problem)
+        self.omega = omega
+
+    def __call__(self, theta: np.ndarray, omega: Optional[float] = None) -> np.ndarray:
+        w = self.omega if omega is None else omega
+        return glm_map(self.problem, theta, w, eta=self.eta(theta))
 
 
 def glm_surrogate_value(
@@ -336,16 +426,19 @@ def _drive(
     start: CoefficientVector,
     step_fn: Callable[[np.ndarray, float], np.ndarray],
     omega: float,
+    objective: Callable[[np.ndarray], float],
 ) -> FitResult:
-    """Shared outer loop: descent safeguard, stopping control, accounting."""
-    model = problem.model
-    theta = start.augmented().astype(float)
+    """Shared outer loop: descent safeguard, stopping control, accounting.
+
+    A step whose objective is not finite is always rejected and halved, with
+    or without the descent check.
+    """
+    theta = _start_theta(problem, start)
     pinned = _pinned_mask(problem)
     if pinned is not None:
-        theta = theta.copy()
         theta[pinned] = 0.0
 
-    obj = total_objective(problem, CoefficientVector.from_augmented(theta, model.has_intercept))
+    obj = objective(theta)
     trace = [obj]
     map_evals = 0
     backtracks = 0
@@ -357,13 +450,14 @@ def _drive(
         for attempt in range(31):
             theta_new = step_fn(theta, step)
             map_evals += 1
-            coef_new = CoefficientVector.from_augmented(theta_new, model.has_intercept)
-            obj_new = total_objective(problem, coef_new)
-            if not config.descent_check or obj_new <= obj + DESCENT_SLACK:
+            obj_new = objective(theta_new)
+            if math.isfinite(obj_new) and (
+                not config.descent_check or obj_new <= obj + DESCENT_SLACK
+            ):
                 break
             if attempt == 30:
                 raise ConvergenceError(
-                    "objective increased despite 30 step halvings",
+                    "objective increased or was not finite despite 30 step halvings",
                     last_iterate=theta_new,
                     residual=obj_new - obj,
                 )
@@ -381,7 +475,7 @@ def _drive(
             termination = Termination.OBJ_TOL
             break
 
-    coef = CoefficientVector.from_augmented(theta, model.has_intercept)
+    coef = CoefficientVector.from_augmented(theta, problem.model.has_intercept)
     return FitResult(
         coef=coef,
         objective=obj,
@@ -399,11 +493,23 @@ def glm_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector)
     if problem.model.family is ResponseFamily.POISSON:
         raise NotGloballyLipschitz("use poisson_mm_fit for the poisson family")
     omega = resolve_step(problem, config)
+    gmap = _GlmMap(problem, omega)
+    return _drive(problem, config, start, gmap, omega, gmap.objective)
 
-    def step_fn(theta, w):
-        return glm_map(problem, theta, w)
 
-    return _drive(problem, config, start, step_fn, omega)
+def _inner_step(lip: float) -> float:
+    return STEP_SAFETY * 2.0 / lip if lip > 0 else 1.0
+
+
+def _fidelity_grad_m(problem: Problem) -> Callable[[np.ndarray], np.ndarray]:
+    """Gradient of the exact fidelity plus ridge, the inner IST's smooth part."""
+    model = problem.model
+    xt = model._xt
+
+    def grad_m(b):
+        return -fid.grad_eta(model, xt @ b) + _ridge_grad(problem, b)
+
+    return grad_m
 
 
 def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
@@ -421,58 +527,54 @@ def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -
     lam_star = fid.curvature_bound(model)
     ridge_lip = 2.0 * spec.lam * spec.epsilon
     quadratic_path = spec.family in pen.FLAT_TAIL_FAMILIES
+    obj = _Objective(problem)
+    exact_grad_m = _fidelity_grad_m(problem)
 
     def step_fn(theta, w):
         tau = _penalized_tau(problem, theta)
         if quadratic_path:
-            coef = CoefficientVector.from_augmented(theta, model.has_intercept)
-            grad_anchor = fid.gradient(model, coef)
+            grad_anchor = fid.grad_eta(model, obj.eta(theta))
 
             def grad_m(b):
                 return -grad_anchor + (2.0 / w) * (b - theta) + _ridge_grad(problem, b)
 
             lip = 2.0 / w + ridge_lip
         else:
-
-            def grad_m(b):
-                c = CoefficientVector.from_augmented(b, model.has_intercept)
-                return -fid.gradient(model, c) + _ridge_grad(problem, b)
-
+            grad_m = exact_grad_m
             lip = lam_star + ridge_lip
-        inner_step = STEP_SAFETY * 2.0 / lip if lip > 0 else 1.0
         return ist_minimize(
             grad_m,
             tau,
-            inner_step,
+            _inner_step(lip),
             theta,
             relaxation=config.relaxation,
             inner_tol=config.inner_tol,
             inner_max=config.inner_max,
         )
 
-    return _drive(problem, config, start, step_fn, omega)
+    return _drive(problem, config, start, step_fn, omega, obj.objective)
 
 
 # -- Poisson componentwise path -------------------------------------------
 
 
-class _PoissonMap:
+class _PoissonMap(_Objective):
     """The separable-majorizer MM map of one poisson problem.
 
     The majorizer splits into one strictly convex scalar problem per
     coordinate, all anchored at the same eta = X theta.  What does not depend
     on theta (the weights w, the ratios x_ij / w_ij and the curvature factors
     x_ij^2 / w_ij, both zero where x_ij = 0, and the empty-column mask) is
-    built once per fit here.  Each call computes eta once and solves every
-    scalar problem together in ``_poisson_scalar_min``.
+    built once per fit here.  Each call takes eta from the last objective
+    evaluation or computes it once, and solves every scalar problem together
+    in ``_poisson_scalar_min``.
     """
 
     def __init__(self, problem: Problem):
+        super().__init__(problem)
         model = problem.model
         spec = problem.penalty
-        xt = model._xt
-        self.problem = problem
-        self.xt = xt
+        xt = self.xt
         self.nz = xt != 0.0
         self.ratio = np.divide(
             xt, fid.poisson_weights(model.design), out=np.zeros_like(xt), where=self.nz
@@ -491,7 +593,7 @@ class _PoissonMap:
         theta = np.asarray(theta, dtype=float)
         if self.pinned is not None:
             theta = np.where(self.pinned, 0.0, theta)
-        eta = self.xt @ theta
+        eta = self.eta(theta)
         # u_ij = base_ij + ratio_ij * b; entries with x_ij = 0 stay at u = 0
         base = np.where(self.nz, eta[:, None] - self.ratio * theta, 0.0)
         return _poisson_scalar_min(self, base, _penalized_tau(self.problem, theta), theta)
@@ -529,12 +631,13 @@ def _poisson_scalar_min(
     unsafe Newton point by bisection or, while the bracket is open, by
     doubling.  A coordinate stops when |phi'| is at the rounding level of its
     own sum, or when its Newton step or bracket is at most 1e-15 (1 + |c|).
-    Empty columns keep theta_j.
+    An all-zero column maps to 0: the fidelity does not depend on its
+    coordinate and the penalty is nondecreasing in |b|, so 0 minimizes it.
     """
     y = pm.y[:, None]
     eu0 = pm.d[:, None] * fid._guard_exp(base, "poisson coordinate update")
     g0 = np.einsum("ij,ij->j", pm.xt, eu0 - y)
-    out = np.where(pm.empty, theta, 0.0)
+    out = np.zeros_like(theta)
     act = np.flatnonzero(~pm.empty & (np.abs(g0) > tau))
     if act.size == 0:
         return out
@@ -602,7 +705,7 @@ def poisson_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVec
     if problem.model.family is not ResponseFamily.POISSON:
         raise ValidationError("poisson_mm_fit requires a poisson model")
     pmap = _PoissonMap(problem)
-    return _drive(problem, config, start, lambda theta, _omega: pmap(theta), 1.0)
+    return _drive(problem, config, start, lambda theta, _omega: pmap(theta), 1.0, pmap.objective)
 
 
 # -- one-step estimator and dispatch --------------------------------------
@@ -615,12 +718,16 @@ def fit(problem: Problem, config: SolverConfig, start: CoefficientVector) -> Fit
     return glm_mm_fit(problem, config, start)
 
 
-def mm_map(problem: Problem, config: SolverConfig) -> Callable[[np.ndarray], np.ndarray]:
-    """The per-iteration MM update as a plain map over augmented vectors."""
+def mm_map(problem: Problem, config: SolverConfig) -> Union[_GlmMap, _PoissonMap]:
+    """The per-iteration MM update as a map over augmented vectors.
+
+    The map object also carries the problem's ``objective`` over augmented
+    vectors; the map applied to the array last passed to ``objective`` reuses
+    its eta = X theta.
+    """
     if problem.model.family is ResponseFamily.POISSON:
         return _PoissonMap(problem)
-    omega = resolve_step(problem, config)
-    return lambda theta: glm_map(problem, theta, omega)
+    return _GlmMap(problem, resolve_step(problem, config))
 
 
 def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
@@ -636,19 +743,11 @@ def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
         # single surrogate minimization
         theta1 = _PoissonMap(problem)(theta0)
     else:
-        tau = _penalized_tau(problem, theta0)
-        lam_star = fid.curvature_bound(model)
-        lip = lam_star + 2.0 * spec.lam * spec.epsilon
-
-        def grad_m(b):
-            c = CoefficientVector.from_augmented(b, model.has_intercept)
-            return -fid.gradient(model, c) + _ridge_grad(problem, b)
-
-        inner_step = STEP_SAFETY * 2.0 / lip if lip > 0 else 1.0
+        lip = fid.curvature_bound(model) + 2.0 * spec.lam * spec.epsilon
         theta1 = ist_minimize(
-            grad_m,
-            tau,
-            inner_step,
+            _fidelity_grad_m(problem),
+            _penalized_tau(problem, theta0),
+            _inner_step(lip),
             theta0,
             relaxation=config.relaxation,
             inner_tol=config.inner_tol,

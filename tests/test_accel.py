@@ -158,3 +158,38 @@ def test_squarem_accelerates_poisson_path():
     a = accelerated_fit(prob, cfg, CoefficientVector.zeros(4, True), mode="plain")
     b = accelerated_fit(prob, cfg, CoefficientVector.zeros(4, True), mode="squarem")
     assert abs(a.objective - b.objective) <= 1e-6
+
+
+def test_given_objective_is_reused_and_the_accepted_one_returned():
+    calls = []
+
+    def objective(t):
+        calls.append(float(t[0]))
+        return float(t @ t)
+
+    # M(theta) = 0.5 theta from 1: the first candidate lands on 0 and is accepted
+    state = squarem_step(lambda t: 0.5 * t, objective, np.array([1.0]), obj0=1.0)
+    assert calls == [0.0]  # the candidate only; theta's objective was given
+    assert state.objective == 0.0
+    # without obj0 the step evaluates it itself, after the two maps
+    calls.clear()
+    state = squarem_step(lambda t: 0.5 * t, objective, np.array([1.0]))
+    assert calls == [1.0, 0.0] and state.objective == 0.0
+
+
+def test_fallback_objective_is_the_double_step_objective():
+    theta = np.array([4.0])
+
+    def map_fn(t):
+        return np.array([2.0]) if t[0] == 4.0 else np.array([1.0])
+
+    def objective(t):
+        return float(t[0]) if t[0] in (4.0, 1.0) else 1e9  # rejects every candidate
+
+    state = squarem_step(map_fn, objective, theta, obj0=4.0)
+    assert state.theta[0] == 1.0 and state.objective == 1.0
+    # degenerate curvature (v = 0) and a fixed point carry their objectives too
+    state = squarem_step(lambda t: t + 1.0, lambda t: -float(t[0]), np.array([0.0]))
+    assert state.objective == -2.0
+    state = squarem_step(lambda t: t.copy(), lambda t: 7.0, np.array([3.0]), obj0=5.0)
+    assert state.objective == 5.0

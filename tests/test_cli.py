@@ -1,17 +1,23 @@
 """CLI integration: exit codes, file formats, determinism."""
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 MIST = [sys.executable, "-m", "mist.cli"]
+#: the child imports mist from this checkout, as the tests themselves do
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args):
-    return subprocess.run(MIST + list(args), capture_output=True, text=True)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(MIST + list(args), capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +145,13 @@ def test_path_single_huge_lambda_all_zero(toy_csv, tmp_path):
     rows = list(csv.reader(open(out)))
     coefs = [float(v) for v in rows[1][-4:]]
     assert coefs == [0.0, 0.0, 0.0, 0.0]
+
+
+def test_path_has_no_threads_option(toy_csv, tmp_path):
+    r = run_cli("path", "--data", str(toy_csv),
+                "--penalty-json", '{"family":"lasso","lambda":1.0}',
+                "--lambda", "1", "--threads", "2", "--out", str(tmp_path / "p.csv"))
+    assert r.returncode != 0 and "--threads" in r.stderr
 
 
 def test_path_rejects_nonpositive_lambda(toy_csv, tmp_path):

@@ -17,10 +17,12 @@ from mist.fidelity import (
     Response,
     ResponseFamily,
     fit_mle,
+    gradient,
     poisson_majorizer_component,
     poisson_weights,
 )
-from mist.penalties import Family, PenaltySpec, threshold_vector
+from mist.accel import accelerated_fit, squarem_step
+from mist.penalties import Family, PenaltySpec, penalty_derivative, threshold_vector
 from mist.solver import (
     FitResult,
     Problem,
@@ -400,6 +402,51 @@ def test_kkt_infinite_for_nonzero_pinned_coordinate():
     assert kkt_residual(prob, CoefficientVector(beta=np.array([1.0, 0.0]))) == math.inf
 
 
+def _kkt_loop(problem, coef):
+    """The scalar loop that ``kkt_residual`` replaced, kept as its reference."""
+    spec = problem.penalty
+    grad_ll = gradient(problem.model, coef)
+    has_int = problem.model.has_intercept
+    g = -grad_ll[1:] if has_int else -grad_ll
+    beta = coef.beta
+    s = g + 2.0 * spec.lam * spec.epsilon * beta
+    worst = abs(grad_ll[0]) if has_int else 0.0
+    for j in range(beta.shape[0]):
+        dj = penalty_derivative(spec, j, abs(beta[j]))
+        if beta[j] != 0.0:
+            if math.isinf(dj):
+                return math.inf
+            r = abs(s[j] + dj * math.copysign(1.0, beta[j]))
+        else:
+            r = 0.0 if math.isinf(dj) else max(abs(s[j]) - dj, 0.0)
+        worst = max(worst, r)
+    return worst
+
+
+@pytest.mark.parametrize(
+    "family", [Family.ADAPTIVE_LASSO, Family.ADAPTIVE_ELASTIC_NET, Family.SCAD, Family.MCP]
+)
+def test_kkt_residual_matches_scalar_loop(family):
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 77])
+        model = make_model(("gaussian", "logistic")[seed % 2], n=30, p=6, seed=seed,
+                           intercept=seed % 3 != 0)
+        weights = None
+        if family in (Family.ADAPTIVE_LASSO, Family.ADAPTIVE_ELASTIC_NET):
+            weights = rng.uniform(0.2, 3.0, 6)
+            weights[rng.random(6) < 0.3] = math.inf
+        epsilon = 0.4 if family is Family.ADAPTIVE_ELASTIC_NET else 0.0
+        spec = PenaltySpec(family=family, lam=rng.uniform(0.05, 2.0), epsilon=epsilon, weights=weights)
+        beta = rng.standard_normal(6) * rng.uniform(0.1, 5.0)
+        beta[rng.random(6) < 0.4] = 0.0
+        if weights is not None and seed % 4 != 0:
+            beta[np.isinf(weights)] = 0.0  # pinned coordinates held at zero
+        icpt = float(rng.standard_normal()) if model.has_intercept else None
+        coef = CoefficientVector(beta=beta, intercept=icpt)
+        prob = Problem(model, spec)
+        assert kkt_residual(prob, coef) == _kkt_loop(prob, coef)
+
+
 # -- Poisson path ----------------------------------------------------------
 
 
@@ -472,8 +519,7 @@ def _poisson_map_oracle(prob, theta):
     out = np.zeros_like(theta)
     for j in range(theta.shape[0]):
         if not np.any(model._xt[:, j]):
-            out[j] = anchor[j]  # an empty column is left where it is
-            continue
+            continue  # an empty column maps to zero, a minimizer of its penalty
         is_int = has_int and j == 0
         tau_j = 0.0 if is_int else tau[j - has_int]
         ridge = 0.0 if is_int else spec.lam * spec.epsilon
@@ -543,6 +589,21 @@ def test_poisson_map_matches_per_coordinate_oracle(
     assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
     if pinned:
         assert got[-1] == 0.0
+
+
+def test_poisson_empty_column_moves_to_zero():
+    # the fidelity does not depend on an all-zero column's coefficient, so the
+    # lasso is minimized at 0 there, wherever the fit starts
+    rng = np.random.default_rng(5)
+    x = np.column_stack([0.5 * rng.standard_normal(20), np.zeros(20)])
+    y = rng.poisson(np.exp(0.3 + 0.5 * x[:, 0])).astype(float)
+    model = FidelityModel(DesignMatrix(x, has_intercept=True), Response(family="poisson", y=y))
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=1.0))
+    start = CoefficientVector(beta=np.array([0.0, 0.5]), intercept=0.0)
+    assert mm_map(prob, SolverConfig())(start.augmented())[2] == 0.0
+    res = poisson_mm_fit(prob, SolverConfig(coef_tol=1e-10, obj_tol=1e-15), start)
+    assert res.coef.beta[1] == 0.0
+    assert res.kkt_residual <= 1e-6
 
 
 def test_poisson_mm_map_matches_one_plain_iteration():
@@ -654,3 +715,119 @@ def test_mm_map_matches_one_plain_iteration():
     theta = CoefficientVector.zeros(3, True).augmented()
     one = glm_map(prob, theta, resolve_step(prob, cfg))
     assert np.array_equal(mp(theta), one)
+
+
+# -- the array-native hot path ---------------------------------------------
+
+
+class CountingDesign(np.ndarray):
+    """A design matrix that counts its products with vectors (X theta, X^T r)."""
+
+    def __array_finalize__(self, obj):
+        self.counter = getattr(obj, "counter", None)
+
+    def __matmul__(self, other):
+        self.counter[0] += 1
+        return np.asarray(self) @ other
+
+    def __rmatmul__(self, other):
+        self.counter[0] += 1
+        return other @ np.asarray(self)
+
+
+def count_products(model):
+    """Route every product with ``model._xt`` through a counter; returns it."""
+    xt = model._xt.view(CountingDesign)
+    xt.counter = [0]
+    model._xt = xt
+    return xt.counter
+
+
+HOT_FAMILIES = ["gaussian", "logistic", "cox"]
+#: products with X in one gradient: X^T r, except for cox, whose score is
+#: built from running sums over the design sorted once by time
+GRADIENT_PRODUCTS = {"gaussian": 1, "logistic": 1, "cox": 0}
+
+
+@pytest.mark.parametrize("family", HOT_FAMILIES)
+def test_plain_iteration_multiplies_by_x_at_most_twice(family):
+    model = make_model(family, n=40, p=5, seed=60)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.3))
+    cfg = SolverConfig(coef_tol=1e-9, obj_tol=1e-14)
+    counter = count_products(model)
+    gmap = mm_map(prob, cfg)
+    theta = random_coef(model, seed=61).augmented()
+    gmap.objective(theta)
+    counter[0] = 0
+    new = gmap(theta)  # eta at theta comes from the objective just evaluated
+    gmap.objective(new)
+    per_map = 1 + GRADIENT_PRODUCTS[family]  # at most 2
+    assert counter[0] == per_map
+    counter[0] = 0
+    res = glm_mm_fit(prob, cfg, CoefficientVector.zeros(5, model.has_intercept))
+    assert res.descent_backtracks == 0 and res.map_evals > 10
+    # the objective at the start, then each map, then the KKT's eta and gradient
+    assert counter[0] == 1 + per_map * res.map_evals + per_map
+
+
+@pytest.mark.parametrize("family", HOT_FAMILIES)
+def test_squarem_step_multiplies_by_x_at_most_four_times_plus_backtracks(family):
+    model = make_model(family, n=40, p=5, seed=62)
+    prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=0.3))
+    cfg = SolverConfig(coef_tol=1e-9, obj_tol=1e-14)
+    counter = count_products(model)
+    gmap = mm_map(prob, cfg)
+    theta = random_coef(model, seed=63).augmented()
+    obj = gmap.objective(theta)
+    for _ in range(5):
+        counter[0] = 0
+        state = squarem_step(gmap, gmap.objective, theta, obj)
+        # the map from theta reuses its eta; the map from m1 and each objective
+        # probe of a candidate multiply
+        per_step = 2 + 2 * GRADIENT_PRODUCTS[family]  # at most 4
+        assert counter[0] <= per_step + state.backtracks
+        theta, obj = state.theta, state.objective
+        assert obj == gmap.objective(theta)
+    counter[0] = 0
+    res = accelerated_fit(prob, cfg, CoefficientVector.zeros(5, model.has_intercept))
+    kkt = 1 + GRADIENT_PRODUCTS[family]
+    assert counter[0] <= 1 + per_step * res.outer_iters + res.descent_backtracks + kkt
+
+
+@pytest.mark.parametrize("mode", ["plain", "squarem"])
+@pytest.mark.parametrize("family", HOT_FAMILIES + ["poisson"])
+def test_reported_objective_is_the_objective_at_the_coefficients(family, mode):
+    model = make_model(family, n=40, p=5, seed=64)
+    prob = Problem(model, PenaltySpec(family=Family.MCP, lam=2.0))
+    res = accelerated_fit(prob, SolverConfig(), CoefficientVector.zeros(5, model.has_intercept), mode=mode)
+    assert res.objective == total_objective(prob, res.coef)
+    assert res.trace[-1] == res.objective
+
+
+@pytest.mark.parametrize("descent_check", [True, False])
+def test_nonfinite_objective_is_a_rejected_step(descent_check):
+    model = make_model("gaussian", n=30, p=4, seed=65)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.5))
+    cfg = SolverConfig(step_omega=1e300, descent_check=descent_check)
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="30 step halvings") as err:
+        glm_mm_fit(prob, cfg, CoefficientVector.zeros(4, True))
+    assert not math.isfinite(err.value.residual)
+
+
+def test_squarem_nonfinite_fallback_raises_with_last_iterate():
+    model = make_model("gaussian", n=30, p=4, seed=65)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.5))
+    start = CoefficientVector.zeros(4, True)
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="non-finite") as err:
+        accelerated_fit(prob, SolverConfig(step_omega=1e300), start, mode="squarem")
+    assert np.array_equal(err.value.last_iterate, start.augmented())
+    assert not math.isfinite(err.value.residual)
+
+
+def test_start_is_checked_on_entry():
+    model = make_model("gaussian", n=20, p=3, seed=66)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.5))
+    for bad in (CoefficientVector.zeros(2, True), CoefficientVector.zeros(3, False)):
+        for mode in ("plain", "squarem"):
+            with pytest.raises(ValidationError):
+                accelerated_fit(prob, TIGHT, bad, mode=mode)
