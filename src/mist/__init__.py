@@ -24,8 +24,8 @@ from .penalties import (
     P1Report,
     PenaltySpec,
     compute_adaptive_weights,
-    penalty_derivative,
-    penalty_value,
+    penalty_derivative_vec,
+    penalty_value_vec,
     threshold_vector,
     verify_p1,
 )
@@ -67,8 +67,8 @@ __all__ = [
     "P1Report",
     "PenaltySpec",
     "compute_adaptive_weights",
-    "penalty_derivative",
-    "penalty_value",
+    "penalty_derivative_vec",
+    "penalty_value_vec",
     "threshold_vector",
     "verify_p1",
     "FitResult",

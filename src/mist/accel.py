@@ -3,9 +3,9 @@
 Each accelerated step probes the map twice, extrapolates with the steplength
 gamma = -||r|| / ||v|| (clamped at -1), and falls back toward the plain double
 map application whenever the extrapolated point would increase the objective
-or overflows it.
-The fallback makes every accepted step nonincreasing regardless of how wild
-the extrapolation is.
+or overflows it.  The fallback makes every accepted step nonincreasing
+regardless of how wild the extrapolation is.  ``accelerated_fit`` hands this
+step to ``solver._drive``, the one outer loop of every fit.
 """
 from __future__ import annotations
 
@@ -17,15 +17,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError, ValidationError
 from .fidelity import CoefficientVector
-from .solver import (
-    FitResult,
-    Problem,
-    SolverConfig,
-    Termination,
-    _start_theta,
-    kkt_residual,
-    mm_map,
-)
+from .solver import FitResult, Problem, SolverConfig, _drive, fit, mm_map
 
 #: backtracking attempts before falling back to the plain double step
 MAX_BACKTRACKS = 5
@@ -105,57 +97,29 @@ def accelerated_fit(
 ) -> FitResult:
     """Fit with the single-map MM update, optionally accelerated.
 
-    mode 'plain' delegates to the base fit; 'squarem' iterates accelerated
-    steps under the same stopping criteria.  A squarem step that falls back
-    to the double map step and finds its objective not finite raises
-    ``ConvergenceError`` carrying the last iterate.
+    mode 'plain' delegates to the base fit; 'squarem' runs ``squarem_step``
+    as the step of the shared outer loop, with the map residual ||r|| as its
+    step norm.  A squarem step that falls back to the double map step and
+    finds its objective not finite raises ``ConvergenceError`` carrying the
+    last iterate.
     """
-    from . import solver
-
     if mode == "plain":
-        return solver.fit(problem, config, start)
+        return fit(problem, config, start)
     if mode != "squarem":
         raise ValidationError(f"unknown acceleration mode {mode!r}")
 
     map_fn = mm_map(problem, config)
     objective = map_fn.objective
-    theta = _start_theta(problem, start)
-    obj = objective(theta)
-    trace = [obj]
-    map_evals = 0
-    backtracks = 0
-    termination = Termination.MAX_ITER
-    outer = 0
-    for outer in range(1, config.max_outer + 1):
+
+    def step(theta, obj):
         state = squarem_step(map_fn, objective, theta, obj)
-        map_evals += state.map_evals
-        backtracks += state.backtracks
         if not math.isfinite(state.objective):
             raise ConvergenceError(
                 "squarem: the fallback double map step has a non-finite objective",
                 last_iterate=theta,
                 residual=state.objective,
             )
-        # the map residual is the analog of the plain per-iteration step norm
-        coef_delta = float(np.linalg.norm(state.r))
-        obj_delta = abs(state.objective - obj)
-        theta, obj = state.theta, state.objective
-        trace.append(obj)
-        if coef_delta < config.coef_tol:
-            termination = Termination.COEF_TOL
-            break
-        if obj_delta < config.obj_tol:
-            termination = Termination.OBJ_TOL
-            break
+        norm_r = float(np.linalg.norm(state.r))
+        return state.theta, state.objective, norm_r, state.map_evals, state.backtracks
 
-    coef = CoefficientVector.from_augmented(theta, problem.model.has_intercept)
-    return FitResult(
-        coef=coef,
-        objective=obj,
-        trace=np.array(trace),
-        outer_iters=outer,
-        map_evals=map_evals,
-        kkt_residual=kkt_residual(problem, coef),
-        termination=termination,
-        descent_backtracks=backtracks,
-    )
+    return _drive(problem, config, start, objective, step)

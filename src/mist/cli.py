@@ -231,14 +231,15 @@ def fit_cmd(data, family, response_col, time_col, status_col, offset_col, interc
 def _emit_penalty_grid(spec: PenaltySpec, out: str):
     hi = max(10.0, 2.0 * spec.a * spec.lam)
     grid = np.geomspace(1e-4, hi, 400)
+    value, derivative = pen.coordinate_penalty(spec, 0)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "value", "derivative"])
         for r in grid:
             writer.writerow([
                 _fmt(float(r)),
-                _fmt(pen.penalty_value(spec, 0, float(r))),
-                _fmt(pen.penalty_derivative(spec, 0, float(r))),
+                _fmt(value(float(r))),
+                _fmt(derivative(float(r))),
             ])
 
 

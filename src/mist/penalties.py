@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -126,68 +126,6 @@ class PenaltySpec:
     @classmethod
     def from_json(cls, s: str) -> "PenaltySpec":
         return cls.from_dict(json.loads(s))
-
-    # -- helpers ----------------------------------------------------------
-
-    def weight(self, j: int) -> float:
-        if self.family in ADAPTIVE_FAMILIES:
-            return float(self.weights[j])
-        return 1.0
-
-
-def _check_r(r: float) -> float:
-    r = float(r)
-    if r < 0 or math.isnan(r):
-        raise ValidationError(f"penalty argument must be >= 0, got {r}")
-    return r
-
-
-def penalty_value(spec: PenaltySpec, j: int, r: float) -> float:
-    """Scalar penalty value at |coefficient| = r for coordinate j."""
-    r = _check_r(r)
-    lam, a, d = spec.lam, spec.a, spec.delta
-    fam = spec.family
-    if fam in LINEAR_FAMILIES:
-        w = spec.weight(j)
-        if math.isinf(w):
-            return 0.0 if r == 0.0 else math.inf
-        return lam * w * r
-    if fam is Family.SCAD:
-        if r <= lam:
-            return lam * r
-        if r <= a * lam:
-            return (2 * a * lam * r - r * r - lam * lam) / (2 * (a - 1))
-        return lam * lam * (a + 1) / 2
-    if fam is Family.MCP:
-        if r <= a * lam:
-            return lam * r - r * r / (2 * a)
-        return a * lam * lam / 2
-    if fam is Family.GEMAN:
-        return lam * d * r / (1 + d * r)
-    if fam is Family.LOG:
-        return lam * math.log1p(d * r)
-    raise ValidationError(f"unknown family {fam}")
-
-
-def penalty_derivative(spec: PenaltySpec, j: int, r: float) -> float:
-    """Right-derivative of the scalar penalty at r >= 0 for coordinate j."""
-    r = _check_r(r)
-    lam, a, d = spec.lam, spec.a, spec.delta
-    fam = spec.family
-    if fam in LINEAR_FAMILIES:
-        w = spec.weight(j)
-        return math.inf if math.isinf(w) else lam * w
-    if fam is Family.SCAD:
-        if r <= lam:
-            return lam
-        return max(a * lam - r, 0.0) / (a - 1)
-    if fam is Family.MCP:
-        return max(lam - r / a, 0.0)
-    if fam is Family.GEMAN:
-        return lam * d / (1 + d * r) ** 2
-    if fam is Family.LOG:
-        return lam * d / (d * r + 1)
-    raise ValidationError(f"unknown family {fam}")
 
 
 def _check_r_vec(r: np.ndarray) -> np.ndarray:
@@ -340,10 +278,17 @@ def verify_p1_functions(
     )
 
 
+def coordinate_penalty(
+    spec: PenaltySpec, j: int = 0
+) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """The scalar value and derivative of coordinate j, through the vector forms."""
+    one = spec if spec.weights is None else replace(spec, weights=spec.weights[j : j + 1])
+    return (
+        lambda r: float(penalty_value_vec(one, np.array([r]))[0]),
+        lambda r: float(penalty_derivative_vec(one, np.array([r]))[0]),
+    )
+
+
 def verify_p1(spec: PenaltySpec, grid: Sequence[float], j: int = 0) -> P1Report:
     """Check the admissibility conditions for coordinate j of a spec."""
-    return verify_p1_functions(
-        lambda r: penalty_value(spec, j, r),
-        lambda r: penalty_derivative(spec, j, r),
-        grid,
-    )
+    return verify_p1_functions(*coordinate_penalty(spec, j), grid)

@@ -1,31 +1,30 @@
 """MM engine: iterated soft-thresholding, single-map GLM updates, diagnostics.
 
-Three fitting paths share one outer driver, ``_drive``:
+Every iterative fit runs the one outer loop ``_drive``: it checks the start,
+zeroes the coordinates pinned by an infinite adaptive weight, applies the two
+stopping rules, counts maps and backtracks, and builds the ``FitResult`` with
+its KKT residual.  The fits differ only in the step they pass in:
 
-* ``mm_outer``      -- generic loop; each outer step fully minimizes the
-                       surrogate with the inner iterated-soft-thresholding
-                       solver.
-* ``glm_mm_fit``    -- gaussian / logistic / cox; the quadratic surrogate has
-                       a closed-form minimizer, so each outer step is a single
-                       soft-threshold map.
-* ``poisson_mm_fit``-- separable majorizer; each outer step minimizes one
-                       strictly convex scalar function per coordinate, all of
-                       them at once by a batched safeguarded Newton iteration,
-                       with the per-column setup built once per fit.
+* ``glm_mm_fit``    -- gaussian / logistic / cox: one closed-form
+                       soft-threshold map (``_GlmMap``) per step.
+* ``mm_outer``      -- a full inner iterated-soft-thresholding solve of the
+                       surrogate per step.
+* ``poisson_mm_fit``-- the separable majorizer: one strictly convex scalar
+                       problem per coordinate, all solved at once by a batched
+                       safeguarded Newton iteration (``_PoissonMap``).
+* ``accel.accelerated_fit`` -- one safeguarded squarem step over ``mm_map``.
 
-The loops work on plain augmented arrays (intercept first).  A fit checks its
-start vector once, on entry (``_start_theta``), and then runs on the
+The first three wrap their map in ``_halving``, which halves the step until
+the objective is finite and does not rise.  ``one_step_fit`` takes a single
+surrogate minimization and builds its result with the same ``_result``.
+
+The loops work on plain augmented arrays (intercept first) and run on the
 unchecked kernels ``fidelity.nll_eta``/``grad_eta`` and
 ``penalties.value_kernel``/``derivative_kernel``; the public
 ``total_objective``, ``kkt_residual`` and ``soft_threshold_vec`` check their
-arguments and call the same kernels.  Each fit builds one map object
-(``_GlmMap`` or ``_PoissonMap``, also returned by ``mm_map`` for squarem)
-whose ``objective`` remembers eta = X theta, so the map applied next at the
-same point does not multiply by X again.
-
-All paths enforce monotone descent of the penalized objective, reject a step
-whose objective is not finite, and report a KKT residual at the returned
-iterate.
+arguments and call the same kernels.  A map object's ``objective`` remembers
+eta = X theta, so the map applied next at the same point does not multiply by
+X again.
 """
 from __future__ import annotations
 
@@ -74,7 +73,6 @@ class SolverConfig:
     max_outer: int = 1_000_000
     inner_tol: float = 1e-8
     inner_max: int = 100_000
-    descent_check: bool = True
 
     def __post_init__(self):
         for name in ("coef_tol", "obj_tol", "inner_tol"):
@@ -267,14 +265,16 @@ def ist_minimize(
 # -- step resolution ------------------------------------------------------
 
 
+def _safe_step(lip: float) -> float:
+    """STEP_SAFETY * 2 / lip, or 1.0 when the curvature bound is not positive."""
+    return STEP_SAFETY * 2.0 / lip if lip > 0 else 1.0
+
+
 def resolve_step(problem: Problem, config: SolverConfig) -> float:
     """The MM step constant; auto mode backs off from 2 / curvature_bound."""
     if config.step_omega is not None:
         return config.step_omega
-    lam_star = fid.curvature_bound(problem.model)
-    if lam_star <= 0:
-        return 1.0
-    return STEP_SAFETY * 2.0 / lam_star
+    return _safe_step(fid.curvature_bound(problem.model))
 
 
 def _penalized_tau(problem: Problem, theta: np.ndarray) -> np.ndarray:
@@ -403,35 +403,36 @@ def glm_surrogate_value(
         - float(fid.gradient(model, alpha) @ diff)
         + float(diff @ diff) / omega
     )
-    for j in range(alpha.beta.shape[0]):
-        aj, bj = abs(alpha.beta[j]), abs(beta.beta[j])
-        tau_j = pen.penalty_derivative(spec, j, aj)
-        if math.isinf(tau_j):
-            if bj != 0.0:
-                return math.inf
-            # pinned coordinate held at zero contributes nothing
-        else:
-            gamma_j = pen.penalty_value(spec, j, aj) - tau_j * aj
-            value += tau_j * bj + gamma_j
-        value += spec.lam * spec.epsilon * beta.beta[j] ** 2
-    return value
+    a, b = np.abs(alpha.beta), np.abs(beta.beta)
+    tau = pen.penalty_derivative_vec(spec, a)
+    free = ~np.isinf(tau)
+    if np.any(~free & (b != 0.0)):
+        return math.inf
+    # a pinned coordinate held at zero contributes nothing
+    gamma = pen.penalty_value_vec(spec, a)[free] - tau[free] * a[free]
+    value += float(np.sum(tau[free] * b[free] + gamma))
+    return value + spec.lam * spec.epsilon * float(beta.beta @ beta.beta)
 
 
 # -- outer drivers --------------------------------------------------------
+
+
+#: one outer step, (theta, objective at theta) -> (next theta, its objective,
+#: step norm, map evaluations, descent backtracks)
+Step = Callable[[np.ndarray, float], tuple[np.ndarray, float, float, int, int]]
 
 
 def _drive(
     problem: Problem,
     config: SolverConfig,
     start: CoefficientVector,
-    step_fn: Callable[[np.ndarray, float], np.ndarray],
-    omega: float,
     objective: Callable[[np.ndarray], float],
+    step: Step,
 ) -> FitResult:
-    """Shared outer loop: descent safeguard, stopping control, accounting.
+    """The outer loop of every iterative fit: start, stopping rules, accounting.
 
-    A step whose objective is not finite is always rejected and halved, with
-    or without the descent check.
+    A fit stops when a step's norm is below ``coef_tol`` or its objective
+    change below ``obj_tol``.
     """
     theta = _start_theta(problem, start)
     pinned = _pinned_mask(problem)
@@ -446,25 +447,9 @@ def _drive(
     outer = 0
 
     for outer in range(1, config.max_outer + 1):
-        step = omega
-        for attempt in range(31):
-            theta_new = step_fn(theta, step)
-            map_evals += 1
-            obj_new = objective(theta_new)
-            if math.isfinite(obj_new) and (
-                not config.descent_check or obj_new <= obj + DESCENT_SLACK
-            ):
-                break
-            if attempt == 30:
-                raise ConvergenceError(
-                    "objective increased or was not finite despite 30 step halvings",
-                    last_iterate=theta_new,
-                    residual=obj_new - obj,
-                )
-            step *= 0.5
-            backtracks += 1
-
-        coef_delta = float(np.linalg.norm(theta_new - theta))
+        theta_new, obj_new, coef_delta, evals, halvings = step(theta, obj)
+        map_evals += evals
+        backtracks += halvings
         obj_delta = abs(obj_new - obj)
         theta, obj = theta_new, obj_new
         trace.append(obj)
@@ -475,10 +460,53 @@ def _drive(
             termination = Termination.OBJ_TOL
             break
 
+    return _result(problem, theta, trace, outer, map_evals, termination, backtracks)
+
+
+def _halving(
+    step_fn: Callable[[np.ndarray, float], np.ndarray],
+    omega: float,
+    objective: Callable[[np.ndarray], float],
+) -> Step:
+    """The plain MM step: ``step_fn`` at omega, halved until it descends.
+
+    A candidate is accepted when its objective is finite and at most
+    DESCENT_SLACK above the current one; after 30 halvings the step raises
+    ``ConvergenceError``.
+    """
+
+    def step(theta, obj):
+        w = omega
+        for attempt in range(31):
+            theta_new = step_fn(theta, w)
+            obj_new = objective(theta_new)
+            if math.isfinite(obj_new) and obj_new <= obj + DESCENT_SLACK:
+                coef_delta = float(np.linalg.norm(theta_new - theta))
+                return theta_new, obj_new, coef_delta, attempt + 1, attempt
+            w *= 0.5
+        raise ConvergenceError(
+            "objective increased or was not finite despite 30 step halvings",
+            last_iterate=theta_new,
+            residual=obj_new - obj,
+        )
+
+    return step
+
+
+def _result(
+    problem: Problem,
+    theta: np.ndarray,
+    trace: list,
+    outer: int,
+    map_evals: int,
+    termination: Termination,
+    backtracks: int = 0,
+) -> FitResult:
+    """The fit at theta with its KKT residual; its objective is the last trace entry."""
     coef = CoefficientVector.from_augmented(theta, problem.model.has_intercept)
     return FitResult(
         coef=coef,
-        objective=obj,
+        objective=trace[-1],
         trace=np.array(trace),
         outer_iters=outer,
         map_evals=map_evals,
@@ -494,11 +522,7 @@ def glm_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector)
         raise NotGloballyLipschitz("use poisson_mm_fit for the poisson family")
     omega = resolve_step(problem, config)
     gmap = _GlmMap(problem, omega)
-    return _drive(problem, config, start, gmap, omega, gmap.objective)
-
-
-def _inner_step(lip: float) -> float:
-    return STEP_SAFETY * 2.0 / lip if lip > 0 else 1.0
+    return _drive(problem, config, start, gmap.objective, _halving(gmap, omega, gmap.objective))
 
 
 def _fidelity_grad_m(problem: Problem) -> Callable[[np.ndarray], np.ndarray]:
@@ -523,8 +547,8 @@ def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -
     spec = problem.penalty
     if model.family is ResponseFamily.POISSON:
         raise NotGloballyLipschitz("use poisson_mm_fit for the poisson family")
-    omega = resolve_step(problem, config)
     lam_star = fid.curvature_bound(model)
+    omega = config.step_omega if config.step_omega is not None else _safe_step(lam_star)
     ridge_lip = 2.0 * spec.lam * spec.epsilon
     quadratic_path = spec.family in pen.FLAT_TAIL_FAMILIES
     obj = _Objective(problem)
@@ -545,14 +569,14 @@ def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -
         return ist_minimize(
             grad_m,
             tau,
-            _inner_step(lip),
+            _safe_step(lip),
             theta,
             relaxation=config.relaxation,
             inner_tol=config.inner_tol,
             inner_max=config.inner_max,
         )
 
-    return _drive(problem, config, start, step_fn, omega, obj.objective)
+    return _drive(problem, config, start, obj.objective, _halving(step_fn, omega, obj.objective))
 
 
 # -- Poisson componentwise path -------------------------------------------
@@ -589,7 +613,8 @@ class _PoissonMap(_Objective):
             self.ridge[0] = 0.0
         self.pinned = _pinned_mask(problem)
 
-    def __call__(self, theta: np.ndarray) -> np.ndarray:
+    def __call__(self, theta: np.ndarray, omega: Optional[float] = None) -> np.ndarray:
+        """The map at theta; ``omega`` is ignored, the majorizer has no step."""
         theta = np.asarray(theta, dtype=float)
         if self.pinned is not None:
             theta = np.where(self.pinned, 0.0, theta)
@@ -705,7 +730,7 @@ def poisson_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVec
     if problem.model.family is not ResponseFamily.POISSON:
         raise ValidationError("poisson_mm_fit requires a poisson model")
     pmap = _PoissonMap(problem)
-    return _drive(problem, config, start, lambda theta, _omega: pmap(theta), 1.0, pmap.objective)
+    return _drive(problem, config, start, pmap.objective, _halving(pmap, 1.0, pmap.objective))
 
 
 # -- one-step estimator and dispatch --------------------------------------
@@ -747,24 +772,15 @@ def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
         theta1 = ist_minimize(
             _fidelity_grad_m(problem),
             _penalized_tau(problem, theta0),
-            _inner_step(lip),
+            _safe_step(lip),
             theta0,
             relaxation=config.relaxation,
             inner_tol=config.inner_tol,
             inner_max=config.inner_max,
         )
 
-    coef = CoefficientVector.from_augmented(theta1, model.has_intercept)
-    obj1 = total_objective(problem, coef)
-    return FitResult(
-        coef=coef,
-        objective=obj1,
-        trace=np.array([obj0, obj1]),
-        outer_iters=1,
-        map_evals=1,
-        kkt_residual=kkt_residual(problem, coef),
-        termination=Termination.COEF_TOL,
-    )
+    obj1 = total_objective(problem, CoefficientVector.from_augmented(theta1, model.has_intercept))
+    return _result(problem, theta1, [obj0, obj1], 1, 1, Termination.COEF_TOL)
 
 
 # -- starting-value presets -----------------------------------------------

@@ -1,11 +1,13 @@
 """Squared-extrapolation acceleration: steplength, safeguards, accounting."""
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_model
 from mist.accel import accelerated_fit, squarem_step
 from mist.exceptions import ValidationError
-from mist.fidelity import CoefficientVector
+from mist.fidelity import CoefficientVector, DesignMatrix, FidelityModel, Response
 from mist.penalties import Family, PenaltySpec
 from mist.solver import Problem, SolverConfig, Termination, fit
 
@@ -193,3 +195,22 @@ def test_fallback_objective_is_the_double_step_objective():
     assert state.objective == -2.0
     state = squarem_step(lambda t: t.copy(), lambda t: 7.0, np.array([3.0]), obj0=5.0)
     assert state.objective == 5.0
+
+
+def test_squarem_zeroes_pinned_coordinates_at_the_start():
+    # a start that is nonzero on a coordinate with adaptive weight inf has
+    # objective inf; both fits start from it with that coordinate at 0
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 3))
+    y = X @ np.array([1.0, 0.0, -1.0]) + 0.1 * rng.standard_normal(30)
+    model = FidelityModel(DesignMatrix(X, has_intercept=True), Response(family="gaussian", y=y))
+    spec = PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=0.5, weights=np.array([1.0, math.inf, 1.0]))
+    prob = Problem(model, spec)
+    cfg = SolverConfig(coef_tol=1e-10, obj_tol=1e-14)
+    start = CoefficientVector(beta=np.full(3, 0.5), intercept=0.0)
+    plain = accelerated_fit(prob, cfg, start, mode="plain")
+    sq = accelerated_fit(prob, cfg, start, mode="squarem")
+    assert plain.coef.beta[1] == 0.0
+    assert sq.coef.beta[1] == 0.0
+    assert math.isfinite(sq.trace[0])
+    assert np.max(np.abs(sq.coef.augmented() - plain.coef.augmented())) <= 1e-6

@@ -3,7 +3,9 @@
 Derived reference values were frozen from independent oracles: numeric
 quadrature of the published derivative formulas (scipy.integrate.quad) and
 central finite differences of the closed-form values.  The quadrature
-cross-checks run live in this file as well.
+cross-checks run live in this file as well.  Values and derivatives are taken
+from ``penalty_value_vec``/``penalty_derivative_vec``, the forms the fits
+evaluate, at every coordinate of a spec.
 """
 import json
 import math
@@ -20,8 +22,9 @@ from mist.penalties import (
     Family,
     PenaltySpec,
     compute_adaptive_weights,
-    penalty_derivative,
-    penalty_value,
+    coordinate_penalty,
+    penalty_derivative_vec,
+    penalty_value_vec,
     threshold_vector,
     verify_p1,
     verify_p1_functions,
@@ -39,6 +42,20 @@ ALL_SPECS = [
     PenaltySpec(family=Family.GEMAN, lam=2.0, delta=1.0),
     PenaltySpec(family=Family.LOG, lam=1.0, delta=2.0),
 ]
+
+
+def at(spec, r):
+    """r at every coordinate of spec (three coordinates when it has no weights)."""
+    n = 3 if spec.weights is None else spec.weights.shape[0]
+    return np.full(n, float(r))
+
+
+def value(spec, r):
+    return penalty_value_vec(spec, at(spec, r))
+
+
+def derivative(spec, r):
+    return penalty_derivative_vec(spec, at(spec, r))
 
 
 # -- spec validation -------------------------------------------------------
@@ -72,9 +89,9 @@ def test_weights_only_for_adaptive_families():
 
 def test_infinite_weights_accepted():
     spec = PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=1.0, weights=np.array([math.inf, 1.0]))
-    assert penalty_value(spec, 0, 0.0) == 0.0
-    assert penalty_value(spec, 0, 0.5) == math.inf
-    assert penalty_derivative(spec, 0, 0.0) == math.inf
+    assert value(spec, 0.0)[0] == 0.0
+    assert value(spec, 0.5)[0] == math.inf
+    assert derivative(spec, 0.0)[0] == math.inf
 
 
 def test_json_round_trip_with_inf_weights():
@@ -100,50 +117,51 @@ def test_json_round_trip_with_inf_weights():
 
 def test_value_at_zero_is_zero():
     for spec in ALL_SPECS:
-        assert penalty_value(spec, 0, 0.0) == 0.0
+        assert np.all(value(spec, 0.0) == 0.0)
 
 
 def test_negative_r_rejected():
     with pytest.raises(ValidationError):
-        penalty_value(ALL_SPECS[0], 0, -0.1)
+        value(ALL_SPECS[0], -0.1)
     with pytest.raises(ValidationError):
-        penalty_derivative(ALL_SPECS[0], 0, -0.1)
+        derivative(ALL_SPECS[0], -0.1)
 
 
 def test_scad_frozen_values():
     spec = PenaltySpec(family=Family.SCAD, lam=1.0, a=3.7)
-    assert penalty_value(spec, 0, 0.0) == 0.0
-    assert penalty_value(spec, 0, 0.5) == pytest.approx(0.5, abs=1e-12)
-    assert penalty_value(spec, 0, 10.0) == pytest.approx(2.35, abs=1e-12)
-    assert penalty_derivative(spec, 0, 0.5) == 1.0
+    assert value(spec, 0.0)[0] == 0.0
+    assert value(spec, 0.5)[0] == pytest.approx(0.5, abs=1e-12)
+    assert value(spec, 10.0)[0] == pytest.approx(2.35, abs=1e-12)
+    assert derivative(spec, 0.5)[0] == 1.0
     # (a*lam - r) / (a - 1) at r = 2: 1.7 / 2.7
-    assert penalty_derivative(spec, 0, 2.0) == pytest.approx(1.7 / 2.7, abs=1e-12)
+    assert derivative(spec, 2.0)[0] == pytest.approx(1.7 / 2.7, abs=1e-12)
 
 
 def test_mcp_frozen_values():
     spec = PenaltySpec(family=Family.MCP, lam=1.0, a=3.7)
-    assert penalty_derivative(spec, 0, 3.7) == 0.0
-    assert penalty_derivative(spec, 0, 5.0) == 0.0
-    assert penalty_value(spec, 0, 5.0) == pytest.approx(3.7 / 2, abs=1e-12)
-    assert penalty_value(spec, 0, 1.0) == pytest.approx(1.0 - 1.0 / 7.4, abs=1e-12)
+    assert derivative(spec, 3.7)[0] == 0.0
+    assert derivative(spec, 5.0)[0] == 0.0
+    assert value(spec, 5.0)[0] == pytest.approx(3.7 / 2, abs=1e-12)
+    assert value(spec, 1.0)[0] == pytest.approx(1.0 - 1.0 / 7.4, abs=1e-12)
 
 
 def test_geman_log_frozen_values():
     geman = PenaltySpec(family=Family.GEMAN, lam=2.0, delta=1.0)
-    assert penalty_value(geman, 0, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert penalty_derivative(geman, 0, 1.0) == pytest.approx(0.5, abs=1e-12)
+    assert value(geman, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert derivative(geman, 1.0)[0] == pytest.approx(0.5, abs=1e-12)
     logp = PenaltySpec(family=Family.LOG, lam=1.0, delta=2.0)
-    assert penalty_value(logp, 0, 1.0) == pytest.approx(math.log(3.0), abs=1e-12)
-    assert penalty_derivative(logp, 0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert value(logp, 1.0)[0] == pytest.approx(math.log(3.0), abs=1e-12)
+    assert derivative(logp, 1.0)[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("r", [0.25, 0.5, 1.5, 2.0, 3.0, 5.0, 10.0])
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
 def test_value_is_quadrature_of_derivative(spec, r):
     # the value must integrate the derivative from 0 (independent oracle)
-    val, err = quad(lambda u: penalty_derivative(spec, 0, u), 0.0, r, limit=200)
-    assert err < 1e-7
-    assert penalty_value(spec, 0, r) == pytest.approx(val, abs=1e-7)
+    for j, v in enumerate(value(spec, r)):
+        val, err = quad(lambda u: derivative(spec, u)[j], 0.0, r, limit=200)
+        assert err < 1e-7
+        assert v == pytest.approx(val, abs=1e-7)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
@@ -154,9 +172,9 @@ def test_derivative_matches_finite_differences(spec):
     for r in np.geomspace(0.05, 8.0, 40):
         if any(abs(r - k) < 0.01 for k in kinks):
             continue
-        fd = (penalty_value(spec, 0, r + h) - penalty_value(spec, 0, r - h)) / (2 * h)
-        d = penalty_derivative(spec, 0, r)
-        assert abs(d - fd) <= 1e-6 * (1.0 + abs(d))
+        fd = (value(spec, r + h) - value(spec, r - h)) / (2 * h)
+        d = derivative(spec, r)
+        assert np.all(np.abs(d - fd) <= 1e-6 * (1.0 + np.abs(d)))
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
@@ -165,14 +183,31 @@ def test_concave_linear_majorization(spec):
     rng = np.random.default_rng(5)
     for _ in range(200):
         r, s = rng.uniform(0, 8, size=2)
-        gap = (
-            penalty_value(spec, 0, s)
-            + penalty_derivative(spec, 0, s) * (r - s)
-            - penalty_value(spec, 0, r)
-        )
-        assert gap >= -1e-10
+        gap = value(spec, s) + derivative(spec, s) * (r - s) - value(spec, r)
+        assert np.all(gap >= -1e-10)
         if spec.family in LINEAR_FAMILIES:
-            assert abs(gap) <= 1e-10
+            assert np.all(np.abs(gap) <= 1e-10)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+def test_coordinate_penalty_is_the_vector_form(spec):
+    # verify_p1 and the CLI grid must describe the function the fits minimize
+    rng = np.random.default_rng(6)
+    for r in np.concatenate([[0.0], rng.uniform(0, 8, size=50)]):
+        v, d = value(spec, r), derivative(spec, r)
+        for j in range(v.shape[0]):
+            value_j, derivative_j = coordinate_penalty(spec, j)
+            assert value_j(r) == v[j]
+            assert derivative_j(r) == d[j]
+
+
+def test_coordinate_penalty_of_a_pinned_coordinate():
+    spec = PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=1.0, weights=np.array([2.0, math.inf]))
+    value_1, derivative_1 = coordinate_penalty(spec, 1)
+    assert value_1(0.0) == 0.0
+    assert value_1(0.5) == math.inf
+    assert derivative_1(0.5) == math.inf
+    assert coordinate_penalty(spec, 0)[0](0.5) == 1.0
 
 
 # -- threshold vectors -----------------------------------------------------
