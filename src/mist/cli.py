@@ -1,4 +1,5 @@
-"""Command-line front end: fit, lambda paths, simulation, acceleration bench.
+"""Command-line front end: ``fit``, ``path`` (a warm-started lambda path) and
+``simulate`` (replicates of a simulation scenario).
 
 Exit codes: 0 on a tolerance-based termination, 2 when the iteration cap was
 hit (the result is still written), 1 on any error.  Errors go to stderr as a
@@ -8,10 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +17,6 @@ import click
 import numpy as np
 
 from . import accel as accel_mod
-from . import fidelity as fid
 from . import penalties as pen
 from . import simlab
 from . import solver
@@ -101,15 +98,13 @@ def _build_model(
     return FidelityModel(design, response)
 
 
-def _load_penalty(penalty_json: str, lam: float | None, p: int) -> PenaltySpec:
+def _load_penalty(penalty_json: str, lam: float | None) -> PenaltySpec:
     text = penalty_json
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
     spec = PenaltySpec.from_json(text)
     if lam is not None:
         spec = replace(spec, lam=lam)
-    if spec.weights is not None and spec.weights.shape[0] != p:
-        raise ValidationError(f"penalty weights have length {spec.weights.shape[0]}, need {p}")
     return spec
 
 
@@ -129,11 +124,6 @@ def _resolve_start(problem: Problem, config: SolverConfig, start: str) -> Coeffi
             beta=np.array(payload["coef"], dtype=float), intercept=payload.get("intercept")
         )
     return solver.starting_point(problem, config, start)
-
-
-def _run_one(problem: Problem, config: SolverConfig, start: CoefficientVector, accel: str) -> FitResult:
-    mode = "squarem" if accel == "squarem" else "plain"
-    return accel_mod.accelerated_fit(problem, config, start, mode=mode)
 
 
 def _write_fit(result: FitResult, out: str, fmt: str, include_trace: bool):
@@ -162,6 +152,9 @@ def _write_fit(result: FitResult, out: str, fmt: str, include_trace: bool):
 def _exit_for(result: FitResult):
     sys.exit(2 if result.termination is Termination.MAX_ITER else 0)
 
+
+#: ``--accel`` value -> ``accelerated_fit`` mode
+_MODES = {"none": "plain", "squarem": "squarem"}
 
 _common_data_opts = [
     click.option("--data", help="CSV file with header row"),
@@ -209,17 +202,16 @@ def fit_cmd(data, family, response_col, time_col, status_col, offset_col, interc
     """Fit one penalized model and write the result."""
     try:
         if emit_penalty_grid is not None:
-            spec = _load_penalty(penalty_json, lam, p=0)
+            spec = _load_penalty(penalty_json, lam)
             _emit_penalty_grid(spec, emit_penalty_grid)
             sys.exit(0)
         if not data:
             raise ValidationError("--data is required")
         model = _build_model(data, family, response_col, time_col, status_col, offset_col, intercept)
-        spec = _load_penalty(penalty_json, lam, model.design.n_cols)
-        problem = Problem(model, spec)
+        problem = Problem(model, _load_penalty(penalty_json, lam))
         config = _load_config(solver_json)
         start_coef = _resolve_start(problem, config, start)
-        result = _run_one(problem, config, start_coef, accel)
+        result = accel_mod.accelerated_fit(problem, config, start_coef, mode=_MODES[accel])
         _write_fit(result, out, fmt, trace)
     except SystemExit:
         raise
@@ -264,11 +256,10 @@ def path_cmd(data, family, response_col, time_col, status_col, offset_col, inter
         rows = []
         warm = None
         for lam in grid:
-            spec = _load_penalty(penalty_json, lam, model.design.n_cols)
-            problem = Problem(model, spec)
+            problem = Problem(model, _load_penalty(penalty_json, lam))
             try:
                 start_coef = warm if warm is not None else _resolve_start(problem, config, start)
-                result = _run_one(problem, config, start_coef, accel)
+                result = accel_mod.accelerated_fit(problem, config, start_coef, mode=_MODES[accel])
                 warm = result.coef
                 rows.append((lam, result, None))
             except Exception as err:  # noqa: BLE001 - record and continue the sweep
@@ -303,18 +294,6 @@ def path_cmd(data, family, response_col, time_col, status_col, offset_col, inter
     sys.exit(0)
 
 
-def _scenario_from_flags(scenario, p, q, n, rho, sigma, seed) -> simlab.SimScenario:
-    return simlab.SimScenario(
-        family=simlab.ScenarioFamily(scenario),
-        p=p,
-        q=q,
-        n=n,
-        rho=rho,
-        sigma=sigma,
-        seed=seed,
-    )
-
-
 _scenario_opts = [
     click.option("--scenario", required=True,
                  type=click.Choice([f.value for f in simlab.ScenarioFamily])),
@@ -325,7 +304,6 @@ _scenario_opts = [
     click.option("--sigma", type=float, default=1.0, show_default=True),
     click.option("--seed", type=int, default=20260824, show_default=True),
     click.option("--replicates", "-B", type=int, default=10, show_default=True),
-    click.option("--threads", type=int, default=1, show_default=True),
     click.option("--penalty-json", required=True),
     click.option("--solver-json", default=None),
     click.option("--out", required=True),
@@ -338,9 +316,7 @@ def _simulate_replicate(scn, lams, penalty_json, config, start):
     model = simlab.model_from_dataset(dataset)
     out_rows = []
     for lam in lams:
-        spec = _load_penalty(penalty_json, lam, model.design.n_cols)
-        spec = _materialize_weights(spec, model, lam)
-        problem = Problem(model, spec)
+        problem = Problem(model, _load_penalty(penalty_json, lam))
         one_step = solver.one_step_fit(problem, config)
         start_coef = solver.starting_point(problem, config, start)
         result = solver.fit(problem, config, start_coef)
@@ -349,32 +325,13 @@ def _simulate_replicate(scn, lams, penalty_json, config, start):
             [
                 scn.family.value, scn.p, scn.q, scn.n,
                 _fmt(scn.rho), _fmt(scn.sigma), scn.seed,
-                spec.family.value, _fmt(lam), start,
+                problem.penalty.family.value, _fmt(lam), start,
                 _fmt(record.norm_diff), _fmt(record.obj_a), _fmt(record.obj_b),
                 int(record.a_leq_b), result.outer_iters, result.map_evals,
                 _fmt(result.kkt_residual), result.termination.value,
             ]
         )
     return out_rows
-
-
-def _materialize_weights(spec: PenaltySpec, model: FidelityModel, lam: float) -> PenaltySpec:
-    """Fill adaptive weights from a convex pilot fit when none were given."""
-    if spec.family not in pen.ADAPTIVE_FAMILIES or spec.weights is not None:
-        return spec
-    pilot_family = (
-        pen.Family.ELASTIC_NET if spec.epsilon > 0 else pen.Family.LASSO
-    )
-    pilot_spec = PenaltySpec(family=pilot_family, lam=lam, epsilon=spec.epsilon)
-    pilot_problem = Problem(model, pilot_spec)
-    pilot_cfg = SolverConfig(coef_tol=1e-8, obj_tol=1e-12, max_outer=200_000)
-    pilot = solver.fit(
-        pilot_problem, pilot_cfg,
-        CoefficientVector.zeros(model.design.n_cols, model.has_intercept),
-    )
-    gamma = spec.gamma if spec.gamma is not None else 1.0
-    weights = pen.compute_adaptive_weights(pilot.coef.beta, gamma)
-    return replace(spec, weights=weights, gamma=gamma)
 
 
 _SIM_HEADER = [
@@ -389,79 +346,22 @@ _SIM_HEADER = [
 @_with_opts(_scenario_opts)
 @click.option("--lambda", "lams", type=float, multiple=True, required=True)
 @click.option("--start", default="one_step", show_default=True)
-def simulate_cmd(scenario, p, q, n, rho, sigma, seed, replicates, threads,
+def simulate_cmd(scenario, p, q, n, rho, sigma, seed, replicates,
                  penalty_json, solver_json, out, lams, start):
     """Replicate-level comparison of full fits against the one-step baseline."""
     try:
-        base = _scenario_from_flags(scenario, p, q, n, rho, sigma, seed)
+        base = simlab.SimScenario(
+            family=simlab.ScenarioFamily(scenario), p=p, q=q, n=n, rho=rho, sigma=sigma, seed=seed
+        )
         config = _load_config(solver_json)
         lam_grid = sorted(set(lams), reverse=True)
-        tasks = [base.replicate(r) for r in range(replicates)]
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            futures = [
-                pool.submit(_simulate_replicate, scn, lam_grid, penalty_json, config, start)
-                for scn in tasks
-            ]
-            blocks = [f.result() for f in futures]  # submission order keeps output deterministic
+        blocks = [
+            _simulate_replicate(base.replicate(r), lam_grid, penalty_json, config, start)
+            for r in range(replicates)
+        ]
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_SIM_HEADER)
-            for block in blocks:
-                for row in block:
-                    writer.writerow(row)
-    except SystemExit:
-        raise
-    except Exception as err:  # noqa: BLE001
-        _fail(str(err))
-    sys.exit(0)
-
-
-_BENCH_HEADER = ["scenario", "penalty", "mode", "map_evals", "wall_seconds", "objective"]
-
-
-def _bench_replicate(scn, lam, penalty_json, config):
-    dataset = simlab.gen_dataset(scn)
-    model = simlab.model_from_dataset(dataset)
-    spec = _load_penalty(penalty_json, lam, model.design.n_cols)
-    spec = _materialize_weights(spec, model, lam)
-    problem = Problem(model, spec)
-    start = CoefficientVector.zeros(model.design.n_cols, model.has_intercept)
-    rows = []
-    for mode in ("plain", "squarem"):
-        t0 = time.perf_counter()
-        result = accel_mod.accelerated_fit(problem, config, start, mode=mode)
-        elapsed = time.perf_counter() - t0
-        rows.append(
-            [
-                f"{scn.family.value}:p={scn.p},q={scn.q},n={scn.n},rho={scn.rho},seed={scn.seed}",
-                spec.family.value,
-                mode,
-                result.map_evals,
-                _fmt(elapsed),
-                _fmt(result.objective),
-            ]
-        )
-    return rows
-
-
-@main.command("bench-accel")
-@_with_opts(_scenario_opts)
-@click.option("--lambda", "lam", type=float, required=True)
-def bench_cmd(scenario, p, q, n, rho, sigma, seed, replicates, threads,
-              penalty_json, solver_json, out, lam):
-    """Plain vs accelerated map-evaluation counts on simulated replicates."""
-    try:
-        base = _scenario_from_flags(scenario, p, q, n, rho, sigma, seed)
-        config = _load_config(solver_json)
-        tasks = [base.replicate(r) for r in range(replicates)]
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            futures = [
-                pool.submit(_bench_replicate, scn, lam, penalty_json, config) for scn in tasks
-            ]
-            blocks = [f.result() for f in futures]
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_BENCH_HEADER)
             for block in blocks:
                 for row in block:
                     writer.writerow(row)

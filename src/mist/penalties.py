@@ -282,6 +282,10 @@ def coordinate_penalty(
     spec: PenaltySpec, j: int = 0
 ) -> tuple[Callable[[float], float], Callable[[float], float]]:
     """The scalar value and derivative of coordinate j, through the vector forms."""
+    if spec.weights is not None and not 0 <= j < spec.weights.shape[0]:
+        raise ValidationError(
+            f"coordinate {j} is outside the weight vector of length {spec.weights.shape[0]}"
+        )
     one = spec if spec.weights is None else replace(spec, weights=spec.weights[j : j + 1])
     return (
         lambda r: float(penalty_value_vec(one, np.array([r]))[0]),

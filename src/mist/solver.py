@@ -15,7 +15,8 @@ its KKT residual.  The fits differ only in the step they pass in:
 * ``accel.accelerated_fit`` -- one safeguarded squarem step over ``mm_map``.
 
 The first three wrap their map in ``_halving``, which halves the step until
-the objective is finite and does not rise.  ``one_step_fit`` takes a single
+the objective is finite and does not rise; the Poisson map has no step, so
+it gets a single attempt.  ``one_step_fit`` takes a single
 surrogate minimization and builds its result with the same ``_result``.
 
 The loops work on plain augmented arrays (intercept first) and run on the
@@ -467,26 +468,34 @@ def _halving(
     step_fn: Callable[[np.ndarray, float], np.ndarray],
     omega: float,
     objective: Callable[[np.ndarray], float],
+    attempts: int = 31,
 ) -> Step:
     """The plain MM step: ``step_fn`` at omega, halved until it descends.
 
     A candidate is accepted when its objective is finite and at most
-    DESCENT_SLACK above the current one; after 30 halvings the step raises
-    ``ConvergenceError``.
+    DESCENT_SLACK above the current one; an ``OverflowError`` from the map or
+    the objective rejects the candidate like a non-finite objective.  After
+    ``attempts`` rejected candidates (30 halvings by default; a map that does
+    not depend on omega gets one attempt) the step raises ``ConvergenceError``
+    carrying the current iterate.
     """
 
     def step(theta, obj):
         w = omega
-        for attempt in range(31):
-            theta_new = step_fn(theta, w)
-            obj_new = objective(theta_new)
+        for attempt in range(attempts):
+            try:
+                theta_new = step_fn(theta, w)
+                obj_new = objective(theta_new)
+            except OverflowError:
+                obj_new = math.inf
             if math.isfinite(obj_new) and obj_new <= obj + DESCENT_SLACK:
                 coef_delta = float(np.linalg.norm(theta_new - theta))
                 return theta_new, obj_new, coef_delta, attempt + 1, attempt
             w *= 0.5
         raise ConvergenceError(
-            "objective increased or was not finite despite 30 step halvings",
-            last_iterate=theta_new,
+            "objective increased, was not finite or overflowed in "
+            f"{attempts} attempt(s) ({attempts - 1} step halvings)",
+            last_iterate=theta,
             residual=obj_new - obj,
         )
 
@@ -730,7 +739,8 @@ def poisson_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVec
     if problem.model.family is not ResponseFamily.POISSON:
         raise ValidationError("poisson_mm_fit requires a poisson model")
     pmap = _PoissonMap(problem)
-    return _drive(problem, config, start, pmap.objective, _halving(pmap, 1.0, pmap.objective))
+    # the map ignores omega, so a retry would recompute the rejected point
+    return _drive(problem, config, start, pmap.objective, _halving(pmap, 1.0, pmap.objective, 1))
 
 
 # -- one-step estimator and dispatch --------------------------------------

@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,15 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mist.cli import _SIM_HEADER
+
 MIST = [sys.executable, "-m", "mist.cli"]
 #: the child imports mist from this checkout, as the tests themselves do
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args):
+def run_cli(*args, cwd=None):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(MIST + list(args), capture_output=True, text=True, env=env)
+    return subprocess.run(MIST + list(args), capture_output=True, text=True, env=env, cwd=cwd)
 
 
 @pytest.fixture(scope="module")
@@ -109,17 +112,34 @@ def test_fit_csv_output(toy_csv, tmp_path):
     assert len(rows) == 2
 
 
-def test_emit_penalty_grid(tmp_path):
+@pytest.mark.parametrize("family", ["scad", "adaptive_lasso"])
+def test_emit_penalty_grid(family, tmp_path):
     out = tmp_path / "grid.csv"
-    r = run_cli("fit", "--penalty-json", '{"family":"scad","lambda":1.0}',
+    spec = {"family": family, "lambda": 1.0}
+    if family == "adaptive_lasso":
+        spec["weights"] = [2.0]
+    r = run_cli("fit", "--penalty-json", json.dumps(spec),
                 "--out", str(out), "--emit-penalty-grid", str(out))
-    assert r.returncode == 0
+    assert r.returncode == 0, r.stderr
     rows = list(csv.reader(open(out)))
     assert rows[0] == ["r", "value", "derivative"]
     assert len(rows) == 401
-    # derivative column is nonincreasing for a concave penalty
-    ders = [float(x[2]) for x in rows[1:]]
-    assert all(b <= a + 1e-12 for a, b in zip(ders, ders[1:]))
+    if family == "scad":
+        # derivative column is nonincreasing for a concave penalty
+        ders = [float(x[2]) for x in rows[1:]]
+        assert all(b <= a + 1e-12 for a, b in zip(ders, ders[1:]))
+    else:
+        # coordinate 0 has weight 2: value = 2 * lambda * r
+        for x in rows[1:]:
+            assert float(x[1]) == pytest.approx(2.0 * float(x[0]), rel=1e-11)
+
+
+def test_emit_penalty_grid_rejects_empty_weights(tmp_path):
+    out = tmp_path / "grid.csv"
+    r = run_cli("fit", "--penalty-json", '{"family":"adaptive_lasso","lambda":1.0,"weights":[]}',
+                "--out", str(out), "--emit-penalty-grid", str(out))
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
 
 
 def test_path_row_count_and_warm_start(toy_csv, tmp_path):
@@ -147,11 +167,24 @@ def test_path_single_huge_lambda_all_zero(toy_csv, tmp_path):
     assert coefs == [0.0, 0.0, 0.0, 0.0]
 
 
-def test_path_has_no_threads_option(toy_csv, tmp_path):
-    r = run_cli("path", "--data", str(toy_csv),
-                "--penalty-json", '{"family":"lasso","lambda":1.0}',
-                "--lambda", "1", "--threads", "2", "--out", str(tmp_path / "p.csv"))
-    assert r.returncode != 0 and "--threads" in r.stderr
+_SIM_ARGS = ["--scenario", "linear_ex1", "--p", "18", "--n", "50", "--replicates", "1",
+             "--penalty-json", '{"family":"lasso","lambda":1.0}', "--lambda", "1"]
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["path", "--penalty-json", '{"family":"lasso","lambda":1.0}', "--lambda", "1",
+          "--threads", "2"], "--threads"),
+        (["simulate", *_SIM_ARGS, "--threads", "2"], "--threads"),
+        (["bench-accel", *_SIM_ARGS], "bench-accel"),
+    ],
+    ids=["path-threads", "simulate-threads", "bench-accel"],
+)
+def test_removed_cli_names_are_rejected(args, name, tmp_path):
+    r = run_cli(*args, "--out", str(tmp_path / "out.csv"))
+    assert r.returncode != 0 and name in r.stderr
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_path_rejects_nonpositive_lambda(toy_csv, tmp_path):
@@ -168,7 +201,7 @@ def test_simulate_deterministic_bytes(tmp_path):
             "--lambda", "1", "--lambda", "5"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     ra = run_cli(*args, "--out", str(a))
-    rb = run_cli(*args, "--out", str(b), "--threads", "2")
+    rb = run_cli(*args, "--out", str(b))
     assert ra.returncode == 0 and rb.returncode == 0
     assert a.read_bytes() == b.read_bytes()
     rows = list(csv.reader(open(a)))
@@ -186,18 +219,17 @@ def test_simulate_one_step_dominance_column(tmp_path):
     assert all(row["fit_leq_onestep"] == "1" for row in rows)
 
 
-def test_bench_accel_shape(tmp_path):
-    out = tmp_path / "bench.csv"
-    r = run_cli("bench-accel", "--scenario", "linear_ex1", "--p", "18", "--n", "50",
-                "--seed", "3", "--replicates", "2",
-                "--penalty-json", '{"family":"lasso","lambda":1.0}',
-                "--lambda", "1", "--out", str(out))
-    assert r.returncode == 0
-    rows = list(csv.reader(open(out)))
-    assert rows[0] == ["scenario", "penalty", "mode", "map_evals", "wall_seconds", "objective"]
-    assert len(rows) == 1 + 2 * 2  # replicates x {plain, squarem}
-    modes = {row[2] for row in rows[1:]}
-    assert modes == {"plain", "squarem"}
+def test_readme_simulate_example_runs(tmp_path):
+    # the README's `mist simulate` example, continuation lines joined
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b.split("```")[0] for b in readme.split("```sh\n")[1:]]
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    (command,) = [ln for ln in lines if ln.startswith("mist simulate ")]
+    args = shlex.split(command)[1:]
+    r = run_cli(*args, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    rows = list(csv.reader(open(tmp_path / args[args.index("--out") + 1])))
+    assert rows[0] == _SIM_HEADER and len(rows) > 1
 
 
 def test_cox_fit_via_cli(tmp_path):

@@ -210,6 +210,13 @@ def test_coordinate_penalty_of_a_pinned_coordinate():
     assert coordinate_penalty(spec, 0)[0](0.5) == 1.0
 
 
+@pytest.mark.parametrize("j", [-1, 2])
+def test_coordinate_penalty_outside_the_weights_is_rejected(j):
+    spec = PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=1.0, weights=np.array([2.0, 1.0]))
+    with pytest.raises(ValidationError, match="outside the weight vector"):
+        coordinate_penalty(spec, j)
+
+
 # -- threshold vectors -----------------------------------------------------
 
 

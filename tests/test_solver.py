@@ -506,6 +506,39 @@ def test_poisson_map_with_no_counts_moves_the_intercept_far_down():
     assert np.all(np.isfinite(theta)) and theta[0] < -30.0
 
 
+def test_poisson_fit_with_no_counts_overflow_is_a_rejected_step():
+    # the second map overflows in the majorizer slope at b = 0 after the first
+    # moved the intercept far down: a rejected step, not a bare OverflowError
+    rng = np.random.default_rng(42)
+    m = FidelityModel(
+        DesignMatrix(rng.standard_normal((12, 2)), has_intercept=True),
+        Response(family=ResponseFamily.POISSON, y=np.zeros(12)),
+    )
+    prob = Problem(m, PenaltySpec(family=Family.LASSO, lam=1.0))
+    first = mm_map(prob, SolverConfig())(np.zeros(3))
+    with pytest.raises(ConvergenceError, match="1 attempt") as err:
+        poisson_mm_fit(prob, SolverConfig(), CoefficientVector.zeros(2, True))
+    assert np.array_equal(err.value.last_iterate, first)
+
+
+def test_poisson_step_makes_one_attempt(monkeypatch):
+    # the poisson map ignores omega, so a halving would recompute the same point
+    import mist.solver as solver_mod
+
+    calls = []
+
+    def no_descent(pm, base, tau, theta):
+        calls.append(1)
+        return np.full_like(theta, np.nan)
+
+    monkeypatch.setattr(solver_mod, "_poisson_scalar_min", no_descent)
+    model = make_model("poisson", n=30, p=3, seed=67)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=1.0))
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+        poisson_mm_fit(prob, SolverConfig(), CoefficientVector.zeros(3, model.has_intercept))
+    assert len(calls) == 1
+
+
 def test_poisson_mle_with_zero_threshold_is_fixed_point():
     model = make_model("poisson", n=60, p=3, seed=28)
     mle = fit_mle(model)
