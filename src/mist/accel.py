@@ -1,11 +1,16 @@
-"""Squared-extrapolation acceleration of MM fixed-point maps.
+"""Squared-extrapolation acceleration (SQUAREM) of MM fixed-point maps.
 
-Each accelerated step probes the map twice, extrapolates with the steplength
-gamma = -||r|| / ||v|| (clamped at -1), and falls back toward the plain double
-map application whenever the extrapolated point would increase the objective
-or overflows it.  The fallback makes every accepted step nonincreasing
-regardless of how wild the extrapolation is.  ``accelerated_fit`` hands this
-step to ``solver._drive``, the one outer loop of every fit.
+The step rule is the one published by Varadhan & Roland (2008, *Scand. J.
+Stat.* 35) and implemented in the SQUAREM package (Du & Varadhan 2020, *J.
+Stat. Softw.* 92(7)).  Each step applies the map twice, extrapolates with the
+steplength alpha = ||r|| / ||v|| clamped to [1, step_max], applies the map
+once more at the extrapolated point (the stabilizing map) and keeps that map
+output when its objective does not increase.  Otherwise it keeps the plain
+double map step, so every step descends, and every point a step returns is
+its start or a map output.  The bound step_max starts at 1 for each fit,
+grows x4 whenever alpha reaches it and shrinks /4 when an extrapolation at
+the bound is rejected.  ``accelerated_fit`` hands this step to
+``solver._drive``, the one outer loop of every fit.
 """
 from __future__ import annotations
 
@@ -19,12 +24,16 @@ from .exceptions import ConvergenceError, ValidationError
 from .fidelity import CoefficientVector
 from .solver import FitResult, Problem, SolverConfig, _drive, fit, mm_map
 
-#: backtracking attempts before falling back to the plain double step
-MAX_BACKTRACKS = 5
+#: one extrapolated candidate per step: a step that falls back to the double
+#: map step has made 2 + MAX_BACKTRACKS + 1 map evaluations (the probe counts)
+MAX_BACKTRACKS = 1
 #: residual norm below which a point is treated as a fixed point of the map
 FIXED_POINT_TOL = 1e-14
 #: tolerated objective increase when accepting an extrapolated candidate
 ACCEPT_SLACK = 1e-12
+#: factor by which the steplength bound grows when reached and shrinks on a
+#: rejection at the bound (the package's ``mstep``)
+STEP_FACTOR = 4.0
 
 
 @dataclass
@@ -32,11 +41,14 @@ class AccelState:
     theta: np.ndarray
     r: np.ndarray
     v: np.ndarray
+    #: -alpha, the steplength of the returned point (-1 for the double map step)
     gamma: float
     map_evals: int
     backtracks: int
     #: the objective at ``theta``
     objective: float
+    #: the steplength bound for the next step
+    step_max: float = 1.0
 
 
 def squarem_step(
@@ -44,12 +56,24 @@ def squarem_step(
     objective: Callable[[np.ndarray], float],
     theta: np.ndarray,
     obj0: Optional[float] = None,
+    step_max: float = 1.0,
 ) -> AccelState:
-    """One safeguarded accelerated step from theta.
+    """One SQUAREM step from theta (Varadhan & Roland 2008).
+
+    With m1 = M(theta), m2 = M(m1), r = m1 - theta and v = m2 - 2 m1 + theta,
+    the steplength is alpha = ||r|| / ||v|| clamped to [1, step_max].  When
+    alpha > 1 the step maps the extrapolated point theta + 2 alpha r +
+    alpha^2 v once more and keeps that map output if its objective is finite
+    and at most ``ACCEPT_SLACK`` above the objective at theta; an
+    ``OverflowError`` rejects it.  A rejected candidate, or alpha = 1, gives
+    the double map step m2.  A fixed point (||r|| <= ``FIXED_POINT_TOL``)
+    returns theta, and v = 0 returns m2.
 
     ``obj0`` is the objective at theta when the caller already has it.  The
-    objective at the returned point comes back in ``AccelState.objective``:
-    for an accepted candidate it is the value its acceptance test computed.
+    objective at the returned point comes back in ``AccelState.objective``,
+    and the bound for the next step in ``AccelState.step_max``: x4 when alpha
+    reached ``step_max``, /4 (not below 1) when a candidate at the bound was
+    rejected.
     """
     theta = np.asarray(theta, dtype=float)
     m1 = map_fn(theta)
@@ -58,35 +82,41 @@ def squarem_step(
     r = m1 - theta
     v = m2 - 2.0 * m1 + theta
 
-    def state(point, gamma, backtracks, obj):
-        return AccelState(point, r, v, gamma, evals, backtracks, obj)
+    def state(point, alpha, backtracks, obj):
+        return AccelState(point, r, v, -alpha, evals, backtracks, obj, step_max)
 
     norm_r = float(np.linalg.norm(r))
     norm_v = float(np.linalg.norm(v))
     if norm_r <= FIXED_POINT_TOL:
-        return state(theta.copy(), -1.0, 0, objective(theta) if obj0 is None else obj0)
+        return state(theta.copy(), 1.0, 0, objective(theta) if obj0 is None else obj0)
     if norm_v == 0.0:
         # degenerate curvature: the plain double step is all we can do
-        return state(m2, -1.0, 0, objective(m2))
+        return state(m2, 1.0, 0, objective(m2))
 
-    gamma = min(-norm_r / norm_v, -1.0)
-    if obj0 is None:
-        obj0 = objective(theta)
+    alpha = min(max(norm_r / norm_v, 1.0), step_max)
     backtracks = 0
-    for attempt in range(MAX_BACKTRACKS + 1):
-        cand = theta - 2.0 * gamma * r + gamma * gamma * v
+    if alpha > 1.0:
+        if obj0 is None:
+            obj0 = objective(theta)
+        evals += 1
         try:
-            obj = objective(cand)
+            point = map_fn(theta + 2.0 * alpha * r + alpha * alpha * v)
+            obj = objective(point)
         except OverflowError:
             obj = math.inf  # the candidate left the region where the fidelity is finite
-        if obj <= obj0 + ACCEPT_SLACK:
-            return state(cand, gamma, backtracks, obj)
-        evals += 1  # extra objective probe, counted as acceleration work
-        if attempt < MAX_BACKTRACKS:
-            backtracks += 1
-            gamma = (gamma - 1.0) / 2.0
-    # MM descent guarantees the double step never increases the objective
-    return state(m2, -1.0, backtracks, objective(m2))
+        at_bound = alpha == step_max
+        if math.isfinite(obj) and obj <= obj0 + ACCEPT_SLACK:
+            if at_bound:
+                step_max *= STEP_FACTOR
+            return state(point, alpha, 0, obj)
+        evals += 1  # the rejected objective probe, counted as acceleration work
+        backtracks = 1
+        if at_bound:
+            step_max = max(1.0, step_max / STEP_FACTOR)
+    # the double map step (alpha = 1), which MM descent never lets increase the objective
+    if step_max == 1.0:  # alpha = 1 reached the bound
+        step_max = STEP_FACTOR
+    return state(m2, 1.0, backtracks, objective(m2))
 
 
 def accelerated_fit(
@@ -98,10 +128,11 @@ def accelerated_fit(
     """Fit with the single-map MM update, optionally accelerated.
 
     mode 'plain' delegates to the base fit; 'squarem' runs ``squarem_step``
-    as the step of the shared outer loop, with the map residual ||r|| as its
-    step norm.  A squarem step that falls back to the double map step and
-    finds its objective not finite raises ``ConvergenceError`` carrying the
-    last iterate.
+    (Varadhan & Roland 2008) as the step of the shared outer loop, with the
+    map residual ||r|| as its step norm, and carries the steplength bound
+    ``step_max`` from each step to the next, starting at 1.  A squarem step
+    that falls back to the double map step and finds its objective not
+    finite raises ``ConvergenceError`` carrying the last iterate.
     """
     if mode == "plain":
         return fit(problem, config, start)
@@ -110,15 +141,18 @@ def accelerated_fit(
 
     map_fn = mm_map(problem, config)
     objective = map_fn.objective
+    step_max = 1.0
 
     def step(theta, obj):
-        state = squarem_step(map_fn, objective, theta, obj)
+        nonlocal step_max
+        state = squarem_step(map_fn, objective, theta, obj, step_max)
         if not math.isfinite(state.objective):
             raise ConvergenceError(
                 "squarem: the fallback double map step has a non-finite objective",
                 last_iterate=theta,
                 residual=state.objective,
             )
+        step_max = state.step_max
         norm_r = float(np.linalg.norm(state.r))
         return state.theta, state.objective, norm_r, state.map_evals, state.backtracks
 

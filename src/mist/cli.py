@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,25 +41,45 @@ def _fail(message: str) -> "NoReturn":
 
 
 def _load_table(path: str) -> tuple[list[str], np.ndarray]:
+    """A CSV file's header and its numeric body (blank lines skipped).
+
+    The body is parsed by ``np.loadtxt``; when it fails, or disagrees with the
+    header's width, ``_scan_table`` re-reads the file to name the bad line.
+    """
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        if not first:
+            raise ValidationError(f"{path}: empty file")
+        header = next(csv.reader([first]), [])
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                table = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"', comments=None)
+        except ValueError:
+            table = None
+    if table is None or (table.size and table.shape[1] != len(header)):
+        table = _scan_table(path, len(header))
+    if not table.size:
+        raise ValidationError(f"{path}: no data rows")
+    return header, table
+
+
+def _scan_table(path: str, width: int) -> np.ndarray:
+    """The body parsed row by row with ``csv``, raising at the first bad line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file")
+        next(reader, None)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
+            if len(row) != width:
+                raise ValidationError(f"{path}:{lineno}: expected {width} fields")
             try:
                 rows.append([float(v) for v in row])
             except ValueError as err:
                 raise ValidationError(f"{path}:{lineno}: {err}")
-    if not rows:
-        raise ValidationError(f"{path}: no data rows")
-    return header, np.array(rows)
+    return np.array(rows)
 
 
 def _build_model(

@@ -5,19 +5,21 @@ import numpy as np
 import pytest
 
 from conftest import make_model
-from mist.accel import accelerated_fit, squarem_step
+from mist import accel, simlab
+from mist.accel import MAX_BACKTRACKS, accelerated_fit, squarem_step
 from mist.exceptions import ValidationError
 from mist.fidelity import CoefficientVector, DesignMatrix, FidelityModel, Response
 from mist.penalties import Family, PenaltySpec
-from mist.solver import Problem, SolverConfig, Termination, fit
+from mist.solver import Problem, SolverConfig, Termination, fit, mm_map
 
 
 def test_linear_contraction_one_shot():
-    # M(theta) = 0.5 theta from theta=1: gamma=-2, extrapolation lands on 0
-    state = squarem_step(lambda t: 0.5 * t, lambda t: float(t @ t), np.array([1.0]))
+    # M(theta) = 0.5 theta from theta=1: alpha=2, extrapolation lands on 0 and
+    # the stabilizing map keeps it there
+    state = squarem_step(lambda t: 0.5 * t, lambda t: float(t @ t), np.array([1.0]), step_max=4.0)
     assert state.gamma == pytest.approx(-2.0)
     assert state.theta[0] == pytest.approx(0.0, abs=1e-14)
-    assert state.map_evals == 2
+    assert state.map_evals == 3  # m1, m2 and the map at the extrapolated point
     assert state.backtracks == 0
 
 
@@ -30,14 +32,18 @@ def test_gamma_formula():
             return np.array([1.0, 0.0])
         return np.array([2.5, 0.0])  # m2 = m1 + 1.5 -> v = 0.5
 
-    state = squarem_step(map_fn, lambda t: -float(t[0]), theta)
-    assert np.allclose(state.r, [1.0, 0.0])
-    assert np.allclose(state.v, [0.5, 0.0])
-    assert state.gamma == pytest.approx(-2.0)
+    # inside the bounds [1, step_max] the steplength is ||r|| / ||v||
+    for step_max in (2.5, 16.0):
+        state = squarem_step(map_fn, lambda t: -float(t[0]), theta, step_max=step_max)
+        assert np.allclose(state.r, [1.0, 0.0])
+        assert np.allclose(state.v, [0.5, 0.0])
+        assert state.gamma == pytest.approx(-2.0)
+        assert state.theta[0] == 2.5  # the map at theta + 4 r + 4 v = 6
 
 
 def test_gamma_clamped_to_minus_one():
-    # ||r|| < ||v|| would give gamma > -1; the clamp forces gamma <= -1
+    # ||r|| < ||v|| would give gamma > -1; the clamp forces gamma = -1, the
+    # double map step, with no extrapolated candidate
     theta = np.array([0.0])
 
     def map_fn(t):
@@ -45,8 +51,9 @@ def test_gamma_clamped_to_minus_one():
             return np.array([0.1])
         return np.array([1.0])  # v = 0.8 > r = 0.1
 
-    state = squarem_step(map_fn, lambda t: 0.0, theta)
-    assert state.gamma <= -1.0
+    state = squarem_step(map_fn, lambda t: 0.0, theta, step_max=16.0)
+    assert state.gamma == -1.0
+    assert state.theta[0] == 1.0 and state.map_evals == 2
 
 
 def test_fixed_point_returns_theta():
@@ -57,11 +64,16 @@ def test_fixed_point_returns_theta():
 
 
 def test_objective_overflow_rejects_candidate():
-    # r=1, v=0.5 from theta=0: the first candidates land at 6, 4.125 and 3.28
+    # r=1, v=0.5 from theta=0: alpha=2 extrapolates to 6, which maps to 6.1
     theta = np.array([0.0])
 
-    def map_fn(t):
-        return np.array([1.0]) if t[0] == 0.0 else np.array([2.5])
+    def map_fn(limit=math.inf):
+        def f(t):
+            if t[0] > limit:
+                raise OverflowError("poisson coordinate update: linear predictor too large")
+            return {0.0: np.array([1.0]), 1.0: np.array([2.5])}.get(t[0], t + 0.1)
+
+        return f
 
     def objective(limit):
         def f(t):
@@ -71,12 +83,15 @@ def test_objective_overflow_rejects_candidate():
 
         return f
 
-    state = squarem_step(map_fn, objective(3.0), theta)
-    assert state.backtracks == 3 and state.gamma == pytest.approx(-1.125)
-    assert state.theta[0] == pytest.approx(2.0 * 1.125 + 1.125**2 * 0.5)
-    # every candidate overflows: the plain double step is kept
-    state = squarem_step(map_fn, objective(2.55), theta)
-    assert state.theta[0] == 2.5 and state.gamma == -1.0
+    state = squarem_step(map_fn(), objective(10.0), theta, step_max=4.0)
+    assert state.backtracks == 0 and state.gamma == pytest.approx(-2.0)
+    assert state.theta[0] == pytest.approx(6.1)
+    # an overflow in the objective or in the map itself rejects the candidate:
+    # the plain double step is kept
+    for fn, obj in ((map_fn(), objective(3.0)), (map_fn(5.0), objective(10.0))):
+        state = squarem_step(fn, obj, theta, step_max=4.0)
+        assert state.theta[0] == 2.5 and state.gamma == -1.0
+        assert state.backtracks == 1 and state.map_evals == 4
 
 
 def test_degenerate_curvature_falls_back_to_double_step():
@@ -87,12 +102,14 @@ def test_degenerate_curvature_falls_back_to_double_step():
 
 
 def test_backtracking_exhaustion_falls_back_to_m2():
-    # objective rejects every extrapolation except the two plain map points
+    # the one extrapolated candidate of a step (MAX_BACKTRACKS = 1) is rejected;
+    # the objective accepts only theta and the double map step
     theta = np.array([4.0])
     m1, m2 = 2.0, 1.0
 
     def map_fn(t):
-        return np.array([m1]) if np.allclose(t, theta) else np.array([m2])
+        # the extrapolated point theta + 4 r + 4 v = 0 maps to 3
+        return np.array([{4.0: m1, m1: m2}.get(float(t[0]), 3.0)])
 
     def objective(t):
         x = float(t[0])
@@ -100,12 +117,14 @@ def test_backtracking_exhaustion_falls_back_to_m2():
             return x
         return 1e9  # every extrapolated candidate is rejected
 
-    state = squarem_step(map_fn, objective, theta)
+    state = squarem_step(map_fn, objective, theta, step_max=4.0)
     assert state.theta[0] == pytest.approx(m2)
     assert state.gamma == -1.0
-    assert state.backtracks == 5
-    # accounting: 2 map evals plus one probe per failed candidate (6 attempts)
-    assert state.map_evals == 2 + 6
+    assert state.backtracks == MAX_BACKTRACKS == 1
+    # accounting: 2 map evals, the map at the candidate and its rejected probe
+    assert state.map_evals == 2 + MAX_BACKTRACKS + 1
+    # alpha = 2 was below the bound, which therefore stays
+    assert state.step_max == 4.0
 
 
 def test_accepted_step_never_increases_objective():
@@ -169,13 +188,13 @@ def test_given_objective_is_reused_and_the_accepted_one_returned():
         calls.append(float(t[0]))
         return float(t @ t)
 
-    # M(theta) = 0.5 theta from 1: the first candidate lands on 0 and is accepted
-    state = squarem_step(lambda t: 0.5 * t, objective, np.array([1.0]), obj0=1.0)
+    # M(theta) = 0.5 theta from 1: the candidate lands on 0 and is accepted
+    state = squarem_step(lambda t: 0.5 * t, objective, np.array([1.0]), obj0=1.0, step_max=4.0)
     assert calls == [0.0]  # the candidate only; theta's objective was given
     assert state.objective == 0.0
     # without obj0 the step evaluates it itself, after the two maps
     calls.clear()
-    state = squarem_step(lambda t: 0.5 * t, objective, np.array([1.0]))
+    state = squarem_step(lambda t: 0.5 * t, objective, np.array([1.0]), step_max=4.0)
     assert calls == [1.0, 0.0] and state.objective == 0.0
 
 
@@ -188,7 +207,7 @@ def test_fallback_objective_is_the_double_step_objective():
     def objective(t):
         return float(t[0]) if t[0] in (4.0, 1.0) else 1e9  # rejects every candidate
 
-    state = squarem_step(map_fn, objective, theta, obj0=4.0)
+    state = squarem_step(map_fn, objective, theta, obj0=4.0, step_max=4.0)
     assert state.theta[0] == 1.0 and state.objective == 1.0
     # degenerate curvature (v = 0) and a fixed point carry their objectives too
     state = squarem_step(lambda t: t + 1.0, lambda t: -float(t[0]), np.array([0.0]))
@@ -214,3 +233,93 @@ def test_squarem_zeroes_pinned_coordinates_at_the_start():
     assert sq.coef.beta[1] == 0.0
     assert math.isfinite(sq.trace[0])
     assert np.max(np.abs(sq.coef.augmented() - plain.coef.augmented())) <= 1e-6
+
+
+def test_step_max_grows_when_reached():
+    # M(theta) = 0.5 theta from 1: ||r|| / ||v|| = 2
+    half = lambda t: 0.5 * t  # noqa: E731
+    square = lambda t: float(t @ t)  # noqa: E731
+    # at the first bound alpha = 1 is the double map step, and the bound grows
+    state = squarem_step(half, square, np.array([1.0]), step_max=1.0)
+    assert state.gamma == -1.0 and state.theta[0] == 0.25 and state.step_max == 4.0
+    # alpha clamped at the bound and accepted: the bound grows x4
+    state = squarem_step(half, square, np.array([1.0]), step_max=1.5)
+    assert state.gamma == -1.5 and state.backtracks == 0 and state.step_max == 6.0
+    # alpha below the bound leaves it
+    state = squarem_step(half, square, np.array([1.0]), step_max=4.0)
+    assert state.gamma == -2.0 and state.step_max == 4.0
+
+
+def test_step_max_shrinks_on_a_rejection_at_the_bound():
+    # r = 1, v = 0.05 from theta = 0: ||r|| / ||v|| = 20; every candidate is rejected
+    theta = np.array([0.0])
+
+    def map_fn(t):
+        return {0.0: np.array([1.0]), 1.0: np.array([2.05])}.get(t[0], np.array([100.0]))
+
+    objective = lambda t: float(t[0]) ** 2  # noqa: E731
+    state = squarem_step(map_fn, objective, theta, step_max=16.0)
+    assert state.theta[0] == 2.05 and state.backtracks == 1
+    assert state.step_max == 4.0
+    # below the bound a rejection leaves it
+    state = squarem_step(map_fn, objective, theta, step_max=64.0)
+    assert state.backtracks == 1 and state.step_max == 64.0
+
+
+def test_accelerated_fit_carries_step_max_from_step_to_step(monkeypatch):
+    calls = []
+
+    def recording_step(map_fn, objective, theta, obj0=None, step_max=1.0):
+        state = squarem_step(map_fn, objective, theta, obj0, step_max)
+        calls.append((step_max, state.step_max))
+        return state
+
+    monkeypatch.setattr(accel, "squarem_step", recording_step)
+    model = make_model("logistic", n=60, p=8, seed=56)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.5))
+    cfg = SolverConfig(coef_tol=1e-10, obj_tol=1e-300)
+    res = accelerated_fit(prob, cfg, CoefficientVector.zeros(8, True), mode="squarem")
+    assert len(calls) == res.outer_iters > 3
+    assert calls[0][0] == 1.0
+    assert all(given == previous for (given, _), (_, previous) in zip(calls[1:], calls))
+    assert max(bound for bound, _ in calls) > 4.0  # the bound grew over several steps
+
+
+def test_squarem_step_returns_theta_or_a_map_output():
+    model = make_model("logistic", n=40, p=6, seed=57)
+    prob = Problem(model, PenaltySpec(family=Family.MCP, lam=0.4))
+    gmap = mm_map(prob, SolverConfig())
+    outputs = []
+
+    def recording_map(t):
+        out = gmap(t)
+        outputs.append(out)
+        return out
+
+    theta = CoefficientVector.zeros(6, True).augmented()
+    obj, step_max, kinds = gmap.objective(theta), 1.0, set()
+    for _ in range(60):
+        outputs.clear()
+        state = squarem_step(recording_map, gmap.objective, theta, obj, step_max)
+        if any(state.theta is out for out in outputs):
+            kinds.add(state.gamma < -1.0)
+        else:
+            assert np.array_equal(state.theta, theta)
+        theta, obj, step_max = state.theta, state.objective, state.step_max
+    assert kinds == {True, False}  # both extrapolated and double map steps were seen
+
+
+def test_squarem_keeps_exact_zeros_and_meets_the_kkt_target():
+    # with extrapolated points returned, the zeros came back as about 1e-12 and
+    # the KKT residual read 0.95 under a coef_tol stop
+    ds = simlab.gen_dataset(simlab.SimScenario(family="linear_ex1", p=35, n=100, rho=0.5, seed=7))
+    prob = Problem(simlab.model_from_dataset(ds), PenaltySpec(family=Family.LASSO, lam=0.5))
+    cfg = SolverConfig(coef_tol=1e-10, obj_tol=1e-300, max_outer=500000)
+    start = CoefficientVector.zeros(35, True)
+    plain = accelerated_fit(prob, cfg, start, mode="plain")
+    sq = accelerated_fit(prob, cfg, start, mode="squarem")
+    zeros = np.flatnonzero(plain.coef.beta == 0.0)
+    assert len(zeros) == 3
+    assert np.array_equal(np.flatnonzero(sq.coef.beta == 0.0), zeros)
+    assert sq.kkt_residual <= 1e-5
+    assert sq.map_evals < plain.map_evals

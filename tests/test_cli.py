@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mist.cli import _SIM_HEADER
+from mist.cli import _SIM_HEADER, _load_table
 
 MIST = [sys.executable, "-m", "mist.cli"]
 #: the child imports mist from this checkout, as the tests themselves do
@@ -252,3 +252,41 @@ def test_cox_fit_via_cli(tmp_path):
     d = json.loads(out.read_text())
     assert "intercept" not in d
     assert len(d["coef"]) == 3
+
+
+# -- reading the data CSV (_load_table) ---------------------------------------
+
+
+def test_load_table_round_trips_every_double(tmp_path):
+    rng = np.random.default_rng(102)
+    table = rng.standard_normal((30, 5)) * 10.0 ** rng.integers(-300, 300, (30, 5))
+    table[0, :2] = [0.1, -0.0]
+    path = tmp_path / "exact.csv"
+    np.savetxt(path, table, fmt="%.17g", delimiter=",", header="a,b,c,d,y", comments="")
+    header, got = _load_table(str(path))
+    assert header == ["a", "b", "c", "d", "y"]
+    assert np.array_equal(got, table)
+
+
+def test_load_table_skips_a_blank_line_and_reads_a_quoted_field(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text('x1,"y"\n1.5,2\n\n"3.25",-4e-3\n')
+    header, got = _load_table(str(path))
+    assert header == ["x1", "y"]
+    assert np.array_equal(got, [[1.5, 2.0], [3.25, -4e-3]])
+
+
+@pytest.mark.parametrize("text,suffix", [
+    ("x1,y\n", ": no data rows"),
+    ("", ": empty file"),
+    ("x1,y\n1.0,2.0\n3.0\n", ":3: expected 2 fields"),
+    ("x1,y\n1.0,2.0\n\noops,3.0\n", ":4: could not convert string to float: 'oops'"),
+], ids=["header-only", "empty", "ragged", "non-numeric"])
+def test_fit_reports_a_bad_data_file_on_one_line(tmp_path, text, suffix):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    r = run_cli("fit", "--data", str(bad),
+                "--penalty-json", '{"family":"lasso","lambda":1.0}',
+                "--out", str(tmp_path / "x.json"))
+    assert r.returncode == 1
+    assert r.stderr == f"error: {bad}{suffix}\n"

@@ -824,7 +824,7 @@ def test_plain_iteration_multiplies_by_x_at_most_twice(family):
 
 
 @pytest.mark.parametrize("family", HOT_FAMILIES)
-def test_squarem_step_multiplies_by_x_at_most_four_times_plus_backtracks(family):
+def test_squarem_step_multiplies_by_x_at_most_three_plus_three_gradients_plus_rejections(family):
     model = make_model(family, n=40, p=5, seed=62)
     prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=0.3))
     cfg = SolverConfig(coef_tol=1e-9, obj_tol=1e-14)
@@ -832,15 +832,19 @@ def test_squarem_step_multiplies_by_x_at_most_four_times_plus_backtracks(family)
     gmap = mm_map(prob, cfg)
     theta = random_coef(model, seed=63).augmented()
     obj = gmap.objective(theta)
-    for _ in range(5):
+    step_max, extrapolated = 1.0, 0
+    for _ in range(8):
         counter[0] = 0
-        state = squarem_step(gmap, gmap.objective, theta, obj)
-        # the map from theta reuses its eta; the map from m1 and each objective
-        # probe of a candidate multiply
-        per_step = 2 + 2 * GRADIENT_PRODUCTS[family]  # at most 4
+        state = squarem_step(gmap, gmap.objective, theta, obj, step_max)
+        # the map from theta reuses its eta; the maps from m1 and from the
+        # extrapolated point, and the objective at that map output, multiply;
+        # a rejected candidate adds the objective at m2
+        per_step = 3 + 3 * GRADIENT_PRODUCTS[family]  # at most 6
         assert counter[0] <= per_step + state.backtracks
-        theta, obj = state.theta, state.objective
+        extrapolated += state.gamma < -1.0
+        theta, obj, step_max = state.theta, state.objective, state.step_max
         assert obj == gmap.objective(theta)
+    assert extrapolated > 0
     counter[0] = 0
     res = accelerated_fit(prob, cfg, CoefficientVector.zeros(5, model.has_intercept))
     kkt = 1 + GRADIENT_PRODUCTS[family]
