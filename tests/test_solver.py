@@ -824,6 +824,28 @@ def test_plain_iteration_multiplies_by_x_at_most_twice(family):
 
 
 @pytest.mark.parametrize("family", HOT_FAMILIES)
+def test_squarem_step_multiplies_by_x_at_most_four_times_plus_backtracks(family):
+    # at the default steplength bound of 1 a step is the double map step
+    model = make_model(family, n=40, p=5, seed=62)
+    prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=0.3))
+    cfg = SolverConfig(coef_tol=1e-9, obj_tol=1e-14)
+    counter = count_products(model)
+    gmap = mm_map(prob, cfg)
+    theta = random_coef(model, seed=63).augmented()
+    obj = gmap.objective(theta)
+    for _ in range(5):
+        counter[0] = 0
+        state = squarem_step(gmap, gmap.objective, theta, obj)
+        assert state.gamma == -1.0
+        # the map from theta reuses its eta; the map from m1 and the
+        # objective at m2 multiply
+        per_step = 2 + 2 * GRADIENT_PRODUCTS[family]  # at most 4
+        assert counter[0] <= per_step + state.backtracks
+        theta, obj = state.theta, state.objective
+        assert obj == gmap.objective(theta)
+
+
+@pytest.mark.parametrize("family", HOT_FAMILIES)
 def test_squarem_step_multiplies_by_x_at_most_three_plus_three_gradients_plus_rejections(family):
     model = make_model(family, n=40, p=5, seed=62)
     prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=0.3))
