@@ -309,48 +309,28 @@ def _cox_score(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
 
 def _cox_neg_hessian(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
     _, w, cum_w, cum_wx, _ = _cox_parts(model, eta)
-    x, last = model._cox_x, model._cox_last
-    p = x.shape[1]
-    h = np.zeros((p, p))
+    x, last = model._cox_x, model._cox_event_last
     cum_wxx = np.cumsum(w[:, None, None] * (x[:, :, None] * x[:, None, :]), axis=0)
-    for i in np.flatnonzero(model._cox_event):
-        j = last[i]
-        d = cum_w[j]
-        xbar = cum_wx[j] / d
-        h += cum_wxx[j] / d - np.outer(xbar, xbar)
-    return h
+    d = cum_w[last]
+    xbar = cum_wx[last] / d[:, None]
+    return np.einsum("kij,k->ij", cum_wxx[last], 1.0 / d) - xbar.T @ xbar
 
 
 # -- curvature ------------------------------------------------------------
 
 
-def spectral_norm(design: DesignMatrix, tol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest eigenvalue of the augmented Gram matrix, by power iteration.
+def spectral_norm(design: DesignMatrix) -> float:
+    """Largest eigenvalue of the augmented Gram matrix, exactly.
 
-    Operates on the N x p factor directly (no Gram matrix is formed) and is
-    deterministic: the start vector is the normalized all-ones vector.
+    ``np.linalg.eigvalsh`` of the smaller of X^T X and X X^T (they share their
+    nonzero eigenvalues), so the cost is O(k^3) with k = min(N, columns of the
+    augmented design) on top of forming the k x k Gram matrix.  Unlike power
+    iteration it cannot miss the top eigenvector, e.g. on a design whose
+    columns sum to zero.
     """
-    if not tol > 0:
-        raise ValidationError("tol must be > 0")
     xt = design.augmented()
-    p = xt.shape[1]
-    v = np.ones(p) / math.sqrt(p)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = xt.T @ (xt @ v)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        v_new = w / norm_w
-        lam_new = float(v_new @ (xt.T @ (xt @ v_new)))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new
-        lam, v = lam_new, v_new
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        last_iterate=v,
-        residual=lam,
-    )
+    gram = xt.T @ xt if xt.shape[1] <= xt.shape[0] else xt @ xt.T
+    return float(np.linalg.eigvalsh(gram)[-1])
 
 
 def curvature_bound(model: FidelityModel) -> float:

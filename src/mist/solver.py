@@ -19,6 +19,24 @@ the objective is finite and does not rise; the Poisson map has no step, so
 it gets a single attempt.  ``one_step_fit`` takes a single
 surrogate minimization and builds its result with the same ``_result``.
 
+The step constant omega comes from ``fidelity.curvature_bound``: 0.95 * 2 /
+bound, a true upper bound on the curvature.  For gaussian fits the bound is
+exact and for logistic fits it is the usual 1/4 of it.  For Cox the bound
+n_events * max ||x_i||^2 is several times the largest Hessian eigenvalue,
+so a Cox fit on the auto step (``step_omega=None``) backtracks on the
+curvature instead (Beck & Teboulle 2009).  Its first step tries
+``BACKTRACK_START`` (64) times the certified step and halves until the
+quadratic surrogate majorizes the fidelity at the candidate, checked
+exactly:
+
+    nll(theta+) <= nll(theta) - grad l(theta) . d + ||d||^2 / omega.
+
+The accepted step carries to the next one and never grows; at the certified
+step the test is skipped, since the bound guarantees it.  The inner
+soft-thresholding of a Cox ``one_step_fit`` backtracks by the same rule.
+``mm_outer``, squarem (which needs a fixed map), Poisson fits and any fit
+given an explicit ``step_omega`` keep the fixed step.
+
 The loops work on plain augmented arrays (intercept first) and run on the
 unchecked kernels ``fidelity.nll_eta``/``grad_eta`` and
 ``penalties.value_kernel``/``derivative_kernel``; the public
@@ -30,6 +48,7 @@ X again.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -49,6 +68,10 @@ DESCENT_SLACK = 1e-12
 STEP_SAFETY = 0.95
 #: cap on the batched Newton iterations of one poisson map
 POISSON_NEWTON_MAX = 200
+#: a backtracked Cox step starts each fit at this multiple of the certified step
+BACKTRACK_START = 64.0
+#: relative rounding slack of the majorization test of a backtracked step
+MAJORIZE_SLACK = 1e-12
 EPS = float(np.finfo(float).eps)
 
 
@@ -188,8 +211,12 @@ def total_objective(problem: Problem, coef: CoefficientVector) -> float:
 
 def _objective_at(problem: Problem, beta: np.ndarray, eta: np.ndarray) -> float:
     """``total_objective`` from the slopes and eta = X theta, unchecked."""
+    return _plus_penalty(problem, beta, fid.nll_eta(problem.model, eta))
+
+
+def _plus_penalty(problem: Problem, beta: np.ndarray, value: float) -> float:
+    """The fidelity ``value`` plus the penalty and the ridge at the slopes beta."""
     spec = problem.penalty
-    value = fid.nll_eta(problem.model, eta)
     value += float(np.sum(pen.value_kernel(spec, np.abs(beta))))
     value += spec.lam * spec.epsilon * float(beta @ beta)
     return value
@@ -233,12 +260,20 @@ def ist_minimize(
     relaxation: Union[float, Callable[[int], float]] = 1.0,
     inner_tol: float = 1e-8,
     inner_max: int = 100_000,
+    m: Optional[Callable[[np.ndarray], float]] = None,
 ) -> np.ndarray:
     """Iterated soft-thresholding for min m(b) + sum_j tau_j |b_j|.
 
     ``omega`` must lie in (0, 2L) where 1/L bounds the Lipschitz constant of
     ``grad_m``; convergence is then a contraction argument.  The relaxed
     update blends each thresholded step with the previous iterate.
+
+    Given ``m``, the smooth part itself, the step is backtracked as in Beck &
+    Teboulle (2009): it starts at ``BACKTRACK_START * omega``, and the
+    thresholded point s from b at a step w above omega is kept only when
+    m(s) <= m(b) + grad_m(b) . (s - b) + ||s - b||^2 / (2 w), up to a rounding
+    slack; otherwise w halves.  ``omega`` is the floor, taken without the
+    test.  The kept w is the next iteration's first try, so it never grows.
     """
     tau = np.asarray(tau, dtype=float)
     b = np.asarray(b0, dtype=float).copy()
@@ -247,10 +282,24 @@ def ist_minimize(
     thresh = omega * tau
     if np.any(thresh < 0):
         raise ValidationError("thresholds must be >= 0")
+    w = omega
+    if m is not None:
+        w = BACKTRACK_START * omega
+        thresh = w * tau
     for n in range(1, inner_max + 1):
         delta = relaxation(n) if callable(relaxation) else relaxation
-        d = b - omega * grad_m(b)
-        s = _soft_threshold(d, thresh)
+        g = grad_m(b)
+        s = _soft_threshold(b - w * g, thresh)
+        if w > omega:
+            mb = m(b)
+            slack = MAJORIZE_SLACK * (1.0 + abs(mb))
+            while w > omega:
+                step = s - b
+                if m(s) <= mb + float(g @ step) + float(step @ step) / (2.0 * w) + slack:
+                    break
+                w *= 0.5
+                thresh = w * tau
+                s = _soft_threshold(b - w * g, thresh)
         b_new = b + delta * (s - b)
         resid = float(np.linalg.norm(b_new - b))
         b = b_new
@@ -320,10 +369,11 @@ def _start_theta(problem: Problem, start: CoefficientVector) -> np.ndarray:
 class _Objective:
     """The penalized objective over augmented arrays, remembering its last eta.
 
-    ``objective(theta)`` stores (theta, eta = X theta); ``eta(theta)`` hands
-    that eta back when it is asked about the same array object (the fits never
-    change an iterate in place), so a map applied to the point whose
-    objective was just evaluated does not multiply by X again.
+    ``objective(theta)`` stores (theta, eta = X theta) and the fidelity
+    ``nll`` at theta; ``eta(theta)`` hands that eta back when it is asked about
+    the same array object (the fits never change an iterate in place), so a
+    map applied to the point whose objective was just evaluated does not
+    multiply by X again.
     """
 
     def __init__(self, problem: Problem):
@@ -332,11 +382,13 @@ class _Objective:
         self.has_int = problem.model.has_intercept
         self._theta = None
         self._eta = None
+        self.nll = math.nan
 
     def objective(self, theta: np.ndarray) -> float:
         eta = self.xt @ theta
         self._theta, self._eta = theta, eta
-        return _objective_at(self.problem, theta[1:] if self.has_int else theta, eta)
+        self.nll = fid.nll_eta(self.problem.model, eta)
+        return _plus_penalty(self.problem, theta[1:] if self.has_int else theta, self.nll)
 
     def eta(self, theta: np.ndarray) -> np.ndarray:
         return self._eta if theta is self._theta else self.xt @ theta
@@ -346,26 +398,30 @@ class _Objective:
 
 
 def glm_map(
-    problem: Problem, theta: np.ndarray, omega: float, eta: Optional[np.ndarray] = None
+    problem: Problem,
+    theta: np.ndarray,
+    omega: float,
+    eta: Optional[np.ndarray] = None,
+    grad: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One closed-form surrogate minimization for bounded-hessian families.
 
-    ``eta`` is X theta when the caller already has it.  Nothing is checked:
-    theta is the augmented coefficient array of a problem's model.
+    ``eta`` is X theta, and ``grad`` the log-likelihood gradient at theta,
+    when the caller already has them.  Nothing is checked: theta is the
+    augmented coefficient array of a problem's model.
     """
     model = problem.model
     spec = problem.penalty
     theta = np.asarray(theta, dtype=float)
-    if eta is None:
-        eta = model._xt @ theta
-    grad_ll = fid.grad_eta(model, eta)
+    if grad is None:
+        grad = fid.grad_eta(model, model._xt @ theta if eta is None else eta)
     half = 0.5 * omega
-    arg = theta + half * grad_ll
+    arg = theta + half * grad
     shrink = 1.0 / (1.0 + omega * spec.lam * spec.epsilon)
     if model.has_intercept:
         tau = pen.derivative_kernel(spec, np.abs(theta[1:]))
         out = np.empty_like(theta)
-        out[0] = theta[0] + half * grad_ll[0]
+        out[0] = theta[0] + half * grad[0]
         out[1:] = shrink * _soft_threshold(arg[1:], half * tau)
         return out
     tau = pen.derivative_kernel(spec, np.abs(theta))
@@ -377,7 +433,8 @@ class _GlmMap(_Objective):
 
     Built once per fit.  Calling it applies ``glm_map`` at the fit's step
     omega, or at a halved step passed as the second argument, with the eta of
-    the last objective evaluation when it is at the same point.  A plain
+    the last objective evaluation when it is at the same point, or with the
+    log-likelihood gradient at theta when ``grad`` passes it.  A plain
     iteration then multiplies by X twice (X^T r in the map, eta in the
     objective), and a squarem step four times plus once per backtrack.
     """
@@ -386,9 +443,19 @@ class _GlmMap(_Objective):
         super().__init__(problem)
         self.omega = omega
 
-    def __call__(self, theta: np.ndarray, omega: Optional[float] = None) -> np.ndarray:
+    def __call__(
+        self, theta: np.ndarray, omega: Optional[float] = None, grad: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         w = self.omega if omega is None else omega
+        if grad is not None:
+            return glm_map(self.problem, theta, w, grad=grad)
         return glm_map(self.problem, theta, w, eta=self.eta(theta))
+
+    def anchor(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """The fidelity and the log-likelihood gradient at theta."""
+        eta = self.eta(theta)
+        nll = self.nll if theta is self._theta else fid.nll_eta(self.problem.model, eta)
+        return nll, fid.grad_eta(self.problem.model, eta)
 
 
 def glm_surrogate_value(
@@ -465,41 +532,75 @@ def _drive(
 
 
 def _halving(
-    step_fn: Callable[[np.ndarray, float], np.ndarray],
+    step_fn: Callable[..., np.ndarray],
     omega: float,
     objective: Callable[[np.ndarray], float],
     attempts: int = 31,
+    local: bool = False,
 ) -> Step:
     """The plain MM step: ``step_fn`` at omega, halved until it descends.
 
     A candidate is accepted when its objective is finite and at most
     DESCENT_SLACK above the current one; an ``OverflowError`` from the map or
     the objective rejects the candidate like a non-finite objective.  After
-    ``attempts`` rejected candidates (30 halvings by default; a map that does
-    not depend on omega gets one attempt) the step raises ``ConvergenceError``
-    carrying the current iterate.
+    ``attempts`` rejected candidates at or below omega (30 halvings by
+    default; a map that does not depend on omega gets one attempt) the step
+    raises ``ConvergenceError`` carrying the current iterate.
+
+    ``local`` backtracks on the curvature as in Beck & Teboulle (2009);
+    ``step_fn`` is then a ``_GlmMap`` whose ``objective`` is ``objective``, and
+    omega is the step certified by the global curvature bound.  The fit's
+    first step starts at ``BACKTRACK_START * omega``.  A candidate theta+ at
+    a step w above omega must also satisfy, with d = theta+ - theta,
+
+        nll(theta+) <= nll(theta) - grad l(theta) . d + ||d||^2 / w
+
+    up to ``MAJORIZE_SLACK * (1 + |nll(theta)|)``: the surrogate majorizes
+    the fidelity at theta+.  At or below omega the global bound certifies it.
+    nll(theta) and grad l(theta) come once per step from the cached eta.  The
+    accepted w, or omega if that is larger, is the next step's first try, so
+    the step never grows within a fit.
     """
+    first = BACKTRACK_START * omega if local else omega
 
     def step(theta, obj):
-        w = omega
-        for attempt in range(attempts):
+        nonlocal first
+        move = step_fn
+        if local:
+            nll0, grad0 = step_fn.anchor(theta)
+            move = functools.partial(step_fn, grad=grad0)
+        w = first
+        evals = floor_rejects = 0
+        while True:
+            evals += 1
             try:
-                theta_new = step_fn(theta, w)
+                theta_new = move(theta, w)
                 obj_new = objective(theta_new)
             except OverflowError:
                 obj_new = math.inf
             if math.isfinite(obj_new) and obj_new <= obj + DESCENT_SLACK:
-                coef_delta = float(np.linalg.norm(theta_new - theta))
-                return theta_new, obj_new, coef_delta, attempt + 1, attempt
+                if w <= omega or _majorizes(step_fn.nll, nll0, grad0, theta_new - theta, w):
+                    first = max(w, omega)
+                    coef_delta = float(np.linalg.norm(theta_new - theta))
+                    return theta_new, obj_new, coef_delta, evals, evals - 1
+            if w <= omega:
+                floor_rejects += 1
+                if floor_rejects == attempts:
+                    raise ConvergenceError(
+                        "objective increased, was not finite or overflowed in "
+                        f"{evals} attempt(s) ({evals - 1} step halvings)",
+                        last_iterate=theta,
+                        residual=obj_new - obj,
+                    )
             w *= 0.5
-        raise ConvergenceError(
-            "objective increased, was not finite or overflowed in "
-            f"{attempts} attempt(s) ({attempts - 1} step halvings)",
-            last_iterate=theta,
-            residual=obj_new - obj,
-        )
 
     return step
+
+
+def _majorizes(nll_new: float, nll0: float, grad0: np.ndarray, d: np.ndarray, w: float) -> bool:
+    """Whether the surrogate of step w at theta majorizes the fidelity at theta + d."""
+    bound = nll0 - float(grad0 @ d) + float(d @ d) / w
+    return nll_new <= bound + MAJORIZE_SLACK * (1.0 + abs(nll0))
 
 
 def _result(
@@ -526,12 +627,19 @@ def _result(
 
 
 def glm_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
-    """Single-soft-threshold-per-iteration MM fit (gaussian/logistic/cox)."""
+    """Single-soft-threshold-per-iteration MM fit (gaussian/logistic/cox).
+
+    A Cox fit on the auto step backtracks it on the curvature (``_halving``
+    with ``local``); every other fit maps at the fixed step.
+    """
     if problem.model.family is ResponseFamily.POISSON:
         raise NotGloballyLipschitz("use poisson_mm_fit for the poisson family")
     omega = resolve_step(problem, config)
     gmap = _GlmMap(problem, omega)
-    return _drive(problem, config, start, gmap.objective, _halving(gmap, omega, gmap.objective))
+    # the Cox curvature bound is loose, so its auto step is backtracked
+    local = config.step_omega is None and problem.model.family is ResponseFamily.COX
+    step = _halving(gmap, omega, gmap.objective, local=local)
+    return _drive(problem, config, start, gmap.objective, step)
 
 
 def _fidelity_grad_m(problem: Problem) -> Callable[[np.ndarray], np.ndarray]:
@@ -543,6 +651,19 @@ def _fidelity_grad_m(problem: Problem) -> Callable[[np.ndarray], np.ndarray]:
         return -fid.grad_eta(model, xt @ b) + _ridge_grad(problem, b)
 
     return grad_m
+
+
+def _fidelity_m(problem: Problem) -> Callable[[np.ndarray], float]:
+    """The exact fidelity plus ridge itself, whose gradient is ``_fidelity_grad_m``."""
+    model = problem.model
+    spec = problem.penalty
+    xt = model._xt
+
+    def m(b):
+        beta = b[1:] if model.has_intercept else b
+        return fid.nll_eta(model, xt @ b) + spec.lam * spec.epsilon * float(beta @ beta)
+
+    return m
 
 
 def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
@@ -766,7 +887,12 @@ def mm_map(problem: Problem, config: SolverConfig) -> Union[_GlmMap, _PoissonMap
 
 
 def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
-    """Exactly one full surrogate minimization started at the unpenalized MLE."""
+    """Exactly one full surrogate minimization started at the unpenalized MLE.
+
+    For Cox on the auto step the inner soft-thresholding backtracks its step
+    (``ist_minimize`` given ``m``) down to the certified one; an explicit
+    ``step_omega`` keeps it at the certified step.
+    """
     model = problem.model
     spec = problem.penalty
     mle = fid.fit_mle(model)
@@ -779,6 +905,8 @@ def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
         theta1 = _PoissonMap(problem)(theta0)
     else:
         lip = fid.curvature_bound(model) + 2.0 * spec.lam * spec.epsilon
+        # the Cox curvature bound is loose, so its auto step is backtracked
+        local = config.step_omega is None and model.family is ResponseFamily.COX
         theta1 = ist_minimize(
             _fidelity_grad_m(problem),
             _penalized_tau(problem, theta0),
@@ -787,6 +915,7 @@ def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
             relaxation=config.relaxation,
             inner_tol=config.inner_tol,
             inner_max=config.inner_max,
+            m=_fidelity_m(problem) if local else None,
         )
 
     obj1 = total_objective(problem, CoefficientVector.from_augmented(theta1, model.has_intercept))

@@ -219,13 +219,46 @@ def test_simulate_one_step_dominance_column(tmp_path):
     assert all(row["fit_leq_onestep"] == "1" for row in rows)
 
 
-def test_readme_simulate_example_runs(tmp_path):
-    # the README's `mist simulate` example, continuation lines joined
+def readme_command(name):
+    """The README's `mist <name>` example as arguments, continuation lines joined."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = [b.split("```")[0] for b in readme.split("```sh\n")[1:]]
     lines = "".join(blocks).replace("\\\n", " ").splitlines()
-    (command,) = [ln for ln in lines if ln.startswith("mist simulate ")]
-    args = shlex.split(command)[1:]
+    (command,) = [ln for ln in lines if ln.startswith(f"mist {name} ")]
+    return shlex.split(command)[1:]
+
+
+def write_readme_data(directory, args):
+    """A small gaussian CSV under the name and response column the example uses."""
+    response = args[args.index("--response-col") + 1]
+    rng = np.random.default_rng(103)
+    X = rng.standard_normal((40, 3))
+    y = X @ np.array([3.0, -2.0, 0.0]) + 0.3 * rng.standard_normal(40)
+    np.savetxt(directory / args[args.index("--data") + 1], np.column_stack([X, y]),
+               fmt="%.17g", delimiter=",", header=f"x1,x2,x3,{response}", comments="")
+
+
+def test_readme_fit_example_runs(tmp_path):
+    args = readme_command("fit")
+    write_readme_data(tmp_path, args)
+    r = run_cli(*args, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    d = json.loads((tmp_path / args[args.index("--out") + 1]).read_text())
+    assert len(d["coef"]) == 3 and "intercept" in d
+    assert d["kkt"] <= 1e-3
+
+
+def test_readme_path_example_runs(tmp_path):
+    args = readme_command("path")
+    write_readme_data(tmp_path, args)
+    r = run_cli(*args, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    rows = list(csv.reader(open(tmp_path / args[args.index("--out") + 1])))
+    assert len(rows) == 1 + args.count("--lambda")
+
+
+def test_readme_simulate_example_runs(tmp_path):
+    args = readme_command("simulate")
     r = run_cli(*args, cwd=tmp_path)
     assert r.returncode == 0, r.stderr
     rows = list(csv.reader(open(tmp_path / args[args.index("--out") + 1])))

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fd_gradient, make_model, random_coef
 from mist.exceptions import ConvergenceError, NotGloballyLipschitz, ValidationError
+from mist import fidelity as fid
 from mist.fidelity import (
     CoefficientVector,
     DesignMatrix,
@@ -231,6 +234,35 @@ def test_neg_loglik_midpoint_convex(family):
         assert lhs <= rhs + 1e-10
 
 
+def _cox_neg_hessian_loop(model, eta):
+    """The Breslow information matrix by a loop over the events."""
+    _, w, cum_w, cum_wx, _ = fid._cox_parts(model, eta)
+    x, last = model._cox_x, model._cox_last
+    p = x.shape[1]
+    h = np.zeros((p, p))
+    cum_wxx = np.cumsum(w[:, None, None] * (x[:, :, None] * x[:, None, :]), axis=0)
+    for i in np.flatnonzero(model._cox_event):
+        j = last[i]
+        d = cum_w[j]
+        xbar = cum_wx[j] / d
+        h += cum_wxx[j] / d - np.outer(xbar, xbar)
+    return h
+
+
+@pytest.mark.parametrize("tie", [1, 3])
+def test_cox_neg_hessian_matches_the_event_loop(tie):
+    for seed in range(5):
+        model = make_model("cox", n=40, p=4, seed=300 + seed)
+        if tie > 1:
+            r = model.response
+            time = np.floor(np.argsort(np.argsort(r.time)) / tie) + 1.0
+            model = FidelityModel(model.design, Response(family="cox", y=r.y, time=time, status=r.status))
+        eta = model._xt @ random_coef(model, seed).augmented()
+        want = _cox_neg_hessian_loop(model, eta)
+        got = fid._cox_neg_hessian(model, eta)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_cox_score_is_event_sum_identity():
     # at beta = 0 the score is sum over events of (x_i - risk-set mean)
     model = make_model("cox", n=25, p=3, seed=3)
@@ -268,6 +300,38 @@ def test_spectral_norm_matches_eigendecomposition():
     d = DesignMatrix(X, has_intercept=True)
     dense = np.linalg.eigvalsh(d.augmented().T @ d.augmented()).max()
     assert spectral_norm(d) == pytest.approx(dense, rel=1e-7)
+
+
+def test_spectral_norm_of_a_collinear_design_whose_columns_sum_to_zero():
+    # X 1 = 0: power iteration from the all-ones vector read 0.0 here
+    d = DesignMatrix(np.tile([1.0, -1.0], (30, 1)), has_intercept=False)
+    assert spectral_norm(d) == pytest.approx(60.0, rel=1e-12)
+    model = FidelityModel(d, Response(family="gaussian", y=np.linspace(-1.0, 1.0, 30)))
+    assert curvature_bound(model) == pytest.approx(60.0, rel=1e-12)
+
+
+@st.composite
+def structured_designs(draw):
+    """Designs of +-1 columns, 0/1 indicators or Gaussian entries, p > n included."""
+    n = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["signs", "indicators", "gaussian"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "signs":
+        x = rng.choice([-1.0, 1.0], size=(n, p))
+    elif kind == "indicators":
+        x = (rng.random((n, p)) < 0.5).astype(float)
+    else:
+        x = rng.standard_normal((n, p))
+    return DesignMatrix(x, has_intercept=draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(structured_designs())
+def test_spectral_norm_is_the_top_gram_eigenvalue(design):
+    xt = design.augmented()
+    want = np.linalg.eigvalsh(xt.T @ xt)[-1]
+    assert spectral_norm(design) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_curvature_bound_gaussian_identity():
