@@ -272,12 +272,13 @@ def path_cmd(data, family, response_col, time_col, status_col, offset_col, inter
             raise ValidationError("--data is required")
         model = _build_model(data, family, response_col, time_col, status_col, offset_col, intercept)
         config = _load_config(solver_json)
+        spec = _load_penalty(penalty_json, None)
         grid = sorted(set(lams), reverse=True)
 
         rows = []
         warm = None
         for lam in grid:
-            problem = Problem(model, _load_penalty(penalty_json, lam))
+            problem = Problem(model, replace(spec, lam=lam))
             try:
                 start_coef = warm if warm is not None else _resolve_start(problem, config, start)
                 result = accel_mod.accelerated_fit(problem, config, start_coef, mode=_MODES[accel])
@@ -331,15 +332,18 @@ _scenario_opts = [
 ]
 
 
-def _simulate_replicate(scn, lams, penalty_json, config, start):
+def _simulate_replicate(scn, lams, spec, config, start):
     """One replicate: MIST fit vs the one-step baseline for every lambda."""
     dataset = simlab.gen_dataset(scn)
     model = simlab.model_from_dataset(dataset)
     out_rows = []
     for lam in lams:
-        problem = Problem(model, _load_penalty(penalty_json, lam))
+        problem = Problem(model, replace(spec, lam=lam))
         one_step = solver.one_step_fit(problem, config)
-        start_coef = solver.starting_point(problem, config, start)
+        if start == "one_step":
+            start_coef = one_step.coef
+        else:
+            start_coef = solver.starting_point(problem, config, start)
         result = solver.fit(problem, config, start_coef)
         record = simlab.compare_solutions(result, one_step, problem)
         out_rows.append(
@@ -375,9 +379,10 @@ def simulate_cmd(scenario, p, q, n, rho, sigma, seed, replicates,
             family=simlab.ScenarioFamily(scenario), p=p, q=q, n=n, rho=rho, sigma=sigma, seed=seed
         )
         config = _load_config(solver_json)
+        spec = _load_penalty(penalty_json, None)
         lam_grid = sorted(set(lams), reverse=True)
         blocks = [
-            _simulate_replicate(base.replicate(r), lam_grid, penalty_json, config, start)
+            _simulate_replicate(base.replicate(r), lam_grid, spec, config, start)
             for r in range(replicates)
         ]
         with open(out, "w", newline="") as fh:

@@ -328,18 +328,26 @@ def spectral_norm(design: DesignMatrix) -> float:
     iteration it cannot miss the top eigenvector, e.g. on a design whose
     columns sum to zero.
     """
-    xt = design.augmented()
+    return _top_gram_eigenvalue(design.augmented())
+
+
+def _top_gram_eigenvalue(xt: np.ndarray) -> float:
+    """The largest eigenvalue of xt^T xt, from the smaller Gram matrix."""
     gram = xt.T @ xt if xt.shape[1] <= xt.shape[0] else xt @ xt.T
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
 def curvature_bound(model: FidelityModel) -> float:
-    """Finite upper bound on the largest hessian eigenvalue of the fidelity."""
+    """Finite upper bound on the largest hessian eigenvalue of the fidelity.
+
+    The gaussian and logistic bounds take the Gram matrix of the model's own
+    augmented design, so no copy of it is made.
+    """
     fam = model.family
     if fam is ResponseFamily.GAUSSIAN:
-        return spectral_norm(model.design)
+        return _top_gram_eigenvalue(model._xt)
     if fam is ResponseFamily.LOGISTIC:
-        return 0.25 * spectral_norm(model.design)
+        return 0.25 * _top_gram_eigenvalue(model._xt)
     if fam is ResponseFamily.COX:
         n_events = int(np.sum(model.response.status == 1.0))
         row_norms = np.sum(model._xt**2, axis=1)

@@ -49,9 +49,7 @@ class PenaltySpec:
     ridge term ``lam * epsilon * ||beta||^2`` of the overall objective.
     ``weights`` are the per-coordinate adaptive weights (may contain +inf,
     pinning a coordinate at zero); ``a`` shapes SCAD/MCP, ``delta`` shapes
-    the Geman and log penalties.  ``gamma`` is the exponent used to build
-    adaptive weights from a pilot estimate; it is carried only for
-    serialization and bookkeeping.
+    the Geman and log penalties.
     """
 
     family: Family
@@ -60,7 +58,6 @@ class PenaltySpec:
     weights: Optional[np.ndarray] = None
     a: float = 3.7
     delta: float = 1.0
-    gamma: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
@@ -88,8 +85,6 @@ class PenaltySpec:
                 raise ValidationError("adaptive weights must be >= 0 (or +inf)")
         elif self.weights is not None:
             raise ValidationError(f"weights are only valid for adaptive families, not {self.family.value}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValidationError(f"gamma must be > 0 when given, got {self.gamma}")
 
     # -- serialization ----------------------------------------------------
 
@@ -99,8 +94,6 @@ class PenaltySpec:
             out["a"] = self.a
         if self.family in (Family.GEMAN, Family.LOG):
             out["delta"] = self.delta
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
         if self.weights is not None:
             out["weights"] = [("inf" if math.isinf(w) else w) for w in self.weights]
         return out
@@ -120,7 +113,6 @@ class PenaltySpec:
             weights=weights,
             a=float(d.get("a", 3.7)),
             delta=float(d.get("delta", 1.0)),
-            gamma=(float(d["gamma"]) if d.get("gamma") is not None else None),
         )
 
     @classmethod

@@ -1,23 +1,27 @@
 """MM engine: iterated soft-thresholding, single-map GLM updates, diagnostics.
 
-Every iterative fit runs the one outer loop ``_drive``: it checks the start,
-zeroes the coordinates pinned by an infinite adaptive weight, applies the two
-stopping rules, counts maps and backtracks, and builds the ``FitResult`` with
-its KKT residual.  The fits differ only in the step they pass in:
+Every fit runs the one outer loop ``_drive``: it checks the start, zeroes the
+coordinates pinned by an infinite adaptive weight, applies the two stopping
+rules, counts maps and backtracks, and builds the ``FitResult`` with its KKT
+residual.  The fits differ only in the step they pass in:
 
 * ``glm_mm_fit``    -- gaussian / logistic / cox: one closed-form
                        soft-threshold map (``_GlmMap``) per step.
-* ``mm_outer``      -- a full inner iterated-soft-thresholding solve of the
-                       surrogate per step.
+* ``mm_outer``      -- one full minimization of the exact-fidelity surrogate
+                       per step (``_SurrogateSolve``); on SCAD/MCP it is
+                       ``glm_mm_fit``, whose map minimizes the quadratic
+                       surrogate exactly.
 * ``poisson_mm_fit``-- the separable majorizer: one strictly convex scalar
                        problem per coordinate, all solved at once by a batched
                        safeguarded Newton iteration (``_PoissonMap``).
+* ``one_step_fit``  -- one outer iteration from the unpenalized MLE: the
+                       surrogate solve (or the Poisson map) applied once,
+                       without a descent test.
 * ``accel.accelerated_fit`` -- one safeguarded squarem step over ``mm_map``.
 
-The first three wrap their map in ``_halving``, which halves the step until
-the objective is finite and does not rise; the Poisson map has no step, so
-it gets a single attempt.  ``one_step_fit`` takes a single
-surrogate minimization and builds its result with the same ``_result``.
+``_halving`` wraps a map into a step that halves the step until the
+objective is finite and does not rise; a map with no step (the surrogate
+solve, the Poisson map) gets a single attempt.
 
 The step constant omega comes from ``fidelity.curvature_bound``: 0.95 * 2 /
 bound, a true upper bound on the curvature.  For gaussian fits the bound is
@@ -33,9 +37,9 @@ exactly:
 
 The accepted step carries to the next one and never grows; at the certified
 step the test is skipped, since the bound guarantees it.  The inner
-soft-thresholding of a Cox ``one_step_fit`` backtracks by the same rule.
-``mm_outer``, squarem (which needs a fixed map), Poisson fits and any fit
-given an explicit ``step_omega`` keep the fixed step.
+soft-thresholding of every Cox surrogate solve backtracks by the same rule.
+Squarem (which needs a fixed map), Poisson fits and any fit given an
+explicit ``step_omega`` keep the fixed step.
 
 The loops work on plain augmented arrays (intercept first) and run on the
 unchecked kernels ``fidelity.nll_eta``/``grad_eta`` and
@@ -51,7 +55,7 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -85,9 +89,12 @@ class Termination(str, enum.Enum):
 class SolverConfig:
     """Step, relaxation, and stopping controls.
 
-    ``step_omega=None`` resolves to ``0.95 * 2 / curvature_bound``.
-    ``relaxation`` is either a constant in (0, 1] or a callable of the inner
-    iteration index.
+    ``step_omega`` is the step of the outer MM map; ``None`` resolves to
+    ``0.95 * 2 / curvature_bound`` (backtracked for Cox).  Inner
+    soft-thresholding solves never read it: they run at the step that
+    ``curvature_bound`` certifies.  ``relaxation``, ``inner_tol`` and
+    ``inner_max`` control those inner solves; ``relaxation`` is either a
+    constant in (0, 1] or a callable of the inner iteration index.
     """
 
     step_omega: Optional[float] = None
@@ -489,6 +496,10 @@ def glm_surrogate_value(
 #: step norm, map evaluations, descent backtracks)
 Step = Callable[[np.ndarray, float], tuple[np.ndarray, float, float, int, int]]
 
+#: rejected candidates at or below the given step (30 halvings) before a
+#: step gives up
+FLOOR_ATTEMPTS = 31
+
 
 def _drive(
     problem: Problem,
@@ -497,10 +508,11 @@ def _drive(
     objective: Callable[[np.ndarray], float],
     step: Step,
 ) -> FitResult:
-    """The outer loop of every iterative fit: start, stopping rules, accounting.
+    """The outer loop of every fit: start, stopping rules, accounting, result.
 
     A fit stops when a step's norm is below ``coef_tol`` or its objective
-    change below ``obj_tol``.
+    change below ``obj_tol``, and otherwise after ``max_outer`` steps.  The
+    result carries the KKT residual at the last iterate.
     """
     theta = _start_theta(problem, start)
     pinned = _pinned_mask(problem)
@@ -528,14 +540,23 @@ def _drive(
             termination = Termination.OBJ_TOL
             break
 
-    return _result(problem, theta, trace, outer, map_evals, termination, backtracks)
+    coef = CoefficientVector.from_augmented(theta, problem.model.has_intercept)
+    return FitResult(
+        coef=coef,
+        objective=obj,
+        trace=np.array(trace),
+        outer_iters=outer,
+        map_evals=map_evals,
+        kkt_residual=kkt_residual(problem, coef),
+        termination=termination,
+        descent_backtracks=backtracks,
+    )
 
 
 def _halving(
     step_fn: Callable[..., np.ndarray],
-    omega: float,
+    omega: Optional[float],
     objective: Callable[[np.ndarray], float],
-    attempts: int = 31,
     local: bool = False,
 ) -> Step:
     """The plain MM step: ``step_fn`` at omega, halved until it descends.
@@ -543,9 +564,10 @@ def _halving(
     A candidate is accepted when its objective is finite and at most
     DESCENT_SLACK above the current one; an ``OverflowError`` from the map or
     the objective rejects the candidate like a non-finite objective.  After
-    ``attempts`` rejected candidates at or below omega (30 halvings by
-    default; a map that does not depend on omega gets one attempt) the step
-    raises ``ConvergenceError`` carrying the current iterate.
+    ``FLOOR_ATTEMPTS`` rejected candidates at or below omega the step raises
+    ``ConvergenceError`` carrying the current iterate.  A map with no step
+    (omega ``None``) is called on theta alone and gets one attempt, since a
+    retry would recompute the rejected point.
 
     ``local`` backtracks on the curvature as in Beck & Teboulle (2009);
     ``step_fn`` is then a ``_GlmMap`` whose ``objective`` is ``objective``, and
@@ -562,6 +584,7 @@ def _halving(
     the step never grows within a fit.
     """
     first = BACKTRACK_START * omega if local else omega
+    attempts = 1 if omega is None else FLOOR_ATTEMPTS
 
     def step(theta, obj):
         nonlocal first
@@ -573,17 +596,19 @@ def _halving(
         evals = floor_rejects = 0
         while True:
             evals += 1
+            at_floor = w is None or w <= omega
             try:
-                theta_new = move(theta, w)
+                theta_new = move(theta) if w is None else move(theta, w)
                 obj_new = objective(theta_new)
             except OverflowError:
                 obj_new = math.inf
             if math.isfinite(obj_new) and obj_new <= obj + DESCENT_SLACK:
-                if w <= omega or _majorizes(step_fn.nll, nll0, grad0, theta_new - theta, w):
-                    first = max(w, omega)
+                if at_floor or _majorizes(step_fn.nll, nll0, grad0, theta_new - theta, w):
+                    if local:
+                        first = max(w, omega)
                     coef_delta = float(np.linalg.norm(theta_new - theta))
                     return theta_new, obj_new, coef_delta, evals, evals - 1
-            if w <= omega:
+            if at_floor:
                 floor_rejects += 1
                 if floor_rejects == attempts:
                     raise ConvergenceError(
@@ -603,29 +628,6 @@ def _majorizes(nll_new: float, nll0: float, grad0: np.ndarray, d: np.ndarray, w:
     return nll_new <= bound + MAJORIZE_SLACK * (1.0 + abs(nll0))
 
 
-def _result(
-    problem: Problem,
-    theta: np.ndarray,
-    trace: list,
-    outer: int,
-    map_evals: int,
-    termination: Termination,
-    backtracks: int = 0,
-) -> FitResult:
-    """The fit at theta with its KKT residual; its objective is the last trace entry."""
-    coef = CoefficientVector.from_augmented(theta, problem.model.has_intercept)
-    return FitResult(
-        coef=coef,
-        objective=trace[-1],
-        trace=np.array(trace),
-        outer_iters=outer,
-        map_evals=map_evals,
-        kkt_residual=kkt_residual(problem, coef),
-        termination=termination,
-        descent_backtracks=backtracks,
-    )
-
-
 def glm_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
     """Single-soft-threshold-per-iteration MM fit (gaussian/logistic/cox).
 
@@ -642,71 +644,62 @@ def glm_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector)
     return _drive(problem, config, start, gmap.objective, step)
 
 
-def _fidelity_grad_m(problem: Problem) -> Callable[[np.ndarray], np.ndarray]:
-    """Gradient of the exact fidelity plus ridge, the inner IST's smooth part."""
-    model = problem.model
-    xt = model._xt
+class _SurrogateSolve(_Objective):
+    """One full minimization of the exact-fidelity surrogate: a map with no step.
 
-    def grad_m(b):
-        return -fid.grad_eta(model, xt @ b) + _ridge_grad(problem, b)
+    The surrogate at theta keeps the fidelity and the ridge exact and
+    linearizes the penalty, l(b) + lam eps ||b||^2 + sum_j p'(|theta_j|) |b_j|;
+    ``ist_minimize`` solves it from theta at the inner step that
+    ``curvature_bound`` certifies, computed once per fit.  The Cox bound is
+    loose, so Cox solves backtrack the inner step from there (``ist_minimize``
+    given ``m``).  ``SolverConfig.step_omega`` is never read.
+    """
 
-    return grad_m
+    def __init__(self, problem: Problem, config: SolverConfig):
+        super().__init__(problem)
+        spec = problem.penalty
+        self.config = config
+        self.ridge = spec.lam * spec.epsilon
+        self.omega = _safe_step(fid.curvature_bound(problem.model) + 2.0 * self.ridge)
+        self.backtrack = problem.model.family is ResponseFamily.COX
 
+    def grad_m(self, b: np.ndarray) -> np.ndarray:
+        """Gradient of the fidelity plus the ridge, the smooth part."""
+        return -fid.grad_eta(self.problem.model, self.xt @ b) + _ridge_grad(self.problem, b)
 
-def _fidelity_m(problem: Problem) -> Callable[[np.ndarray], float]:
-    """The exact fidelity plus ridge itself, whose gradient is ``_fidelity_grad_m``."""
-    model = problem.model
-    spec = problem.penalty
-    xt = model._xt
+    def m(self, b: np.ndarray) -> float:
+        """The fidelity plus the ridge itself."""
+        beta = b[1:] if self.has_int else b
+        return fid.nll_eta(self.problem.model, self.xt @ b) + self.ridge * float(beta @ beta)
 
-    def m(b):
-        beta = b[1:] if model.has_intercept else b
-        return fid.nll_eta(model, xt @ b) + spec.lam * spec.epsilon * float(beta @ beta)
-
-    return m
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        cfg = self.config
+        return ist_minimize(
+            self.grad_m,
+            _penalized_tau(self.problem, theta),
+            self.omega,
+            theta,
+            relaxation=cfg.relaxation,
+            inner_tol=cfg.inner_tol,
+            inner_max=cfg.inner_max,
+            m=self.m if self.backtrack else None,
+        )
 
 
 def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
-    """Generic MM loop with a full inner soft-thresholding solve per step.
+    """Generic MM loop with one full surrogate minimization per step.
 
-    SCAD/MCP use the strictly majorizing quadratic surrogate; penalties with a
-    strictly positive derivative use the plain linearized-penalty surrogate
-    with the fidelity kept exact.
+    Each step is one ``_SurrogateSolve``, which has no outer step, so it
+    makes one attempt.  SCAD/MCP use the strictly majorizing quadratic
+    surrogate instead, which ``glm_map`` minimizes exactly: that fit is
+    ``glm_mm_fit``.
     """
-    model = problem.model
-    spec = problem.penalty
-    if model.family is ResponseFamily.POISSON:
+    if problem.model.family is ResponseFamily.POISSON:
         raise NotGloballyLipschitz("use poisson_mm_fit for the poisson family")
-    lam_star = fid.curvature_bound(model)
-    omega = config.step_omega if config.step_omega is not None else _safe_step(lam_star)
-    ridge_lip = 2.0 * spec.lam * spec.epsilon
-    quadratic_path = spec.family in pen.FLAT_TAIL_FAMILIES
-    obj = _Objective(problem)
-    exact_grad_m = _fidelity_grad_m(problem)
-
-    def step_fn(theta, w):
-        tau = _penalized_tau(problem, theta)
-        if quadratic_path:
-            grad_anchor = fid.grad_eta(model, obj.eta(theta))
-
-            def grad_m(b):
-                return -grad_anchor + (2.0 / w) * (b - theta) + _ridge_grad(problem, b)
-
-            lip = 2.0 / w + ridge_lip
-        else:
-            grad_m = exact_grad_m
-            lip = lam_star + ridge_lip
-        return ist_minimize(
-            grad_m,
-            tau,
-            _safe_step(lip),
-            theta,
-            relaxation=config.relaxation,
-            inner_tol=config.inner_tol,
-            inner_max=config.inner_max,
-        )
-
-    return _drive(problem, config, start, obj.objective, _halving(step_fn, omega, obj.objective))
+    if problem.penalty.family in pen.FLAT_TAIL_FAMILIES:
+        return glm_mm_fit(problem, config, start)
+    solve = _SurrogateSolve(problem, config)
+    return _drive(problem, config, start, solve.objective, _halving(solve, None, solve.objective))
 
 
 # -- Poisson componentwise path -------------------------------------------
@@ -743,8 +736,8 @@ class _PoissonMap(_Objective):
             self.ridge[0] = 0.0
         self.pinned = _pinned_mask(problem)
 
-    def __call__(self, theta: np.ndarray, omega: Optional[float] = None) -> np.ndarray:
-        """The map at theta; ``omega`` is ignored, the majorizer has no step."""
+    def __call__(self, theta: np.ndarray) -> np.ndarray:
+        """The map at theta; the majorizer has no step."""
         theta = np.asarray(theta, dtype=float)
         if self.pinned is not None:
             theta = np.where(self.pinned, 0.0, theta)
@@ -860,8 +853,7 @@ def poisson_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVec
     if problem.model.family is not ResponseFamily.POISSON:
         raise ValidationError("poisson_mm_fit requires a poisson model")
     pmap = _PoissonMap(problem)
-    # the map ignores omega, so a retry would recompute the rejected point
-    return _drive(problem, config, start, pmap.objective, _halving(pmap, 1.0, pmap.objective, 1))
+    return _drive(problem, config, start, pmap.objective, _halving(pmap, None, pmap.objective))
 
 
 # -- one-step estimator and dispatch --------------------------------------
@@ -887,39 +879,25 @@ def mm_map(problem: Problem, config: SolverConfig) -> Union[_GlmMap, _PoissonMap
 
 
 def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
-    """Exactly one full surrogate minimization started at the unpenalized MLE.
+    """The one-step estimator: one outer iteration from the unpenalized MLE.
 
-    For Cox on the auto step the inner soft-thresholding backtracks its step
-    (``ist_minimize`` given ``m``) down to the certified one; an explicit
-    ``step_omega`` keeps it at the certified step.
+    The step applies the surrogate solve (``_SurrogateSolve``, or the
+    separable-majorizer map ``_PoissonMap`` for Poisson) once, without a
+    descent test.  The fit reports ``max_iter`` unless that step already met
+    ``coef_tol`` or ``obj_tol``.
     """
     model = problem.model
-    spec = problem.penalty
     mle = fid.fit_mle(model)
-    theta0 = mle.augmented()
-    obj0 = total_objective(problem, mle)
-
     if model.family is ResponseFamily.POISSON:
-        # one application of the separable-majorizer map plays the role of the
-        # single surrogate minimization
-        theta1 = _PoissonMap(problem)(theta0)
+        smap = _PoissonMap(problem)
     else:
-        lip = fid.curvature_bound(model) + 2.0 * spec.lam * spec.epsilon
-        # the Cox curvature bound is loose, so its auto step is backtracked
-        local = config.step_omega is None and model.family is ResponseFamily.COX
-        theta1 = ist_minimize(
-            _fidelity_grad_m(problem),
-            _penalized_tau(problem, theta0),
-            _safe_step(lip),
-            theta0,
-            relaxation=config.relaxation,
-            inner_tol=config.inner_tol,
-            inner_max=config.inner_max,
-            m=_fidelity_m(problem) if local else None,
-        )
+        smap = _SurrogateSolve(problem, config)
 
-    obj1 = total_objective(problem, CoefficientVector.from_augmented(theta1, model.has_intercept))
-    return _result(problem, theta1, [obj0, obj1], 1, 1, Termination.COEF_TOL)
+    def step(theta, obj):
+        theta_new = smap(theta)
+        return theta_new, smap.objective(theta_new), float(np.linalg.norm(theta_new - theta)), 1, 0
+
+    return _drive(problem, replace(config, max_outer=1), mle, smap.objective, step)
 
 
 # -- starting-value presets -----------------------------------------------

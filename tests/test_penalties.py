@@ -100,7 +100,6 @@ def test_json_round_trip_with_inf_weights():
         lam=2.5,
         epsilon=0.1,
         weights=np.array([0.25, math.inf, 4.0]),
-        gamma=3.0,
     )
     d = json.loads(spec.to_json())
     assert d["weights"][1] == "inf"
@@ -108,7 +107,6 @@ def test_json_round_trip_with_inf_weights():
     assert back.family == spec.family
     assert back.lam == spec.lam
     assert back.epsilon == spec.epsilon
-    assert back.gamma == spec.gamma
     assert np.array_equal(back.weights, spec.weights)
 
 

@@ -16,6 +16,7 @@ from mist.fidelity import (
     FidelityModel,
     Response,
     ResponseFamily,
+    curvature_bound,
     fit_mle,
     gradient,
     neg_loglik,
@@ -323,6 +324,34 @@ def test_mm_outer_fixed_point_returns_quickly():
     again = mm_outer(prob, TIGHT, first.coef)
     assert again.outer_iters == 1
     assert np.linalg.norm(again.coef.augmented() - first.coef.augmented()) <= 1e-8
+
+
+@pytest.mark.parametrize("penalty", [Family.SCAD, Family.MCP])
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "cox"])
+def test_mm_outer_on_a_flat_tail_penalty_is_glm_mm_fit(family, penalty):
+    model = make_model(family, n=40, p=4, seed=19)
+    prob = Problem(model, PenaltySpec(family=penalty, lam=0.5))
+    start = CoefficientVector.zeros(4, model.has_intercept)
+    a, b = mm_outer(prob, TIGHT, start), glm_mm_fit(prob, TIGHT, start)
+    assert np.array_equal(a.coef.augmented(), b.coef.augmented())
+    assert np.array_equal(a.trace, b.trace)
+    assert (a.map_evals, a.termination, a.kkt_residual) == (b.map_evals, b.termination, b.kkt_residual)
+
+
+def test_rejected_mm_outer_step_solves_once(monkeypatch):
+    model = make_model("gaussian", n=25, p=4, seed=15)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.4))
+    calls = []
+    real = solver.ist_minimize
+
+    def uphill(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs) + 100.0  # far above the surrogate minimizer
+
+    monkeypatch.setattr(solver, "ist_minimize", uphill)
+    with pytest.raises(ConvergenceError, match=r"in 1 attempt\(s\)"):
+        mm_outer(prob, TIGHT, CoefficientVector.zeros(4, True))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("family", ["gaussian", "cox"])
@@ -844,6 +873,8 @@ def test_one_step_scad_far_tail_returns_mle():
     prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=lam))
     res = one_step_fit(prob, SolverConfig(inner_tol=1e-12))
     assert np.linalg.norm(res.coef.augmented() - mle.augmented()) <= 1e-6
+    # a step that meets a tolerance reports it
+    assert res.termination in (Termination.COEF_TOL, Termination.OBJ_TOL)
 
 
 def test_one_step_requires_overdetermined_design():
@@ -856,12 +887,48 @@ def test_one_step_requires_overdetermined_design():
 def test_cox_one_step_lies_at_the_global_step_minimizer():
     model = make_model("cox", n=60, p=5, seed=72)
     prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=2.0))
-    cfg = SolverConfig(inner_tol=1e-13)
-    local = one_step_fit(prob, cfg)
-    # an explicit step_omega keeps the inner step at the certified one
-    fixed = one_step_fit(prob, replace(cfg, step_omega=1.0))
-    assert np.max(np.abs(local.coef.beta - fixed.coef.beta)) <= 1e-8
+    local = one_step_fit(prob, SolverConfig(inner_tol=1e-13))
+    # the same surrogate solved at the certified inner step, without backtracking
+    mle = fit_mle(model).augmented()
+    fixed = ist_minimize(
+        lambda b: -gradient(model, CoefficientVector(beta=b)),
+        solver._penalized_tau(prob, mle),
+        solver.STEP_SAFETY * 2.0 / curvature_bound(model),
+        mle,
+        inner_tol=1e-13,
+    )
+    assert np.max(np.abs(local.coef.beta - fixed)) <= 1e-8
     assert np.count_nonzero(local.coef.beta) < 5
+
+
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "cox"])
+def test_one_step_far_from_stationary_reports_max_iter(family):
+    model = make_model(family, n=50, p=4, seed=0)
+    prob = Problem(model, PenaltySpec(family=Family.MCP, lam=1.0))
+    res = one_step_fit(prob, SolverConfig())
+    assert res.kkt_residual > 1e-3
+    assert res.termination is Termination.MAX_ITER
+    assert res.outer_iters == 1 and res.map_evals == 1
+
+
+def test_one_step_with_an_infinite_weight_starts_from_a_finite_objective():
+    model = make_model("gaussian", n=50, p=4, seed=31)
+    weights = np.array([1.0, math.inf, 1.0, 1.0])
+    prob = Problem(model, PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=0.5, weights=weights))
+    res = one_step_fit(prob, SolverConfig())
+    assert fit_mle(model).beta[1] != 0.0
+    assert np.all(np.isfinite(res.trace)) and res.coef.beta[1] == 0.0
+
+
+def test_cox_inner_solves_never_read_step_omega():
+    model = make_model("cox", n=40, p=4, seed=73)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.5))
+    start = CoefficientVector.zeros(4, False)
+    explicit = replace(TIGHT, step_omega=1e-3)
+    a, b = one_step_fit(prob, TIGHT), one_step_fit(prob, explicit)
+    assert np.array_equal(a.coef.beta, b.coef.beta)
+    a, b = mm_outer(prob, TIGHT, start), mm_outer(prob, explicit, start)
+    assert np.array_equal(a.coef.beta, b.coef.beta) and np.array_equal(a.trace, b.trace)
 
 
 def test_one_step_poisson_descends_from_mle():
@@ -971,12 +1038,15 @@ def test_plain_iteration_multiplies_by_x_at_most_twice(family):
     per_map = 1 + GRADIENT_PRODUCTS[family]  # at most 2
     assert counter[0] == per_map
     counter[0] = 0
+    curvature_bound(model)  # the gaussian and logistic bounds form X^T X once
+    bound_products = counter[0]
+    counter[0] = 0
     res = glm_mm_fit(prob, cfg, CoefficientVector.zeros(5, model.has_intercept))
     # the backtracked cox step rejects a few attempts; each costs a map
     assert (family == "cox" or res.descent_backtracks == 0) and res.map_evals > 10
-    # the objective at the start, then each map (rejected attempts too), then
-    # the KKT's eta and gradient
-    assert counter[0] == 1 + per_map * res.map_evals + per_map
+    # the curvature bound, the objective at the start, then each map (rejected
+    # attempts too), then the KKT's eta and gradient
+    assert counter[0] == bound_products + 1 + per_map * res.map_evals + per_map
 
 
 @pytest.mark.parametrize("family", HOT_FAMILIES)
