@@ -193,8 +193,6 @@ _common_data_opts = [
     click.option("--accel", default="none", show_default=True,
                  type=click.Choice(["none", "squarem"])),
     click.option("--out", required=True, help="output path"),
-    click.option("--format", "fmt", default="json", show_default=True,
-                 type=click.Choice(["json", "csv"])),
 ]
 
 
@@ -214,6 +212,7 @@ def main():
 
 @main.command("fit")
 @_with_opts(_common_data_opts)
+@click.option("--format", "fmt", default="json", show_default=True, type=click.Choice(["json", "csv"]))
 @click.option("--lambda", "lam", type=float, default=None, help="override the penalty level")
 @click.option("--trace/--no-trace", default=False, help="include the objective trace in JSON output")
 @click.option("--emit-penalty-grid", default=None,
@@ -261,7 +260,7 @@ def _emit_penalty_grid(spec: PenaltySpec, out: str):
 @click.option("--lambda", "lams", type=float, multiple=True, required=True,
               help="penalty grid (repeatable)")
 def path_cmd(data, family, response_col, time_col, status_col, offset_col, intercept,
-             penalty_json, solver_json, start, accel, out, fmt, lams):
+             penalty_json, solver_json, start, accel, out, lams):
     """Warm-started coefficient path over a descending lambda grid."""
     try:
         if not lams:

@@ -370,7 +370,11 @@ def poisson_weights(design: DesignMatrix) -> np.ndarray:
     wherever the entry is nonzero, which is what the separable majorizer
     needs.
     """
-    xt = design.augmented()
+    return _row_weights(design.augmented())
+
+
+def _row_weights(xt: np.ndarray) -> np.ndarray:
+    """``poisson_weights`` of the augmented design xt."""
     absx = np.abs(xt)
     row_sums = absx.sum(axis=1)
     theta = np.zeros_like(absx)
@@ -395,7 +399,7 @@ def poisson_majorizer_component(
     if model.family is not ResponseFamily.POISSON:
         raise ValidationError("the separable majorizer is a poisson construction")
     if theta is None:
-        theta = poisson_weights(model.design)
+        theta = _row_weights(model._xt)
     xt = model._xt
     eta = model.linear_predictor(alpha)
     alpha_j = float(alpha.augmented()[j])

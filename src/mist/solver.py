@@ -19,9 +19,12 @@ residual.  The fits differ only in the step they pass in:
                        without a descent test.
 * ``accel.accelerated_fit`` -- one safeguarded squarem step over ``mm_map``.
 
-``_halving`` wraps a map into a step that halves the step until the
-objective is finite and does not rise; a map with no step (the surrogate
-solve, the Poisson map) gets a single attempt.
+``fit`` runs ``mm_map``'s map through ``_halving(map)``, which turns a map
+into a step.  A map with a step omega (``_GlmMap``) is applied at omega,
+halved until the objective is finite and does not rise; the log-likelihood
+gradient at theta comes once per step from the cached eta and serves every
+attempt.  A map with no step (``omega`` None: the surrogate solve, the
+Poisson map) gets a single attempt.
 
 The step constant omega comes from ``fidelity.curvature_bound``: 0.95 * 2 /
 bound, a true upper bound on the curvature.  For gaussian fits the bound is
@@ -52,7 +55,6 @@ X again.
 from __future__ import annotations
 
 import enum
-import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -87,18 +89,16 @@ class Termination(str, enum.Enum):
 
 @dataclass
 class SolverConfig:
-    """Step, relaxation, and stopping controls.
+    """Step and stopping controls.
 
     ``step_omega`` is the step of the outer MM map; ``None`` resolves to
     ``0.95 * 2 / curvature_bound`` (backtracked for Cox).  Inner
     soft-thresholding solves never read it: they run at the step that
-    ``curvature_bound`` certifies.  ``relaxation``, ``inner_tol`` and
-    ``inner_max`` control those inner solves; ``relaxation`` is either a
-    constant in (0, 1] or a callable of the inner iteration index.
+    ``curvature_bound`` certifies.  ``inner_tol`` and ``inner_max`` control
+    those inner solves.
     """
 
     step_omega: Optional[float] = None
-    relaxation: Union[float, Callable[[int], float]] = 1.0
     coef_tol: float = 1e-6
     obj_tol: float = 1e-6
     max_outer: int = 1_000_000
@@ -264,7 +264,6 @@ def ist_minimize(
     tau: np.ndarray,
     omega: float,
     b0: np.ndarray,
-    relaxation: Union[float, Callable[[int], float]] = 1.0,
     inner_tol: float = 1e-8,
     inner_max: int = 100_000,
     m: Optional[Callable[[np.ndarray], float]] = None,
@@ -272,8 +271,7 @@ def ist_minimize(
     """Iterated soft-thresholding for min m(b) + sum_j tau_j |b_j|.
 
     ``omega`` must lie in (0, 2L) where 1/L bounds the Lipschitz constant of
-    ``grad_m``; convergence is then a contraction argument.  The relaxed
-    update blends each thresholded step with the previous iterate.
+    ``grad_m``; convergence is then a contraction argument.
 
     Given ``m``, the smooth part itself, the step is backtracked as in Beck &
     Teboulle (2009): it starts at ``BACKTRACK_START * omega``, and the
@@ -293,23 +291,17 @@ def ist_minimize(
     if m is not None:
         w = BACKTRACK_START * omega
         thresh = w * tau
-    for n in range(1, inner_max + 1):
-        delta = relaxation(n) if callable(relaxation) else relaxation
+    for _ in range(inner_max):
         g = grad_m(b)
         s = _soft_threshold(b - w * g, thresh)
         if w > omega:
             mb = m(b)
-            slack = MAJORIZE_SLACK * (1.0 + abs(mb))
-            while w > omega:
-                step = s - b
-                if m(s) <= mb + float(g @ step) + float(step @ step) / (2.0 * w) + slack:
-                    break
+            while w > omega and not _majorizes(m(s), mb, -g, s - b, 2.0 * w):
                 w *= 0.5
                 thresh = w * tau
                 s = _soft_threshold(b - w * g, thresh)
-        b_new = b + delta * (s - b)
-        resid = float(np.linalg.norm(b_new - b))
-        b = b_new
+        resid = float(np.linalg.norm(s - b))
+        b = s
         if resid <= inner_tol:
             return b
     raise ConvergenceError(
@@ -383,6 +375,11 @@ class _Objective:
     multiply by X again.
     """
 
+    #: the map's step; None for a map with no step, which ``_halving`` tries once
+    omega: Optional[float] = None
+    #: whether ``_halving`` backtracks the step on the curvature
+    backtrack = False
+
     def __init__(self, problem: Problem):
         self.problem = problem
         self.xt = problem.model._xt
@@ -405,23 +402,19 @@ class _Objective:
 
 
 def glm_map(
-    problem: Problem,
-    theta: np.ndarray,
-    omega: float,
-    eta: Optional[np.ndarray] = None,
-    grad: Optional[np.ndarray] = None,
+    problem: Problem, theta: np.ndarray, omega: float, grad: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """One closed-form surrogate minimization for bounded-hessian families.
 
-    ``eta`` is X theta, and ``grad`` the log-likelihood gradient at theta,
-    when the caller already has them.  Nothing is checked: theta is the
-    augmented coefficient array of a problem's model.
+    ``grad`` is the log-likelihood gradient at theta when the caller already
+    has it.  Nothing is checked: theta is the augmented coefficient array of a
+    problem's model.
     """
     model = problem.model
     spec = problem.penalty
     theta = np.asarray(theta, dtype=float)
     if grad is None:
-        grad = fid.grad_eta(model, model._xt @ theta if eta is None else eta)
+        grad = fid.grad_eta(model, model._xt @ theta)
     half = 0.5 * omega
     arg = theta + half * grad
     shrink = 1.0 / (1.0 + omega * spec.lam * spec.epsilon)
@@ -438,25 +431,27 @@ def glm_map(
 class _GlmMap(_Objective):
     """The single soft-threshold MM map of one gaussian, logistic or cox problem.
 
-    Built once per fit.  Calling it applies ``glm_map`` at the fit's step
-    omega, or at a halved step passed as the second argument, with the eta of
-    the last objective evaluation when it is at the same point, or with the
-    log-likelihood gradient at theta when ``grad`` passes it.  A plain
-    iteration then multiplies by X twice (X^T r in the map, eta in the
+    Built once per fit.  Its step ``omega`` is ``resolve_step``'s, and it
+    backtracks that step only for a Cox fit on the auto step, whose curvature
+    bound is loose.  Calling it applies ``glm_map`` at omega, or at a halved
+    step passed as the second argument, with the log-likelihood gradient at
+    theta passed as the third, or else taken from the eta of the last
+    objective evaluation when it is at the same point.  A plain step with h
+    halvings then multiplies by X 2 + h times (X^T r once, eta in every
     objective), and a squarem step four times plus once per backtrack.
     """
 
-    def __init__(self, problem: Problem, omega: float):
+    def __init__(self, problem: Problem, config: SolverConfig):
         super().__init__(problem)
-        self.omega = omega
+        self.omega = resolve_step(problem, config)
+        self.backtrack = config.step_omega is None and problem.model.family is ResponseFamily.COX
 
     def __call__(
         self, theta: np.ndarray, omega: Optional[float] = None, grad: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        w = self.omega if omega is None else omega
-        if grad is not None:
-            return glm_map(self.problem, theta, w, grad=grad)
-        return glm_map(self.problem, theta, w, eta=self.eta(theta))
+        if grad is None:
+            grad = fid.grad_eta(self.problem.model, self.eta(theta))
+        return glm_map(self.problem, theta, self.omega if omega is None else omega, grad)
 
     def anchor(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """The fidelity and the log-likelihood gradient at theta."""
@@ -553,58 +548,53 @@ def _drive(
     )
 
 
-def _halving(
-    step_fn: Callable[..., np.ndarray],
-    omega: Optional[float],
-    objective: Callable[[np.ndarray], float],
-    local: bool = False,
-) -> Step:
-    """The plain MM step: ``step_fn`` at omega, halved until it descends.
+def _halving(m: _Objective) -> Step:
+    """The plain MM step of map ``m``: the map at its step, halved until it descends.
 
     A candidate is accepted when its objective is finite and at most
     DESCENT_SLACK above the current one; an ``OverflowError`` from the map or
     the objective rejects the candidate like a non-finite objective.  After
-    ``FLOOR_ATTEMPTS`` rejected candidates at or below omega the step raises
-    ``ConvergenceError`` carrying the current iterate.  A map with no step
-    (omega ``None``) is called on theta alone and gets one attempt, since a
-    retry would recompute the rejected point.
+    ``FLOOR_ATTEMPTS`` rejected candidates at or below ``m.omega`` the step
+    raises ``ConvergenceError`` carrying the current iterate.  A map with no
+    step (``m.omega`` None) is called on theta alone and gets one attempt,
+    since a retry would recompute the rejected point.  A map with a step gets
+    nll(theta) and grad l(theta) once per step from the cached eta
+    (``m.anchor``), and every attempt reuses that gradient.
 
-    ``local`` backtracks on the curvature as in Beck & Teboulle (2009);
-    ``step_fn`` is then a ``_GlmMap`` whose ``objective`` is ``objective``, and
-    omega is the step certified by the global curvature bound.  The fit's
-    first step starts at ``BACKTRACK_START * omega``.  A candidate theta+ at
-    a step w above omega must also satisfy, with d = theta+ - theta,
+    A map with ``m.backtrack`` backtracks on the curvature as in Beck &
+    Teboulle (2009); ``m.omega`` is then the step certified by the global
+    curvature bound.  The fit's first step starts at ``BACKTRACK_START *
+    omega``.  A candidate theta+ at a step w above omega must also satisfy,
+    with d = theta+ - theta,
 
         nll(theta+) <= nll(theta) - grad l(theta) . d + ||d||^2 / w
 
     up to ``MAJORIZE_SLACK * (1 + |nll(theta)|)``: the surrogate majorizes
     the fidelity at theta+.  At or below omega the global bound certifies it.
-    nll(theta) and grad l(theta) come once per step from the cached eta.  The
-    accepted w, or omega if that is larger, is the next step's first try, so
-    the step never grows within a fit.
+    The accepted w, or omega if that is larger, is the next step's first try,
+    so the step never grows within a fit.
     """
-    first = BACKTRACK_START * omega if local else omega
+    omega = m.omega
+    first = BACKTRACK_START * omega if m.backtrack else omega
     attempts = 1 if omega is None else FLOOR_ATTEMPTS
 
     def step(theta, obj):
         nonlocal first
-        move = step_fn
-        if local:
-            nll0, grad0 = step_fn.anchor(theta)
-            move = functools.partial(step_fn, grad=grad0)
+        if omega is not None:
+            nll0, grad0 = m.anchor(theta)
         w = first
         evals = floor_rejects = 0
         while True:
             evals += 1
             at_floor = w is None or w <= omega
             try:
-                theta_new = move(theta) if w is None else move(theta, w)
-                obj_new = objective(theta_new)
+                theta_new = m(theta) if w is None else m(theta, w, grad0)
+                obj_new = m.objective(theta_new)
             except OverflowError:
                 obj_new = math.inf
             if math.isfinite(obj_new) and obj_new <= obj + DESCENT_SLACK:
-                if at_floor or _majorizes(step_fn.nll, nll0, grad0, theta_new - theta, w):
-                    if local:
+                if at_floor or _majorizes(m.nll, nll0, grad0, theta_new - theta, w):
+                    if m.backtrack:
                         first = max(w, omega)
                     coef_delta = float(np.linalg.norm(theta_new - theta))
                     return theta_new, obj_new, coef_delta, evals, evals - 1
@@ -623,7 +613,11 @@ def _halving(
 
 
 def _majorizes(nll_new: float, nll0: float, grad0: np.ndarray, d: np.ndarray, w: float) -> bool:
-    """Whether the surrogate of step w at theta majorizes the fidelity at theta + d."""
+    """Whether the surrogate of step w at theta majorizes the fidelity at theta + d.
+
+    nll0 and grad0 are the fidelity and the log-likelihood gradient at theta,
+    nll_new the fidelity at theta + d.
+    """
     bound = nll0 - float(grad0 @ d) + float(d @ d) / w
     return nll_new <= bound + MAJORIZE_SLACK * (1.0 + abs(nll0))
 
@@ -631,17 +625,13 @@ def _majorizes(nll_new: float, nll0: float, grad0: np.ndarray, d: np.ndarray, w:
 def glm_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
     """Single-soft-threshold-per-iteration MM fit (gaussian/logistic/cox).
 
-    A Cox fit on the auto step backtracks it on the curvature (``_halving``
-    with ``local``); every other fit maps at the fixed step.
+    It is ``fit`` on those families.  A Cox fit on the auto step backtracks
+    its step on the curvature (``_GlmMap``); every other fit maps at the
+    fixed step.
     """
     if problem.model.family is ResponseFamily.POISSON:
         raise NotGloballyLipschitz("use poisson_mm_fit for the poisson family")
-    omega = resolve_step(problem, config)
-    gmap = _GlmMap(problem, omega)
-    # the Cox curvature bound is loose, so its auto step is backtracked
-    local = config.step_omega is None and problem.model.family is ResponseFamily.COX
-    step = _halving(gmap, omega, gmap.objective, local=local)
-    return _drive(problem, config, start, gmap.objective, step)
+    return fit(problem, config, start)
 
 
 class _SurrogateSolve(_Objective):
@@ -650,9 +640,9 @@ class _SurrogateSolve(_Objective):
     The surrogate at theta keeps the fidelity and the ridge exact and
     linearizes the penalty, l(b) + lam eps ||b||^2 + sum_j p'(|theta_j|) |b_j|;
     ``ist_minimize`` solves it from theta at the inner step that
-    ``curvature_bound`` certifies, computed once per fit.  The Cox bound is
-    loose, so Cox solves backtrack the inner step from there (``ist_minimize``
-    given ``m``).  ``SolverConfig.step_omega`` is never read.
+    ``curvature_bound`` certifies (``inner_omega``), computed once per fit.
+    The Cox bound is loose, so Cox solves backtrack the inner step from there
+    (``ist_minimize`` given ``m``).  ``SolverConfig.step_omega`` is never read.
     """
 
     def __init__(self, problem: Problem, config: SolverConfig):
@@ -660,8 +650,7 @@ class _SurrogateSolve(_Objective):
         spec = problem.penalty
         self.config = config
         self.ridge = spec.lam * spec.epsilon
-        self.omega = _safe_step(fid.curvature_bound(problem.model) + 2.0 * self.ridge)
-        self.backtrack = problem.model.family is ResponseFamily.COX
+        self.inner_omega = _safe_step(fid.curvature_bound(problem.model) + 2.0 * self.ridge)
 
     def grad_m(self, b: np.ndarray) -> np.ndarray:
         """Gradient of the fidelity plus the ridge, the smooth part."""
@@ -677,12 +666,11 @@ class _SurrogateSolve(_Objective):
         return ist_minimize(
             self.grad_m,
             _penalized_tau(self.problem, theta),
-            self.omega,
+            self.inner_omega,
             theta,
-            relaxation=cfg.relaxation,
             inner_tol=cfg.inner_tol,
             inner_max=cfg.inner_max,
-            m=self.m if self.backtrack else None,
+            m=self.m if self.problem.model.family is ResponseFamily.COX else None,
         )
 
 
@@ -699,7 +687,7 @@ def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -
     if problem.penalty.family in pen.FLAT_TAIL_FAMILIES:
         return glm_mm_fit(problem, config, start)
     solve = _SurrogateSolve(problem, config)
-    return _drive(problem, config, start, solve.objective, _halving(solve, None, solve.objective))
+    return _drive(problem, config, start, solve.objective, _halving(solve))
 
 
 # -- Poisson componentwise path -------------------------------------------
@@ -723,9 +711,7 @@ class _PoissonMap(_Objective):
         spec = problem.penalty
         xt = self.xt
         self.nz = xt != 0.0
-        self.ratio = np.divide(
-            xt, fid.poisson_weights(model.design), out=np.zeros_like(xt), where=self.nz
-        )
+        self.ratio = np.divide(xt, fid._row_weights(xt), out=np.zeros_like(xt), where=self.nz)
         self.curv = xt * self.ratio
         self.absx = np.abs(xt)
         self.empty = ~np.any(self.nz, axis=0)
@@ -848,22 +834,20 @@ def poisson_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVec
     """MM fit for the poisson family through the separable majorizer.
 
     Each outer step is one application of the batched-Newton map
-    ``_PoissonMap``, built once for the fit.
+    ``_PoissonMap``, built once for the fit by ``fit``.
     """
     if problem.model.family is not ResponseFamily.POISSON:
         raise ValidationError("poisson_mm_fit requires a poisson model")
-    pmap = _PoissonMap(problem)
-    return _drive(problem, config, start, pmap.objective, _halving(pmap, None, pmap.objective))
+    return fit(problem, config, start)
 
 
 # -- one-step estimator and dispatch --------------------------------------
 
 
 def fit(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
-    """Family dispatch to the appropriate single-map MM fit."""
-    if problem.model.family is ResponseFamily.POISSON:
-        return poisson_mm_fit(problem, config, start)
-    return glm_mm_fit(problem, config, start)
+    """The plain single-map MM fit: ``mm_map``'s map as a ``_halving`` step of ``_drive``."""
+    m = mm_map(problem, config)
+    return _drive(problem, config, start, m.objective, _halving(m))
 
 
 def mm_map(problem: Problem, config: SolverConfig) -> Union[_GlmMap, _PoissonMap]:
@@ -875,7 +859,7 @@ def mm_map(problem: Problem, config: SolverConfig) -> Union[_GlmMap, _PoissonMap
     """
     if problem.model.family is ResponseFamily.POISSON:
         return _PoissonMap(problem)
-    return _GlmMap(problem, resolve_step(problem, config))
+    return _GlmMap(problem, config)
 
 
 def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:

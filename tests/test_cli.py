@@ -82,6 +82,14 @@ def test_fit_exit_two_on_iteration_cap(toy_csv, tmp_path):
     assert json.loads(out.read_text())["termination"] == "max_iter"
 
 
+def test_fit_exit_one_on_removed_relaxation(toy_csv, tmp_path):
+    r = run_cli("fit", "--data", str(toy_csv),
+                "--penalty-json", '{"family":"lasso","lambda":1.0}',
+                "--solver-json", '{"relaxation":0.5}',
+                "--out", str(tmp_path / "x.json"))
+    assert r.returncode == 1 and "relaxation" in r.stderr
+
+
 def test_fit_exit_one_on_missing_file(tmp_path):
     r = run_cli("fit", "--data", str(tmp_path / "nope.csv"),
                 "--penalty-json", '{"family":"lasso","lambda":1.0}',
@@ -178,8 +186,10 @@ _SIM_ARGS = ["--scenario", "linear_ex1", "--p", "18", "--n", "50", "--replicates
           "--threads", "2"], "--threads"),
         (["simulate", *_SIM_ARGS, "--threads", "2"], "--threads"),
         (["bench-accel", *_SIM_ARGS], "bench-accel"),
+        (["path", "--penalty-json", '{"family":"lasso","lambda":1.0}', "--lambda", "1",
+          "--format", "csv"], "--format"),
     ],
-    ids=["path-threads", "simulate-threads", "bench-accel"],
+    ids=["path-threads", "simulate-threads", "bench-accel", "path-format"],
 )
 def test_removed_cli_names_are_rejected(args, name, tmp_path):
     r = run_cli(*args, "--out", str(tmp_path / "out.csv"))

@@ -140,18 +140,6 @@ def test_ist_fixed_point_start():
     assert b[0] == pytest.approx(2.0, abs=1e-12)
 
 
-def test_ist_relaxation_schedule_converges():
-    b = ist_minimize(
-        lambda b: b - 3.0,
-        np.array([1.0]),
-        1.0,
-        np.array([0.0]),
-        relaxation=lambda n: 0.5 + 0.5 / n,
-        inner_tol=1e-12,
-    )
-    assert b[0] == pytest.approx(2.0, abs=1e-9)
-
-
 def test_ist_contraction_on_quadratic():
     rng = np.random.default_rng(4)
     A = rng.standard_normal((10, 5))
@@ -400,6 +388,13 @@ def test_solver_config_from_json_auto():
     cfg = SolverConfig.from_json('{"step_omega": "auto", "coef_tol": 1e-9}')
     assert cfg.step_omega is None
     assert cfg.coef_tol == 1e-9
+
+
+def test_solver_config_has_no_relaxation():
+    with pytest.raises(TypeError):
+        SolverConfig(relaxation=0.5)
+    with pytest.raises(TypeError):
+        SolverConfig.from_json('{"relaxation": 0.5}')
 
 
 # -- surrogate geometry ----------------------------------------------------
@@ -761,8 +756,8 @@ def tied_cox_problems(draw):
 class RecordingMap(solver._GlmMap):
     """A ``_GlmMap`` that records the step of every map it applies."""
 
-    def __init__(self, problem, omega):
-        super().__init__(problem, omega)
+    def __init__(self, problem, config):
+        super().__init__(problem, config)
         self.steps = []
 
     def __call__(self, theta, omega=None, grad=None):
@@ -775,9 +770,10 @@ class RecordingMap(solver._GlmMap):
 def test_backtracked_cox_step_majorizes_and_never_grows(prob):
     model = prob.model
     cfg = SolverConfig(coef_tol=1e-10, obj_tol=1e-300, max_outer=20_000)
-    omega_c = resolve_step(prob, SolverConfig())
-    gmap = RecordingMap(prob, omega_c)
-    halving = solver._halving(gmap, omega_c, gmap.objective, local=True)
+    gmap = RecordingMap(prob, SolverConfig())
+    omega_c = gmap.omega
+    assert omega_c == resolve_step(prob, SolverConfig()) and gmap.backtrack
+    halving = solver._halving(gmap)
     tried = [solver.BACKTRACK_START * omega_c]
 
     def step(theta, obj):
@@ -1047,6 +1043,29 @@ def test_plain_iteration_multiplies_by_x_at_most_twice(family):
     # the curvature bound, the objective at the start, then each map (rejected
     # attempts too), then the KKT's eta and gradient
     assert counter[0] == bound_products + 1 + per_map * res.map_evals + per_map
+
+
+def test_halved_step_multiplies_by_x_once_per_attempt_plus_one_gradient():
+    model = make_model("gaussian", n=40, p=5, seed=60)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.3))
+    # past 4 / curvature_bound, where a gaussian map can rise: most steps halve
+    omega = 4.0 * resolve_step(prob, SolverConfig())
+    cfg = SolverConfig(step_omega=omega, coef_tol=1e-12, obj_tol=1e-300, max_outer=50)
+    counter = count_products(model)
+    gmap = mm_map(prob, cfg)
+    halving = solver._halving(gmap)
+    theta = random_coef(model, seed=61).augmented()
+    obj = gmap.objective(theta)
+    counter[0] = 0
+    _, _, _, evals, halvings = halving(theta, obj)
+    # X^T r once at theta (eta is cached), then eta in the objective of each attempt
+    assert halvings >= 1 and evals == halvings + 1
+    assert counter[0] == 2 + halvings
+    counter[0] = 0
+    res = glm_mm_fit(prob, cfg, CoefficientVector.zeros(5, True))
+    assert res.outer_iters == 50 and res.descent_backtracks >= 50
+    # the objective at the start, 2 + h per step, then the KKT's eta and gradient
+    assert counter[0] == 1 + 2 * res.outer_iters + res.descent_backtracks + 2
 
 
 @pytest.mark.parametrize("family", HOT_FAMILIES)
