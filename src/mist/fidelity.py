@@ -4,6 +4,8 @@ All four families expose the negative log-likelihood (up to additive
 constants), the gradient of the LOG-likelihood, and a finite curvature bound
 where one exists.  The Poisson family has no global curvature bound; it gets
 the separable majorizer machinery at the bottom of this module instead.
+Every gradient is one product X^T r, with r the residual y - mu, or for Cox
+the martingale residual delta - w a (``_residual``).
 
 Sign convention: ``gradient`` returns the gradient of the log-likelihood, so
 fitting code ascends it (the MM updates add a multiple of it), and the
@@ -168,15 +170,10 @@ class FidelityModel:
             t = response.time[order]
             # subjects tied on time share a risk set: the last index of each tie block
             ends = np.append(np.flatnonzero(t[1:] != t[:-1]), t.shape[0] - 1)
+            last = np.repeat(ends, np.diff(ends, prepend=-1))
             self._cox_order = order
-            self._cox_last = np.repeat(ends, np.diff(ends, prepend=-1))
-            # the design and the event flags in that order, gathered once
-            self._cox_x = self._xt[order]
             self._cox_event = response.status[order] == 1.0
-            self._cox_event_last = self._cox_last[self._cox_event]
-        else:
-            self._cox_order = None
-            self._cox_last = None
+            self._cox_event_last = last[self._cox_event]
 
     @property
     def n_coef(self) -> int:
@@ -239,81 +236,81 @@ def nll_eta(model: FidelityModel, eta: np.ndarray) -> float:
 
 
 def grad_eta(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
-    """``gradient`` at the linear predictor eta = X theta, unchecked."""
+    """``gradient`` at the linear predictor eta = X theta, unchecked: X^T r."""
+    return model._xt.T @ _residual(model, eta)
+
+
+def _residual(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
+    """The score residual: y - mu, or the Cox martingale residual delta - w a."""
     y = model.response.y
     fam = model.family
-    xt = model._xt
     if fam is ResponseFamily.GAUSSIAN:
-        return xt.T @ (y - eta)
+        return y - eta
     if fam is ResponseFamily.LOGISTIC:
         # sigmoid via stable tanh form
-        mu = 0.5 * (1.0 + np.tanh(0.5 * eta))
-        return xt.T @ (y - mu)
+        return y - 0.5 * (1.0 + np.tanh(0.5 * eta))
     if fam is ResponseFamily.POISSON:
-        d = model.response.offsets
-        mu = d * _guard_exp(eta, "poisson gradient")
-        return xt.T @ (y - mu)
+        return y - model.response.offsets * _guard_exp(eta, "poisson gradient")
     if fam is ResponseFamily.COX:
-        return _cox_score(model, eta)
+        return model.response.status - _cox_risk_mass(model, _cox_parts(model, eta))
     raise ValidationError(f"unknown family {fam}")
 
 
 def hessian(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:
-    """Hessian of the NEGATIVE log-likelihood (used by the Newton MLE)."""
+    """Hessian of the NEGATIVE log-likelihood, X^T diag(v) X for the GLM
+    families (used by the Newton MLE)."""
     eta = model.linear_predictor(coef)
     xt = model._xt
     fam = model.family
     if fam is ResponseFamily.GAUSSIAN:
         return xt.T @ xt
-    if fam is ResponseFamily.LOGISTIC:
-        mu = 0.5 * (1.0 + np.tanh(0.5 * eta))
-        w = mu * (1.0 - mu)
-        return xt.T @ (w[:, None] * xt)
-    if fam is ResponseFamily.POISSON:
-        d = model.response.offsets
-        w = d * _guard_exp(eta, "poisson hessian")
-        return xt.T @ (w[:, None] * xt)
     if fam is ResponseFamily.COX:
         return _cox_neg_hessian(model, eta)
-    raise ValidationError(f"unknown family {fam}")
+    if fam is ResponseFamily.LOGISTIC:
+        mu = 0.5 * (1.0 + np.tanh(0.5 * eta))
+        v = mu * (1.0 - mu)
+    else:
+        v = model.response.offsets * _guard_exp(eta, "poisson hessian")
+    return xt.T @ (v[:, None] * xt)
 
 
 # -- Cox partial likelihood (Breslow ties) --------------------------------
 
 
 def _cox_parts(model: FidelityModel, eta: np.ndarray):
-    """eta in descending time order, the risk weights and their running sums."""
+    """eta in descending time order, its risk weights shifted by max(eta),
+    each event's risk-set sum D_i of those weights, and the shift."""
     e = eta[model._cox_order]
-    x = model._cox_x
-    # stabilize: shift exponents by the running max
-    shift = np.max(e)
+    shift = e.max()
     w = np.exp(e - shift)
-    cum_w = np.cumsum(w)
-    cum_wx = np.cumsum(w[:, None] * x, axis=0)
-    return e, w, cum_w, cum_wx, shift
+    return e, w, np.cumsum(w)[model._cox_event_last], shift
+
+
+def _cox_risk_mass(model: FidelityModel, parts) -> np.ndarray:
+    """w_k a_k in row order, a_k the sum of 1/D_i over the events whose risk
+    set holds subject k.  Summed in the log domain, so that a subnormal D_i
+    cannot overflow 1/D_i; w_k <= D_i bounds each term by the event count."""
+    e, _, d, shift = parts
+    log_c = np.full(e.shape[0], -np.inf)
+    np.logaddexp.at(log_c, model._cox_event_last, -np.log(d))
+    # each risk set is a prefix of the order, so a is a reverse cumulative sum
+    wa = np.empty_like(e)
+    wa[model._cox_order] = np.exp(e - shift + np.logaddexp.accumulate(log_c[::-1])[::-1])
+    return wa
 
 
 def _cox_neg_loglik(model: FidelityModel, eta: np.ndarray) -> float:
-    e, _, cum_w, _, shift = _cox_parts(model, eta)
-    denom = cum_w[model._cox_event_last]
-    return float(-np.sum(e[model._cox_event] - (np.log(denom) + shift)))
-
-
-def _cox_score(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
-    _, _, cum_w, cum_wx, _ = _cox_parts(model, eta)
-    last = model._cox_event_last
-    denom = cum_w[last]
-    xbar = cum_wx[last] / denom[:, None]
-    return np.sum(model._cox_x[model._cox_event] - xbar, axis=0)
+    e, _, d, shift = _cox_parts(model, eta)
+    return float(-np.sum(e[model._cox_event] - (np.log(d) + shift)))
 
 
 def _cox_neg_hessian(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
-    _, w, cum_w, cum_wx, _ = _cox_parts(model, eta)
-    x, last = model._cox_x, model._cox_event_last
-    cum_wxx = np.cumsum(w[:, None, None] * (x[:, :, None] * x[:, None, :]), axis=0)
-    d = cum_w[last]
-    xbar = cum_wx[last] / d[:, None]
-    return np.einsum("kij,k->ij", cum_wxx[last], 1.0 / d) - xbar.T @ xbar
+    """X^T diag(w a) X - xbar^T xbar, xbar holding each event's risk-set mean."""
+    parts = _cox_parts(model, eta)
+    _, w, d, _ = parts
+    xt = model._xt
+    xbar = np.cumsum(w[:, None] * xt[model._cox_order], axis=0)[model._cox_event_last] / d[:, None]
+    return xt.T @ (_cox_risk_mass(model, parts)[:, None] * xt) - xbar.T @ xbar
 
 
 # -- curvature ------------------------------------------------------------

@@ -278,7 +278,8 @@ def ist_minimize(
     thresholded point s from b at a step w above omega is kept only when
     m(s) <= m(b) + grad_m(b) . (s - b) + ||s - b||^2 / (2 w), up to a rounding
     slack; otherwise w halves.  ``omega`` is the floor, taken without the
-    test.  The kept w is the next iteration's first try, so it never grows.
+    test.  The kept w is the next iteration's first try, so it never grows,
+    and the kept m(s) is the next iteration's m(b).
     """
     tau = np.asarray(tau, dtype=float)
     b = np.asarray(b0, dtype=float).copy()
@@ -291,17 +292,19 @@ def ist_minimize(
     if m is not None:
         w = BACKTRACK_START * omega
         thresh = w * tau
+    mb = None
     for _ in range(inner_max):
         g = grad_m(b)
         s = _soft_threshold(b - w * g, thresh)
         if w > omega:
-            mb = m(b)
-            while w > omega and not _majorizes(m(s), mb, -g, s - b, 2.0 * w):
+            mb = m(b) if mb is None else mb
+            while w > omega and not _majorizes(ms := m(s), mb, -g, s - b, 2.0 * w):
                 w *= 0.5
                 thresh = w * tau
                 s = _soft_threshold(b - w * g, thresh)
         resid = float(np.linalg.norm(s - b))
-        b = s
+        # above the floor the test accepted s, so m(s) is known
+        b, mb = s, (ms if w > omega else None)
         if resid <= inner_tol:
             return b
     raise ConvergenceError(

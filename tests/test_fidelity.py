@@ -134,14 +134,12 @@ def test_cox_tie_blocks_match_loop_reference():
     rng = np.random.default_rng(41)
     for ties in (1, 2, 3, 7):
         n = 20
+        time = np.floor(rng.permutation(n) / ties) + 1.0
+        status = (rng.random(n) < 0.7).astype(float)
+        status[0] = 1.0
         m = FidelityModel(
             DesignMatrix(rng.standard_normal((n, 2)), has_intercept=False),
-            Response(
-                family=ResponseFamily.COX,
-                y=np.ones(n),
-                time=np.floor(rng.permutation(n) / ties) + 1.0,
-                status=np.ones(n),
-            ),
+            Response(family=ResponseFamily.COX, y=status, time=time, status=status),
         )
         t = m.response.time[m._cox_order]
         want = np.empty(n, dtype=int)
@@ -152,7 +150,7 @@ def test_cox_tie_blocks_match_loop_reference():
                 j += 1
             want[i : j + 1] = j
             i = j + 1
-        assert np.array_equal(m._cox_last, want)
+        assert np.array_equal(m._cox_event_last, want[m.response.status[m._cox_order] == 1.0])
 
 
 def test_poisson_gradient_hand_example():
@@ -234,29 +232,32 @@ def test_neg_loglik_midpoint_convex(family):
         assert lhs <= rhs + 1e-10
 
 
+def _tied(model, tie):
+    """The cox model with its times coarsened into blocks of ``tie`` subjects."""
+    r = model.response
+    time = np.floor(np.argsort(np.argsort(r.time)) / tie) + 1.0
+    return FidelityModel(model.design, Response(family="cox", y=r.y, time=time, status=r.status))
+
+
 def _cox_neg_hessian_loop(model, eta):
-    """The Breslow information matrix by a loop over the events."""
-    _, w, cum_w, cum_wx, _ = fid._cox_parts(model, eta)
-    x, last = model._cox_x, model._cox_last
-    p = x.shape[1]
-    h = np.zeros((p, p))
-    cum_wxx = np.cumsum(w[:, None, None] * (x[:, :, None] * x[:, None, :]), axis=0)
-    for i in np.flatnonzero(model._cox_event):
-        j = last[i]
-        d = cum_w[j]
-        xbar = cum_wx[j] / d
-        h += cum_wxx[j] / d - np.outer(xbar, xbar)
+    """The Breslow information matrix by a loop over the events, each risk
+    set taken by time."""
+    t, x = model.response.time, model._xt
+    w = np.exp(eta - np.max(eta))
+    h = np.zeros((x.shape[1], x.shape[1]))
+    for i in np.flatnonzero(model.response.status == 1.0):
+        risk = t >= t[i]
+        wr, xr = w[risk], x[risk]
+        d = np.sum(wr)
+        xbar = wr @ xr / d
+        h += (wr[:, None] * xr).T @ xr / d - np.outer(xbar, xbar)
     return h
 
 
 @pytest.mark.parametrize("tie", [1, 3])
 def test_cox_neg_hessian_matches_the_event_loop(tie):
     for seed in range(5):
-        model = make_model("cox", n=40, p=4, seed=300 + seed)
-        if tie > 1:
-            r = model.response
-            time = np.floor(np.argsort(np.argsort(r.time)) / tie) + 1.0
-            model = FidelityModel(model.design, Response(family="cox", y=r.y, time=time, status=r.status))
+        model = _tied(make_model("cox", n=40, p=4, seed=300 + seed), tie)
         eta = model._xt @ random_coef(model, seed).augmented()
         want = _cox_neg_hessian_loop(model, eta)
         got = fid._cox_neg_hessian(model, eta)
@@ -264,16 +265,115 @@ def test_cox_neg_hessian_matches_the_event_loop(tie):
 
 
 def test_cox_score_is_event_sum_identity():
-    # at beta = 0 the score is sum over events of (x_i - risk-set mean)
-    model = make_model("cox", n=25, p=3, seed=3)
-    coef = CoefficientVector(beta=np.zeros(3))
-    g = gradient(model, coef)
-    t, s, X = model.response.time, model.response.status, model.design.values
-    expected = np.zeros(3)
-    for i in np.nonzero(s == 1.0)[0]:
-        risk = t >= t[i]
-        expected += X[i] - X[risk].mean(axis=0)
-    assert np.allclose(g, expected, atol=1e-10)
+    # the score is the sum over events of (x_i - risk-set mean), ties and all
+    for tie, scale in ((1, 0.0), (1, 0.5), (3, 0.0), (3, 0.5)):
+        model = _tied(make_model("cox", n=25, p=3, seed=3), tie)
+        coef = random_coef(model, seed=4, scale=scale)
+        g = gradient(model, coef)
+        t, s, X = model.response.time, model.response.status, model.design.values
+        w = np.exp(X @ coef.beta)
+        expected = np.zeros(3)
+        for i in np.nonzero(s == 1.0)[0]:
+            risk = t >= t[i]
+            expected += X[i] - w[risk] @ X[risk] / np.sum(w[risk])
+        assert np.allclose(g, expected, atol=1e-10)
+
+
+def _running_sum_score(model, eta):
+    """The cox score from running sums of w x over the design sorted by time."""
+    order = np.argsort(-model.response.time, kind="stable")
+    t = model.response.time[order]
+    ends = np.append(np.flatnonzero(t[1:] != t[:-1]), t.shape[0] - 1)
+    last = np.repeat(ends, np.diff(ends, prepend=-1))
+    x, event = model._xt[order], model.response.status[order] == 1.0
+    e = eta[order]
+    w = np.exp(e - np.max(e))
+    cum_w, cum_wx = np.cumsum(w), np.cumsum(w[:, None] * x, axis=0)
+    xbar = cum_wx[last[event]] / cum_w[last[event], None]
+    return np.sum(x[event] - xbar, axis=0)
+
+
+def _tied_cox_designs(count, span):
+    """30 x 3 cox designs on 15 tied times; eta spans ``span`` when given."""
+    rng = np.random.default_rng(97)
+    for _ in range(count):
+        x = rng.standard_normal((30, 3))
+        time = np.floor(rng.permutation(30) / 2.0) + 1.0
+        status = (rng.random(30) < 0.7).astype(float)
+        status[0] = 1.0
+        model = FidelityModel(
+            DesignMatrix(x, has_intercept=False),
+            Response(family="cox", y=status, time=time, status=status),
+        )
+        eta = x @ rng.standard_normal(3)
+        if span is not None:
+            eta *= span / np.ptp(eta)
+        yield model, eta
+
+
+def test_cox_score_matches_the_running_sum_score():
+    for model, eta in _tied_cox_designs(200, None):
+        want = _running_sum_score(model, eta)
+        got = fid.grad_eta(model, eta)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_cox_score_is_finite_wherever_the_running_sum_score_is():
+    # late risk sets hold only weights e^(eta - max eta) near e^-1000, so their
+    # sums D_i are subnormal or zero, and 1/D_i would overflow
+    finite = 0
+    for model, eta in _tied_cox_designs(300, 1000.0):
+        with np.errstate(all="ignore"):
+            want = _running_sum_score(model, eta)
+            got = fid.grad_eta(model, eta)
+        if np.all(np.isfinite(want)):
+            finite += 1
+            assert np.all(np.isfinite(got))
+    assert 0 < finite < 300
+
+
+# -- gradients on adversarial designs --------------------------------------
+
+
+def _adversarial_model(family, seed):
+    """±1 columns, 0/1 indicators and an all-zero column; tied cox times."""
+    rng = np.random.default_rng(seed)
+    n = 24
+    x = np.column_stack([
+        rng.choice([-1.0, 1.0], n),
+        rng.choice([-1.0, 1.0], n),
+        (rng.random(n) < 0.3).astype(float),
+        (rng.random(n) < 0.7).astype(float),
+        np.zeros(n),
+    ])
+    intercept = family != "cox"
+    if family == "gaussian":
+        resp = Response(family=family, y=rng.standard_normal(n))
+    elif family == "logistic":
+        resp = Response(family=family, y=(rng.random(n) < 0.5).astype(float))
+    elif family == "poisson":
+        resp = Response(family=family, y=rng.poisson(2.0, n).astype(float))
+    else:
+        status = (rng.random(n) < 0.7).astype(float)
+        status[0] = 1.0
+        time = rng.integers(1, 6, n).astype(float)
+        resp = Response(family=family, y=status, time=time, status=status)
+    return FidelityModel(DesignMatrix(x, has_intercept=intercept), resp)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gradient_matches_central_differences_on_adversarial_designs(family):
+    for seed in range(20):
+        model = _adversarial_model(family, seed)
+        theta = random_coef(model, seed + 500, scale=0.8).augmented()
+
+        def f(th):
+            return fid.nll_eta(model, model._xt @ th)
+
+        g = -fid.grad_eta(model, model._xt @ theta)
+        fd = fd_gradient(f, theta)
+        assert np.linalg.norm(fd - g) <= 1e-6 * max(1.0, float(np.linalg.norm(g)))
+        assert g[-1] == 0.0  # the all-zero column has a zero score
 
 
 # -- spectral norm and curvature -------------------------------------------

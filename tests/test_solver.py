@@ -183,6 +183,24 @@ def test_ist_backtracked_step_reaches_the_same_minimizer_in_fewer_iterations():
     assert local_iters * 4 < fixed_iters
 
 
+def test_ist_backtracking_evaluates_m_once_per_point():
+    # the accepted candidate's m(s) is the next iteration's m(b)
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((12, 5))
+    H = A.T @ A + 0.1 * np.eye(5)
+    c = rng.standard_normal(5)
+    omega = 0.05 / np.linalg.eigvalsh(H).max()
+    points = []
+
+    def m(b):
+        points.append(b.tobytes())
+        return 0.5 * float(b @ H @ b) - float(c @ b)
+
+    ist_minimize(lambda b: H @ b - c, np.full(5, 0.4), omega, np.zeros(5), inner_tol=1e-13, m=m)
+    assert len(points) > 10
+    assert len(set(points)) == len(points)
+
+
 def test_ist_iteration_cap_raises_with_diagnostics():
     with pytest.raises(ConvergenceError) as exc:
         ist_minimize(lambda b: 0.5 * (b - 3.0), np.array([1.0]), 0.1, np.array([0.0]),
@@ -1014,9 +1032,6 @@ def count_products(model):
 
 
 HOT_FAMILIES = ["gaussian", "logistic", "cox"]
-#: products with X in one gradient: X^T r, except for cox, whose score is
-#: built from running sums over the design sorted once by time
-GRADIENT_PRODUCTS = {"gaussian": 1, "logistic": 1, "cox": 0}
 
 
 @pytest.mark.parametrize("family", HOT_FAMILIES)
@@ -1031,8 +1046,7 @@ def test_plain_iteration_multiplies_by_x_at_most_twice(family):
     counter[0] = 0
     new = gmap(theta)  # eta at theta comes from the objective just evaluated
     gmap.objective(new)
-    per_map = 1 + GRADIENT_PRODUCTS[family]  # at most 2
-    assert counter[0] == per_map
+    assert counter[0] == 2  # X^T r at theta, X theta at the new point
     counter[0] = 0
     curvature_bound(model)  # the gaussian and logistic bounds form X^T X once
     bound_products = counter[0]
@@ -1040,9 +1054,9 @@ def test_plain_iteration_multiplies_by_x_at_most_twice(family):
     res = glm_mm_fit(prob, cfg, CoefficientVector.zeros(5, model.has_intercept))
     # the backtracked cox step rejects a few attempts; each costs a map
     assert (family == "cox" or res.descent_backtracks == 0) and res.map_evals > 10
-    # the curvature bound, the objective at the start, then each map (rejected
-    # attempts too), then the KKT's eta and gradient
-    assert counter[0] == bound_products + 1 + per_map * res.map_evals + per_map
+    # the curvature bound, the objective at the start, 2 + h per step with h
+    # halvings, then the KKT's eta and gradient
+    assert counter[0] == bound_products + 1 + 2 * res.map_evals - res.descent_backtracks + 2
 
 
 def test_halved_step_multiplies_by_x_once_per_attempt_plus_one_gradient():
@@ -1084,8 +1098,7 @@ def test_squarem_step_multiplies_by_x_at_most_four_times_plus_backtracks(family)
         assert state.gamma == -1.0
         # the map from theta reuses its eta; the map from m1 and the
         # objective at m2 multiply
-        per_step = 2 + 2 * GRADIENT_PRODUCTS[family]  # at most 4
-        assert counter[0] <= per_step + state.backtracks
+        assert counter[0] <= 4 + state.backtracks
         theta, obj = state.theta, state.objective
         assert obj == gmap.objective(theta)
 
@@ -1106,16 +1119,14 @@ def test_squarem_step_multiplies_by_x_at_most_three_plus_three_gradients_plus_re
         # the map from theta reuses its eta; the maps from m1 and from the
         # extrapolated point, and the objective at that map output, multiply;
         # a rejected candidate adds the objective at m2
-        per_step = 3 + 3 * GRADIENT_PRODUCTS[family]  # at most 6
-        assert counter[0] <= per_step + state.backtracks
+        assert counter[0] <= 6 + state.backtracks
         extrapolated += state.gamma < -1.0
         theta, obj, step_max = state.theta, state.objective, state.step_max
         assert obj == gmap.objective(theta)
     assert extrapolated > 0
     counter[0] = 0
     res = accelerated_fit(prob, cfg, CoefficientVector.zeros(5, model.has_intercept))
-    kkt = 1 + GRADIENT_PRODUCTS[family]
-    assert counter[0] <= 1 + per_step * res.outer_iters + res.descent_backtracks + kkt
+    assert counter[0] <= 1 + 6 * res.outer_iters + res.descent_backtracks + 2
 
 
 @pytest.mark.parametrize("mode", ["plain", "squarem"])
