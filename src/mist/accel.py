@@ -139,7 +139,7 @@ def accelerated_fit(
     if mode != "squarem":
         raise ValidationError(f"unknown acceleration mode {mode!r}")
 
-    map_fn = mm_map(problem, config)
+    map_fn = mm_map(problem)
     objective = map_fn.objective
     step_max = 1.0
 

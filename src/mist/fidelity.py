@@ -24,6 +24,9 @@ from .exceptions import ConvergenceError, NotGloballyLipschitz, ValidationError
 
 # exponents above this would overflow a double
 _EXP_GUARD = 700.0
+#: gradient sup-norm at which the Newton MLE stops, and its iteration cap
+MLE_TOL = 1e-10
+MLE_MAX_ITER = 200
 
 
 class ResponseFamily(str, enum.Enum):
@@ -278,38 +281,40 @@ def hessian(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:
 
 
 def _cox_parts(model: FidelityModel, eta: np.ndarray):
-    """eta in descending time order, its risk weights shifted by max(eta),
-    each event's risk-set sum D_i of those weights, and the shift."""
+    """eta in descending time order and each event's log D_i, D_i the sum of
+    e^eta over its risk set.  Summed in the log domain, so that no D_i
+    underflows however widely eta spreads."""
     e = eta[model._cox_order]
-    shift = e.max()
-    w = np.exp(e - shift)
-    return e, w, np.cumsum(w)[model._cox_event_last], shift
+    # each risk set is a prefix of the order, so D_i is a cumulative sum
+    return e, np.logaddexp.accumulate(e)[model._cox_event_last]
 
 
 def _cox_risk_mass(model: FidelityModel, parts) -> np.ndarray:
-    """w_k a_k in row order, a_k the sum of 1/D_i over the events whose risk
-    set holds subject k.  Summed in the log domain, so that a subnormal D_i
-    cannot overflow 1/D_i; w_k <= D_i bounds each term by the event count."""
-    e, _, d, shift = parts
+    """w_k a_k in row order, w_k = e^eta_k and a_k the sum of 1/D_i over the
+    events whose risk set holds subject k.  Summed in the log domain;
+    w_k <= D_i bounds each term by the event count."""
+    e, log_d = parts
     log_c = np.full(e.shape[0], -np.inf)
-    np.logaddexp.at(log_c, model._cox_event_last, -np.log(d))
+    np.logaddexp.at(log_c, model._cox_event_last, -log_d)
     # each risk set is a prefix of the order, so a is a reverse cumulative sum
     wa = np.empty_like(e)
-    wa[model._cox_order] = np.exp(e - shift + np.logaddexp.accumulate(log_c[::-1])[::-1])
+    wa[model._cox_order] = np.exp(e + np.logaddexp.accumulate(log_c[::-1])[::-1])
     return wa
 
 
 def _cox_neg_loglik(model: FidelityModel, eta: np.ndarray) -> float:
-    e, _, d, shift = _cox_parts(model, eta)
-    return float(-np.sum(e[model._cox_event] - (np.log(d) + shift)))
+    e, log_d = _cox_parts(model, eta)
+    return float(-np.sum(e[model._cox_event] - log_d))
 
 
 def _cox_neg_hessian(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
     """X^T diag(w a) X - xbar^T xbar, xbar holding each event's risk-set mean."""
     parts = _cox_parts(model, eta)
-    _, w, d, _ = parts
+    e, log_d = parts
+    shift = e.max()
     xt = model._xt
-    xbar = np.cumsum(w[:, None] * xt[model._cox_order], axis=0)[model._cox_event_last] / d[:, None]
+    wx = np.exp(e - shift)[:, None] * xt[model._cox_order]
+    xbar = np.cumsum(wx, axis=0)[model._cox_event_last] / np.exp(log_d - shift)[:, None]
     return xt.T @ (_cox_risk_mass(model, parts)[:, None] * xt) - xbar.T @ xbar
 
 
@@ -417,7 +422,7 @@ def poisson_majorizer_component(
 # -- unpenalized maximum likelihood ---------------------------------------
 
 
-def fit_mle(model: FidelityModel, tol: float = 1e-10, max_iter: int = 200) -> CoefficientVector:
+def fit_mle(model: FidelityModel) -> CoefficientVector:
     """Unpenalized MLE: least squares for gaussian, damped Newton otherwise.
 
     Requires more observations than coefficients; raises on singular designs.
@@ -434,9 +439,9 @@ def fit_mle(model: FidelityModel, tol: float = 1e-10, max_iter: int = 200) -> Co
 
     coef = CoefficientVector.zeros(model.design.n_cols, model.has_intercept)
     obj = neg_loglik(model, coef)
-    for _ in range(max_iter):
+    for _ in range(MLE_MAX_ITER):
         g = gradient(model, coef)
-        if np.max(np.abs(g)) <= tol:
+        if np.max(np.abs(g)) <= MLE_TOL:
             return coef
         h = hessian(model, coef)
         try:
@@ -462,7 +467,7 @@ def fit_mle(model: FidelityModel, tol: float = 1e-10, max_iter: int = 200) -> Co
     if np.max(np.abs(g)) <= 1e-6:
         return coef
     raise ConvergenceError(
-        f"Newton MLE did not converge in {max_iter} iterations",
+        f"Newton MLE did not converge in {MLE_MAX_ITER} iterations",
         last_iterate=coef.augmented(),
         residual=float(np.max(np.abs(g))),
     )

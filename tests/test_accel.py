@@ -288,7 +288,7 @@ def test_accelerated_fit_carries_step_max_from_step_to_step(monkeypatch):
 def test_squarem_step_returns_theta_or_a_map_output():
     model = make_model("logistic", n=40, p=6, seed=57)
     prob = Problem(model, PenaltySpec(family=Family.MCP, lam=0.4))
-    gmap = mm_map(prob, SolverConfig())
+    gmap = mm_map(prob)
     outputs = []
 
     def recording_map(t):

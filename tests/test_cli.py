@@ -82,12 +82,13 @@ def test_fit_exit_two_on_iteration_cap(toy_csv, tmp_path):
     assert json.loads(out.read_text())["termination"] == "max_iter"
 
 
-def test_fit_exit_one_on_removed_relaxation(toy_csv, tmp_path):
+@pytest.mark.parametrize("field", ["relaxation", "step_omega"])
+def test_fit_exit_one_on_removed_relaxation(toy_csv, tmp_path, field):
     r = run_cli("fit", "--data", str(toy_csv),
                 "--penalty-json", '{"family":"lasso","lambda":1.0}',
-                "--solver-json", '{"relaxation":0.5}',
+                "--solver-json", json.dumps({field: 1}),
                 "--out", str(tmp_path / "x.json"))
-    assert r.returncode == 1 and "relaxation" in r.stderr
+    assert r.returncode == 1 and field in r.stderr
 
 
 def test_fit_exit_one_on_missing_file(tmp_path):

@@ -332,6 +332,23 @@ def test_cox_score_is_finite_wherever_the_running_sum_score_is():
     assert 0 < finite < 300
 
 
+def test_cox_likelihood_and_score_match_per_event_references_on_a_wide_eta_span():
+    # each event's risk set taken by time and normalized by its own max eta,
+    # so no weight underflows where the event's own terms live
+    for model, eta in _tied_cox_designs(300, 1000.0):
+        t, x = model.response.time, model._xt
+        nll, score = 0.0, np.zeros(x.shape[1])
+        for i in np.flatnonzero(model.response.status == 1.0):
+            risk = t >= t[i]
+            nll += np.logaddexp.reduce(eta[risk]) - eta[i]
+            w = np.exp(eta[risk] - np.max(eta[risk]))
+            score += x[i] - w @ x[risk] / np.sum(w)
+        got_nll, got_score = fid.nll_eta(model, eta), fid.grad_eta(model, eta)
+        assert math.isfinite(got_nll) and np.all(np.isfinite(got_score))
+        assert abs(got_nll - nll) <= 1e-13 * abs(nll)
+        assert np.linalg.norm(got_score - score) <= 1e-10 * (1.0 + np.linalg.norm(score))
+
+
 # -- gradients on adversarial designs --------------------------------------
 
 
