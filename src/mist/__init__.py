@@ -44,7 +44,7 @@ from .solver import (
     soft_threshold,
     total_objective,
 )
-from .accel import accelerated_fit, squarem_step
+from .accel import accelerated_fit, fit_path, squarem_step
 from . import simlab
 
 __version__ = "0.1.0"
@@ -85,6 +85,7 @@ __all__ = [
     "soft_threshold",
     "total_objective",
     "accelerated_fit",
+    "fit_path",
     "squarem_step",
     "simlab",
 ]

@@ -261,7 +261,13 @@ def _emit_penalty_grid(spec: PenaltySpec, out: str):
               help="penalty grid (repeatable)")
 def path_cmd(data, family, response_col, time_col, status_col, offset_col, intercept,
              penalty_json, solver_json, start, accel, out, lams):
-    """Warm-started coefficient path over a descending lambda grid."""
+    """Warm-started coefficient path over a descending lambda grid.
+
+    Each lambda is fitted on the columns the sequential strong rule keeps and
+    certified by a KKT check over every column (mist.fit_path).  The CSV has
+    one row per lambda; its "active" column is the size of the final working
+    set.
+    """
     try:
         if not lams:
             raise ValidationError("lambda grid must be nonempty")
@@ -273,29 +279,19 @@ def path_cmd(data, family, response_col, time_col, status_col, offset_col, inter
         config = _load_config(solver_json)
         spec = _load_penalty(penalty_json, None)
         grid = sorted(set(lams), reverse=True)
-
-        rows = []
-        warm = None
-        for lam in grid:
-            problem = Problem(model, replace(spec, lam=lam))
-            try:
-                start_coef = warm if warm is not None else _resolve_start(problem, config, start)
-                result = accel_mod.accelerated_fit(problem, config, start_coef, mode=_MODES[accel])
-                warm = result.coef
-                rows.append((lam, result, None))
-            except Exception as err:  # noqa: BLE001 - record and continue the sweep
-                rows.append((lam, None, str(err)))
+        start_coef = _resolve_start(Problem(model, replace(spec, lam=grid[0])), config, start)
+        results = accel_mod.fit_path(model, spec, grid, config, start_coef, mode=_MODES[accel])
 
         with open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
             names = [f"b{j + 1}" for j in range(model.design.n_cols)]
-            head = ["lambda", "status", "objective", "kkt", "iters", "termination"]
+            head = ["lambda", "status", "objective", "kkt", "iters", "map_evals", "active", "termination"]
             if model.has_intercept:
                 head.append("intercept")
             writer.writerow(head + names)
-            for lam, result, err in rows:
-                if result is None:
-                    writer.writerow([_fmt(lam), f"error: {err}"] + [""] * (len(head) - 2 + len(names)))
+            for lam, result in zip(grid, results):
+                if isinstance(result, Exception):
+                    writer.writerow([_fmt(lam), f"error: {result}"] + [""] * (len(head) - 2 + len(names)))
                     continue
                 row = [
                     _fmt(lam),
@@ -303,6 +299,8 @@ def path_cmd(data, family, response_col, time_col, status_col, offset_col, inter
                     _fmt(result.objective),
                     _fmt(result.kkt_residual),
                     result.outer_iters,
+                    result.map_evals,
+                    len(result.working_set),
                     result.termination.value,
                 ]
                 if model.has_intercept:

@@ -13,6 +13,7 @@ gradient of the fidelity term g = -l is its negation.
 """
 from __future__ import annotations
 
+import copy
 import enum
 import math
 from dataclasses import dataclass
@@ -178,6 +179,21 @@ class FidelityModel:
             self._cox_event = response.status[order] == 1.0
             self._cox_event_last = last[self._cox_event]
 
+    def restrict(self, cols: np.ndarray) -> "FidelityModel":
+        """The model on the slope columns ``cols`` only, intercept kept.
+
+        The augmented design is gathered once, and the restricted design's
+        values are a view of it; the response and the Cox risk-set arrays are
+        shared, not validated or sorted again.
+        """
+        cols = np.asarray(cols, dtype=np.intp)
+        idx = np.concatenate([[0], cols + 1]) if self.has_intercept else cols
+        sub = copy.copy(self)
+        sub._xt = self._xt[:, idx]
+        values = sub._xt[:, 1:] if self.has_intercept else sub._xt
+        sub.design = DesignMatrix(values, has_intercept=self.has_intercept)
+        return sub
+
     @property
     def n_coef(self) -> int:
         """Length of the augmented coefficient vector."""
@@ -221,8 +237,11 @@ def gradient(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:
     return grad_eta(model, model.linear_predictor(coef))
 
 
-def nll_eta(model: FidelityModel, eta: np.ndarray) -> float:
-    """``neg_loglik`` at the linear predictor eta = X theta, unchecked."""
+def nll_eta(model: FidelityModel, eta: np.ndarray, parts=None) -> float:
+    """``neg_loglik`` at the linear predictor eta = X theta, unchecked.
+
+    ``parts`` are the Cox ``_cox_parts`` at eta when the caller has them.
+    """
     y = model.response.y
     fam = model.family
     if fam is ResponseFamily.GAUSSIAN:
@@ -234,16 +253,20 @@ def nll_eta(model: FidelityModel, eta: np.ndarray) -> float:
         d = model.response.offsets
         return float(np.sum(d * _guard_exp(eta, "poisson neg_loglik") - y * eta))
     if fam is ResponseFamily.COX:
-        return _cox_neg_loglik(model, eta)
+        e, log_d = _cox_parts(model, eta) if parts is None else parts
+        return float(-np.sum(e[model._cox_event] - log_d))
     raise ValidationError(f"unknown family {fam}")
 
 
-def grad_eta(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
-    """``gradient`` at the linear predictor eta = X theta, unchecked: X^T r."""
-    return model._xt.T @ _residual(model, eta)
+def grad_eta(model: FidelityModel, eta: np.ndarray, parts=None) -> np.ndarray:
+    """``gradient`` at the linear predictor eta = X theta, unchecked: X^T r.
+
+    ``parts`` are the Cox ``_cox_parts`` at eta when the caller has them.
+    """
+    return model._xt.T @ _residual(model, eta, parts)
 
 
-def _residual(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
+def _residual(model: FidelityModel, eta: np.ndarray, parts=None) -> np.ndarray:
     """The score residual: y - mu, or the Cox martingale residual delta - w a."""
     y = model.response.y
     fam = model.family
@@ -255,7 +278,9 @@ def _residual(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
     if fam is ResponseFamily.POISSON:
         return y - model.response.offsets * _guard_exp(eta, "poisson gradient")
     if fam is ResponseFamily.COX:
-        return model.response.status - _cox_risk_mass(model, _cox_parts(model, eta))
+        if parts is None:
+            parts = _cox_parts(model, eta)
+        return model.response.status - _cox_risk_mass(model, parts)
     raise ValidationError(f"unknown family {fam}")
 
 
@@ -300,11 +325,6 @@ def _cox_risk_mass(model: FidelityModel, parts) -> np.ndarray:
     wa = np.empty_like(e)
     wa[model._cox_order] = np.exp(e + np.logaddexp.accumulate(log_c[::-1])[::-1])
     return wa
-
-
-def _cox_neg_loglik(model: FidelityModel, eta: np.ndarray) -> float:
-    e, log_d = _cox_parts(model, eta)
-    return float(-np.sum(e[model._cox_event] - log_d))
 
 
 def _cox_neg_hessian(model: FidelityModel, eta: np.ndarray) -> np.ndarray:

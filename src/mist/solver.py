@@ -139,6 +139,9 @@ class FitResult:
     kkt_residual: float
     termination: Termination
     descent_backtracks: int = 0
+    #: the slope columns a screened fit (``accel.fit_path``) optimized over;
+    #: None for a fit over every column
+    working_set: Optional[np.ndarray] = None
 
     def to_dict(self, include_trace: bool = False) -> dict:
         out = {
@@ -221,11 +224,14 @@ def kkt_residual(problem: Problem, coef: CoefficientVector) -> float:
     +inf; a pinned coordinate held at zero gives 0; an exact zero is checked
     against the subgradient interval [-p'(0), p'(0)].
     """
+    return _kkt(problem, coef.beta, fid.gradient(problem.model, coef))
+
+
+def _kkt(problem: Problem, beta: np.ndarray, grad_ll: np.ndarray) -> float:
+    """``kkt_residual`` at the slopes beta, given the log-likelihood gradient there."""
     spec = problem.penalty
-    grad_ll = fid.gradient(problem.model, coef)
     has_int = problem.model.has_intercept
     g = -grad_ll[1:] if has_int else -grad_ll  # gradient of the fidelity term
-    beta = coef.beta
     s = g + 2.0 * spec.lam * spec.epsilon * beta
     d = pen.penalty_derivative_vec(spec, np.abs(beta))
     nonzero = beta != 0.0
@@ -358,10 +364,11 @@ class _Objective:
     """The penalized objective over augmented arrays, remembering its last eta.
 
     ``objective(theta)`` stores (theta, eta = X theta) and the fidelity
-    ``nll`` at theta; ``eta(theta)`` hands that eta back when it is asked about
+    ``nll`` at theta, and for Cox the risk-set sums ``fidelity._cox_parts``
+    at eta; ``eta(theta)`` and ``grad(theta)`` reuse them when asked about
     the same array object (the fits never change an iterate in place), so a
-    map applied to the point whose objective was just evaluated does not
-    multiply by X again.
+    map applied to the point whose objective was just evaluated neither
+    multiplies by X nor sums the risk sets again.
     """
 
     #: the map's step; None for a map with no step, which ``_halving`` tries once
@@ -373,18 +380,28 @@ class _Objective:
         self.problem = problem
         self.xt = problem.model._xt
         self.has_int = problem.model.has_intercept
+        self.cox = problem.model.family is ResponseFamily.COX
         self._theta = None
         self._eta = None
+        self._parts = None
         self.nll = math.nan
 
     def objective(self, theta: np.ndarray) -> float:
+        model = self.problem.model
         eta = self.xt @ theta
         self._theta, self._eta = theta, eta
-        self.nll = fid.nll_eta(self.problem.model, eta)
+        self._parts = fid._cox_parts(model, eta) if self.cox else None
+        self.nll = fid.nll_eta(model, eta, self._parts)
         return _plus_penalty(self.problem, theta[1:] if self.has_int else theta, self.nll)
 
     def eta(self, theta: np.ndarray) -> np.ndarray:
         return self._eta if theta is self._theta else self.xt @ theta
+
+    def grad(self, theta: np.ndarray) -> np.ndarray:
+        """The log-likelihood gradient at theta."""
+        if theta is self._theta:
+            return fid.grad_eta(self.problem.model, self._eta, self._parts)
+        return fid.grad_eta(self.problem.model, self.xt @ theta)
 
 
 # -- GLM single-map update ------------------------------------------------
@@ -424,10 +441,11 @@ class _GlmMap(_Objective):
     backtracks that step exactly when the family is Cox, whose curvature
     bound is loose.  Calling it applies ``glm_map`` at omega, or at a halved
     step passed as the second argument, with the log-likelihood gradient at
-    theta passed as the third, or else taken from the eta of the last
-    objective evaluation when it is at the same point.  A plain step with h
-    halvings then multiplies by X 2 + h times (X^T r once, eta in every
-    objective), and a squarem step four times plus once per backtrack.
+    theta passed as the third, or else taken from the eta (and the Cox
+    risk-set sums) of the last objective evaluation when it is at the same
+    point.  A plain step with h halvings then multiplies by X 2 + h times
+    (X^T r once, eta in every objective), and a squarem step four times plus
+    once per backtrack.
     """
 
     def __init__(self, problem: Problem):
@@ -439,14 +457,15 @@ class _GlmMap(_Objective):
         self, theta: np.ndarray, omega: Optional[float] = None, grad: Optional[np.ndarray] = None
     ) -> np.ndarray:
         if grad is None:
-            grad = fid.grad_eta(self.problem.model, self.eta(theta))
+            grad = self.grad(theta)
         return glm_map(self.problem, theta, self.omega if omega is None else omega, grad)
 
     def anchor(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """The fidelity and the log-likelihood gradient at theta."""
-        eta = self.eta(theta)
-        nll = self.nll if theta is self._theta else fid.nll_eta(self.problem.model, eta)
-        return nll, fid.grad_eta(self.problem.model, eta)
+        if theta is self._theta:
+            return self.nll, self.grad(theta)
+        eta = self.xt @ theta
+        return fid.nll_eta(self.problem.model, eta), fid.grad_eta(self.problem.model, eta)
 
 
 def glm_surrogate_value(

@@ -176,6 +176,26 @@ def test_path_single_huge_lambda_all_zero(toy_csv, tmp_path):
     assert coefs == [0.0, 0.0, 0.0, 0.0]
 
 
+def test_path_csv_reports_map_evals_and_the_working_set_size(toy_csv, tmp_path):
+    out = tmp_path / "path.csv"
+    r = run_cli("path", "--data", str(toy_csv), "--accel", "squarem",
+                "--penalty-json", '{"family":"lasso","lambda":1.0}',
+                "--lambda", "1000", "--lambda", "5", "--lambda", "0.2", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    rows = list(csv.DictReader(open(out)))
+    head = list(rows[0])
+    # before the intercept and the slopes, which close every row
+    assert head.index("map_evals") < head.index("intercept") and head.index("active") < head.index("intercept")
+    assert head[-4:] == ["b1", "b2", "b3", "b4"]
+    active = [int(row["active"]) for row in rows]
+    assert active[0] == 1  # above lambda_max: the one column of largest gradient
+    assert all(1 <= a <= 4 for a in active)
+    assert all(int(row["map_evals"]) >= int(row["iters"]) > 0 for row in rows)
+    for row in rows:
+        nonzero = sum(float(row[f"b{j}"]) != 0.0 for j in range(1, 5))
+        assert nonzero <= int(row["active"])
+
+
 _SIM_ARGS = ["--scenario", "linear_ex1", "--p", "18", "--n", "50", "--replicates", "1",
              "--penalty-json", '{"family":"lasso","lambda":1.0}', "--lambda", "1"]
 

@@ -349,6 +349,33 @@ def test_cox_likelihood_and_score_match_per_event_references_on_a_wide_eta_span(
         assert np.linalg.norm(got_score - score) <= 1e-10 * (1.0 + np.linalg.norm(score))
 
 
+# -- restricted models -----------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["gaussian", "cox"])
+def test_restrict_shares_the_response_and_matches_a_fresh_restricted_model(family):
+    model = make_model(family, n=40, p=7, seed=90)
+    if family == "cox":
+        model = _tied(model, 3)
+    cols = np.array([1, 3, 4, 6])
+    sub = model.restrict(cols)
+    fresh = FidelityModel(DesignMatrix(model.design.values[:, cols], model.has_intercept), model.response)
+    assert sub.response is model.response
+    assert sub.design.n_cols == 4 and sub.n_coef == fresh.n_coef
+    assert np.array_equal(sub._xt, fresh._xt)
+    if family == "cox":
+        for name in ("_cox_order", "_cox_event", "_cox_event_last"):
+            assert getattr(sub, name) is getattr(model, name)
+    coef = random_coef(fresh, seed=91)
+    assert neg_loglik(sub, coef) == neg_loglik(fresh, coef)
+    assert np.array_equal(gradient(sub, coef), gradient(fresh, coef))
+    # zeros outside the columns: the full model's likelihood at the embedded point
+    beta = np.zeros(7)
+    beta[cols] = coef.beta
+    full = CoefficientVector(beta=beta, intercept=coef.intercept)
+    assert neg_loglik(sub, coef) == pytest.approx(neg_loglik(model, full), rel=1e-14)
+
+
 # -- gradients on adversarial designs --------------------------------------
 
 

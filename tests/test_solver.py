@@ -1080,6 +1080,37 @@ def test_halved_step_multiplies_by_x_once_per_attempt_plus_one_gradient(monkeypa
     assert counter[0] == 1 + 2 * res.outer_iters + res.descent_backtracks + 2
 
 
+def test_plain_cox_step_sums_the_risk_sets_once_per_point(monkeypatch):
+    # the score at theta reuses the risk-set sums of the objective just evaluated there
+    from mist import fidelity
+
+    model = make_model("cox", n=60, p=5, seed=72)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=2.0))
+    calls = [0]
+    original = fidelity._cox_parts
+
+    def counted(model, eta):
+        calls[0] += 1
+        return original(model, eta)
+
+    monkeypatch.setattr(fidelity, "_cox_parts", counted)
+    gmap = mm_map(prob)
+    step = solver._halving(gmap)
+    theta = CoefficientVector.zeros(5, False).augmented()
+    obj = gmap.objective(theta)
+    accepted_plain = 0
+    for _ in range(20):
+        calls[0] = 0
+        theta, obj, _, evals, halvings = step(theta, obj)
+        assert calls[0] == evals  # one objective per attempt, none for the score
+        accepted_plain += halvings == 0
+    assert accepted_plain > 0
+    calls[0] = 0
+    res = glm_mm_fit(prob, SolverConfig(), CoefficientVector.zeros(5, False))
+    # the objective at the start, one per attempt, then the KKT's score
+    assert calls[0] == 1 + res.map_evals + 1
+
+
 @pytest.mark.parametrize("family", HOT_FAMILIES)
 def test_squarem_step_multiplies_by_x_at_most_four_times_plus_backtracks(family):
     # at the default steplength bound of 1 a step is the double map step
