@@ -93,8 +93,8 @@ def squarem_step(
     def state(point, alpha, backtracks, obj):
         return AccelState(point, r, v, -alpha, evals, backtracks, obj, step_max)
 
-    norm_r = float(np.linalg.norm(r))
-    norm_v = float(np.linalg.norm(v))
+    norm_r = math.sqrt(float(r @ r))
+    norm_v = math.sqrt(float(v @ v))
     if norm_r <= FIXED_POINT_TOL:
         return state(theta.copy(), 1.0, 0, objective(theta) if obj0 is None else obj0)
     if norm_v == 0.0:
@@ -161,8 +161,8 @@ def accelerated_fit(
                 residual=state.objective,
             )
         step_max = state.step_max
-        norm_r = float(np.linalg.norm(state.r))
-        return state.theta, state.objective, norm_r, state.map_evals, state.backtracks
+        r = state.r
+        return state.theta, state.objective, math.sqrt(float(r @ r)), state.map_evals, state.backtracks
 
     return _drive(problem, config, start, objective, step)
 

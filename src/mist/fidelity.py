@@ -5,7 +5,7 @@ constants), the gradient of the LOG-likelihood, and a finite curvature bound
 where one exists.  The Poisson family has no global curvature bound; it gets
 the separable majorizer machinery at the bottom of this module instead.
 Every gradient is one product X^T r, with r the residual y - mu, or for Cox
-the martingale residual delta - w a (``_residual``).
+the martingale residual delta - w a (``residual_kernel``).
 
 Sign convention: ``gradient`` returns the gradient of the log-likelihood, so
 fitting code ascends it (the MM updates add a multiple of it), and the
@@ -17,7 +17,7 @@ import copy
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -242,20 +242,7 @@ def nll_eta(model: FidelityModel, eta: np.ndarray, parts=None) -> float:
 
     ``parts`` are the Cox ``_cox_parts`` at eta when the caller has them.
     """
-    y = model.response.y
-    fam = model.family
-    if fam is ResponseFamily.GAUSSIAN:
-        r = eta - y
-        return 0.5 * float(r @ r)
-    if fam is ResponseFamily.LOGISTIC:
-        return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
-    if fam is ResponseFamily.POISSON:
-        d = model.response.offsets
-        return float(np.sum(d * _guard_exp(eta, "poisson neg_loglik") - y * eta))
-    if fam is ResponseFamily.COX:
-        e, log_d = _cox_parts(model, eta) if parts is None else parts
-        return float(-np.sum(e[model._cox_event] - log_d))
-    raise ValidationError(f"unknown family {fam}")
+    return nll_kernel(model)(eta, parts)
 
 
 def grad_eta(model: FidelityModel, eta: np.ndarray, parts=None) -> np.ndarray:
@@ -263,25 +250,66 @@ def grad_eta(model: FidelityModel, eta: np.ndarray, parts=None) -> np.ndarray:
 
     ``parts`` are the Cox ``_cox_parts`` at eta when the caller has them.
     """
-    return model._xt.T @ _residual(model, eta, parts)
+    return model._xt.T @ residual_kernel(model)(eta, parts)
 
 
-def _residual(model: FidelityModel, eta: np.ndarray, parts=None) -> np.ndarray:
-    """The score residual: y - mu, or the Cox martingale residual delta - w a."""
+def nll_kernel(model: FidelityModel) -> Callable[..., float]:
+    """``nll_eta`` of one model as a function of (eta, parts=None).
+
+    The family is chosen here, once, so a fit that holds the kernel runs no
+    family test per call.
+    """
     y = model.response.y
     fam = model.family
     if fam is ResponseFamily.GAUSSIAN:
-        return y - eta
-    if fam is ResponseFamily.LOGISTIC:
-        # sigmoid via stable tanh form
-        return y - 0.5 * (1.0 + np.tanh(0.5 * eta))
-    if fam is ResponseFamily.POISSON:
-        return y - model.response.offsets * _guard_exp(eta, "poisson gradient")
-    if fam is ResponseFamily.COX:
-        if parts is None:
-            parts = _cox_parts(model, eta)
-        return model.response.status - _cox_risk_mass(model, parts)
-    raise ValidationError(f"unknown family {fam}")
+        def nll(eta, parts=None):
+            r = eta - y
+            return 0.5 * float(r @ r)
+    elif fam is ResponseFamily.LOGISTIC:
+        def nll(eta, parts=None):
+            return float(np.add.reduce(np.logaddexp(0.0, eta) - y * eta))
+    elif fam is ResponseFamily.POISSON:
+        d = model.response.offsets
+
+        def nll(eta, parts=None):
+            return float(np.add.reduce(d * _guard_exp(eta, "poisson neg_loglik") - y * eta))
+    elif fam is ResponseFamily.COX:
+        event = model._cox_event
+
+        def nll(eta, parts=None):
+            e, log_d = _cox_parts(model, eta) if parts is None else parts
+            return float(-np.add.reduce(e[event] - log_d))
+    else:
+        raise ValidationError(f"unknown family {fam}")
+    return nll
+
+
+def residual_kernel(model: FidelityModel) -> Callable[..., np.ndarray]:
+    """The score residual of one model as a function of (eta, parts=None):
+    y - mu, or the Cox martingale residual delta - w a.  The family is chosen
+    here, once."""
+    y = model.response.y
+    fam = model.family
+    if fam is ResponseFamily.GAUSSIAN:
+        def residual(eta, parts=None):
+            return y - eta
+    elif fam is ResponseFamily.LOGISTIC:
+        def residual(eta, parts=None):
+            # sigmoid via stable tanh form
+            return y - 0.5 * (1.0 + np.tanh(0.5 * eta))
+    elif fam is ResponseFamily.POISSON:
+        d = model.response.offsets
+
+        def residual(eta, parts=None):
+            return y - d * _guard_exp(eta, "poisson gradient")
+    elif fam is ResponseFamily.COX:
+        status = model.response.status
+
+        def residual(eta, parts=None):
+            return status - _cox_risk_mass(model, _cox_parts(model, eta) if parts is None else parts)
+    else:
+        raise ValidationError(f"unknown family {fam}")
+    return residual
 
 
 def hessian(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:

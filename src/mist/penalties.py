@@ -139,26 +139,46 @@ def penalty_derivative_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
 
 def value_kernel(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
     """``penalty_value_vec`` without its checks: r is a float array, all >= 0."""
+    return value_kernel_for(spec)(r)
+
+
+def value_kernel_for(spec: PenaltySpec) -> Callable[[np.ndarray], np.ndarray]:
+    """``value_kernel`` of one spec as a function of r alone.
+
+    The family is chosen here, once, and an adaptive family's lam * w and its
+    pinned mask are computed here, so a fit that holds the kernel runs no
+    family test per call.
+    """
     lam, a, d = spec.lam, spec.a, spec.delta
     fam = spec.family
     if fam in LINEAR_FAMILIES:
         if fam not in ADAPTIVE_FAMILIES:
-            return lam * r
-        w = spec.weights
-        with np.errstate(invalid="ignore"):
-            out = lam * w * r
-        # pinned coordinates: 0 at the origin, +inf elsewhere
-        out[np.isinf(w) & (r == 0.0)] = 0.0
-        return out
+            return lambda r: lam * r
+        lw = lam * spec.weights
+        pinned = np.isinf(spec.weights)
+        if not np.any(pinned):
+            return lambda r: lw * r
+
+        def pinned_linear(r):
+            with np.errstate(invalid="ignore"):
+                out = lw * r
+            # pinned coordinates: 0 at the origin, +inf elsewhere
+            out[pinned & (r == 0.0)] = 0.0
+            return out
+
+        return pinned_linear
     if fam is Family.SCAD:
-        mid = (2 * a * lam * r - r * r - lam * lam) / (2 * (a - 1))
-        return np.where(r <= lam, lam * r, np.where(r <= a * lam, mid, lam * lam * (a + 1) / 2))
+        def scad(r):
+            mid = (2 * a * lam * r - r * r - lam * lam) / (2 * (a - 1))
+            return np.where(r <= lam, lam * r, np.where(r <= a * lam, mid, lam * lam * (a + 1) / 2))
+
+        return scad
     if fam is Family.MCP:
-        return np.where(r <= a * lam, lam * r - r * r / (2 * a), a * lam * lam / 2)
+        return lambda r: np.where(r <= a * lam, lam * r - r * r / (2 * a), a * lam * lam / 2)
     if fam is Family.GEMAN:
-        return lam * d * r / (1 + d * r)
+        return lambda r: lam * d * r / (1 + d * r)
     if fam is Family.LOG:
-        return lam * np.log1p(d * r)
+        return lambda r: lam * np.log1p(d * r)
     raise ValidationError(f"unknown family {fam}")
 
 

@@ -44,13 +44,27 @@ soft-thresholding of every Cox surrogate solve backtracks by the same rule.
 Squarem, which needs a fixed map, applies the Cox map at the certified
 step; the Poisson map has no step.
 
-The loops work on plain augmented arrays (intercept first) and run on the
-unchecked kernels ``fidelity.nll_eta``/``grad_eta`` and
-``penalties.value_kernel``/``derivative_kernel``; the public
-``total_objective``, ``kkt_residual`` and ``soft_threshold_vec`` check their
-arguments and call the same kernels.  A map object's ``objective`` remembers
-eta = X theta, so the map applied next at the same point does not multiply by
-X again.
+The loops work on plain augmented arrays (intercept first) and run on
+unchecked kernels; the public ``total_objective``, ``kkt_residual`` and
+``soft_threshold_vec`` check their arguments and compute the same values.  A
+map object's ``objective`` remembers eta = X theta, so the map applied next at
+the same point does not multiply by X again.
+
+What does not change within a fit is built once, when its map object is
+built: the likelihood and score-residual kernels of the family
+(``fidelity.nll_kernel``, ``fidelity.residual_kernel``), the penalty-value
+kernel (``penalties.value_kernel_for``), the step, and for the linear
+families (lasso, adaptive lasso and the elastic nets), whose thresholds
+lam w_j do not depend on theta, the augmented threshold vector, with 0 in the
+intercept slot; omega/2 times it is rebuilt only when the step changes, on a
+halving.  A GLM map is then one soft-threshold over the whole augmented
+vector (a zero threshold returns the intercept exactly) and, only when
+eps > 0, one shrink of the slopes.  The numpy error state that lets inf - inf
+at a pinned coordinate pass is entered once per fit, around ``_drive``'s
+loop, not per map; every step norm is sqrt(d . d), which is what
+``np.linalg.norm`` computes for a real vector.  None of this changes a
+result: a fit returns the same bits as when each map computed all of it,
+except that an intercept whose update is exactly -0.0 now comes out as +0.0.
 """
 from __future__ import annotations
 
@@ -193,14 +207,17 @@ def soft_threshold_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise ValidationError(f"shape mismatch {u.shape} vs {v.shape}")
     if np.any(v < 0):
         raise ValidationError("thresholds must be >= 0")
-    return _soft_threshold(u, v)
+    with np.errstate(invalid="ignore"):  # inf - inf: an infinite u at a pinned coordinate
+        return _soft_threshold(u, v)
 
 
 def _soft_threshold(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``soft_threshold_vec`` without its checks."""
-    with np.errstate(invalid="ignore"):
-        shrunk = np.abs(u) - v
-    return np.sign(u) * np.maximum(shrunk, 0.0)
+    """``soft_threshold_vec`` without its checks or its error state.
+
+    With v = 0 it returns u exactly (up to the sign of a zero), so a single
+    call covers an augmented vector whose intercept slot has threshold 0.
+    """
+    return np.sign(u) * np.maximum(np.abs(u) - v, 0.0)
 
 
 def total_objective(problem: Problem, coef: CoefficientVector) -> float:
@@ -284,20 +301,22 @@ def ist_minimize(
         w = BACKTRACK_START * omega
         thresh = w * tau
     mb = None
-    for _ in range(inner_max):
-        g = grad_m(b)
-        s = _soft_threshold(b - w * g, thresh)
-        if w > omega:
-            mb = m(b) if mb is None else mb
-            while w > omega and not _majorizes(ms := m(s), mb, -g, s - b, 2.0 * w):
-                w *= 0.5
-                thresh = w * tau
-                s = _soft_threshold(b - w * g, thresh)
-        resid = float(np.linalg.norm(s - b))
-        # above the floor the test accepted s, so m(s) is known
-        b, mb = s, (ms if w > omega else None)
-        if resid <= inner_tol:
-            return b
+    with np.errstate(invalid="ignore"):  # inf - inf in the threshold at a pinned coordinate
+        for _ in range(inner_max):
+            g = grad_m(b)
+            s = _soft_threshold(b - w * g, thresh)
+            if w > omega:
+                mb = m(b) if mb is None else mb
+                while w > omega and not _majorizes(ms := m(s), mb, -g, s - b, 2.0 * w):
+                    w *= 0.5
+                    thresh = w * tau
+                    s = _soft_threshold(b - w * g, thresh)
+            d = s - b
+            resid = math.sqrt(float(d @ d))
+            # above the floor the test accepted s, so m(s) is known
+            b, mb = s, (ms if w > omega else None)
+            if resid <= inner_tol:
+                return b
     raise ConvergenceError(
         f"inner soft-thresholding did not converge in {inner_max} iterations",
         last_iterate=b,
@@ -361,14 +380,17 @@ def _start_theta(problem: Problem, start: CoefficientVector) -> np.ndarray:
 
 
 class _Objective:
-    """The penalized objective over augmented arrays, remembering its last eta.
+    """The penalized objective over augmented arrays, remembering its last point.
 
-    ``objective(theta)`` stores (theta, eta = X theta) and the fidelity
-    ``nll`` at theta, and for Cox the risk-set sums ``fidelity._cox_parts``
-    at eta; ``eta(theta)`` and ``grad(theta)`` reuse them when asked about
-    the same array object (the fits never change an iterate in place), so a
-    map applied to the point whose objective was just evaluated neither
-    multiplies by X nor sums the risk sets again.
+    Built once per fit, it picks its likelihood, score-residual and
+    penalty-value kernels (``fidelity.nll_kernel``, ``fidelity.residual_kernel``
+    and ``penalties.value_kernel_for``) at construction, so no call tests the
+    family.  ``fidelity(theta)`` stores (theta, eta = X theta), the fidelity
+    ``nll`` at theta, and for Cox the risk-set sums ``fidelity._cox_parts`` at
+    eta; ``objective``, ``eta`` and ``grad`` reuse them when asked about the
+    same array object (the fits never change an iterate in place), so a map
+    applied to the point whose objective was just evaluated neither multiplies
+    by X nor sums the risk sets again.
     """
 
     #: the map's step; None for a map with no step, which ``_halving`` tries once
@@ -377,22 +399,34 @@ class _Objective:
     backtrack = False
 
     def __init__(self, problem: Problem):
+        model, spec = problem.model, problem.penalty
         self.problem = problem
-        self.xt = problem.model._xt
-        self.has_int = problem.model.has_intercept
-        self.cox = problem.model.family is ResponseFamily.COX
-        self._theta = None
-        self._eta = None
-        self._parts = None
+        self.model = model
+        self.xt = model._xt
+        self._xt_t = self.xt.T
+        #: where the slopes start in an augmented array
+        self.off = 1 if model.has_intercept else 0
+        self.cox = model.family is ResponseFamily.COX
+        self._nll = fid.nll_kernel(model)
+        self._residual = fid.residual_kernel(model)
+        self._penalty = pen.value_kernel_for(spec)
+        self._ridge_lam = spec.lam * spec.epsilon
+        self._theta = self._eta = self._parts = None
         self.nll = math.nan
 
-    def objective(self, theta: np.ndarray) -> float:
-        model = self.problem.model
+    def fidelity(self, theta: np.ndarray) -> float:
+        """The fidelity at theta, remembered with theta, eta and the Cox parts."""
         eta = self.xt @ theta
-        self._theta, self._eta = theta, eta
-        self._parts = fid._cox_parts(model, eta) if self.cox else None
-        self.nll = fid.nll_eta(model, eta, self._parts)
-        return _plus_penalty(self.problem, theta[1:] if self.has_int else theta, self.nll)
+        parts = fid._cox_parts(self.model, eta) if self.cox else None
+        self._theta, self._eta, self._parts = theta, eta, parts
+        self.nll = self._nll(eta, parts)
+        return self.nll
+
+    def objective(self, theta: np.ndarray) -> float:
+        nll = self.nll if theta is self._theta else self.fidelity(theta)
+        beta = theta[self.off:]
+        value = nll + float(np.add.reduce(self._penalty(np.abs(beta))))
+        return value + self._ridge_lam * float(beta @ beta)
 
     def eta(self, theta: np.ndarray) -> np.ndarray:
         return self._eta if theta is self._theta else self.xt @ theta
@@ -400,38 +434,45 @@ class _Objective:
     def grad(self, theta: np.ndarray) -> np.ndarray:
         """The log-likelihood gradient at theta."""
         if theta is self._theta:
-            return fid.grad_eta(self.problem.model, self._eta, self._parts)
-        return fid.grad_eta(self.problem.model, self.xt @ theta)
+            return self._xt_t @ self._residual(self._eta, self._parts)
+        return self._xt_t @ self._residual(self.xt @ theta)
 
 
 # -- GLM single-map update ------------------------------------------------
 
 
 def glm_map(
-    problem: Problem, theta: np.ndarray, omega: float, grad: Optional[np.ndarray] = None
+    problem: Problem,
+    theta: np.ndarray,
+    omega: float,
+    grad: Optional[np.ndarray] = None,
+    thresh: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One closed-form surrogate minimization for bounded-hessian families.
 
-    ``grad`` is the log-likelihood gradient at theta when the caller already
-    has it.  Nothing is checked: theta is the augmented coefficient array of a
-    problem's model.
+    The update soft-thresholds theta + omega/2 grad l(theta) over the whole
+    augmented array at omega/2 tau, with tau = p'(|theta_j|) and 0 in the
+    intercept slot, and shrinks the slopes by 1 / (1 + omega lam eps) when
+    eps > 0.  ``grad`` (the log-likelihood gradient at theta) and ``thresh``
+    (the thresholds omega/2 tau) are passed together by a fit's map
+    (``_GlmMap``), which runs under its fit's error state; without
+    ``thresh`` both are computed here.  Nothing is checked: theta is the
+    augmented coefficient array of a problem's model.
     """
-    model = problem.model
-    spec = problem.penalty
-    theta = np.asarray(theta, dtype=float)
-    if grad is None:
-        grad = fid.grad_eta(model, model._xt @ theta)
     half = 0.5 * omega
-    arg = theta + half * grad
-    shrink = 1.0 / (1.0 + omega * spec.lam * spec.epsilon)
-    if model.has_intercept:
-        tau = pen.derivative_kernel(spec, np.abs(theta[1:]))
-        out = np.empty_like(theta)
-        out[0] = theta[0] + half * grad[0]
-        out[1:] = shrink * _soft_threshold(arg[1:], half * tau)
-        return out
-    tau = pen.derivative_kernel(spec, np.abs(theta))
-    return shrink * _soft_threshold(arg, half * tau)
+    if thresh is None:
+        model = problem.model
+        theta = np.asarray(theta, dtype=float)
+        if grad is None:
+            grad = fid.grad_eta(model, model._xt @ theta)
+        with np.errstate(invalid="ignore"):  # inf - inf: an infinite argument at a pinned coordinate
+            out = _soft_threshold(theta + half * grad, half * _penalized_tau(problem, theta))
+    else:
+        out = _soft_threshold(theta + half * grad, thresh)
+    spec = problem.penalty
+    if spec.epsilon:
+        out[1 if problem.model.has_intercept else 0:] *= 1.0 / (1.0 + omega * spec.lam * spec.epsilon)
+    return out
 
 
 class _GlmMap(_Objective):
@@ -446,26 +487,41 @@ class _GlmMap(_Objective):
     point.  A plain step with h halvings then multiplies by X 2 + h times
     (X^T r once, eta in every objective), and a squarem step four times plus
     once per backtrack.
+
+    For the linear families tau = lam w does not depend on theta: the map
+    builds the augmented tau once and omega/2 tau again only when the step
+    changes, that is on a halving.  The other families compute tau at each
+    map.
     """
 
     def __init__(self, problem: Problem):
         super().__init__(problem)
         self.omega = resolve_step(problem)
-        self.backtrack = problem.model.family is ResponseFamily.COX
+        self.backtrack = self.cox
+        self._tau = None
+        if problem.penalty.family in pen.LINEAR_FAMILIES:
+            self._tau = _penalized_tau(problem, np.zeros(self.model.n_coef))
+        self._w = self._thresh = None
 
     def __call__(
         self, theta: np.ndarray, omega: Optional[float] = None, grad: Optional[np.ndarray] = None
     ) -> np.ndarray:
+        w = self.omega if omega is None else omega
         if grad is None:
             grad = self.grad(theta)
-        return glm_map(self.problem, theta, self.omega if omega is None else omega, grad)
+        if self._tau is None:
+            thresh = (0.5 * w) * _penalized_tau(self.problem, theta)
+        else:
+            if w != self._w:
+                self._w, self._thresh = w, (0.5 * w) * self._tau
+            thresh = self._thresh
+        return glm_map(self.problem, theta, w, grad, thresh)
 
     def anchor(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """The fidelity and the log-likelihood gradient at theta."""
-        if theta is self._theta:
-            return self.nll, self.grad(theta)
-        eta = self.xt @ theta
-        return fid.nll_eta(self.problem.model, eta), fid.grad_eta(self.problem.model, eta)
+        if theta is not self._theta:
+            self.fidelity(theta)
+        return self.nll, self.grad(theta)
 
 
 def glm_surrogate_value(
@@ -522,26 +578,30 @@ def _drive(
     if pinned is not None:
         theta[pinned] = 0.0
 
-    obj = objective(theta)
-    trace = [obj]
     map_evals = 0
     backtracks = 0
     termination = Termination.MAX_ITER
     outer = 0
+    coef_tol, obj_tol = config.coef_tol, config.obj_tol
 
-    for outer in range(1, config.max_outer + 1):
-        theta_new, obj_new, coef_delta, evals, halvings = step(theta, obj)
-        map_evals += evals
-        backtracks += halvings
-        obj_delta = abs(obj_new - obj)
-        theta, obj = theta_new, obj_new
-        trace.append(obj)
-        if coef_delta < config.coef_tol:
-            termination = Termination.COEF_TOL
-            break
-        if obj_delta < config.obj_tol:
-            termination = Termination.OBJ_TOL
-            break
+    # one error state for the whole fit: the soft-threshold's inf - inf at a
+    # pinned coordinate with an infinite argument yields NaN without a warning
+    with np.errstate(invalid="ignore"):
+        obj = objective(theta)
+        trace = [obj]
+        for outer in range(1, config.max_outer + 1):
+            theta_new, obj_new, coef_delta, evals, halvings = step(theta, obj)
+            map_evals += evals
+            backtracks += halvings
+            obj_delta = abs(obj_new - obj)
+            theta, obj = theta_new, obj_new
+            trace.append(obj)
+            if coef_delta < coef_tol:
+                termination = Termination.COEF_TOL
+                break
+            if obj_delta < obj_tol:
+                termination = Termination.OBJ_TOL
+                break
 
     coef = CoefficientVector.from_augmented(theta, problem.model.has_intercept)
     return FitResult(
@@ -601,11 +661,11 @@ def _halving(m: _Objective) -> Step:
             except OverflowError:
                 obj_new = math.inf
             if math.isfinite(obj_new) and obj_new <= obj + DESCENT_SLACK:
-                if at_floor or _majorizes(m.nll, nll0, grad0, theta_new - theta, w):
+                d = theta_new - theta
+                if at_floor or _majorizes(m.nll, nll0, grad0, d, w):
                     if m.backtrack:
                         first = max(w, omega)
-                    coef_delta = float(np.linalg.norm(theta_new - theta))
-                    return theta_new, obj_new, coef_delta, evals, evals - 1
+                    return theta_new, obj_new, math.sqrt(float(d @ d)), evals, evals - 1
             if at_floor:
                 floor_rejects += 1
                 if floor_rejects == attempts:
@@ -665,11 +725,15 @@ class _SurrogateSolve(_Objective):
 
     def grad_m(self, b: np.ndarray) -> np.ndarray:
         """Gradient of the fidelity plus the ridge, the smooth part."""
-        return 2.0 * self.ridge * b - fid.grad_eta(self.problem.model, self.xt @ b)
+        return 2.0 * self.ridge * b - self.grad(b)
 
     def m(self, b: np.ndarray) -> float:
-        """The fidelity plus the ridge itself."""
-        return fid.nll_eta(self.problem.model, self.xt @ b) + float(self.ridge @ (b * b))
+        """The fidelity plus the ridge itself.
+
+        It remembers eta and the Cox risk-set sums at b (``fidelity``), so
+        ``grad_m`` at the same array, the next inner iteration's, reuses them.
+        """
+        return self.fidelity(b) + float(self.ridge @ (b * b))
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         cfg = self.config
@@ -680,7 +744,7 @@ class _SurrogateSolve(_Objective):
             theta,
             inner_tol=cfg.inner_tol,
             inner_max=cfg.inner_max,
-            m=self.m if self.problem.model.family is ResponseFamily.COX else None,
+            m=self.m if self.cox else None,
         )
 
 
@@ -883,7 +947,8 @@ def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
 
     def step(theta, obj):
         theta_new = smap(theta)
-        return theta_new, smap.objective(theta_new), float(np.linalg.norm(theta_new - theta)), 1, 0
+        d = theta_new - theta
+        return theta_new, smap.objective(theta_new), math.sqrt(float(d @ d)), 1, 0
 
     return _drive(problem, replace(config, max_outer=1), mle, smap.objective, step)
 

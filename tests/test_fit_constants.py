@@ -1,0 +1,155 @@
+"""What a fit builds once, and the fused soft-threshold map that uses it.
+
+A fit's map object chooses its likelihood and penalty kernels at
+construction, builds the linear families' thresholds once, and maps the
+whole augmented vector with one soft-threshold.  These tests pin that the
+results stay those of the two-branch formula it replaced, bit for bit, and
+that the per-fit work is not done per map.
+"""
+import warnings
+
+import numpy as np
+import pytest
+
+from conftest import make_model, random_coef
+from mist import fidelity as fid
+from mist import penalties as pen
+from mist import solver
+from mist.accel import accelerated_fit
+from mist.fidelity import CoefficientVector
+from mist.penalties import Family, PenaltySpec
+from mist.solver import Problem, SolverConfig, mm_outer, one_step_fit
+
+
+def two_branch_map(problem, theta, omega, grad):
+    """The map as it was computed before the fused form, kept as its reference:
+    the intercept updated alone, then the slopes soft-thresholded and shrunk."""
+    spec = problem.penalty
+    half = 0.5 * omega
+    arg = theta + half * grad
+    shrink = 1.0 / (1.0 + omega * spec.lam * spec.epsilon)
+
+    def soft(u, v):
+        with np.errstate(invalid="ignore"):
+            shrunk = np.abs(u) - v
+        return np.sign(u) * np.maximum(shrunk, 0.0)
+
+    if problem.model.has_intercept:
+        tau = pen.derivative_kernel(spec, np.abs(theta[1:]))
+        out = np.empty_like(theta)
+        out[0] = theta[0] + half * grad[0]
+        out[1:] = shrink * soft(arg[1:], half * tau)
+        return out
+    tau = pen.derivative_kernel(spec, np.abs(theta))
+    return shrink * soft(arg, half * tau)
+
+
+P = 6
+
+
+def penalty(family, epsilon):
+    weights = None
+    if family in pen.ADAPTIVE_FAMILIES:
+        weights = np.array([1.0, np.inf, 0.5, 2.0, 0.0, 3.0])  # one pinned, one free
+    return PenaltySpec(family=family, lam=0.4, epsilon=epsilon, weights=weights, a=3.7, delta=1.5)
+
+
+MODELS = [("gaussian", True), ("gaussian", False), ("logistic", True), ("logistic", False), ("cox", False)]
+#: every family with and without the ridge, but the elastic nets, which need it
+PENALTIES = [
+    (family, epsilon)
+    for family in Family
+    for epsilon in (0.0, 0.3)
+    if epsilon > 0.0 or family not in (Family.ELASTIC_NET, Family.ADAPTIVE_ELASTIC_NET)
+]
+
+
+@pytest.mark.parametrize("family,epsilon", PENALTIES)
+@pytest.mark.parametrize("response,intercept", MODELS)
+def test_fused_map_is_bit_identical_to_the_two_branch_map(response, intercept, family, epsilon):
+    model = make_model(response, n=50, p=P, seed=80, intercept=intercept)
+    prob = Problem(model, penalty(family, epsilon))
+    rng = np.random.default_rng(81)
+    gmap = solver._GlmMap(prob)
+    omega = gmap.omega
+    for trial in range(4):
+        theta = random_coef(model, seed=82 + trial, scale=1.5).augmented()
+        theta[model.has_intercept + 4] = 0.0  # an exact zero
+        theta[model.has_intercept + 5] *= 5.0  # in the SCAD/MCP tail
+        if prob.penalty.weights is not None:
+            theta[model.has_intercept + 1] = 0.0  # the pinned coordinate, as a fit holds it
+        grad = fid.grad_eta(model, model._xt @ theta) + rng.standard_normal(theta.shape[0])
+        # the full step, a step halved twice, then the full step again: the
+        # map rebuilds its thresholds when the step changes
+        for w in (omega, omega / 4.0, omega):
+            got = gmap(theta, w, grad)
+            assert np.array_equal(got, two_branch_map(prob, theta, w, grad))
+        assert np.array_equal(gmap(theta, None, grad), two_branch_map(prob, theta, omega, grad))
+
+
+def test_a_lasso_fit_builds_its_thresholds_once(monkeypatch):
+    model = make_model("gaussian", n=40, p=20, seed=83)
+    calls = [0]
+    original = pen.derivative_kernel
+
+    def counted(spec, r):
+        calls[0] += 1
+        return original(spec, r)
+
+    monkeypatch.setattr(pen, "derivative_kernel", counted)
+    cfg = SolverConfig(coef_tol=1e-12, obj_tol=1e-300)
+    start = CoefficientVector.zeros(20, True)
+    lasso = accelerated_fit(Problem(model, PenaltySpec(family=Family.LASSO, lam=0.5)), cfg, start, mode="plain")
+    assert lasso.outer_iters > 100
+    # once when the map is built, once in the KKT check at the end
+    assert calls[0] == 2
+    # the counter sees a per-map computation: SCAD's thresholds depend on theta
+    calls[0] = 0
+    scad = accelerated_fit(Problem(model, PenaltySpec(family=Family.SCAD, lam=0.5)), cfg, start, mode="plain")
+    assert calls[0] >= scad.map_evals > 100
+
+
+@pytest.mark.parametrize("response", ["gaussian", "logistic", "cox"])
+def test_a_fit_with_a_pinned_weight_raises_no_runtime_warning(response):
+    model = make_model(response, n=50, p=P, seed=84)
+    weights = np.array([1.0, np.inf, 0.5, 2.0, np.inf, 3.0])
+    cfg = SolverConfig(coef_tol=1e-10, obj_tol=1e-300)
+    start = CoefficientVector(beta=np.full(P, 0.5), intercept=0.0 if model.has_intercept else None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family in (Family.ADAPTIVE_LASSO, Family.ADAPTIVE_ELASTIC_NET):
+            prob = Problem(model, PenaltySpec(family=family, lam=0.5, epsilon=0.2, weights=weights))
+            fits = [accelerated_fit(prob, cfg, start, mode=m) for m in ("plain", "squarem")]
+            fits += [mm_outer(prob, cfg, start), one_step_fit(prob, cfg)]
+            for res in fits:
+                assert np.all(res.coef.beta[np.isinf(weights)] == 0.0)
+                assert res.kkt_residual < 1e-3
+
+
+def test_surrogate_solve_reuses_eta_and_the_risk_sets_of_its_last_m(monkeypatch):
+    # ist_minimize takes m(s) at an accepted candidate and grad_m(s) at the
+    # start of the next inner iteration; the second reuses the first's sums
+    model = make_model("cox", n=120, p=8, seed=72)
+    prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=1.0))
+    calls = [0]
+    original = fid._cox_parts
+
+    def counted(model, eta):
+        calls[0] += 1
+        return original(model, eta)
+
+    monkeypatch.setattr(fid, "_cox_parts", counted)
+    res = one_step_fit(prob, SolverConfig())
+    reused = calls[0]
+
+    def m_without_memory(self, b):
+        return fid.nll_eta(self.model, self.xt @ b) + float(self.ridge @ (b * b))
+
+    calls[0] = 0
+    monkeypatch.setattr(solver._SurrogateSolve, "m", m_without_memory)
+    ref = one_step_fit(prob, SolverConfig())
+    assert calls[0] == 80
+    assert reused <= calls[0] - 20
+    assert np.array_equal(res.coef.augmented(), ref.coef.augmented())
+    assert res.objective == ref.objective and np.array_equal(res.trace, ref.trace)
+    assert res.kkt_residual == ref.kkt_residual

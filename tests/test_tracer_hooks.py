@@ -26,10 +26,14 @@ def test_tracer_installs_counts_fits_and_uninstalls():
     tracer = Tracer()
     try:
         tracer.install()  # raises if a hooked name is missing
-        results = [mist.accelerated_fit(prob, SolverConfig(), start, mode=m) for m in ("plain", "squarem")]
+        plain = mist.accelerated_fit(prob, SolverConfig(), start, mode="plain")
+        plain_metrics = tracer.metrics()
+        squarem = mist.accelerated_fit(prob, SolverConfig(), start, mode="squarem")
         metrics = tracer.metrics()
     finally:
         tracer.uninstall()
-    assert metrics["solver.map_evals"] == sum(r.map_evals for r in results)
+    # every map of the plain fit goes through the name the tracer wraps
+    assert plain_metrics["solver.glm_map.calls"] == plain.map_evals > 0
+    assert metrics["solver.map_evals"] == plain.map_evals + squarem.map_evals
     assert metrics["accel.squarem_step.calls"] > 0
     assert mist.accelerated_fit is original
