@@ -167,6 +167,7 @@ class FidelityModel:
         self.response = response
         self.family = response.family
         self._xt = design.augmented()
+        self._curvature_bound: Optional[float] = None  # set by curvature_bound
         if self.family is ResponseFamily.COX:
             # descending time order: risk set of subject k (in sorted order)
             # is the prefix [0..j] with the same or later time
@@ -184,12 +185,14 @@ class FidelityModel:
 
         The augmented design is gathered once, and the restricted design's
         values are a view of it; the response and the Cox risk-set arrays are
-        shared, not validated or sorted again.
+        shared, not validated or sorted again.  The curvature bound is not:
+        the column subset has its own.
         """
         cols = np.asarray(cols, dtype=np.intp)
         idx = np.concatenate([[0], cols + 1]) if self.has_intercept else cols
         sub = copy.copy(self)
         sub._xt = self._xt[:, idx]
+        sub._curvature_bound = None
         values = sub._xt[:, 1:] if self.has_intercept else sub._xt
         sub.design = DesignMatrix(values, has_intercept=self.has_intercept)
         return sub
@@ -390,9 +393,16 @@ def _top_gram_eigenvalue(xt: np.ndarray) -> float:
 def curvature_bound(model: FidelityModel) -> float:
     """Finite upper bound on the largest hessian eigenvalue of the fidelity.
 
-    The gaussian and logistic bounds take the Gram matrix of the model's own
-    augmented design, so no copy of it is made.
+    Computed the first time a model is asked and kept on it, so every fit on
+    the model shares one bound.  The gaussian and logistic bounds take the
+    Gram matrix of the model's own augmented design, so no copy of it is made.
     """
+    if model._curvature_bound is None:
+        model._curvature_bound = _curvature_bound(model)
+    return model._curvature_bound
+
+
+def _curvature_bound(model: FidelityModel) -> float:
     fam = model.family
     if fam is ResponseFamily.GAUSSIAN:
         return _top_gram_eigenvalue(model._xt)

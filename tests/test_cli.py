@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,13 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, cwd=None):
+    return run_python(*MIST[1:], *args, cwd=cwd)
+
+
+def run_python(*args, cwd=None):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(MIST + list(args), capture_output=True, text=True, env=env, cwd=cwd)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
 
 
 @pytest.fixture(scope="module")
@@ -354,3 +359,39 @@ def test_fit_reports_a_bad_data_file_on_one_line(tmp_path, text, suffix):
                 "--out", str(tmp_path / "x.json"))
     assert r.returncode == 1
     assert r.stderr == f"error: {bad}{suffix}\n"
+
+
+def test_importing_mist_loads_no_scipy():
+    r = run_python("-c", "import sys, mist, mist.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def test_fit_path_and_simulate_run_with_scipy_blocked(toy_csv, tmp_path):
+    code = textwrap.dedent(
+        f"""
+        import sys
+        sys.modules["scipy"] = None  # every scipy import now raises ImportError
+        from mist.cli import main
+
+        def run(*args):
+            try:
+                main(list(args))
+            except SystemExit as done:
+                assert done.code == 0, (args[0], done.code)
+
+        data, out = {str(toy_csv)!r}, {str(tmp_path)!r}
+        run("fit", "--data", data, "--penalty-json", '{{"family": "lasso", "lambda": 2.0}}',
+            "--out", out + "/fit.json")
+        run("path", "--data", data, "--penalty-json", '{{"family": "lasso", "lambda": 1.0}}',
+            "--lambda", "4.0", "--lambda", "1.0", "--out", out + "/path.csv")
+        run("simulate", "--scenario", "linear_ex1", "--p", "9", "--n", "30", "-B", "1",
+            "--penalty-json", '{{"family": "scad", "lambda": 1.0}}', "--lambda", "1.0",
+            "--out", out + "/sim.csv")
+        """
+    )
+    r = run_python("-c", code)
+    assert r.returncode == 0, r.stderr
+    assert json.loads((tmp_path / "fit.json").read_text())["termination"]
+    assert len((tmp_path / "path.csv").read_text().splitlines()) == 3
+    assert len((tmp_path / "sim.csv").read_text().splitlines()) == 2

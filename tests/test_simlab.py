@@ -1,12 +1,17 @@
 """Scenario generators: covariances, true coefficients, determinism."""
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from mist.exceptions import ValidationError
 from mist.fidelity import ResponseFamily
 from mist.penalties import Family, PenaltySpec
 from mist.simlab import (
     ScenarioFamily,
+    _ndtri,
     SimScenario,
     compare_solutions,
     covariance_ar1,
@@ -73,6 +78,54 @@ def test_generation_is_deterministic():
     assert np.array_equal(a.response.y, b.response.y)
     c = gen_dataset(s.replicate(1))
     assert not np.array_equal(a.design.values, c.design.values)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def test_ndtri_port_is_scipy_ndtri_bit_for_bit():
+    u = np.random.Generator(np.random.Philox(2024)).random(1_000_000)
+    u = np.clip(u, 1e-16, 1.0 - 1e-16)  # as _standard_normal clips them
+    assert _same_bits(_ndtri(u), ndtri(u))
+    tails = np.geomspace(1e-16, 0.2, 20_001)
+    assert _same_bits(_ndtri(tails), ndtri(tails))
+    assert _same_bits(_ndtri(1.0 - tails), ndtri(1.0 - tails))
+    # the centre/tail edges and the P1/P2 edge x = sqrt(-2 log y) = 8
+    edges = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0)])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    assert _same_bits(_ndtri(edges), ndtri(edges))
+
+
+# SHA-256 of the design and of the response arrays (y, then Cox time and
+# status) at the CLI defaults p = 35, n = 100, seed 20260824, recorded while
+# the draws came from scipy.special.ndtri
+GOLDEN_DIGESTS = {
+    "linear_ex1": (
+        "1e94d2b6a9dbb3c7a677cbf8fc815d5b2ca9f6ae27ef764176929a8b399bbf8b",
+        "e254b2c4ea257129610fdc310331dcb7a9805f57b74b7737bc3182fbd8b5f990",
+    ),
+    "logistic_ex2": (
+        "6c08484d931e3561414d36dd444541fdcbdbbdbf30f7cb5916da29ce611269ee",
+        "9555f36cdfd4a7cca13d21aad523b82d50aae933e2d3bcd4d99b47815671e5df",
+    ),
+    "cox_synthetic": (
+        "1e94d2b6a9dbb3c7a677cbf8fc815d5b2ca9f6ae27ef764176929a8b399bbf8b",
+        "2369a406cd4620f1549e8fa22359886b81555eceadd55c8b41c70a23b4cc08c6",
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN_DIGESTS))
+def test_gen_dataset_reproduces_the_golden_bytes(family):
+    ds = gen_dataset(SimScenario(family=family, p=35, n=100, seed=20260824))
+    r = ds.response
+    response = [a for a in (r.y, r.time, r.status) if a is not None]
+    digests = tuple(
+        hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+        for arrays in ([ds.design.values], response)
+    )
+    assert digests == GOLDEN_DIGESTS[family]
 
 
 def test_linear_ex1_noise_variance():

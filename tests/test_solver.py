@@ -380,6 +380,29 @@ def test_mm_outer_computes_the_curvature_bound_once(family, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("family", ["gaussian", "logistic"])
+def test_curvature_bound_is_computed_once_per_model(family, monkeypatch):
+    import mist.fidelity as fid
+
+    shapes = []
+    real = fid._top_gram_eigenvalue
+    monkeypatch.setattr(fid, "_top_gram_eigenvalue", lambda xt: shapes.append(xt.shape) or real(xt))
+    model = make_model(family, n=30, p=5, seed=23)
+    lasso = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.3))
+    start = CoefficientVector.zeros(5, True)
+    fit(lasso, TIGHT, start)
+    accelerated_fit(lasso, TIGHT, start, mode="squarem")
+    one_step_fit(Problem(model, PenaltySpec(family=Family.SCAD, lam=0.3)), TIGHT)
+    assert shapes == [(30, 6)]
+    # a column subset gets its own bound, and the full model keeps its own
+    sub = model.restrict(np.array([0, 3]))
+    fit(Problem(sub, lasso.penalty), TIGHT, CoefficientVector.zeros(2, True))
+    assert shapes == [(30, 6), (30, 3)]
+    scale = 1.0 if family == "gaussian" else 0.25
+    assert fid.curvature_bound(sub) == scale * real(sub._xt)
+    assert fid.curvature_bound(model) == scale * real(model._xt)
+
+
 def test_max_outer_reports_max_iter_termination():
     model = make_model("gaussian", n=25, p=4, seed=18)
     prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.1))
@@ -1045,7 +1068,7 @@ def test_plain_iteration_multiplies_by_x_at_most_twice(family):
     gmap.objective(new)
     assert counter[0] == 2  # X^T r at theta, X theta at the new point
     counter[0] = 0
-    curvature_bound(model)  # the gaussian and logistic bounds form X^T X once
+    curvature_bound(model)  # mm_map has bounded the model already: no product
     bound_products = counter[0]
     counter[0] = 0
     res = glm_mm_fit(prob, cfg, CoefficientVector.zeros(5, model.has_intercept))
