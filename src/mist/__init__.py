@@ -40,7 +40,6 @@ from .solver import (
     kkt_residual,
     mm_outer,
     one_step_fit,
-    poisson_mm_fit,
     soft_threshold,
     total_objective,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "kkt_residual",
     "mm_outer",
     "one_step_fit",
-    "poisson_mm_fit",
     "soft_threshold",
     "total_objective",
     "accelerated_fit",

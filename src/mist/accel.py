@@ -30,15 +30,13 @@ from . import penalties as pen
 from .exceptions import ConvergenceError, ValidationError
 from .fidelity import CoefficientVector, FidelityModel
 from .penalties import PenaltySpec
-from .solver import FitResult, Problem, SolverConfig, _drive, _kkt, _plus_penalty, fit, mm_map
+from .solver import DESCENT_SLACK, FitResult, Problem, SolverConfig, _drive, _kkt, fit, mm_map
 
 #: one extrapolated candidate per step: a step that falls back to the double
 #: map step has made 2 + MAX_BACKTRACKS + 1 map evaluations (the probe counts)
 MAX_BACKTRACKS = 1
 #: residual norm below which a point is treated as a fixed point of the map
 FIXED_POINT_TOL = 1e-14
-#: tolerated objective increase when accepting an extrapolated candidate
-ACCEPT_SLACK = 1e-12
 #: factor by which the steplength bound grows when reached and shrinks on a
 #: rejection at the bound (the package's ``mstep``)
 STEP_FACTOR = 4.0
@@ -72,7 +70,7 @@ def squarem_step(
     the steplength is alpha = ||r|| / ||v|| clamped to [1, step_max].  When
     alpha > 1 the step maps the extrapolated point theta + 2 alpha r +
     alpha^2 v once more and keeps that map output if its objective is finite
-    and at most ``ACCEPT_SLACK`` above the objective at theta; an
+    and at most ``solver.DESCENT_SLACK`` above the objective at theta; an
     ``OverflowError`` rejects it.  A rejected candidate, or alpha = 1, gives
     the double map step m2.  A fixed point (||r|| <= ``FIXED_POINT_TOL``)
     returns theta, and v = 0 returns m2.
@@ -113,7 +111,7 @@ def squarem_step(
         except OverflowError:
             obj = math.inf  # the candidate left the region where the fidelity is finite
         at_bound = alpha == step_max
-        if math.isfinite(obj) and obj <= obj0 + ACCEPT_SLACK:
+        if math.isfinite(obj) and obj <= obj0 + DESCENT_SLACK:
             if at_bound:
                 step_max *= STEP_FACTOR
             return state(point, alpha, 0, obj)
@@ -148,12 +146,11 @@ def accelerated_fit(
         raise ValidationError(f"unknown acceleration mode {mode!r}")
 
     map_fn = mm_map(problem)
-    objective = map_fn.objective
     step_max = 1.0
 
     def step(theta, obj):
         nonlocal step_max
-        state = squarem_step(map_fn, objective, theta, obj, step_max)
+        state = squarem_step(map_fn, map_fn.objective, theta, obj, step_max)
         if not math.isfinite(state.objective):
             raise ConvergenceError(
                 "squarem: the fallback double map step has a non-finite objective",
@@ -164,7 +161,7 @@ def accelerated_fit(
         r = state.r
         return state.theta, state.objective, math.sqrt(float(r @ r)), state.map_evals, state.backtracks
 
-    return _drive(problem, config, start, objective, step)
+    return _drive(problem, config, start, map_fn, step)
 
 
 def fit_path(
@@ -198,11 +195,11 @@ def fit_path(
       left.
 
     Each entry of the returned list is the lambda's ``FitResult`` over all p
-    columns (zeros outside the working set, the full objective, the KKT
-    residual of the last gradient, the concatenated traces and the summed
-    counts of the refits, the last refit's termination, and the final
-    ``working_set``), or the exception its fit raised; the sweep goes on from
-    the last result.
+    columns (zeros outside the working set, the last refit's objective, which
+    is the full objective there, the KKT residual of the last gradient, the
+    concatenated traces and the summed counts of the refits, the last refit's
+    termination, and the final ``working_set``), or the exception its fit
+    raised; the sweep goes on from the last result.
     """
     if mode not in ("plain", "squarem"):
         raise ValidationError(f"unknown acceleration mode {mode!r}")
@@ -213,7 +210,8 @@ def fit_path(
     theta = model._check(start)
     if spec.weights is not None:
         theta[off:][np.isinf(spec.weights)] = 0.0  # pinned, as in every fit
-    grad = fid.grad_eta(model, model._xt @ theta)
+    xt_t, residual = model._xt.T, fid.residual_kernel(model)
+    grad = xt_t @ residual(model._xt @ theta)
     tau_warm = None  # the thresholds at the lambda theta was fitted at
     out = []
     for lam in lams:
@@ -241,8 +239,7 @@ def fit_path(
                 sub_theta = res.coef.augmented()
                 current = np.zeros_like(theta)
                 current[idx] = sub_theta
-                eta = sub_model._xt @ sub_theta
-                g_full = fid.grad_eta(model, eta)
+                g_full = xt_t @ residual(sub_model._xt @ sub_theta)
                 violators = ~keep & (np.abs(g_full[off:]) > tau)
                 if not np.any(violators):
                     break
@@ -250,7 +247,7 @@ def fit_path(
             coef = CoefficientVector.from_augmented(current, has_int)
             out.append(FitResult(
                 coef=coef,
-                objective=_plus_penalty(problem, coef.beta, fid.nll_eta(model, eta)),
+                objective=res.objective,
                 trace=np.concatenate([f.trace for f in fits]),
                 outer_iters=sum(f.outer_iters for f in fits),
                 map_evals=sum(f.map_evals for f in fits),

@@ -232,35 +232,20 @@ def _guard_exp(eta: np.ndarray, context: str) -> np.ndarray:
 
 def neg_loglik(model: FidelityModel, coef: CoefficientVector) -> float:
     """Negative log-likelihood, up to family-specific additive constants."""
-    return nll_eta(model, model.linear_predictor(coef))
+    return nll_kernel(model)(model.linear_predictor(coef))
 
 
 def gradient(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:
     """Gradient of the log-likelihood over the augmented coefficients."""
-    return grad_eta(model, model.linear_predictor(coef))
-
-
-def nll_eta(model: FidelityModel, eta: np.ndarray, parts=None) -> float:
-    """``neg_loglik`` at the linear predictor eta = X theta, unchecked.
-
-    ``parts`` are the Cox ``_cox_parts`` at eta when the caller has them.
-    """
-    return nll_kernel(model)(eta, parts)
-
-
-def grad_eta(model: FidelityModel, eta: np.ndarray, parts=None) -> np.ndarray:
-    """``gradient`` at the linear predictor eta = X theta, unchecked: X^T r.
-
-    ``parts`` are the Cox ``_cox_parts`` at eta when the caller has them.
-    """
-    return model._xt.T @ residual_kernel(model)(eta, parts)
+    return model._xt.T @ residual_kernel(model)(model.linear_predictor(coef))
 
 
 def nll_kernel(model: FidelityModel) -> Callable[..., float]:
-    """``nll_eta`` of one model as a function of (eta, parts=None).
+    """``neg_loglik`` of one model as a function of (eta, parts=None), unchecked.
 
-    The family is chosen here, once, so a fit that holds the kernel runs no
-    family test per call.
+    eta is the linear predictor X theta, and ``parts`` are the Cox
+    ``_cox_parts`` at eta when the caller has them.  The family is chosen
+    here, once, so a fit that holds the kernel runs no family test per call.
     """
     y = model.response.y
     fam = model.family
@@ -289,8 +274,8 @@ def nll_kernel(model: FidelityModel) -> Callable[..., float]:
 
 def residual_kernel(model: FidelityModel) -> Callable[..., np.ndarray]:
     """The score residual of one model as a function of (eta, parts=None):
-    y - mu, or the Cox martingale residual delta - w a.  The family is chosen
-    here, once."""
+    y - mu, or the Cox martingale residual delta - w a, so that the gradient
+    at eta is X^T r.  The family is chosen here, once."""
     y = model.response.y
     fam = model.family
     if fam is ResponseFamily.GAUSSIAN:
@@ -317,8 +302,13 @@ def residual_kernel(model: FidelityModel) -> Callable[..., np.ndarray]:
 
 def hessian(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:
     """Hessian of the NEGATIVE log-likelihood, X^T diag(v) X for the GLM
-    families (used by the Newton MLE)."""
-    eta = model.linear_predictor(coef)
+    families."""
+    return _neg_hessian(model, model.linear_predictor(coef))
+
+
+def _neg_hessian(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
+    """``hessian`` at the linear predictor eta = X theta, unchecked (the
+    Newton MLE's)."""
     xt = model._xt
     fam = model.family
     if fam is ResponseFamily.GAUSSIAN:
@@ -495,37 +485,42 @@ def fit_mle(model: FidelityModel) -> CoefficientVector:
             raise ValidationError("design matrix is rank deficient; MLE is not unique")
         return CoefficientVector.from_augmented(theta, model.has_intercept)
 
-    coef = CoefficientVector.zeros(model.design.n_cols, model.has_intercept)
-    obj = neg_loglik(model, coef)
+    # Newton on the augmented array: one eta per iterate feeds the
+    # likelihood, the score and the Hessian
+    nll, residual, xt_t = nll_kernel(model), residual_kernel(model), xt.T
+    theta = np.zeros(k)
+    eta = xt @ theta
+    obj = nll(eta)
     for _ in range(MLE_MAX_ITER):
-        g = gradient(model, coef)
+        g = xt_t @ residual(eta)
         if np.max(np.abs(g)) <= MLE_TOL:
-            return coef
-        h = hessian(model, coef)
+            return CoefficientVector.from_augmented(theta, model.has_intercept)
         try:
-            step = np.linalg.solve(h, g)
+            step = np.linalg.solve(_neg_hessian(model, eta), g)
         except np.linalg.LinAlgError as err:
             raise ValidationError("singular hessian; MLE does not exist or is not unique") from err
-        theta = coef.augmented()
         scale = 1.0
         for _ in range(60):
-            cand = CoefficientVector.from_augmented(theta + scale * step, model.has_intercept)
+            cand = theta + scale * step
+            if not np.all(np.isfinite(cand)):
+                raise ValidationError("coefficients must be finite")
+            cand_eta = xt @ cand
             try:
-                cand_obj = neg_loglik(model, cand)
+                cand_obj = nll(cand_eta)
             except OverflowError:
                 scale *= 0.5
                 continue
             if cand_obj <= obj + 1e-12:
-                coef, obj = cand, cand_obj
+                theta, eta, obj = cand, cand_eta, cand_obj
                 break
             scale *= 0.5
         else:
             raise ConvergenceError("Newton line search failed", last_iterate=theta, residual=g)
-    g = gradient(model, coef)
+    g = xt_t @ residual(eta)
     if np.max(np.abs(g)) <= 1e-6:
-        return coef
+        return CoefficientVector.from_augmented(theta, model.has_intercept)
     raise ConvergenceError(
         f"Newton MLE did not converge in {MLE_MAX_ITER} iterations",
-        last_iterate=coef.augmented(),
+        last_iterate=theta,
         residual=float(np.max(np.abs(g))),
     )

@@ -129,7 +129,7 @@ def _check_r_vec(r: np.ndarray) -> np.ndarray:
 
 def penalty_value_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
     """Vectorized penalty values over |coefficients| r (one entry per coordinate)."""
-    return value_kernel(spec, _check_r_vec(r))
+    return value_kernel_for(spec)(_check_r_vec(r))
 
 
 def penalty_derivative_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
@@ -137,13 +137,9 @@ def penalty_derivative_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
     return derivative_kernel(spec, _check_r_vec(r))
 
 
-def value_kernel(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
-    """``penalty_value_vec`` without its checks: r is a float array, all >= 0."""
-    return value_kernel_for(spec)(r)
-
-
 def value_kernel_for(spec: PenaltySpec) -> Callable[[np.ndarray], np.ndarray]:
-    """``value_kernel`` of one spec as a function of r alone.
+    """``penalty_value_vec`` of one spec as a function of r alone, without its
+    checks: r is a float array, all >= 0.
 
     The family is chosen here, once, and an adaptive family's lam * w and its
     pinned mask are computed here, so a fit that holds the kernel runs no

@@ -5,13 +5,14 @@ coordinates pinned by an infinite adaptive weight, applies the two stopping
 rules, counts maps and backtracks, and builds the ``FitResult`` with its KKT
 residual.  The fits differ only in the step they pass in:
 
-* ``glm_mm_fit``    -- gaussian / logistic / cox: one closed-form
-                       soft-threshold map (``_GlmMap``) per step.
+* ``fit``           -- one map per step (``mm_map``): the closed-form
+                       soft-threshold map (``_GlmMap``) for gaussian, logistic
+                       and cox (``glm_mm_fit``), or for poisson the separable
+                       majorizer, one strictly convex scalar problem per
+                       coordinate, all solved at once by a batched safeguarded
+                       Newton iteration (``_PoissonMap``).
 * ``mm_outer``      -- one full minimization of the exact-fidelity surrogate
                        per step (``_SurrogateSolve``), for every penalty.
-* ``poisson_mm_fit``-- the separable majorizer: one strictly convex scalar
-                       problem per coordinate, all solved at once by a batched
-                       safeguarded Newton iteration (``_PoissonMap``).
 * ``one_step_fit``  -- one outer iteration from the unpenalized MLE: the
                        surrogate solve (or the Poisson map) applied once,
                        without a descent test.
@@ -45,10 +46,13 @@ Squarem, which needs a fixed map, applies the Cox map at the certified
 step; the Poisson map has no step.
 
 The loops work on plain augmented arrays (intercept first) and run on
-unchecked kernels; the public ``total_objective``, ``kkt_residual`` and
-``soft_threshold_vec`` check their arguments and compute the same values.  A
-map object's ``objective`` remembers eta = X theta, so the map applied next at
-the same point does not multiply by X again.
+unchecked kernels; ``_drive`` checks the start once, and nothing inside a fit
+calls a checked function.  The public ``total_objective``, ``kkt_residual``
+and ``soft_threshold_vec`` check their arguments and compute the same values.
+A map object (``_Objective``) is the single source of a fit's numbers: its
+``objective`` remembers eta = X theta, so the map applied next at the same
+point does not multiply by X again, and a fit reports the KKT residual from
+the gradient at the eta cached at its last iterate, one product with X.
 
 What does not change within a fit is built once, when its map object is
 built: the likelihood and score-residual kernels of the family
@@ -59,12 +63,10 @@ lam w_j do not depend on theta, the augmented threshold vector, with 0 in the
 intercept slot; omega/2 times it is rebuilt only when the step changes, on a
 halving.  A GLM map is then one soft-threshold over the whole augmented
 vector (a zero threshold returns the intercept exactly) and, only when
-eps > 0, one shrink of the slopes.  The numpy error state that lets inf - inf
-at a pinned coordinate pass is entered once per fit, around ``_drive``'s
-loop, not per map; every step norm is sqrt(d . d), which is what
-``np.linalg.norm`` computes for a real vector.  None of this changes a
-result: a fit returns the same bits as when each map computed all of it,
-except that an intercept whose update is exactly -0.0 now comes out as +0.0.
+eps > 0, one shrink of the slopes.  A pinned coordinate is held at 0 with an
+infinite threshold and a finite argument, which the soft-threshold maps to 0
+without forming inf - inf.  Every step norm is sqrt(d . d), which is what
+``np.linalg.norm`` computes for a real vector.
 """
 from __future__ import annotations
 
@@ -222,16 +224,7 @@ def _soft_threshold(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def total_objective(problem: Problem, coef: CoefficientVector) -> float:
     """Fidelity plus penalty plus ridge; intercept is never penalized."""
-    eta = problem.model.linear_predictor(coef)
-    return _plus_penalty(problem, coef.beta, fid.nll_eta(problem.model, eta))
-
-
-def _plus_penalty(problem: Problem, beta: np.ndarray, value: float) -> float:
-    """The fidelity ``value`` plus the penalty and the ridge at the slopes beta."""
-    spec = problem.penalty
-    value += float(np.sum(pen.value_kernel(spec, np.abs(beta))))
-    value += spec.lam * spec.epsilon * float(beta @ beta)
-    return value
+    return _Objective(problem).objective(problem.model._check(coef))
 
 
 def kkt_residual(problem: Problem, coef: CoefficientVector) -> float:
@@ -250,7 +243,7 @@ def _kkt(problem: Problem, beta: np.ndarray, grad_ll: np.ndarray) -> float:
     has_int = problem.model.has_intercept
     g = -grad_ll[1:] if has_int else -grad_ll  # gradient of the fidelity term
     s = g + 2.0 * spec.lam * spec.epsilon * beta
-    d = pen.penalty_derivative_vec(spec, np.abs(beta))
+    d = pen.derivative_kernel(spec, np.abs(beta))
     nonzero = beta != 0.0
     pinned = np.isinf(d)
     if np.any(nonzero & pinned):
@@ -455,16 +448,15 @@ def glm_map(
     intercept slot, and shrinks the slopes by 1 / (1 + omega lam eps) when
     eps > 0.  ``grad`` (the log-likelihood gradient at theta) and ``thresh``
     (the thresholds omega/2 tau) are passed together by a fit's map
-    (``_GlmMap``), which runs under its fit's error state; without
-    ``thresh`` both are computed here.  Nothing is checked: theta is the
-    augmented coefficient array of a problem's model.
+    (``_GlmMap``); without ``thresh`` both are computed here.  Nothing is
+    checked: theta is the augmented coefficient array of a problem's model.
     """
     half = 0.5 * omega
     if thresh is None:
         model = problem.model
         theta = np.asarray(theta, dtype=float)
         if grad is None:
-            grad = fid.grad_eta(model, model._xt @ theta)
+            grad = model._xt.T @ fid.residual_kernel(model)(model._xt @ theta)
         with np.errstate(invalid="ignore"):  # inf - inf: an infinite argument at a pinned coordinate
             out = _soft_threshold(theta + half * grad, half * _penalized_tau(problem, theta))
     else:
@@ -564,14 +556,16 @@ def _drive(
     problem: Problem,
     config: SolverConfig,
     start: CoefficientVector,
-    objective: Callable[[np.ndarray], float],
+    m: _Objective,
     step: Step,
 ) -> FitResult:
     """The outer loop of every fit: start, stopping rules, accounting, result.
 
     A fit stops when a step's norm is below ``coef_tol`` or its objective
     change below ``obj_tol``, and otherwise after ``max_outer`` steps.  The
-    result carries the KKT residual at the last iterate.
+    map object ``m`` gives the objective at the start and the log-likelihood
+    gradient at the last iterate, from the eta its last objective cached
+    there, for the result's KKT residual.
     """
     theta = _start_theta(problem, start)
     pinned = _pinned_mask(problem)
@@ -584,33 +578,29 @@ def _drive(
     outer = 0
     coef_tol, obj_tol = config.coef_tol, config.obj_tol
 
-    # one error state for the whole fit: the soft-threshold's inf - inf at a
-    # pinned coordinate with an infinite argument yields NaN without a warning
-    with np.errstate(invalid="ignore"):
-        obj = objective(theta)
-        trace = [obj]
-        for outer in range(1, config.max_outer + 1):
-            theta_new, obj_new, coef_delta, evals, halvings = step(theta, obj)
-            map_evals += evals
-            backtracks += halvings
-            obj_delta = abs(obj_new - obj)
-            theta, obj = theta_new, obj_new
-            trace.append(obj)
-            if coef_delta < coef_tol:
-                termination = Termination.COEF_TOL
-                break
-            if obj_delta < obj_tol:
-                termination = Termination.OBJ_TOL
-                break
+    obj = m.objective(theta)
+    trace = [obj]
+    for outer in range(1, config.max_outer + 1):
+        theta_new, obj_new, coef_delta, evals, halvings = step(theta, obj)
+        map_evals += evals
+        backtracks += halvings
+        obj_delta = abs(obj_new - obj)
+        theta, obj = theta_new, obj_new
+        trace.append(obj)
+        if coef_delta < coef_tol:
+            termination = Termination.COEF_TOL
+            break
+        if obj_delta < obj_tol:
+            termination = Termination.OBJ_TOL
+            break
 
-    coef = CoefficientVector.from_augmented(theta, problem.model.has_intercept)
     return FitResult(
-        coef=coef,
+        coef=CoefficientVector.from_augmented(theta, problem.model.has_intercept),
         objective=obj,
         trace=np.array(trace),
         outer_iters=outer,
         map_evals=map_evals,
-        kkt_residual=kkt_residual(problem, coef),
+        kkt_residual=_kkt(problem, theta[m.off:], m.grad(theta)),
         termination=termination,
         descent_backtracks=backtracks,
     )
@@ -698,7 +688,7 @@ def glm_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector)
     step.
     """
     if problem.model.family is ResponseFamily.POISSON:
-        raise NotGloballyLipschitz("use poisson_mm_fit for the poisson family")
+        raise NotGloballyLipschitz("use fit for the poisson family")
     return fit(problem, config, start)
 
 
@@ -756,9 +746,9 @@ def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -
     no curvature bound for the inner solve, is refused.
     """
     if problem.model.family is ResponseFamily.POISSON:
-        raise NotGloballyLipschitz("use poisson_mm_fit for the poisson family")
+        raise NotGloballyLipschitz("use fit for the poisson family")
     solve = _SurrogateSolve(problem, config)
-    return _drive(problem, config, start, solve.objective, _halving(solve))
+    return _drive(problem, config, start, solve, _halving(solve))
 
 
 # -- Poisson componentwise path -------------------------------------------
@@ -898,24 +888,13 @@ def _poisson_scalar_min(
     )
 
 
-def poisson_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
-    """MM fit for the poisson family through the separable majorizer.
-
-    Each outer step is one application of the batched-Newton map
-    ``_PoissonMap``, built once for the fit by ``fit``.
-    """
-    if problem.model.family is not ResponseFamily.POISSON:
-        raise ValidationError("poisson_mm_fit requires a poisson model")
-    return fit(problem, config, start)
-
-
 # -- one-step estimator and dispatch --------------------------------------
 
 
 def fit(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
     """The plain single-map MM fit: ``mm_map``'s map as a ``_halving`` step of ``_drive``."""
     m = mm_map(problem)
-    return _drive(problem, config, start, m.objective, _halving(m))
+    return _drive(problem, config, start, m, _halving(m))
 
 
 def mm_map(problem: Problem) -> Union[_GlmMap, _PoissonMap]:
@@ -950,7 +929,7 @@ def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
         d = theta_new - theta
         return theta_new, smap.objective(theta_new), math.sqrt(float(d @ d)), 1, 0
 
-    return _drive(problem, replace(config, max_outer=1), mle, smap.objective, step)
+    return _drive(problem, replace(config, max_outer=1), mle, smap, step)
 
 
 # -- starting-value presets -----------------------------------------------

@@ -22,6 +22,12 @@ def run_cli(*args, cwd=None):
     return run_python(*MIST[1:], *args, cwd=cwd)
 
 
+def read_rows(path, reader=csv.reader):
+    """Every row of a CSV file, read through a handle that is closed after."""
+    with open(path) as fh:
+        return list(reader(fh))
+
+
 def run_python(*args, cwd=None):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
@@ -121,7 +127,7 @@ def test_fit_csv_output(toy_csv, tmp_path):
                 "--penalty-json", '{"family":"mcp","lambda":1.0}',
                 "--format", "csv", "--out", str(out))
     assert r.returncode == 0
-    rows = list(csv.reader(open(out)))
+    rows = read_rows(out)
     assert rows[0][:2] == ["objective", "kkt"]
     assert len(rows) == 2
 
@@ -135,7 +141,7 @@ def test_emit_penalty_grid(family, tmp_path):
     r = run_cli("fit", "--penalty-json", json.dumps(spec),
                 "--out", str(out), "--emit-penalty-grid", str(out))
     assert r.returncode == 0, r.stderr
-    rows = list(csv.reader(open(out)))
+    rows = read_rows(out)
     assert rows[0] == ["r", "value", "derivative"]
     assert len(rows) == 401
     if family == "scad":
@@ -163,7 +169,7 @@ def test_path_row_count_and_warm_start(toy_csv, tmp_path):
                 "--lambda", "5", "--lambda", "1", "--lambda", "0.2",
                 "--out", str(out))
     assert r.returncode == 0
-    rows = list(csv.reader(open(out)))
+    rows = read_rows(out)
     assert len(rows) == 4  # header + one per lambda
     lams = [float(x[0]) for x in rows[1:]]
     assert lams == sorted(lams, reverse=True)
@@ -176,7 +182,7 @@ def test_path_single_huge_lambda_all_zero(toy_csv, tmp_path):
                 "--penalty-json", '{"family":"lasso","lambda":1.0}',
                 "--lambda", "1000", "--out", str(out))
     assert r.returncode == 0
-    rows = list(csv.reader(open(out)))
+    rows = read_rows(out)
     coefs = [float(v) for v in rows[1][-4:]]
     assert coefs == [0.0, 0.0, 0.0, 0.0]
 
@@ -187,7 +193,7 @@ def test_path_csv_reports_map_evals_and_the_working_set_size(toy_csv, tmp_path):
                 "--penalty-json", '{"family":"lasso","lambda":1.0}',
                 "--lambda", "1000", "--lambda", "5", "--lambda", "0.2", "--out", str(out))
     assert r.returncode == 0, r.stderr
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out, csv.DictReader)
     head = list(rows[0])
     # before the intercept and the slopes, which close every row
     assert head.index("map_evals") < head.index("intercept") and head.index("active") < head.index("intercept")
@@ -240,7 +246,7 @@ def test_simulate_deterministic_bytes(tmp_path):
     rb = run_cli(*args, "--out", str(b))
     assert ra.returncode == 0 and rb.returncode == 0
     assert a.read_bytes() == b.read_bytes()
-    rows = list(csv.reader(open(a)))
+    rows = read_rows(a)
     assert len(rows) == 1 + 2 * 2  # header + replicates x lambdas
 
 
@@ -251,7 +257,7 @@ def test_simulate_one_step_dominance_column(tmp_path):
                 "--penalty-json", '{"family":"scad","lambda":1.0}',
                 "--lambda", "1", "--start", "one_step", "--out", str(out))
     assert r.returncode == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out, csv.DictReader)
     assert all(row["fit_leq_onestep"] == "1" for row in rows)
 
 
@@ -289,7 +295,7 @@ def test_readme_path_example_runs(tmp_path):
     write_readme_data(tmp_path, args)
     r = run_cli(*args, cwd=tmp_path)
     assert r.returncode == 0, r.stderr
-    rows = list(csv.reader(open(tmp_path / args[args.index("--out") + 1])))
+    rows = read_rows(tmp_path / args[args.index("--out") + 1])
     assert len(rows) == 1 + args.count("--lambda")
 
 
@@ -297,7 +303,7 @@ def test_readme_simulate_example_runs(tmp_path):
     args = readme_command("simulate")
     r = run_cli(*args, cwd=tmp_path)
     assert r.returncode == 0, r.stderr
-    rows = list(csv.reader(open(tmp_path / args[args.index("--out") + 1])))
+    rows = read_rows(tmp_path / args[args.index("--out") + 1])
     assert rows[0] == _SIM_HEADER and len(rows) > 1
 
 

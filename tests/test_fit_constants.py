@@ -6,6 +6,8 @@ whole augmented vector with one soft-threshold.  These tests pin that the
 results stay those of the two-branch formula it replaced, bit for bit, and
 that the per-fit work is not done per map.
 """
+import collections
+import sys
 import warnings
 
 import numpy as np
@@ -15,7 +17,7 @@ from conftest import make_model, random_coef
 from mist import fidelity as fid
 from mist import penalties as pen
 from mist import solver
-from mist.accel import accelerated_fit
+from mist.accel import accelerated_fit, fit_path
 from mist.fidelity import CoefficientVector
 from mist.penalties import Family, PenaltySpec
 from mist.solver import Problem, SolverConfig, mm_outer, one_step_fit
@@ -78,7 +80,8 @@ def test_fused_map_is_bit_identical_to_the_two_branch_map(response, intercept, f
         theta[model.has_intercept + 5] *= 5.0  # in the SCAD/MCP tail
         if prob.penalty.weights is not None:
             theta[model.has_intercept + 1] = 0.0  # the pinned coordinate, as a fit holds it
-        grad = fid.grad_eta(model, model._xt @ theta) + rng.standard_normal(theta.shape[0])
+        score = model._xt.T @ fid.residual_kernel(model)(model._xt @ theta)
+        grad = score + rng.standard_normal(theta.shape[0])
         # the full step, a step halved twice, then the full step again: the
         # map rebuilds its thresholds when the step changes
         for w in (omega, omega / 4.0, omega):
@@ -143,13 +146,86 @@ def test_surrogate_solve_reuses_eta_and_the_risk_sets_of_its_last_m(monkeypatch)
     reused = calls[0]
 
     def m_without_memory(self, b):
-        return fid.nll_eta(self.model, self.xt @ b) + float(self.ridge @ (b * b))
+        return self._nll(self.xt @ b) + float(self.ridge @ (b * b))
 
     calls[0] = 0
     monkeypatch.setattr(solver._SurrogateSolve, "m", m_without_memory)
     ref = one_step_fit(prob, SolverConfig())
-    assert calls[0] == 80
+    assert calls[0] == 79
     assert reused <= calls[0] - 20
     assert np.array_equal(res.coef.augmented(), ref.coef.augmented())
     assert res.objective == ref.objective and np.array_equal(res.trace, ref.trace)
     assert res.kkt_residual == ref.kkt_residual
+
+
+#: the checked public functions, and the checked constructor, that no fit
+#: should run past its start: (owner, attribute)
+CHECKED = [
+    (fid.FidelityModel, "_check"),
+    (fid.FidelityModel, "linear_predictor"),
+    (fid, "neg_loglik"),
+    (fid, "gradient"),
+    (fid, "hessian"),
+    (solver, "kkt_residual"),
+    (solver, "total_objective"),
+    (pen, "penalty_value_vec"),
+    (pen, "penalty_derivative_vec"),
+    (pen, "threshold_vector"),
+    (solver, "soft_threshold_vec"),
+    (CoefficientVector, "__post_init__"),
+]
+
+
+def count_checked_calls(monkeypatch):
+    """Count every call of a ``CHECKED`` name, through whichever binding it comes."""
+    counts = collections.Counter()
+    modules = [m for n, m in sys.modules.items() if n == "mist" or n.startswith("mist.")]
+    for owner, name in CHECKED:
+        original = getattr(owner, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        if isinstance(owner, type):
+            monkeypatch.setattr(owner, name, counted)
+            continue
+        for module in modules:
+            for binding, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, binding, counted)
+    return counts
+
+
+@pytest.mark.parametrize("pen_family", [Family.LASSO, Family.SCAD])
+@pytest.mark.parametrize("response", ["gaussian", "logistic", "poisson", "cox"])
+def test_fits_check_their_start_once(response, pen_family, monkeypatch):
+    model = make_model(response, n=60, p=5, seed=85)
+    start = CoefficientVector.zeros(5, model.has_intercept)
+    lam_max = float(np.max(np.abs(fid.gradient(model, start)[model.has_intercept:])))
+    spec = PenaltySpec(family=pen_family, lam=0.3 * lam_max)
+    prob = Problem(model, spec)
+    counts = count_checked_calls(monkeypatch)
+    # a capped fit and a long one run the same checks: none grows with outer_iters
+    for cfg in (SolverConfig(max_outer=2), SolverConfig(coef_tol=1e-9, obj_tol=1e-14)):
+        fits = [
+            lambda: accelerated_fit(prob, cfg, start, mode="plain"),
+            lambda: accelerated_fit(prob, cfg, start, mode="squarem"),
+        ]
+        if response != "poisson":
+            fits.append(lambda: mm_outer(prob, cfg, start))
+        for run in fits:
+            counts.clear()
+            res = run()
+            # the start checked once, one result built
+            assert counts == {"_check": 1, "__post_init__": 1}, res
+        counts.clear()
+        one_step_fit(prob, cfg)
+        # the MLE's coefficients, then those of the one step
+        assert counts == {"_check": 1, "__post_init__": 2}
+        counts.clear()
+        path = fit_path(model, spec, [0.5 * lam_max, 0.3 * lam_max], cfg, start)
+        # each refit checks its start and builds its start and its result;
+        # each lambda builds its full-p result
+        refits = sum(len(res.trace) - res.outer_iters for res in path)
+        assert counts == {"_check": 1 + refits, "__post_init__": 2 * refits + len(path)}
