@@ -30,7 +30,7 @@ from . import penalties as pen
 from .exceptions import ConvergenceError, ValidationError
 from .fidelity import CoefficientVector, FidelityModel
 from .penalties import PenaltySpec
-from .solver import DESCENT_SLACK, FitResult, Problem, SolverConfig, _drive, _kkt, fit, mm_map
+from .solver import DESCENT_SLACK, FitResult, Problem, SolverConfig, _drive, _kkt, _start_theta, fit, mm_map
 
 #: one extrapolated candidate per step: a step that falls back to the double
 #: map step has made 2 + MAX_BACKTRACKS + 1 map evaluations (the probe counts)
@@ -203,13 +203,11 @@ def fit_path(
     """
     if mode not in ("plain", "squarem"):
         raise ValidationError(f"unknown acceleration mode {mode!r}")
-    Problem(model, spec)  # the weight length, checked once for the whole path
+    # the weight length and the start, checked and pinned once for the whole path
+    theta = _start_theta(Problem(model, spec), start)
     has_int = model.has_intercept
     off = 1 if has_int else 0
     zeros = np.zeros(model.design.n_cols)
-    theta = model._check(start)
-    if spec.weights is not None:
-        theta[off:][np.isinf(spec.weights)] = 0.0  # pinned, as in every fit
     xt_t, residual = model._xt.T, fid.residual_kernel(model)
     grad = xt_t @ residual(model._xt @ theta)
     tau_warm = None  # the thresholds at the lambda theta was fitted at

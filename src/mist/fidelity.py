@@ -306,15 +306,16 @@ def hessian(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:
     return _neg_hessian(model, model.linear_predictor(coef))
 
 
-def _neg_hessian(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
+def _neg_hessian(model: FidelityModel, eta: np.ndarray, parts=None) -> np.ndarray:
     """``hessian`` at the linear predictor eta = X theta, unchecked (the
-    Newton MLE's)."""
+    Newton MLE's); ``parts`` are the Cox ``_cox_parts`` at eta when the
+    caller has them."""
     xt = model._xt
     fam = model.family
     if fam is ResponseFamily.GAUSSIAN:
         return xt.T @ xt
     if fam is ResponseFamily.COX:
-        return _cox_neg_hessian(model, eta)
+        return _cox_neg_hessian(model, eta, parts)
     if fam is ResponseFamily.LOGISTIC:
         mu = 0.5 * (1.0 + np.tanh(0.5 * eta))
         v = mu * (1.0 - mu)
@@ -348,9 +349,9 @@ def _cox_risk_mass(model: FidelityModel, parts) -> np.ndarray:
     return wa
 
 
-def _cox_neg_hessian(model: FidelityModel, eta: np.ndarray) -> np.ndarray:
+def _cox_neg_hessian(model: FidelityModel, eta: np.ndarray, parts=None) -> np.ndarray:
     """X^T diag(w a) X - xbar^T xbar, xbar holding each event's risk-set mean."""
-    parts = _cox_parts(model, eta)
+    parts = _cox_parts(model, eta) if parts is None else parts
     e, log_d = parts
     shift = e.max()
     xt = model._xt
@@ -485,18 +486,20 @@ def fit_mle(model: FidelityModel) -> CoefficientVector:
             raise ValidationError("design matrix is rank deficient; MLE is not unique")
         return CoefficientVector.from_augmented(theta, model.has_intercept)
 
-    # Newton on the augmented array: one eta per iterate feeds the
-    # likelihood, the score and the Hessian
+    # Newton on the augmented array: one eta per iterate, and for Cox one
+    # sum of its risk sets, feeds the likelihood, the score and the Hessian
     nll, residual, xt_t = nll_kernel(model), residual_kernel(model), xt.T
+    cox = model.family is ResponseFamily.COX
     theta = np.zeros(k)
     eta = xt @ theta
-    obj = nll(eta)
+    parts = _cox_parts(model, eta) if cox else None
+    obj = nll(eta, parts)
     for _ in range(MLE_MAX_ITER):
-        g = xt_t @ residual(eta)
+        g = xt_t @ residual(eta, parts)
         if np.max(np.abs(g)) <= MLE_TOL:
             return CoefficientVector.from_augmented(theta, model.has_intercept)
         try:
-            step = np.linalg.solve(_neg_hessian(model, eta), g)
+            step = np.linalg.solve(_neg_hessian(model, eta, parts), g)
         except np.linalg.LinAlgError as err:
             raise ValidationError("singular hessian; MLE does not exist or is not unique") from err
         scale = 1.0
@@ -505,18 +508,20 @@ def fit_mle(model: FidelityModel) -> CoefficientVector:
             if not np.all(np.isfinite(cand)):
                 raise ValidationError("coefficients must be finite")
             cand_eta = xt @ cand
+            cand_parts = _cox_parts(model, cand_eta) if cox else None
             try:
-                cand_obj = nll(cand_eta)
+                cand_obj = nll(cand_eta, cand_parts)
             except OverflowError:
                 scale *= 0.5
                 continue
-            if cand_obj <= obj + 1e-12:
-                theta, eta, obj = cand, cand_eta, cand_obj
+            # relative slack: a rounding-level rise of a large objective is no rise
+            if cand_obj <= obj + 1e-12 * (1.0 + abs(obj)):
+                theta, eta, parts, obj = cand, cand_eta, cand_parts, cand_obj
                 break
             scale *= 0.5
         else:
             raise ConvergenceError("Newton line search failed", last_iterate=theta, residual=g)
-    g = xt_t @ residual(eta)
+    g = xt_t @ residual(eta, parts)
     if np.max(np.abs(g)) <= 1e-6:
         return CoefficientVector.from_augmented(theta, model.has_intercept)
     raise ConvergenceError(

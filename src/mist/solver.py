@@ -1,9 +1,10 @@
 """MM engine: iterated soft-thresholding, single-map GLM updates, diagnostics.
 
-Every fit runs the one outer loop ``_drive``: it checks the start, zeroes the
-coordinates pinned by an infinite adaptive weight, applies the two stopping
-rules, counts maps and backtracks, and builds the ``FitResult`` with its KKT
-residual.  The fits differ only in the step they pass in:
+Every fit runs the one outer loop ``_drive``: it checks the start and zeroes
+the coordinates pinned by an infinite adaptive weight (``_start_theta``),
+applies the two stopping rules, counts maps and backtracks, and builds the
+``FitResult`` with its KKT residual.  The fits differ only in the step they
+pass in, and every step is ``_halving``'s or squarem's:
 
 * ``fit``           -- one map per step (``mm_map``): the closed-form
                        soft-threshold map (``_GlmMap``) for gaussian, logistic
@@ -11,11 +12,11 @@ residual.  The fits differ only in the step they pass in:
                        majorizer, one strictly convex scalar problem per
                        coordinate, all solved at once by a batched safeguarded
                        Newton iteration (``_PoissonMap``).
-* ``mm_outer``      -- one full minimization of the exact-fidelity surrogate
-                       per step (``_SurrogateSolve``), for every penalty.
-* ``one_step_fit``  -- one outer iteration from the unpenalized MLE: the
-                       surrogate solve (or the Poisson map) applied once,
-                       without a descent test.
+* ``mm_outer``      -- one full surrogate minimization per step, for every
+                       penalty: the exact-fidelity surrogate
+                       (``_SurrogateSolve``), or for poisson the separable
+                       majorizer's (``_PoissonMap``), so that it is ``fit``.
+* ``one_step_fit``  -- ``mm_outer``'s first iteration from the MLE.
 * ``accel.accelerated_fit`` -- one safeguarded squarem step over ``mm_map``.
 
 Every choice of code path is made by the problem, its family and its
@@ -365,10 +366,14 @@ def _ridge(problem: Problem) -> np.ndarray:
 
 
 def _start_theta(problem: Problem, start: CoefficientVector) -> np.ndarray:
-    """The start as a fresh augmented array: the one check of a whole fit."""
+    """The start as a fresh augmented array, pinned coordinates set to 0:
+    the one check of a whole fit or path."""
     theta = problem.model._check(start).astype(float)
     if not np.all(np.isfinite(theta)):
         raise ValidationError("start coefficients must be finite")
+    pinned = _pinned_mask(problem)
+    if pinned is not None:
+        theta[pinned] = 0.0
     return theta
 
 
@@ -568,10 +573,6 @@ def _drive(
     there, for the result's KKT residual.
     """
     theta = _start_theta(problem, start)
-    pinned = _pinned_mask(problem)
-    if pinned is not None:
-        theta[pinned] = 0.0
-
     map_evals = 0
     backtracks = 0
     termination = Termination.MAX_ITER
@@ -741,13 +742,13 @@ class _SurrogateSolve(_Objective):
 def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
     """Generic MM loop with one full surrogate minimization per step.
 
-    Each step is one ``_SurrogateSolve``, which has no outer step, so it
-    makes one attempt.  Every penalty takes this path; Poisson, which has
-    no curvature bound for the inner solve, is refused.
+    The solve is ``_SurrogateSolve``, or ``_PoissonMap`` for Poisson, where
+    this is ``fit``.  Neither has an outer step, so each gets one attempt.
     """
     if problem.model.family is ResponseFamily.POISSON:
-        raise NotGloballyLipschitz("use fit for the poisson family")
-    solve = _SurrogateSolve(problem, config)
+        solve = _PoissonMap(problem)
+    else:
+        solve = _SurrogateSolve(problem, config)
     return _drive(problem, config, start, solve, _halving(solve))
 
 
@@ -755,7 +756,9 @@ def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -
 
 
 class _PoissonMap(_Objective):
-    """The separable-majorizer MM map of one poisson problem.
+    """The separable-majorizer MM map of one poisson problem, which is also
+    its ``mm_outer`` surrogate solve: it minimizes the majorized fidelity plus
+    the penalty linearized at theta exactly.
 
     The majorizer splits into one strictly convex scalar problem per
     coordinate, all anchored at the same eta = X theta.  What does not depend
@@ -910,26 +913,15 @@ def mm_map(problem: Problem) -> Union[_GlmMap, _PoissonMap]:
 
 
 def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
-    """The one-step estimator: one outer iteration from the unpenalized MLE.
+    """The one-step estimator (Zou & Li 2008): ``mm_outer``'s first iteration
+    from the unpenalized MLE.
 
-    The step applies the surrogate solve (``_SurrogateSolve``, or the
-    separable-majorizer map ``_PoissonMap`` for Poisson) once, without a
-    descent test.  The fit reports ``max_iter`` unless that step already met
-    ``coef_tol`` or ``obj_tol``.
+    The fit reports ``max_iter`` unless that step already met ``coef_tol`` or
+    ``obj_tol``.  A step that overflows, whose objective is not finite, or
+    that rises by more than ``DESCENT_SLACK`` raises ``ConvergenceError``
+    with the MLE as ``last_iterate``.
     """
-    model = problem.model
-    mle = fid.fit_mle(model)
-    if model.family is ResponseFamily.POISSON:
-        smap = _PoissonMap(problem)
-    else:
-        smap = _SurrogateSolve(problem, config)
-
-    def step(theta, obj):
-        theta_new = smap(theta)
-        d = theta_new - theta
-        return theta_new, smap.objective(theta_new), math.sqrt(float(d @ d)), 1, 0
-
-    return _drive(problem, replace(config, max_outer=1), mle, smap, step)
+    return mm_outer(problem, replace(config, max_outer=1), fid.fit_mle(problem.model))
 
 
 # -- starting-value presets -----------------------------------------------

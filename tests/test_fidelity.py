@@ -613,6 +613,18 @@ def test_mle_zeroes_the_score(family):
     assert np.max(np.abs(gradient(model, coef))) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [4, 89, 96, 98, 132, 177, 191])
+def test_poisson_mle_converges_at_large_counts(seed):
+    # the objective is about 1e7, so a rounding-level Newton step near the
+    # optimum can raise it by more than an absolute 1e-12
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((400, 4))
+    y = rng.poisson(np.exp(8.0 + 0.1 * x.sum(axis=1))).astype(float)
+    model = FidelityModel(DesignMatrix(x, has_intercept=True), Response(family=ResponseFamily.POISSON, y=y))
+    coef = fit_mle(model)
+    assert np.max(np.abs(gradient(model, coef))) <= 1e-6
+
+
 def test_mle_gaussian_matches_lstsq():
     model = make_model("gaussian", n=40, p=4, seed=30)
     coef = fit_mle(model)

@@ -8,7 +8,7 @@ import pytest
 from conftest import make_model
 from mist import accel
 from mist.accel import accelerated_fit, fit_path
-from mist.exceptions import ConvergenceError
+from mist.exceptions import ConvergenceError, ValidationError
 from mist.fidelity import CoefficientVector, DesignMatrix, FidelityModel, Response, gradient
 from mist.penalties import Family, PenaltySpec
 from mist.solver import FitResult, Problem, SolverConfig, kkt_residual, total_objective
@@ -157,3 +157,12 @@ def test_a_failed_lambda_is_returned_and_the_sweep_goes_on(monkeypatch):
     ref = fit_path(model, spec, [lams[0], lams[2]], TIGHT, CoefficientVector.zeros(8, True), "plain")
     assert np.array_equal(last.coef.beta, ref[1].coef.beta)
     assert last.kkt_residual <= 1e-6
+
+
+def test_fit_path_rejects_a_non_finite_start():
+    model = make_model("gaussian", n=30, p=8, seed=13)
+    spec = PenaltySpec(family=Family.LASSO, lam=1.0)
+    start = CoefficientVector.zeros(8, True)
+    start.beta[2] = np.nan  # the caller's array, changed after its check
+    with pytest.raises(ValidationError, match="finite"):
+        fit_path(model, spec, grid(model), TIGHT, start)

@@ -1,4 +1,5 @@
 """MM engine: thresholding, inner solver, fit paths, one-step, diagnostics."""
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -330,6 +331,32 @@ def test_mm_outer_fixed_point_returns_quickly():
     again = mm_outer(prob, TIGHT, first.coef)
     assert again.outer_iters == 1
     assert np.linalg.norm(again.coef.augmented() - first.coef.augmented()) <= 1e-8
+
+
+def assert_same_fit(a, b):
+    """Every ``FitResult`` field of a equals b's, bit for bit."""
+    for field in dataclasses.fields(FitResult):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, CoefficientVector):
+            x, y = x.augmented(), y.augmented()
+        assert np.array_equal(x, y), field.name
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PenaltySpec(family=Family.LASSO, lam=2.0),
+        PenaltySpec(family=Family.SCAD, lam=2.0),
+        PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=2.0, weights=np.array([1.0, math.inf, 0.5, 2.0])),
+    ],
+    ids=["lasso", "scad", "adaptive_lasso"],
+)
+def test_mm_outer_on_poisson_is_fit(spec):
+    # the separable majorizer is Poisson's surrogate solve, and a single-map fit
+    model = make_model("poisson", n=60, p=4, seed=34)
+    prob = Problem(model, spec)
+    start = CoefficientVector(beta=np.full(4, 0.2), intercept=0.0)
+    assert_same_fit(mm_outer(prob, TIGHT, start), fit(prob, TIGHT, start))
 
 
 @pytest.mark.parametrize("penalty", [Family.SCAD, Family.MCP])
@@ -955,6 +982,30 @@ def test_one_step_with_an_infinite_weight_starts_from_a_finite_objective():
     res = one_step_fit(prob, SolverConfig())
     assert fit_mle(model).beta[1] != 0.0
     assert np.all(np.isfinite(res.trace)) and res.coef.beta[1] == 0.0
+
+
+@pytest.mark.parametrize("penalty", [Family.LASSO, Family.SCAD, Family.MCP])
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson", "cox"])
+def test_one_step_is_the_first_mm_outer_iteration(family, penalty):
+    model = make_model(family, n=50, p=4, seed=35)
+    prob = Problem(model, PenaltySpec(family=penalty, lam=1.0))
+    cfg = SolverConfig()
+    first = mm_outer(prob, replace(cfg, max_outer=1), fit_mle(model))
+    assert_same_fit(one_step_fit(prob, cfg), first)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "poisson", "cox"])
+def test_one_step_that_overflows_is_a_convergence_error(family, monkeypatch):
+    def overflow(self, theta):
+        raise OverflowError("injected")
+
+    monkeypatch.setattr(solver._PoissonMap, "__call__", overflow)
+    monkeypatch.setattr(solver._SurrogateSolve, "__call__", overflow)
+    model = make_model(family, n=50, p=4, seed=36)
+    prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=1.0))
+    with pytest.raises(ConvergenceError, match=r"in 1 attempt\(s\)") as info:
+        one_step_fit(prob, SolverConfig())
+    assert np.array_equal(info.value.last_iterate, fit_mle(model).augmented())
 
 
 def test_one_step_poisson_descends_from_mle():
