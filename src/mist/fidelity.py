@@ -17,6 +17,7 @@ import copy
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -240,19 +241,37 @@ def gradient(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:
     return model._xt.T @ residual_kernel(model)(model.linear_predictor(coef))
 
 
+def parts_kernel(model: FidelityModel) -> Optional[Callable[[np.ndarray], object]]:
+    """What the likelihood and the score of one model share at eta, as a
+    function of eta: the gaussian residual y - eta, or the Cox risk-set sums
+    ``_cox_parts``; None for the families that share nothing.
+
+    ``nll_kernel`` and ``residual_kernel`` take these ``parts``, so a caller
+    that keeps them with eta forms each once per point.
+    """
+    fam = model.family
+    if fam is ResponseFamily.GAUSSIAN:
+        return partial(np.subtract, model.response.y)
+    if fam is ResponseFamily.COX:
+        return lambda eta: _cox_parts(model, eta)
+    return None
+
+
 def nll_kernel(model: FidelityModel) -> Callable[..., float]:
     """``neg_loglik`` of one model as a function of (eta, parts=None), unchecked.
 
-    eta is the linear predictor X theta, and ``parts`` are the Cox
-    ``_cox_parts`` at eta when the caller has them.  The family is chosen
-    here, once, so a fit that holds the kernel runs no family test per call.
+    eta is the linear predictor X theta, and ``parts`` are the
+    ``parts_kernel`` value at eta when the caller has it.  The family is
+    chosen here, once, so a fit that holds the kernel runs no family test
+    per call.
     """
     y = model.response.y
     fam = model.family
     if fam is ResponseFamily.GAUSSIAN:
         def nll(eta, parts=None):
-            r = eta - y
-            return 0.5 * float(r @ r)
+            # r . r is the same double for r = y - eta as for eta - y
+            r = y - eta if parts is None else parts
+            return 0.5 * float(r.dot(r))
     elif fam is ResponseFamily.LOGISTIC:
         def nll(eta, parts=None):
             return float(np.add.reduce(np.logaddexp(0.0, eta) - y * eta))
@@ -275,12 +294,13 @@ def nll_kernel(model: FidelityModel) -> Callable[..., float]:
 def residual_kernel(model: FidelityModel) -> Callable[..., np.ndarray]:
     """The score residual of one model as a function of (eta, parts=None):
     y - mu, or the Cox martingale residual delta - w a, so that the gradient
-    at eta is X^T r.  The family is chosen here, once."""
+    at eta is X^T r; ``parts`` as in ``nll_kernel``.  The family is chosen
+    here, once."""
     y = model.response.y
     fam = model.family
     if fam is ResponseFamily.GAUSSIAN:
         def residual(eta, parts=None):
-            return y - eta
+            return y - eta if parts is None else parts
     elif fam is ResponseFamily.LOGISTIC:
         def residual(eta, parts=None):
             # sigmoid via stable tanh form

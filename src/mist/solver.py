@@ -50,24 +50,35 @@ The loops work on plain augmented arrays (intercept first) and run on
 unchecked kernels; ``_drive`` checks the start once, and nothing inside a fit
 calls a checked function.  The public ``total_objective``, ``kkt_residual``
 and ``soft_threshold_vec`` check their arguments and compute the same values.
-A map object (``_Objective``) is the single source of a fit's numbers: its
-``objective`` remembers eta = X theta, so the map applied next at the same
-point does not multiply by X again, and a fit reports the KKT residual from
-the gradient at the eta cached at its last iterate, one product with X.
+A map object (``_Objective``) is the single source of a fit's numbers.  Its
+``objective`` at theta keeps, with that array, eta = X theta, the parts the
+likelihood shares with the score (the gaussian residual r = y - eta, or the
+Cox risk-set sums) and |beta|, so the map applied next at the same point
+neither multiplies by X for eta, forms r, sums the risk sets nor takes
+|beta| again.  A plain step then multiplies by X twice, X^T r at theta and
+X theta+ in the objective of its candidate, plus once per halving; a fit
+reports the KKT residual from the gradient at the eta cached at its last
+iterate, one product with X.
 
 What does not change within a fit is built once, when its map object is
-built: the likelihood and score-residual kernels of the family
-(``fidelity.nll_kernel``, ``fidelity.residual_kernel``), the penalty-value
-kernel (``penalties.value_kernel_for``), the step, and for the linear
+built: the likelihood, score-residual and shared-parts kernels of the family
+(``fidelity.nll_kernel``, ``fidelity.residual_kernel``,
+``fidelity.parts_kernel``), the penalty value, the step, and for the linear
 families (lasso, adaptive lasso and the elastic nets), whose thresholds
 lam w_j do not depend on theta, the augmented threshold vector, with 0 in the
-intercept slot; omega/2 times it is rebuilt only when the step changes, on a
-halving.  A GLM map is then one soft-threshold over the whole augmented
-vector (a zero threshold returns the intercept exactly) and, only when
-eps > 0, one shrink of the slopes.  A pinned coordinate is held at 0 with an
-infinite threshold and a finite argument, which the soft-threshold maps to 0
-without forming inf - inf.  Every step norm is sqrt(d . d), which is what
-``np.linalg.norm`` computes for a real vector.
+intercept slot, whose slopes also weight |beta| in the penalty value;
+-omega/2 and omega/2 times it are rebuilt only when the step changes, on a
+halving.  The other families write their thresholds at theta into two
+augmented buffers of the fit.  A GLM map is then one soft-threshold over the
+whole augmented vector, u - min(max(u, -t), t) (a zero threshold returns the
+intercept exactly), and, only when eps > 0, one shrink of the slopes; with
+eps = 0 the objective, the map and the inner solve form no ridge term.  A
+pinned coordinate is held at 0 with an infinite threshold and a finite
+argument, which the soft-threshold maps to u - u = 0 without forming
+inf - inf.  Every step norm is sqrt(d . d), which is what ``np.linalg.norm``
+computes for a real vector; the loops take d . d and the other dot products
+of two vectors with ``ndarray.dot``, the same BLAS ddot as ``@`` with less
+dispatch.
 """
 from __future__ import annotations
 
@@ -75,6 +86,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -211,16 +223,20 @@ def soft_threshold_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if np.any(v < 0):
         raise ValidationError("thresholds must be >= 0")
     with np.errstate(invalid="ignore"):  # inf - inf: an infinite u at a pinned coordinate
-        return _soft_threshold(u, v)
+        return _soft_threshold(u, -v, v)
 
 
-def _soft_threshold(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``soft_threshold_vec`` without its checks or its error state.
+def _soft_threshold(u: np.ndarray, neg_v: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``soft_threshold_vec`` without its checks or its error state, given
+    the thresholds v and their negation.
 
-    With v = 0 it returns u exactly (up to the sign of a zero), so a single
-    call covers an augmented vector whose intercept slot has threshold 0.
+    u - min(max(u, -v), v) is sign(u) (|u| - v)_+ bit for bit, up to the sign
+    of a zero: u - v or u + v outside [-v, v], and u - u = 0 inside it.  With
+    v = 0 it returns u exactly, so a single call covers an augmented vector
+    whose intercept slot has threshold 0, and with v = inf and u finite it
+    returns 0 without forming inf - inf.
     """
-    return np.sign(u) * np.maximum(np.abs(u) - v, 0.0)
+    return u - np.minimum(np.maximum(u, neg_v), v)
 
 
 def total_objective(problem: Problem, coef: CoefficientVector) -> float:
@@ -294,19 +310,20 @@ def ist_minimize(
     if m is not None:
         w = BACKTRACK_START * omega
         thresh = w * tau
+    neg = -w * tau
     mb = None
     with np.errstate(invalid="ignore"):  # inf - inf in the threshold at a pinned coordinate
         for _ in range(inner_max):
             g = grad_m(b)
-            s = _soft_threshold(b - w * g, thresh)
+            s = _soft_threshold(b - w * g, neg, thresh)
             if w > omega:
                 mb = m(b) if mb is None else mb
                 while w > omega and not _majorizes(ms := m(s), mb, -g, s - b, 2.0 * w):
                     w *= 0.5
-                    thresh = w * tau
-                    s = _soft_threshold(b - w * g, thresh)
+                    thresh, neg = w * tau, -w * tau
+                    s = _soft_threshold(b - w * g, neg, thresh)
             d = s - b
-            resid = math.sqrt(float(d @ d))
+            resid = math.sqrt(float(d.dot(d)))
             # above the floor the test accepted s, so m(s) is known
             b, mb = s, (ms if w > omega else None)
             if resid <= inner_tol:
@@ -380,15 +397,27 @@ def _start_theta(problem: Problem, start: CoefficientVector) -> np.ndarray:
 class _Objective:
     """The penalized objective over augmented arrays, remembering its last point.
 
-    Built once per fit, it picks its likelihood, score-residual and
-    penalty-value kernels (``fidelity.nll_kernel``, ``fidelity.residual_kernel``
-    and ``penalties.value_kernel_for``) at construction, so no call tests the
-    family.  ``fidelity(theta)`` stores (theta, eta = X theta), the fidelity
-    ``nll`` at theta, and for Cox the risk-set sums ``fidelity._cox_parts`` at
-    eta; ``objective``, ``eta`` and ``grad`` reuse them when asked about the
-    same array object (the fits never change an iterate in place), so a map
-    applied to the point whose objective was just evaluated neither multiplies
-    by X nor sums the risk sets again.
+    Built once per fit, it picks its likelihood, score-residual and shared
+    kernels (``fidelity.nll_kernel``, ``fidelity.residual_kernel`` and
+    ``fidelity.parts_kernel``) and its penalty value at construction, so no
+    call tests the family.  ``fidelity(theta)`` stores (theta, eta = X theta),
+    the fidelity ``nll`` at theta and the parts the likelihood shares with the
+    score there: the gaussian residual r = y - eta, of which nll = r . r / 2
+    and the gradient is X^T r, or the Cox risk-set sums
+    ``fidelity._cox_parts``.  ``objective(theta)`` stores |beta| at theta as
+    well.  ``objective``, ``eta``, ``grad`` and ``tau`` reuse them when asked
+    about the same array object (the fits never change an iterate in place),
+    so a map applied to the point whose objective was just evaluated neither
+    multiplies by X, forms the residual, sums the risk sets nor takes |beta|
+    again.
+
+    For the linear families (lasso, adaptive lasso and the elastic nets) the
+    thresholds lam w_j do not depend on theta: the augmented vector ``_tau``
+    of them, 0 in the intercept slot, is built once, and the penalty value is
+    the sum of its slopes times |beta|.  With a pinned weight (+inf), and for
+    the other families, the value comes from ``penalties.value_kernel_for``,
+    which gives a pinned coordinate held at 0 the value 0.  The ridge term is
+    added only when eps > 0.
     """
 
     #: the map's step; None for a map with no step, which ``_halving`` tries once
@@ -405,26 +434,38 @@ class _Objective:
         #: where the slopes start in an augmented array
         self.off = 1 if model.has_intercept else 0
         self.cox = model.family is ResponseFamily.COX
+        self.pinned = _pinned_mask(problem)
         self._nll = fid.nll_kernel(model)
         self._residual = fid.residual_kernel(model)
-        self._penalty = pen.value_kernel_for(spec)
+        self._parts_of = fid.parts_kernel(model)
         self._ridge_lam = spec.lam * spec.epsilon
+        linear = spec.family in pen.LINEAR_FAMILIES
+        #: the augmented thresholds of a linear family, None for the others
+        self._tau = _penalized_tau(problem, np.zeros(model.n_coef)) if linear else None
+        if linear and self.pinned is None:
+            self._penalty = partial(np.multiply, self._tau[self.off:])
+        else:
+            self._penalty = pen.value_kernel_for(spec)
         self._theta = self._eta = self._parts = None
         self.nll = math.nan
+        self._abs_at = self._abs = None
 
     def fidelity(self, theta: np.ndarray) -> float:
-        """The fidelity at theta, remembered with theta, eta and the Cox parts."""
+        """The fidelity at theta, remembered with theta, eta and the shared parts."""
         eta = self.xt @ theta
-        parts = fid._cox_parts(self.model, eta) if self.cox else None
-        self._theta, self._eta, self._parts = theta, eta, parts
+        parts = None if self._parts_of is None else self._parts_of(eta)
         self.nll = self._nll(eta, parts)
+        self._theta, self._eta, self._parts = theta, eta, parts
         return self.nll
 
     def objective(self, theta: np.ndarray) -> float:
         nll = self.nll if theta is self._theta else self.fidelity(theta)
         beta = theta[self.off:]
-        value = nll + float(np.add.reduce(self._penalty(np.abs(beta))))
-        return value + self._ridge_lam * float(beta @ beta)
+        self._abs_at, self._abs = theta, np.abs(beta)
+        value = nll + float(np.add.reduce(self._penalty(self._abs)))
+        if self._ridge_lam:
+            value += self._ridge_lam * float(beta.dot(beta))
+        return value
 
     def eta(self, theta: np.ndarray) -> np.ndarray:
         return self._eta if theta is self._theta else self.xt @ theta
@@ -435,6 +476,17 @@ class _Objective:
             return self._xt_t @ self._residual(self._eta, self._parts)
         return self._xt_t @ self._residual(self.xt @ theta)
 
+    def abs_beta(self, theta: np.ndarray) -> np.ndarray:
+        """|beta| at theta, as the last objective stored it when it was at theta."""
+        return self._abs if theta is self._abs_at else np.abs(theta[self.off:])
+
+    def tau(self, theta: np.ndarray) -> np.ndarray:
+        """The augmented thresholds p'(|beta_j|) at theta, 0 in the intercept slot."""
+        if self._tau is not None:
+            return self._tau
+        d = pen.derivative_kernel(self.problem.penalty, self.abs_beta(theta))
+        return np.concatenate([[0.0], d]) if self.off else d
+
 
 # -- GLM single-map update ------------------------------------------------
 
@@ -444,28 +496,30 @@ def glm_map(
     theta: np.ndarray,
     omega: float,
     grad: Optional[np.ndarray] = None,
-    thresh: Optional[np.ndarray] = None,
+    bounds: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """One closed-form surrogate minimization for bounded-hessian families.
 
     The update soft-thresholds theta + omega/2 grad l(theta) over the whole
     augmented array at omega/2 tau, with tau = p'(|theta_j|) and 0 in the
     intercept slot, and shrinks the slopes by 1 / (1 + omega lam eps) when
-    eps > 0.  ``grad`` (the log-likelihood gradient at theta) and ``thresh``
-    (the thresholds omega/2 tau) are passed together by a fit's map
-    (``_GlmMap``); without ``thresh`` both are computed here.  Nothing is
-    checked: theta is the augmented coefficient array of a problem's model.
+    eps > 0.  ``grad`` (the log-likelihood gradient at theta) and ``bounds``
+    (the thresholds -omega/2 tau and omega/2 tau) are passed together by a
+    fit's map (``_GlmMap``); without ``bounds`` both are computed here.
+    Nothing is checked: theta is the augmented coefficient array of a
+    problem's model.
     """
     half = 0.5 * omega
-    if thresh is None:
+    if bounds is None:
         model = problem.model
         theta = np.asarray(theta, dtype=float)
         if grad is None:
             grad = model._xt.T @ fid.residual_kernel(model)(model._xt @ theta)
+        tau = _penalized_tau(problem, theta)
         with np.errstate(invalid="ignore"):  # inf - inf: an infinite argument at a pinned coordinate
-            out = _soft_threshold(theta + half * grad, half * _penalized_tau(problem, theta))
+            out = _soft_threshold(theta + half * grad, -half * tau, half * tau)
     else:
-        out = _soft_threshold(theta + half * grad, thresh)
+        out = _soft_threshold(theta + half * grad, *bounds)
     spec = problem.penalty
     if spec.epsilon:
         out[1 if problem.model.has_intercept else 0:] *= 1.0 / (1.0 + omega * spec.lam * spec.epsilon)
@@ -479,26 +533,28 @@ class _GlmMap(_Objective):
     backtracks that step exactly when the family is Cox, whose curvature
     bound is loose.  Calling it applies ``glm_map`` at omega, or at a halved
     step passed as the second argument, with the log-likelihood gradient at
-    theta passed as the third, or else taken from the eta (and the Cox
-    risk-set sums) of the last objective evaluation when it is at the same
-    point.  A plain step with h halvings then multiplies by X 2 + h times
-    (X^T r once, eta in every objective), and a squarem step four times plus
-    once per backtrack.
+    theta passed as the third, or else taken from the eta and the shared
+    parts (the gaussian residual, the Cox risk-set sums) of the last
+    objective evaluation when it is at the same point.  A plain step with h
+    halvings then multiplies by X 2 + h times (X^T r once at theta, whose eta
+    and r the objective there cached, and X theta+ in every objective), and a
+    squarem step four times plus once per backtrack.
 
-    For the linear families tau = lam w does not depend on theta: the map
-    builds the augmented tau once and omega/2 tau again only when the step
-    changes, that is on a halving.  The other families compute tau at each
-    map.
+    The linear families' thresholds -omega/2 tau and omega/2 tau are rebuilt
+    only when the step changes, that is on a halving.  The other families
+    take tau = p'(|beta|) at each map from the |beta| that the objective at
+    theta cached, and write -omega/2 tau and omega/2 tau into two augmented
+    buffers of the fit, whose intercept slots stay 0.
     """
 
     def __init__(self, problem: Problem):
         super().__init__(problem)
         self.omega = resolve_step(problem)
         self.backtrack = self.cox
-        self._tau = None
-        if problem.penalty.family in pen.LINEAR_FAMILIES:
-            self._tau = _penalized_tau(problem, np.zeros(self.model.n_coef))
-        self._w = self._thresh = None
+        self._w = None
+        if self._tau is None:
+            self._lo, self._hi = np.zeros(self.model.n_coef), np.zeros(self.model.n_coef)
+            self._lo_beta, self._hi_beta = self._lo[self.off:], self._hi[self.off:]
 
     def __call__(
         self, theta: np.ndarray, omega: Optional[float] = None, grad: Optional[np.ndarray] = None
@@ -507,12 +563,14 @@ class _GlmMap(_Objective):
         if grad is None:
             grad = self.grad(theta)
         if self._tau is None:
-            thresh = (0.5 * w) * _penalized_tau(self.problem, theta)
-        else:
-            if w != self._w:
-                self._w, self._thresh = w, (0.5 * w) * self._tau
-            thresh = self._thresh
-        return glm_map(self.problem, theta, w, grad, thresh)
+            d = pen.derivative_kernel(self.problem.penalty, self.abs_beta(theta))
+            half = 0.5 * w
+            np.multiply(half, d, out=self._hi_beta)
+            np.multiply(-half, d, out=self._lo_beta)
+        elif w != self._w:
+            half = 0.5 * w
+            self._w, self._lo, self._hi = w, -half * self._tau, half * self._tau
+        return glm_map(self.problem, theta, w, grad, (self._lo, self._hi))
 
     def anchor(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """The fidelity and the log-likelihood gradient at theta."""
@@ -656,7 +714,7 @@ def _halving(m: _Objective) -> Step:
                 if at_floor or _majorizes(m.nll, nll0, grad0, d, w):
                     if m.backtrack:
                         first = max(w, omega)
-                    return theta_new, obj_new, math.sqrt(float(d @ d)), evals, evals - 1
+                    return theta_new, obj_new, math.sqrt(float(d.dot(d))), evals, evals - 1
             if at_floor:
                 floor_rejects += 1
                 if floor_rejects == attempts:
@@ -677,7 +735,7 @@ def _majorizes(nll_new: float, nll0: float, grad0: np.ndarray, d: np.ndarray, w:
     nll0 and grad0 are the fidelity and the log-likelihood gradient at theta,
     nll_new the fidelity at theta + d.
     """
-    bound = nll0 - float(grad0 @ d) + float(d @ d) / w
+    bound = nll0 - float(grad0.dot(d)) + float(d.dot(d)) / w
     return nll_new <= bound + MAJORIZE_SLACK * (1.0 + abs(nll0))
 
 
@@ -716,7 +774,9 @@ class _SurrogateSolve(_Objective):
 
     def grad_m(self, b: np.ndarray) -> np.ndarray:
         """Gradient of the fidelity plus the ridge, the smooth part."""
-        return 2.0 * self.ridge * b - self.grad(b)
+        if self._ridge_lam:
+            return 2.0 * self.ridge * b - self.grad(b)
+        return -self.grad(b)
 
     def m(self, b: np.ndarray) -> float:
         """The fidelity plus the ridge itself.
@@ -724,13 +784,14 @@ class _SurrogateSolve(_Objective):
         It remembers eta and the Cox risk-set sums at b (``fidelity``), so
         ``grad_m`` at the same array, the next inner iteration's, reuses them.
         """
-        return self.fidelity(b) + float(self.ridge @ (b * b))
+        nll = self.fidelity(b)
+        return nll + float(self.ridge @ (b * b)) if self._ridge_lam else nll
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         cfg = self.config
         return ist_minimize(
             self.grad_m,
-            _penalized_tau(self.problem, theta),
+            self.tau(theta),
             self.inner_omega,
             theta,
             inner_tol=cfg.inner_tol,
@@ -781,17 +842,17 @@ class _PoissonMap(_Objective):
         self.d = model.response.offsets
         self.y = model.response.y
         self.ridge = _ridge(problem)
-        self.pinned = _pinned_mask(problem)
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         """The map at theta; the majorizer has no step."""
         theta = np.asarray(theta, dtype=float)
-        if self.pinned is not None:
+        # a fit's iterates are pinned already and keep their cached eta
+        if self.pinned is not None and np.any(theta[self.pinned]):
             theta = np.where(self.pinned, 0.0, theta)
         eta = self.eta(theta)
         # u_ij = base_ij + ratio_ij * b; entries with x_ij = 0 stay at u = 0
         base = np.where(self.nz, eta[:, None] - self.ratio * theta, 0.0)
-        return _poisson_scalar_min(self, base, _penalized_tau(self.problem, theta), theta)
+        return _poisson_scalar_min(self, base, self.tau(theta), theta)
 
 
 def _next_probe(c, newton, lo, hi, max_step, double):
@@ -912,16 +973,21 @@ def mm_map(problem: Problem) -> Union[_GlmMap, _PoissonMap]:
     return _GlmMap(problem)
 
 
-def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
+def one_step_fit(
+    problem: Problem, config: SolverConfig, mle: Optional[CoefficientVector] = None
+) -> FitResult:
     """The one-step estimator (Zou & Li 2008): ``mm_outer``'s first iteration
     from the unpenalized MLE.
 
-    The fit reports ``max_iter`` unless that step already met ``coef_tol`` or
-    ``obj_tol``.  A step that overflows, whose objective is not finite, or
-    that rises by more than ``DESCENT_SLACK`` raises ``ConvergenceError``
-    with the MLE as ``last_iterate``.
+    ``mle`` is the MLE of the problem's model (``fidelity.fit_mle``) when the
+    caller already has it, as a lambda sweep on one model does; without it
+    the MLE is fitted here.  The fit reports ``max_iter`` unless that step
+    already met ``coef_tol`` or ``obj_tol``.  A step that overflows, whose
+    objective is not finite, or that rises by more than ``DESCENT_SLACK``
+    raises ``ConvergenceError`` with the MLE as ``last_iterate``.
     """
-    return mm_outer(problem, replace(config, max_outer=1), fid.fit_mle(problem.model))
+    start = fid.fit_mle(problem.model) if mle is None else mle
+    return mm_outer(problem, replace(config, max_outer=1), start)
 
 
 # -- starting-value presets -----------------------------------------------

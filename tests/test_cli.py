@@ -367,6 +367,32 @@ def test_fit_reports_a_bad_data_file_on_one_line(tmp_path, text, suffix):
     assert r.stderr == f"error: {bad}{suffix}\n"
 
 
+@pytest.mark.parametrize("start", ["one_step", "mle"])
+def test_simulate_fits_the_mle_once_per_replicate(start, tmp_path, monkeypatch):
+    # the MLE does not depend on lambda: one fit serves every lambda's
+    # one-step estimator and the mle start
+    from mist import fidelity
+    from mist.cli import main
+
+    calls = [0]
+    original = fidelity.fit_mle
+
+    def counted(model):
+        calls[0] += 1
+        return original(model)
+
+    monkeypatch.setattr(fidelity, "fit_mle", counted)
+    out = tmp_path / "sim.csv"
+    with pytest.raises(SystemExit) as done:
+        main(["simulate", "--scenario", "logistic_ex2", "--p", "10", "--n", "60", "-B", "1",
+              "--penalty-json", '{"family": "scad", "lambda": 1}', "--start", start,
+              "--lambda", "0.5", "--lambda", "1", "--lambda", "2", "--out", str(out)])
+    assert done.value.code == 0
+    assert calls[0] == 1
+    rows = read_rows(out, csv.DictReader)
+    assert len(rows) == 3 and {row["start"] for row in rows} == {start}
+
+
 def test_importing_mist_loads_no_scipy():
     r = run_python("-c", "import sys, mist, mist.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     assert r.returncode == 0, r.stderr

@@ -94,6 +94,25 @@ def test_soft_threshold_vec_shape_mismatch():
         soft_threshold_vec(np.zeros(2), np.zeros(3))
 
 
+def test_clamp_soft_threshold_is_the_sign_form_bit_for_bit():
+    # u - min(max(u, -t), t) against sign(u) (|u| - t)_+, after mapping -0.0 to +0.0
+    rng = np.random.default_rng(24)
+    scale = 10.0 ** rng.uniform(-300, 300, 4000)
+    u = rng.standard_normal(4000) * scale
+    t = np.abs(rng.standard_normal(4000)) * scale[rng.permutation(4000)]
+    t[:500] = np.abs(u[:500])  # |u| = t
+    u[500:600] = 0.0
+    u[600:700] = -0.0
+    t[700:900] = 0.0  # the intercept slot
+    t[900:1100] = math.inf  # a pinned coordinate
+    t[1100:1200] = 5e-324  # a subnormal threshold
+    with np.errstate(over="ignore"):
+        got = solver._soft_threshold(u, -t, t) + 0.0
+        want = np.sign(u) * np.maximum(np.abs(u) - t, 0.0) + 0.0
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[700:900] == u[700:900]) and np.all(got[900:1100] == 0.0)
+
+
 # -- total objective -------------------------------------------------------
 
 
@@ -657,6 +676,32 @@ def test_poisson_step_makes_one_attempt(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_pinned_poisson_map_keeps_the_cached_eta(monkeypatch):
+    # an iterate whose pinned coordinate is already 0 is not re-pinned into a
+    # new array, so the map takes eta from the objective just evaluated
+    model = make_model("poisson", n=60, p=4, seed=34)
+    weights = np.array([1.0, math.inf, 0.5, 2.0])
+    prob = Problem(model, PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=2.0, weights=weights))
+    start = CoefficientVector.zeros(4, True)
+    cached = {True: 0, False: 0}
+    original = solver._Objective.eta
+
+    def counted(self, theta):
+        cached[theta is self._theta] += 1
+        return original(self, theta)
+
+    monkeypatch.setattr(solver._Objective, "eta", counted)
+    res = fit(prob, SolverConfig(), start)
+    assert cached == {True: res.map_evals, False: 0} and res.map_evals > 100
+    assert res.coef.beta[1] == 0.0
+    # the same fit with eta recomputed at every map
+    monkeypatch.setattr(solver._Objective, "eta", lambda self, theta: self.xt @ theta)
+    ref = fit(prob, SolverConfig(), start)
+    assert np.array_equal(res.coef.augmented(), ref.coef.augmented())
+    assert res.objective == ref.objective and np.array_equal(res.trace, ref.trace)
+    assert (res.outer_iters, res.map_evals, res.kkt_residual) == (ref.outer_iters, ref.map_evals, ref.kkt_residual)
+
+
 def test_poisson_mle_with_zero_threshold_is_fixed_point():
     model = make_model("poisson", n=60, p=3, seed=28)
     mle = fit_mle(model)
@@ -1120,6 +1165,31 @@ def test_plain_iteration_multiplies_by_x_at_most_twice(family):
     # the curvature bound, the objective at the start, 2 + h per step with h
     # halvings, then the KKT's gradient at the eta cached at the last iterate
     assert counter[0] == bound_products + 1 + 2 * res.map_evals - res.descent_backtracks + 1
+
+
+@pytest.mark.parametrize("pen_family", [Family.LASSO, Family.SCAD])
+@pytest.mark.parametrize("family", HOT_FAMILIES)
+def test_a_plain_step_multiplies_by_x_twice(family, pen_family):
+    # X^T r at theta, from the eta (and the gaussian residual or the Cox
+    # risk-set sums) that the objective there cached, and X theta+ in the
+    # objective of each attempt
+    model = make_model(family, n=40, p=5, seed=64)
+    prob = Problem(model, PenaltySpec(family=pen_family, lam=0.3))
+    gmap = mm_map(prob)
+    gmap.xt = model._xt.view(CountingDesign)
+    gmap.xt.counter = counter = [0]
+    gmap._xt_t = gmap.xt.T
+    step = solver._halving(gmap)
+    theta = random_coef(model, seed=65).augmented()
+    obj = gmap.objective(theta)
+    plain = 0
+    for _ in range(30):
+        counter[0] = 0
+        theta, obj, _, evals, halvings = step(theta, obj)
+        assert counter[0] == 2 + halvings
+        plain += halvings == 0
+    # the backtracked cox step halves its first steps
+    assert plain >= (20 if family == "cox" else 30)
 
 
 def test_halved_step_multiplies_by_x_once_per_attempt_plus_one_gradient(monkeypatch):
