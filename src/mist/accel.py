@@ -137,8 +137,9 @@ def accelerated_fit(
     (Varadhan & Roland 2008) as the step of the shared outer loop, with the
     map residual ||r|| as its step norm, and carries the steplength bound
     ``step_max`` from each step to the next, starting at 1.  A squarem step
-    that falls back to the double map step and finds its objective not
-    finite raises ``ConvergenceError`` carrying the last iterate.
+    whose map overflows, or that falls back to the double map step and finds
+    its objective not finite, raises ``ConvergenceError`` carrying the last
+    iterate, as a plain step that cannot descend does.
     """
     if mode == "plain":
         return fit(problem, config, start)
@@ -150,7 +151,10 @@ def accelerated_fit(
 
     def step(theta, obj):
         nonlocal step_max
-        state = squarem_step(map_fn, map_fn.objective, theta, obj, step_max)
+        try:
+            state = squarem_step(map_fn, map_fn.objective, theta, obj, step_max)
+        except OverflowError as err:
+            raise ConvergenceError(f"squarem: {err}", last_iterate=theta) from err
         if not math.isfinite(state.objective):
             raise ConvergenceError(
                 "squarem: the fallback double map step has a non-finite objective",
@@ -215,7 +219,7 @@ def fit_path(
     for lam in lams:
         try:
             problem = Problem(model, replace(spec, lam=lam))
-            tau = pen.derivative_kernel(problem.penalty, zeros)
+            tau = pen.kernels(problem.penalty)[1](zeros)
             ref = tau if tau_warm is None else tau_warm
             with np.errstate(invalid="ignore"):  # inf - inf on pinned columns
                 keep = (theta[off:] != 0.0) | (np.abs(grad[off:]) >= 2.0 * tau - ref)

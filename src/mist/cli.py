@@ -18,7 +18,6 @@ import click
 import numpy as np
 
 from . import accel as accel_mod
-from . import fidelity as fid
 from . import penalties as pen
 from . import simlab
 from . import solver
@@ -334,15 +333,12 @@ def _simulate_replicate(scn, lams, spec, config, start):
     """One replicate: MIST fit vs the one-step baseline for every lambda."""
     dataset = simlab.gen_dataset(scn)
     model = simlab.model_from_dataset(dataset)
-    mle = fid.fit_mle(model)  # does not depend on lambda
     out_rows = []
     for lam in lams:
         problem = Problem(model, replace(spec, lam=lam))
-        one_step = solver.one_step_fit(problem, config, mle)
+        one_step = solver.one_step_fit(problem, config)
         if start == "one_step":
             start_coef = one_step.coef
-        elif start == "mle":
-            start_coef = mle
         else:
             start_coef = solver.starting_point(problem, config, start)
         result = solver.fit(problem, config, start_coef)

@@ -169,6 +169,7 @@ class FidelityModel:
         self.family = response.family
         self._xt = design.augmented()
         self._curvature_bound: Optional[float] = None  # set by curvature_bound
+        self._mle: Optional[np.ndarray] = None  # the augmented MLE, set by fit_mle
         if self.family is ResponseFamily.COX:
             # descending time order: risk set of subject k (in sorted order)
             # is the prefix [0..j] with the same or later time
@@ -186,14 +187,14 @@ class FidelityModel:
 
         The augmented design is gathered once, and the restricted design's
         values are a view of it; the response and the Cox risk-set arrays are
-        shared, not validated or sorted again.  The curvature bound is not:
-        the column subset has its own.
+        shared, not validated or sorted again.  The curvature bound and the
+        MLE are not: the column subset has its own.
         """
         cols = np.asarray(cols, dtype=np.intp)
         idx = np.concatenate([[0], cols + 1]) if self.has_intercept else cols
         sub = copy.copy(self)
         sub._xt = self._xt[:, idx]
-        sub._curvature_bound = None
+        sub._curvature_bound = sub._mle = None
         values = sub._xt[:, 1:] if self.has_intercept else sub._xt
         sub.design = DesignMatrix(values, has_intercept=self.has_intercept)
         return sub
@@ -495,7 +496,16 @@ def fit_mle(model: FidelityModel) -> CoefficientVector:
     """Unpenalized MLE: least squares for gaussian, damped Newton otherwise.
 
     Requires more observations than coefficients; raises on singular designs.
+    Fitted the first time a model is asked and kept on it, as the curvature
+    bound is; every call returns a fresh copy.
     """
+    if model._mle is None:
+        model._mle = _fit_mle(model)
+    return CoefficientVector.from_augmented(model._mle.copy(), model.has_intercept)
+
+
+def _fit_mle(model: FidelityModel) -> np.ndarray:
+    """``fit_mle``'s least-squares or Newton fit, as an augmented array."""
     xt = model._xt
     n, k = xt.shape
     if n <= k:
@@ -504,7 +514,7 @@ def fit_mle(model: FidelityModel) -> CoefficientVector:
         theta, _, rank, _ = np.linalg.lstsq(xt, model.response.y, rcond=None)
         if rank < k:
             raise ValidationError("design matrix is rank deficient; MLE is not unique")
-        return CoefficientVector.from_augmented(theta, model.has_intercept)
+        return theta
 
     # Newton on the augmented array: one eta per iterate, and for Cox one
     # sum of its risk sets, feeds the likelihood, the score and the Hessian
@@ -517,7 +527,7 @@ def fit_mle(model: FidelityModel) -> CoefficientVector:
     for _ in range(MLE_MAX_ITER):
         g = xt_t @ residual(eta, parts)
         if np.max(np.abs(g)) <= MLE_TOL:
-            return CoefficientVector.from_augmented(theta, model.has_intercept)
+            return theta
         try:
             step = np.linalg.solve(_neg_hessian(model, eta, parts), g)
         except np.linalg.LinAlgError as err:
@@ -543,7 +553,7 @@ def fit_mle(model: FidelityModel) -> CoefficientVector:
             raise ConvergenceError("Newton line search failed", last_iterate=theta, residual=g)
     g = xt_t @ residual(eta, parts)
     if np.max(np.abs(g)) <= 1e-6:
-        return CoefficientVector.from_augmented(theta, model.has_intercept)
+        return theta
     raise ConvergenceError(
         f"Newton MLE did not converge in {MLE_MAX_ITER} iterations",
         last_iterate=theta,

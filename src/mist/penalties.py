@@ -129,31 +129,37 @@ def _check_r_vec(r: np.ndarray) -> np.ndarray:
 
 def penalty_value_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
     """Vectorized penalty values over |coefficients| r (one entry per coordinate)."""
-    return value_kernel_for(spec)(_check_r_vec(r))
+    return kernels(spec)[0](_check_r_vec(r))
 
 
 def penalty_derivative_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
     """Vectorized right-derivatives over |coefficients| r."""
-    return derivative_kernel(spec, _check_r_vec(r))
+    return kernels(spec)[1](_check_r_vec(r))
 
 
-def value_kernel_for(spec: PenaltySpec) -> Callable[[np.ndarray], np.ndarray]:
-    """``penalty_value_vec`` of one spec as a function of r alone, without its
-    checks: r is a float array, all >= 0.
+Kernel = Callable[[np.ndarray], np.ndarray]
+
+
+def kernels(spec: PenaltySpec) -> tuple[Kernel, Kernel]:
+    """``penalty_value_vec`` and ``penalty_derivative_vec`` of one spec as
+    functions of r alone, without their checks: r is a float array, all >= 0.
 
     The family is chosen here, once, and an adaptive family's lam * w and its
-    pinned mask are computed here, so a fit that holds the kernel runs no
-    family test per call.
+    pinned mask are computed here, so a fit that holds the pair runs no family
+    test per call.  SCAD and MCP are written through s = min(r, a lam), which
+    covers their pieces without a per-coordinate choice.
     """
     lam, a, d = spec.lam, spec.a, spec.delta
     fam = spec.family
     if fam in LINEAR_FAMILIES:
-        if fam not in ADAPTIVE_FAMILIES:
-            return lambda r: lam * r
-        lw = lam * spec.weights
-        pinned = np.isinf(spec.weights)
+        lw = lam if spec.weights is None else lam * spec.weights
+        pinned = spec.weights is not None and np.isinf(spec.weights)
+
+        def derivative(r):
+            return np.full(r.shape, lw)
+
         if not np.any(pinned):
-            return lambda r: lw * r
+            return (lambda r: lw * r), derivative
 
         def pinned_linear(r):
             with np.errstate(invalid="ignore"):
@@ -162,38 +168,28 @@ def value_kernel_for(spec: PenaltySpec) -> Callable[[np.ndarray], np.ndarray]:
             out[pinned & (r == 0.0)] = 0.0
             return out
 
-        return pinned_linear
+        return pinned_linear, derivative
     if fam is Family.SCAD:
+        al, am1 = a * lam, a - 1.0
+
         def scad(r):
-            mid = (2 * a * lam * r - r * r - lam * lam) / (2 * (a - 1))
-            return np.where(r <= lam, lam * r, np.where(r <= a * lam, mid, lam * lam * (a + 1) / 2))
+            s = np.minimum(r, al)
+            t = np.maximum(s - lam, 0.0)
+            return lam * s - t * t / (2.0 * am1)
 
-        return scad
+        return scad, lambda r: np.minimum(lam, np.maximum(al - r, 0.0) / am1)
     if fam is Family.MCP:
-        return lambda r: np.where(r <= a * lam, lam * r - r * r / (2 * a), a * lam * lam / 2)
-    if fam is Family.GEMAN:
-        return lambda r: lam * d * r / (1 + d * r)
-    if fam is Family.LOG:
-        return lambda r: lam * np.log1p(d * r)
-    raise ValidationError(f"unknown family {fam}")
+        al = a * lam
 
+        def mcp(r):
+            s = np.minimum(r, al)
+            return s * (lam - s / (2.0 * a))
 
-def derivative_kernel(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
-    """``penalty_derivative_vec`` without its checks: r is a float array, all >= 0."""
-    lam, a, d = spec.lam, spec.a, spec.delta
-    fam = spec.family
-    if fam in LINEAR_FAMILIES:
-        if fam in ADAPTIVE_FAMILIES:
-            return lam * spec.weights
-        return np.full(r.shape, float(lam))
-    if fam is Family.SCAD:
-        return np.where(r <= lam, lam, np.maximum(a * lam - r, 0.0) / (a - 1))
-    if fam is Family.MCP:
-        return np.maximum(lam - r / a, 0.0)
+        return mcp, lambda r: np.maximum(lam - r / a, 0.0)
     if fam is Family.GEMAN:
-        return lam * d / (1 + d * r) ** 2
+        return (lambda r: lam * d * r / (1 + d * r)), (lambda r: lam * d / (1 + d * r) ** 2)
     if fam is Family.LOG:
-        return lam * d / (d * r + 1)
+        return (lambda r: lam * np.log1p(d * r)), (lambda r: lam * d / (d * r + 1))
     raise ValidationError(f"unknown family {fam}")
 
 

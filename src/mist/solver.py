@@ -63,15 +63,18 @@ iterate, one product with X.
 What does not change within a fit is built once, when its map object is
 built: the likelihood, score-residual and shared-parts kernels of the family
 (``fidelity.nll_kernel``, ``fidelity.residual_kernel``,
-``fidelity.parts_kernel``), the penalty value, the step, and for the linear
+``fidelity.parts_kernel``), the penalty's value and derivative
+(``penalties.kernels``, one family switch for both), and the step.  The map
+object holds one augmented threshold array, with 0 in the intercept slot,
+and its ``tau(theta)`` is the only place thresholds are made.  The linear
 families (lasso, adaptive lasso and the elastic nets), whose thresholds
-lam w_j do not depend on theta, the augmented threshold vector, with 0 in the
-intercept slot, whose slopes also weight |beta| in the penalty value;
--omega/2 and omega/2 times it are rebuilt only when the step changes, on a
-halving.  The other families write their thresholds at theta into two
-augmented buffers of the fit.  A GLM map is then one soft-threshold over the
-whole augmented vector, u - min(max(u, -t), t) (a zero threshold returns the
-intercept exactly), and, only when eps > 0, one shrink of the slopes; with
+lam w_j do not depend on theta, write the array once, when the map is built;
+the other families rewrite it at each map from the |beta| cached at theta.
+A GLM map keeps -omega/2 and omega/2 times it, and rebuilds them when the
+family is not linear or when the step changed, on a halving.  A GLM map is
+then one soft-threshold over the whole augmented vector,
+u - min(max(u, -t), t) (a zero threshold returns the intercept exactly),
+and, only when eps > 0, one shrink of the slopes; with
 eps = 0 the objective, the map and the inner solve form no ridge term.  A
 pinned coordinate is held at 0 with an infinite threshold and a finite
 argument, which the soft-threshold maps to u - u = 0 without forming
@@ -86,7 +89,6 @@ import enum
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -209,10 +211,9 @@ class FitResult:
 
 
 def soft_threshold(u: float, v: float) -> float:
-    """sign(u) * (|u| - v)_+ with s(u, +inf) = 0 exactly."""
-    if v < 0:
-        raise ValidationError(f"threshold must be >= 0, got {v}")
-    return math.copysign(1.0, u) * max(abs(u) - v, 0.0) if abs(u) > v else 0.0
+    """sign(u) * (|u| - v)_+ of one coordinate, through ``soft_threshold_vec``;
+    s(u, +inf) = 0 exactly for a finite u."""
+    return float(soft_threshold_vec(np.array([u]), np.array([v]))[0])
 
 
 def soft_threshold_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -260,7 +261,7 @@ def _kkt(problem: Problem, beta: np.ndarray, grad_ll: np.ndarray) -> float:
     has_int = problem.model.has_intercept
     g = -grad_ll[1:] if has_int else -grad_ll  # gradient of the fidelity term
     s = g + 2.0 * spec.lam * spec.epsilon * beta
-    d = pen.derivative_kernel(spec, np.abs(beta))
+    d = pen.kernels(spec)[1](np.abs(beta))
     nonzero = beta != 0.0
     pinned = np.isinf(d)
     if np.any(nonzero & pinned):
@@ -353,16 +354,6 @@ def resolve_step(problem: Problem, config: Optional[SolverConfig] = None) -> flo
     return _safe_step(fid.curvature_bound(problem.model))
 
 
-def _penalized_tau(problem: Problem, theta: np.ndarray) -> np.ndarray:
-    """Thresholds over the augmented vector (zero for the intercept slot)."""
-    has_int = problem.model.has_intercept
-    beta = theta[1:] if has_int else theta
-    tau = pen.derivative_kernel(problem.penalty, np.abs(beta))
-    if has_int:
-        tau = np.concatenate([[0.0], tau])
-    return tau
-
-
 def _pinned_mask(problem: Problem) -> Optional[np.ndarray]:
     w = problem.penalty.weights
     if w is None or not np.any(np.isinf(w)):
@@ -399,7 +390,7 @@ class _Objective:
 
     Built once per fit, it picks its likelihood, score-residual and shared
     kernels (``fidelity.nll_kernel``, ``fidelity.residual_kernel`` and
-    ``fidelity.parts_kernel``) and its penalty value at construction, so no
+    ``fidelity.parts_kernel``) and its penalty kernels at construction, so no
     call tests the family.  ``fidelity(theta)`` stores (theta, eta = X theta),
     the fidelity ``nll`` at theta and the parts the likelihood shares with the
     score there: the gaussian residual r = y - eta, of which nll = r . r / 2
@@ -411,13 +402,15 @@ class _Objective:
     multiplies by X, forms the residual, sums the risk sets nor takes |beta|
     again.
 
-    For the linear families (lasso, adaptive lasso and the elastic nets) the
-    thresholds lam w_j do not depend on theta: the augmented vector ``_tau``
-    of them, 0 in the intercept slot, is built once, and the penalty value is
-    the sum of its slopes times |beta|.  With a pinned weight (+inf), and for
-    the other families, the value comes from ``penalties.value_kernel_for``,
-    which gives a pinned coordinate held at 0 the value 0.  The ridge term is
-    added only when eps > 0.
+    The penalty reaches it only through the spec's kernel pair
+    (``penalties.kernels``): the value p(|beta_j|), summed in the objective
+    (a pinned coordinate held at 0 has value 0), and the threshold
+    p'(|beta_j|).  It holds one augmented threshold array, 0 in the intercept
+    slot, and ``tau(theta)`` is the only place thresholds are made: for the
+    linear families (lasso, adaptive lasso and the elastic nets), whose
+    thresholds lam w_j do not depend on theta, the array is written once, when
+    the map is built; for the others ``tau`` rewrites its slopes at the |beta|
+    cached at theta.  The ridge term is added only when eps > 0.
     """
 
     #: the map's step; None for a map with no step, which ``_halving`` tries once
@@ -439,13 +432,13 @@ class _Objective:
         self._residual = fid.residual_kernel(model)
         self._parts_of = fid.parts_kernel(model)
         self._ridge_lam = spec.lam * spec.epsilon
-        linear = spec.family in pen.LINEAR_FAMILIES
-        #: the augmented thresholds of a linear family, None for the others
-        self._tau = _penalized_tau(problem, np.zeros(model.n_coef)) if linear else None
-        if linear and self.pinned is None:
-            self._penalty = partial(np.multiply, self._tau[self.off:])
-        else:
-            self._penalty = pen.value_kernel_for(spec)
+        self._penalty, self._derivative = pen.kernels(spec)
+        #: whether the thresholds are constant over the fit
+        self.linear = spec.family in pen.LINEAR_FAMILIES
+        #: the augmented thresholds, 0 in the intercept slot
+        self._tau = np.zeros(model.n_coef)
+        if self.linear:
+            self._tau[self.off:] = self._derivative(np.zeros(model.design.n_cols))
         self._theta = self._eta = self._parts = None
         self.nll = math.nan
         self._abs_at = self._abs = None
@@ -481,11 +474,14 @@ class _Objective:
         return self._abs if theta is self._abs_at else np.abs(theta[self.off:])
 
     def tau(self, theta: np.ndarray) -> np.ndarray:
-        """The augmented thresholds p'(|beta_j|) at theta, 0 in the intercept slot."""
-        if self._tau is not None:
-            return self._tau
-        d = pen.derivative_kernel(self.problem.penalty, self.abs_beta(theta))
-        return np.concatenate([[0.0], d]) if self.off else d
+        """The augmented thresholds p'(|beta_j|) at theta, 0 in the intercept slot.
+
+        The array is the map's own; when the family is not linear, the next
+        call rewrites it.
+        """
+        if not self.linear:
+            self._tau[self.off:] = self._derivative(self.abs_beta(theta))
+        return self._tau
 
 
 # -- GLM single-map update ------------------------------------------------
@@ -505,17 +501,17 @@ def glm_map(
     intercept slot, and shrinks the slopes by 1 / (1 + omega lam eps) when
     eps > 0.  ``grad`` (the log-likelihood gradient at theta) and ``bounds``
     (the thresholds -omega/2 tau and omega/2 tau) are passed together by a
-    fit's map (``_GlmMap``); without ``bounds`` both are computed here.
-    Nothing is checked: theta is the augmented coefficient array of a
-    problem's model.
+    fit's map (``_GlmMap``); without ``bounds`` both come from a map object of
+    the problem built here.  Nothing is checked: theta is the augmented
+    coefficient array of a problem's model.
     """
     half = 0.5 * omega
     if bounds is None:
-        model = problem.model
+        m = _Objective(problem)
         theta = np.asarray(theta, dtype=float)
         if grad is None:
-            grad = model._xt.T @ fid.residual_kernel(model)(model._xt @ theta)
-        tau = _penalized_tau(problem, theta)
+            grad = m.grad(theta)
+        tau = m.tau(theta)
         with np.errstate(invalid="ignore"):  # inf - inf: an infinite argument at a pinned coordinate
             out = _soft_threshold(theta + half * grad, -half * tau, half * tau)
     else:
@@ -540,11 +536,10 @@ class _GlmMap(_Objective):
     and r the objective there cached, and X theta+ in every objective), and a
     squarem step four times plus once per backtrack.
 
-    The linear families' thresholds -omega/2 tau and omega/2 tau are rebuilt
-    only when the step changes, that is on a halving.  The other families
-    take tau = p'(|beta|) at each map from the |beta| that the objective at
-    theta cached, and write -omega/2 tau and omega/2 tau into two augmented
-    buffers of the fit, whose intercept slots stay 0.
+    The thresholds -omega/2 tau and omega/2 tau, with tau from ``tau``, are
+    kept between maps and rebuilt when the family is not linear, at every map
+    from the |beta| that the objective at theta cached, or when the step
+    changed, that is on a halving and on the full step after it.
     """
 
     def __init__(self, problem: Problem):
@@ -552,9 +547,6 @@ class _GlmMap(_Objective):
         self.omega = resolve_step(problem)
         self.backtrack = self.cox
         self._w = None
-        if self._tau is None:
-            self._lo, self._hi = np.zeros(self.model.n_coef), np.zeros(self.model.n_coef)
-            self._lo_beta, self._hi_beta = self._lo[self.off:], self._hi[self.off:]
 
     def __call__(
         self, theta: np.ndarray, omega: Optional[float] = None, grad: Optional[np.ndarray] = None
@@ -562,14 +554,9 @@ class _GlmMap(_Objective):
         w = self.omega if omega is None else omega
         if grad is None:
             grad = self.grad(theta)
-        if self._tau is None:
-            d = pen.derivative_kernel(self.problem.penalty, self.abs_beta(theta))
-            half = 0.5 * w
-            np.multiply(half, d, out=self._hi_beta)
-            np.multiply(-half, d, out=self._lo_beta)
-        elif w != self._w:
-            half = 0.5 * w
-            self._w, self._lo, self._hi = w, -half * self._tau, half * self._tau
+        if not self.linear or w != self._w:
+            half, tau = 0.5 * w, self.tau(theta)
+            self._w, self._lo, self._hi = w, -half * tau, half * tau
         return glm_map(self.problem, theta, w, grad, (self._lo, self._hi))
 
     def anchor(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -973,21 +960,18 @@ def mm_map(problem: Problem) -> Union[_GlmMap, _PoissonMap]:
     return _GlmMap(problem)
 
 
-def one_step_fit(
-    problem: Problem, config: SolverConfig, mle: Optional[CoefficientVector] = None
-) -> FitResult:
+def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
     """The one-step estimator (Zou & Li 2008): ``mm_outer``'s first iteration
     from the unpenalized MLE.
 
-    ``mle`` is the MLE of the problem's model (``fidelity.fit_mle``) when the
-    caller already has it, as a lambda sweep on one model does; without it
-    the MLE is fitted here.  The fit reports ``max_iter`` unless that step
-    already met ``coef_tol`` or ``obj_tol``.  A step that overflows, whose
-    objective is not finite, or that rises by more than ``DESCENT_SLACK``
-    raises ``ConvergenceError`` with the MLE as ``last_iterate``.
+    The MLE is ``fidelity.fit_mle``'s, which the model keeps, so a lambda
+    sweep on one model fits it once.  The fit reports ``max_iter`` unless
+    that step already met ``coef_tol`` or ``obj_tol``.  A step that
+    overflows, whose objective is not finite, or that rises by more than
+    ``DESCENT_SLACK`` raises ``ConvergenceError`` with the MLE as
+    ``last_iterate``.
     """
-    start = fid.fit_mle(problem.model) if mle is None else mle
-    return mm_outer(problem, replace(config, max_outer=1), start)
+    return mm_outer(problem, replace(config, max_outer=1), fid.fit_mle(problem.model))
 
 
 # -- starting-value presets -----------------------------------------------

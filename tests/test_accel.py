@@ -7,8 +7,8 @@ import pytest
 from conftest import make_model
 from mist import accel, simlab
 from mist.accel import MAX_BACKTRACKS, accelerated_fit, squarem_step
-from mist.exceptions import ValidationError
-from mist.fidelity import CoefficientVector, DesignMatrix, FidelityModel, Response
+from mist.exceptions import ConvergenceError, ValidationError
+from mist.fidelity import CoefficientVector, DesignMatrix, FidelityModel, Response, ResponseFamily
 from mist.penalties import Family, PenaltySpec
 from mist.solver import Problem, SolverConfig, Termination, fit, mm_map
 
@@ -323,3 +323,21 @@ def test_squarem_keeps_exact_zeros_and_meets_the_kkt_target():
     assert np.array_equal(np.flatnonzero(sq.coef.beta == 0.0), zeros)
     assert sq.kkt_residual <= 1e-5
     assert sq.map_evals < plain.map_evals
+
+
+def test_squarem_map_overflow_is_a_convergence_error():
+    # a poisson fit with no counts: the first map sends the intercept far
+    # down and the second overflows; the squarem fit ends as the plain fit
+    # does, in a ConvergenceError carrying the last iterate
+    rng = np.random.default_rng(0)
+    model = FidelityModel(
+        DesignMatrix(rng.standard_normal((12, 2)), has_intercept=True),
+        Response(family=ResponseFamily.POISSON, y=np.zeros(12)),
+    )
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=1.0))
+    start = CoefficientVector.zeros(2, True)
+    with pytest.raises(ConvergenceError):
+        accelerated_fit(prob, SolverConfig(), start, mode="plain")
+    with pytest.raises(ConvergenceError, match="squarem") as err:
+        accelerated_fit(prob, SolverConfig(), start, mode="squarem")
+    assert np.array_equal(err.value.last_iterate, np.zeros(3))

@@ -369,19 +369,19 @@ def test_fit_reports_a_bad_data_file_on_one_line(tmp_path, text, suffix):
 
 @pytest.mark.parametrize("start", ["one_step", "mle"])
 def test_simulate_fits_the_mle_once_per_replicate(start, tmp_path, monkeypatch):
-    # the MLE does not depend on lambda: one fit serves every lambda's
-    # one-step estimator and the mle start
+    # the MLE does not depend on lambda: one Newton fit, kept on the model,
+    # serves every lambda's one-step estimator and the mle start
     from mist import fidelity
     from mist.cli import main
 
     calls = [0]
-    original = fidelity.fit_mle
+    original = fidelity._fit_mle
 
     def counted(model):
         calls[0] += 1
         return original(model)
 
-    monkeypatch.setattr(fidelity, "fit_mle", counted)
+    monkeypatch.setattr(fidelity, "_fit_mle", counted)
     out = tmp_path / "sim.csv"
     with pytest.raises(SystemExit) as done:
         main(["simulate", "--scenario", "logistic_ex2", "--p", "10", "--n", "60", "-B", "1",

@@ -625,6 +625,30 @@ def test_poisson_mle_converges_at_large_counts(seed):
     assert np.max(np.abs(gradient(model, coef))) <= 1e-6
 
 
+@pytest.mark.parametrize("family", ["gaussian", "logistic"])
+def test_a_model_keeps_its_mle_and_hands_back_copies(family, monkeypatch):
+    model = make_model(family, n=60, p=4, seed=22)
+    calls = [0]
+    original = fid._fit_mle
+
+    def counted(m):
+        calls[0] += 1
+        return original(m)
+
+    monkeypatch.setattr(fid, "_fit_mle", counted)
+    first = fit_mle(model)
+    want = first.augmented()
+    first.beta[:] = 99.0  # a caller's copy: the model's MLE does not change
+    second = fit_mle(model)
+    assert calls[0] == 1
+    assert np.array_equal(second.augmented(), want)
+    assert second.beta is not fit_mle(model).beta
+    # a restricted model fits its own MLE, over its own columns
+    sub = model.restrict(np.array([0, 2]))
+    assert np.max(np.abs(gradient(sub, fit_mle(sub)))) <= 1e-6
+    assert calls[0] == 2 and fit_mle(sub).beta.shape == (2,)
+
+
 def test_mle_gaussian_matches_lstsq():
     model = make_model("gaussian", n=40, p=4, seed=30)
     coef = fit_mle(model)

@@ -36,13 +36,14 @@ def two_branch_map(problem, theta, omega, grad):
             shrunk = np.abs(u) - v
         return np.sign(u) * np.maximum(shrunk, 0.0)
 
+    derivative = pen.kernels(spec)[1]
     if problem.model.has_intercept:
-        tau = pen.derivative_kernel(spec, np.abs(theta[1:]))
+        tau = derivative(np.abs(theta[1:]))
         out = np.empty_like(theta)
         out[0] = theta[0] + half * grad[0]
         out[1:] = shrink * soft(arg[1:], half * tau)
         return out
-    tau = pen.derivative_kernel(spec, np.abs(theta))
+    tau = derivative(np.abs(theta))
     return shrink * soft(arg, half * tau)
 
 
@@ -93,13 +94,18 @@ def test_fused_map_is_bit_identical_to_the_two_branch_map(response, intercept, f
 def test_a_lasso_fit_builds_its_thresholds_once(monkeypatch):
     model = make_model("gaussian", n=40, p=20, seed=83)
     calls = [0]
-    original = pen.derivative_kernel
+    original = pen.kernels
 
-    def counted(spec, r):
-        calls[0] += 1
-        return original(spec, r)
+    def counted_kernels(spec):
+        value, derivative = original(spec)
 
-    monkeypatch.setattr(pen, "derivative_kernel", counted)
+        def counted(r):
+            calls[0] += 1
+            return derivative(r)
+
+        return value, counted
+
+    monkeypatch.setattr(pen, "kernels", counted_kernels)
     cfg = SolverConfig(coef_tol=1e-12, obj_tol=1e-300)
     start = CoefficientVector.zeros(20, True)
     lasso = accelerated_fit(Problem(model, PenaltySpec(family=Family.LASSO, lam=0.5)), cfg, start, mode="plain")
@@ -131,9 +137,12 @@ def test_a_fit_with_a_pinned_weight_raises_no_runtime_warning(response):
 
 def test_surrogate_solve_reuses_eta_and_the_risk_sets_of_its_last_m(monkeypatch):
     # ist_minimize takes m(s) at an accepted candidate and grad_m(s) at the
-    # start of the next inner iteration; the second reuses the first's sums
-    model = make_model("cox", n=120, p=8, seed=72)
-    prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=1.0))
+    # start of the next inner iteration; the second reuses the first's sums.
+    # Each run gets a fresh model, so that both count the MLE's Newton fit,
+    # which a model keeps
+    def problem():
+        return Problem(make_model("cox", n=120, p=8, seed=72), PenaltySpec(family=Family.SCAD, lam=1.0))
+
     calls = [0]
     original = fid._cox_parts
 
@@ -142,7 +151,7 @@ def test_surrogate_solve_reuses_eta_and_the_risk_sets_of_its_last_m(monkeypatch)
         return original(model, eta)
 
     monkeypatch.setattr(fid, "_cox_parts", counted)
-    res = one_step_fit(prob, SolverConfig())
+    res = one_step_fit(problem(), SolverConfig())
     reused = calls[0]
 
     def m_without_memory(self, b):
@@ -150,7 +159,7 @@ def test_surrogate_solve_reuses_eta_and_the_risk_sets_of_its_last_m(monkeypatch)
 
     calls[0] = 0
     monkeypatch.setattr(solver._SurrogateSolve, "m", m_without_memory)
-    ref = one_step_fit(prob, SolverConfig())
+    ref = one_step_fit(problem(), SolverConfig())
     assert calls[0] == 68
     assert reused <= calls[0] - 20
     assert np.array_equal(res.coef.augmented(), ref.coef.augmented())

@@ -23,6 +23,7 @@ from mist.penalties import (
     PenaltySpec,
     compute_adaptive_weights,
     coordinate_penalty,
+    kernels,
     penalty_derivative_vec,
     penalty_value_vec,
     threshold_vector,
@@ -213,6 +214,44 @@ def test_coordinate_penalty_outside_the_weights_is_rejected(j):
     spec = PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=1.0, weights=np.array([2.0, 1.0]))
     with pytest.raises(ValidationError, match="outside the weight vector"):
         coordinate_penalty(spec, j)
+
+
+def piecewise(family, lam, a, r):
+    """The SCAD or MCP value and derivative as published, one piece at a time."""
+    with np.errstate(invalid="ignore"):  # the unused middle piece at r = inf
+        if family is Family.SCAD:
+            mid = (2 * a * lam * r - r * r - lam * lam) / (2 * (a - 1))
+            value = np.where(r <= lam, lam * r, np.where(r <= a * lam, mid, lam * lam * (a + 1) / 2))
+            derivative = np.where(r <= lam, lam, np.where(r <= a * lam, (a * lam - r) / (a - 1), 0.0))
+        else:
+            value = np.where(r <= a * lam, lam * r - r * r / (2 * a), a * lam * lam / 2)
+            derivative = np.where(r <= a * lam, lam - r / a, 0.0)
+    return value, derivative
+
+
+@pytest.mark.parametrize("family", [Family.SCAD, Family.MCP])
+@pytest.mark.parametrize("lam,a", [(0.05, 2.01), (0.3, 3.7), (1.0, 3.0), (1.7, 12.5), (40.0, 3.7)])
+def test_flat_tail_kernels_are_the_piecewise_definitions(family, lam, a):
+    spec = PenaltySpec(family=family, lam=lam, a=a)
+    al = a * lam
+    r = np.concatenate([
+        [0.0, lam, al, 10.0 * al, math.inf],
+        np.nextafter(lam, [0.0, math.inf]),
+        np.nextafter(al, [0.0, math.inf]),
+        np.linspace(0.0, 2.0 * al, 2001),
+    ])
+    value, derivative = kernels(spec)
+    got_v, got_d = value(r), derivative(r)
+    want_v, want_d = piecewise(family, lam, a, r)
+    # within 8 units in the last place of the published form, which rounds
+    # several times itself; exact where it is 0
+    for got, want in ((got_v, want_v), (got_d, want_d)):
+        assert np.all(np.abs(got - want) <= 8.0 * np.spacing(np.abs(want)))
+    assert derivative(np.array([0.0]))[0] == lam
+    assert np.all(derivative(r[r >= al]) == 0.0)
+    assert np.all(value(r[r >= al]) == value(np.array([al]))[0])
+    grid = np.unique(np.concatenate([GRID, [lam, al, 2.0 * al]]))
+    assert verify_p1(spec, grid).all_pass
 
 
 # -- threshold vectors -----------------------------------------------------

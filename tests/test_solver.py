@@ -27,7 +27,7 @@ from mist.fidelity import (
 )
 from mist import solver
 from mist.accel import accelerated_fit, squarem_step
-from mist.penalties import Family, PenaltySpec, penalty_derivative_vec, threshold_vector
+from mist.penalties import Family, PenaltySpec, kernels, penalty_derivative_vec, threshold_vector
 from mist.solver import (
     FitResult,
     Problem,
@@ -1001,7 +1001,7 @@ def test_cox_one_step_lies_at_the_global_step_minimizer():
     mle = fit_mle(model).augmented()
     fixed = ist_minimize(
         lambda b: -gradient(model, CoefficientVector(beta=b)),
-        solver._penalized_tau(prob, mle),
+        kernels(prob.penalty)[1](np.abs(mle)),
         solver.STEP_SAFETY * 2.0 / curvature_bound(model),
         mle,
         inner_tol=1e-13,
