@@ -91,8 +91,8 @@ def squarem_step(
     def state(point, alpha, backtracks, obj):
         return AccelState(point, r, v, -alpha, evals, backtracks, obj, step_max)
 
-    norm_r = math.sqrt(float(r @ r))
-    norm_v = math.sqrt(float(v @ v))
+    norm_r = math.sqrt(float(r.dot(r)))
+    norm_v = math.sqrt(float(v.dot(v)))
     if norm_r <= FIXED_POINT_TOL:
         return state(theta.copy(), 1.0, 0, objective(theta) if obj0 is None else obj0)
     if norm_v == 0.0:
@@ -163,7 +163,7 @@ def accelerated_fit(
             )
         step_max = state.step_max
         r = state.r
-        return state.theta, state.objective, math.sqrt(float(r @ r)), state.map_evals, state.backtracks
+        return state.theta, state.objective, math.sqrt(float(r.dot(r))), state.map_evals, state.backtracks
 
     return _drive(problem, config, start, map_fn, step)
 
@@ -213,7 +213,7 @@ def fit_path(
     off = 1 if has_int else 0
     zeros = np.zeros(model.design.n_cols)
     xt_t, residual = model._xt.T, fid.residual_kernel(model)
-    grad = xt_t @ residual(model._xt @ theta)
+    grad = xt_t.dot(residual(model._xt.dot(theta)))
     tau_warm = None  # the thresholds at the lambda theta was fitted at
     out = []
     for lam in lams:
@@ -241,7 +241,7 @@ def fit_path(
                 sub_theta = res.coef.augmented()
                 current = np.zeros_like(theta)
                 current[idx] = sub_theta
-                g_full = xt_t @ residual(sub_model._xt @ sub_theta)
+                g_full = xt_t.dot(residual(sub_model._xt.dot(sub_theta)))
                 violators = ~keep & (np.abs(g_full[off:]) > tau)
                 if not np.any(violators):
                     break

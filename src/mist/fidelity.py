@@ -167,7 +167,11 @@ class FidelityModel:
         self.design = design
         self.response = response
         self.family = response.family
-        self._xt = design.augmented()
+        xt = design.augmented()
+        # a design contiguous in neither order (columns taken with a step) is
+        # copied once, so that no product with it copies it again or runs
+        # outside BLAS; a C- or F-ordered one is kept as it is
+        self._xt = xt if xt.flags.c_contiguous or xt.flags.f_contiguous else np.ascontiguousarray(xt)
         self._curvature_bound: Optional[float] = None  # set by curvature_bound
         self._mle: Optional[np.ndarray] = None  # the augmented MLE, set by fit_mle
         if self.family is ResponseFamily.COX:

@@ -71,10 +71,10 @@ class PenaltySpec:
             raise ValidationError(f"lambda must be finite and > 0, got {self.lam}")
         if not (self.epsilon >= 0 and math.isfinite(self.epsilon)):
             raise ValidationError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.family in FLAT_TAIL_FAMILIES and not self.a > 2:
-            raise ValidationError(f"a must be > 2 for {self.family.value}, got {self.a}")
-        if self.family in (Family.GEMAN, Family.LOG) and not self.delta > 0:
-            raise ValidationError(f"delta must be > 0 for {self.family.value}, got {self.delta}")
+        if self.family in FLAT_TAIL_FAMILIES and not (self.a > 2 and math.isfinite(self.a)):
+            raise ValidationError(f"a must be finite and > 2 for {self.family.value}, got {self.a}")
+        if self.family in (Family.GEMAN, Family.LOG) and not (self.delta > 0 and math.isfinite(self.delta)):
+            raise ValidationError(f"delta must be finite and > 0 for {self.family.value}, got {self.delta}")
         if self.family in (Family.ELASTIC_NET, Family.ADAPTIVE_ELASTIC_NET) and not self.epsilon > 0:
             raise ValidationError(f"{self.family.value} requires epsilon > 0")
         if self.family in ADAPTIVE_FAMILIES:

@@ -41,10 +41,16 @@ candidate, checked exactly:
     nll(theta+) <= nll(theta) - grad l(theta) . d + ||d||^2 / omega.
 
 The accepted step carries to the next one and never grows; at the certified
-step the test is skipped, since the bound guarantees it.  The inner
-soft-thresholding of every Cox surrogate solve backtracks by the same rule.
-Squarem, which needs a fixed map, applies the Cox map at the certified
-step; the Poisson map has no step.
+step the test is skipped, since the bound guarantees it.  Squarem, which
+needs a fixed map, applies the Cox map at the certified step; the Poisson
+map has no step.
+
+Every surrogate solve (``mm_outer``'s step, and so the one-step estimator)
+runs ``ist_minimize``: FISTA (Beck & Teboulle 2009) with gradient-based
+adaptive restart (O'Donoghue & Candes 2015), at half the certified step,
+since FISTA needs a step of at most 1 / curvature.  A Cox solve backtracks
+that step by the same rule as the outer step, tested at the extrapolated
+point, down to the half step.
 
 The loops work on plain augmented arrays (intercept first) and run on
 unchecked kernels; ``_drive`` checks the start once, and nothing inside a fit
@@ -79,16 +85,18 @@ eps = 0 the objective, the map and the inner solve form no ridge term.  A
 pinned coordinate is held at 0 with an infinite threshold and a finite
 argument, which the soft-threshold maps to u - u = 0 without forming
 inf - inf.  Every step norm is sqrt(d . d), which is what ``np.linalg.norm``
-computes for a real vector; the loops take d . d and the other dot products
-of two vectors with ``ndarray.dot``, the same BLAS ddot as ``@`` with less
-dispatch.
+computes for a real vector.  The loops take every product, X theta and
+X^T r as well as d . d and the other dot products of two vectors, with
+``ndarray.dot``: the same BLAS call as ``@`` with less dispatch.  The model
+keeps its design contiguous (``FidelityModel``), so no product copies it.
 """
 from __future__ import annotations
 
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -126,6 +134,10 @@ class SolverConfig:
     ``inner_tol`` and ``inner_max`` stop the inner soft-thresholding of a
     surrogate solve.  Every step comes from the problem's curvature bound
     (``resolve_step``), so no field sets one.
+
+    The fields are checked when the config is built.  The tolerances must be
+    real numbers > 0, and the caps integers >= 1; an integral float such as
+    JSON's ``1e6`` is taken as that integer, and a bool is neither.
     """
 
     coef_tol: float = 1e-6
@@ -136,14 +148,27 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("coef_tol", "obj_tol", "inner_tol"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be > 0")
-        if self.max_outer < 1 or self.inner_max < 1:
-            raise ValidationError("iteration caps must be >= 1")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
+                raise ValidationError(f"{name} must be a real number > 0, got {value!r}")
+        for name in ("max_outer", "inner_max"):
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+                setattr(self, name, value)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
     @classmethod
     def from_json(cls, s: str) -> "SolverConfig":
-        return cls(**json.loads(s))
+        """The config of a JSON object; an unknown key is named in the error."""
+        values = json.loads(s)
+        if not isinstance(values, dict):
+            raise ValidationError(f"solver config JSON must be an object, got {values!r}")
+        unknown = sorted(set(values) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValidationError(f"unknown solver config key(s): {', '.join(unknown)}")
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -287,48 +312,63 @@ def ist_minimize(
     inner_max: int = 100_000,
     m: Optional[Callable[[np.ndarray], float]] = None,
 ) -> np.ndarray:
-    """Iterated soft-thresholding for min m(b) + sum_j tau_j |b_j|.
+    """Restarted FISTA for min m(b) + sum_j tau_j |b_j|.
 
-    ``omega`` must lie in (0, 2L) where 1/L bounds the Lipschitz constant of
-    ``grad_m``; convergence is then a contraction argument.
+    ``omega`` must lie in (0, 2 / Lip], Lip the Lipschitz constant of
+    ``grad_m``.  Each iteration soft-thresholds from an extrapolated point z
+    (Beck & Teboulle 2009) at the step w = omega / 2, at most 1 / Lip as
+    FISTA needs: s = S(z - w grad_m(z), w tau).  With t' = (1 + sqrt(1 +
+    4 t^2)) / 2 and b the previous s, the next z is s + ((t - 1) / t')(s - b),
+    which is s itself while t = 1.  When (z - s) . (s - b) > 0 the momentum
+    points uphill, so the iteration restarts (O'Donoghue & Candes 2015): t
+    goes back to 1 and z to s.  It stops at the first s with ||s - z|| <=
+    ``inner_tol`` and returns it.
 
     Given ``m``, the smooth part itself, the step is backtracked as in Beck &
     Teboulle (2009): it starts at ``BACKTRACK_START * omega``, and the
-    thresholded point s from b at a step w above omega is kept only when
-    m(s) <= m(b) + grad_m(b) . (s - b) + ||s - b||^2 / (2 w), up to a rounding
-    slack; otherwise w halves.  ``omega`` is the floor, taken without the
-    test.  The kept w is the next iteration's first try, so it never grows,
-    and the kept m(s) is the next iteration's m(b).
+    candidate s from z at a step w above omega / 2 is kept only when
+    m(s) <= m(z) + grad_m(z) . (s - z) + ||s - z||^2 / (2 w), up to a rounding
+    slack; otherwise w halves.  ``omega / 2`` is the floor, taken without the
+    test.  The kept w is the next iteration's first try, so it never grows.
+    m is evaluated once per point, and before ``grad_m`` there: the kept m(s)
+    serves as m(z) whenever z is s.
     """
     tau = np.asarray(tau, dtype=float)
     b = np.asarray(b0, dtype=float).copy()
     if tau.shape != b.shape:
         raise ValidationError("threshold vector and start must have equal length")
-    thresh = omega * tau
+    floor = 0.5 * omega
+    w = floor if m is None else BACKTRACK_START * omega
+    thresh = w * tau
     if np.any(thresh < 0):
         raise ValidationError("thresholds must be >= 0")
-    w = omega
-    if m is not None:
-        w = BACKTRACK_START * omega
-        thresh = w * tau
-    neg = -w * tau
-    mb = None
+    neg = -thresh
+    z, t, mz = b, 1.0, None
     with np.errstate(invalid="ignore"):  # inf - inf in the threshold at a pinned coordinate
         for _ in range(inner_max):
-            g = grad_m(b)
-            s = _soft_threshold(b - w * g, neg, thresh)
-            if w > omega:
-                mb = m(b) if mb is None else mb
-                while w > omega and not _majorizes(ms := m(s), mb, -g, s - b, 2.0 * w):
-                    w *= 0.5
-                    thresh, neg = w * tau, -w * tau
-                    s = _soft_threshold(b - w * g, neg, thresh)
-            d = s - b
+            if w > floor and mz is None:
+                mz = m(z)
+            g = grad_m(z)
+            s = _soft_threshold(z - w * g, neg, thresh)
+            while w > floor and not _majorizes(ms := m(s), mz, -g, s - z, 2.0 * w):
+                w *= 0.5
+                thresh, neg = w * tau, -w * tau
+                s = _soft_threshold(z - w * g, neg, thresh)
+            d = s - z
             resid = math.sqrt(float(d.dot(d)))
-            # above the floor the test accepted s, so m(s) is known
-            b, mb = s, (ms if w > omega else None)
             if resid <= inner_tol:
-                return b
+                return s
+            # above the floor the test accepted s, so m(s) is known
+            ms = ms if w > floor else None
+            e = s - b
+            if float(d.dot(e)) < 0.0:
+                # (z - s) . (s - b) > 0: the momentum points uphill, restart
+                t, z, mz = 1.0, s, ms
+            else:
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                z, mz = (s, ms) if t == 1.0 else (s + ((t - 1.0) / t_next) * e, None)
+                t = t_next
+            b = s
     raise ConvergenceError(
         f"inner soft-thresholding did not converge in {inner_max} iterations",
         last_iterate=b,
@@ -445,7 +485,7 @@ class _Objective:
 
     def fidelity(self, theta: np.ndarray) -> float:
         """The fidelity at theta, remembered with theta, eta and the shared parts."""
-        eta = self.xt @ theta
+        eta = self.xt.dot(theta)
         parts = None if self._parts_of is None else self._parts_of(eta)
         self.nll = self._nll(eta, parts)
         self._theta, self._eta, self._parts = theta, eta, parts
@@ -461,13 +501,13 @@ class _Objective:
         return value
 
     def eta(self, theta: np.ndarray) -> np.ndarray:
-        return self._eta if theta is self._theta else self.xt @ theta
+        return self._eta if theta is self._theta else self.xt.dot(theta)
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         """The log-likelihood gradient at theta."""
         if theta is self._theta:
-            return self._xt_t @ self._residual(self._eta, self._parts)
-        return self._xt_t @ self._residual(self.xt @ theta)
+            return self._xt_t.dot(self._residual(self._eta, self._parts))
+        return self._xt_t.dot(self._residual(self.xt.dot(theta)))
 
     def abs_beta(self, theta: np.ndarray) -> np.ndarray:
         """|beta| at theta, as the last objective stored it when it was at theta."""
@@ -743,13 +783,16 @@ class _SurrogateSolve(_Objective):
 
     The surrogate at theta keeps the fidelity and the ridge exact and
     linearizes the penalty, l(b) + lam eps ||b||^2 + sum_j p'(|theta_j|) |b_j|;
-    ``ist_minimize`` solves it from theta at the inner step that
-    ``curvature_bound`` certifies (``inner_omega``), computed once per fit,
-    with ``inner_tol`` and ``inner_max`` from the config.  The Cox bound is
-    loose, so Cox solves backtrack the inner step from there
-    (``ist_minimize`` given ``m``).  It serves every penalty: for SCAD and
-    MCP, as for the convex ones, the linearized penalty majorizes the
-    penalty, so every solve descends.
+    ``ist_minimize`` solves it from theta by restarted FISTA at half the
+    step that ``curvature_bound`` certifies (``inner_omega``, computed once
+    per fit), with ``inner_tol`` and ``inner_max`` from the config.  The Cox
+    bound is loose, so Cox solves backtrack the inner step from 64 times
+    ``inner_omega`` down to that half step (``ist_minimize`` given ``m``),
+    testing majorization at each extrapolated point.  ``m`` remembers eta
+    and the Cox risk-set sums at its point, and ``ist_minimize`` evaluates
+    it before ``grad_m`` there, so the gradient reuses them.  It serves
+    every penalty: for SCAD and MCP, as for the convex ones, the linearized
+    penalty majorizes the penalty, so every solve descends.
     """
 
     def __init__(self, problem: Problem, config: SolverConfig):
@@ -769,10 +812,10 @@ class _SurrogateSolve(_Objective):
         """The fidelity plus the ridge itself.
 
         It remembers eta and the Cox risk-set sums at b (``fidelity``), so
-        ``grad_m`` at the same array, the next inner iteration's, reuses them.
+        ``grad_m`` at the same array reuses them.
         """
         nll = self.fidelity(b)
-        return nll + float(self.ridge @ (b * b)) if self._ridge_lam else nll
+        return nll + float(self.ridge.dot(b * b)) if self._ridge_lam else nll
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         cfg = self.config

@@ -102,6 +102,17 @@ def test_fit_exit_one_on_removed_relaxation(toy_csv, tmp_path, field):
     assert r.returncode == 1 and field in r.stderr
 
 
+@pytest.mark.parametrize("config", ['{"max_outer": 2.5}', '{"max_outer": true}', '{"coef_tol": "1e-8"}'])
+def test_fit_exit_one_on_a_bad_solver_field(toy_csv, tmp_path, config):
+    r = run_cli("fit", "--data", str(toy_csv),
+                "--penalty-json", '{"family":"lasso","lambda":1.0}',
+                "--solver-json", config,
+                "--out", str(tmp_path / "x.json"))
+    assert r.returncode == 1
+    assert r.stderr.startswith(f"error: {next(iter(json.loads(config)))} must be")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_fit_exit_one_on_missing_file(tmp_path):
     r = run_cli("fit", "--data", str(tmp_path / "nope.csv"),
                 "--penalty-json", '{"family":"lasso","lambda":1.0}',

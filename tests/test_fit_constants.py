@@ -136,23 +136,29 @@ def test_a_fit_with_a_pinned_weight_raises_no_runtime_warning(response):
 
 
 def test_surrogate_solve_reuses_eta_and_the_risk_sets_of_its_last_m(monkeypatch):
-    # ist_minimize takes m(s) at an accepted candidate and grad_m(s) at the
-    # start of the next inner iteration; the second reuses the first's sums.
-    # Each run gets a fresh model, so that both count the MLE's Newton fit,
-    # which a model keeps
+    # above its floor step ist_minimize takes m(z) before grad_m(z) at every
+    # point z, and m(s) at every candidate s; each grad_m reuses the sums of
+    # the m before it, and the objective at the returned point those of its
+    # m.  Each run gets a fresh model, so that both count the MLE's Newton
+    # fit, which a model keeps
     def problem():
         return Problem(make_model("cox", n=120, p=8, seed=72), PenaltySpec(family=Family.SCAD, lam=1.0))
 
-    calls = [0]
-    original = fid._cox_parts
+    calls, grads = [0], [0]
+    original, grad_m = fid._cox_parts, solver._SurrogateSolve.grad_m
 
     def counted(model, eta):
         calls[0] += 1
         return original(model, eta)
 
+    def counted_grad_m(self, b):
+        grads[0] += 1
+        return grad_m(self, b)
+
     monkeypatch.setattr(fid, "_cox_parts", counted)
+    monkeypatch.setattr(solver._SurrogateSolve, "grad_m", counted_grad_m)
     res = one_step_fit(problem(), SolverConfig())
-    reused = calls[0]
+    reused, inner_grads = calls[0], grads[0]
 
     def m_without_memory(self, b):
         return self._nll(self.xt @ b) + float(self.ridge @ (b * b))
@@ -160,8 +166,8 @@ def test_surrogate_solve_reuses_eta_and_the_risk_sets_of_its_last_m(monkeypatch)
     calls[0] = 0
     monkeypatch.setattr(solver._SurrogateSolve, "m", m_without_memory)
     ref = one_step_fit(problem(), SolverConfig())
-    assert calls[0] == 68
-    assert reused <= calls[0] - 20
+    assert calls[0] == 53
+    assert inner_grads > 10 and calls[0] == reused + inner_grads + 1
     assert np.array_equal(res.coef.augmented(), ref.coef.augmented())
     assert res.objective == ref.objective and np.array_equal(res.trace, ref.trace)
     assert res.kkt_residual == ref.kkt_residual

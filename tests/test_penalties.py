@@ -76,6 +76,20 @@ def test_scad_mcp_require_a_above_two():
         PenaltySpec(family=Family.MCP, lam=1.0, a=1.5)
 
 
+@pytest.mark.parametrize(
+    "family, shape",
+    [(Family.SCAD, "a"), (Family.MCP, "a"), (Family.GEMAN, "delta"), (Family.LOG, "delta")],
+)
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_shape_constants_must_be_finite(family, shape, value):
+    # an infinite a once made MCP the lasso and SCAD's value NaN; an infinite
+    # delta made the Geman and log thresholds NaN
+    with pytest.raises(ValidationError, match=f"{shape} must be finite"):
+        PenaltySpec(family=family, lam=1.0, **{shape: value})
+    with pytest.raises(ValidationError, match=f"{shape} must be finite"):
+        PenaltySpec.from_json(json.dumps({"family": family.value, "lambda": 1.0, shape: value}))
+
+
 def test_elastic_net_requires_positive_epsilon():
     with pytest.raises(ValidationError):
         PenaltySpec(family=Family.ELASTIC_NET, lam=1.0, epsilon=0.0)

@@ -25,7 +25,7 @@ from mist.fidelity import (
     poisson_majorizer_component,
     poisson_weights,
 )
-from mist import solver
+from mist import simlab, solver
 from mist.accel import accelerated_fit, squarem_step
 from mist.penalties import Family, PenaltySpec, kernels, penalty_derivative_vec, threshold_vector
 from mist.solver import (
@@ -227,6 +227,61 @@ def test_ist_iteration_cap_raises_with_diagnostics():
                      inner_tol=1e-14, inner_max=3)
     assert exc.value.last_iterate is not None
     assert exc.value.residual is not None
+
+
+def test_fista_reaches_the_ista_minimizer_in_a_third_of_the_gradients():
+    # an ill-conditioned quadratic, kappa = 1e3
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    H = q @ np.diag(np.geomspace(1.0, 1e3, 8)) @ q.T
+    c = 30.0 * rng.standard_normal(8)
+    tau = np.full(8, 10.0)
+    omega = 0.95 * 2.0 / np.linalg.eigvalsh(H).max()
+    tol = 1e-14
+    # plain iterated soft-thresholding at the full step omega
+    b, ista_grads = np.zeros(8), 0
+    while True:
+        ista_grads += 1
+        s = soft_threshold_vec(b - omega * (H @ b - c), omega * tau)
+        done = np.linalg.norm(s - b) <= tol
+        b = s
+        if done:
+            break
+    fista_grads = [0]
+
+    def grad_m(b):
+        fista_grads[0] += 1
+        return H @ b - c
+
+    fista = ist_minimize(grad_m, tau, omega, np.zeros(8), inner_tol=tol)
+    assert np.count_nonzero(b) < 8  # the threshold is active
+    assert np.max(np.abs(fista - b)) <= 1e-10
+    assert 3 * fista_grads[0] <= ista_grads
+
+
+def test_fista_restarts_when_the_step_reverses():
+    # m(b) = h b^2 / 2 from b = 1: the momentum carries z past the minimizer
+    # at the third gradient, the step from there points back, and the
+    # iteration restarts: the next two gradients are taken at the
+    # thresholded points themselves, with no extrapolation
+    h = 3.0
+    omega = 0.95 * 2.0 / h
+    w = 0.5 * omega
+    points = []
+
+    def grad_m(b):
+        points.append(b.copy())
+        return h * b
+
+    out = ist_minimize(grad_m, np.zeros(1), omega, np.ones(1), inner_tol=1e-14)
+    assert abs(out[0]) <= 1e-14
+    z = [p[0] for p in points]
+    s = [zk - w * (h * zk) for zk in z]  # the thresholded point from each z
+    assert z[1] == s[0]  # t = 1: no extrapolation
+    assert z[2] != s[1] and z[2] < 0.0 < s[1]  # the momentum overshoots
+    assert (z[2] - s[2]) * (s[2] - s[1]) > 0.0  # the restart condition
+    assert z[3] == s[2] and z[4] == s[3]
+    assert z[5] != s[4]  # the momentum is back
 
 
 # -- single-map GLM update -------------------------------------------------
@@ -480,8 +535,45 @@ def test_solver_config_has_no_relaxation(removed):
     # removed fields: the step comes from the problem alone
     with pytest.raises(TypeError):
         SolverConfig(**removed)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValidationError, match=f"unknown solver config key\\(s\\): {next(iter(removed))}"):
         SolverConfig.from_json(json.dumps(removed))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"max_outer": True}, {"inner_max": False}, {"max_outer": 2.5}, {"inner_max": math.inf},
+        {"max_outer": 0}, {"inner_max": -3.0}, {"max_outer": "10"},
+        {"coef_tol": "1e-8"}, {"obj_tol": True}, {"inner_tol": 0.0}, {"coef_tol": math.nan},
+        {"obj_tol": -1e-6}, {"inner_tol": None},
+    ],
+    ids=repr,
+)
+def test_solver_config_rejects_a_bad_field(fields):
+    name = next(iter(fields))
+    with pytest.raises(ValidationError, match=name):
+        SolverConfig(**fields)
+    with pytest.raises(ValidationError, match=name):
+        SolverConfig.from_json(json.dumps(fields))
+
+
+def test_solver_config_takes_an_integral_float_as_an_integer():
+    cfg = SolverConfig.from_json('{"max_outer": 1e6, "inner_max": 20.0}')
+    assert type(cfg.max_outer) is int and cfg.max_outer == 1_000_000
+    assert type(cfg.inner_max) is int and cfg.inner_max == 20
+    model = make_model("gaussian", n=25, p=4, seed=18)
+    prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=0.1))
+    assert one_step_fit(prob, SolverConfig(max_outer=2.0)).outer_iters == 1
+    res = glm_mm_fit(prob, SolverConfig(coef_tol=1e-14, obj_tol=1e-16, max_outer=3.0),
+                     CoefficientVector.zeros(4, True))
+    assert res.outer_iters == 3 and res.termination is Termination.MAX_ITER
+
+
+def test_solver_config_json_must_be_an_object_of_known_keys():
+    with pytest.raises(ValidationError, match="must be an object"):
+        SolverConfig.from_json("[1e-6]")
+    with pytest.raises(ValidationError, match="unknown solver config key\\(s\\): maxouter, tol$"):
+        SolverConfig.from_json('{"tol": 1e-6, "coef_tol": 1e-6, "maxouter": 5}')
 
 
 # -- surrogate geometry ----------------------------------------------------
@@ -986,6 +1078,27 @@ def test_one_step_scad_far_tail_returns_mle():
     assert res.termination in (Termination.COEF_TOL, Termination.OBJ_TOL)
 
 
+def test_one_step_inner_gradient_count_on_the_simulation_design(monkeypatch):
+    # simlab linear_ex1 at p = 35, n = 100, rho = 0.75: the restarted FISTA
+    # inner solve takes 134 gradients; plain soft-thresholding at the full
+    # certified step took 433
+    ds = simlab.gen_dataset(simlab.SimScenario(family="linear_ex1", p=35, n=100, rho=0.75, seed=7))
+    model = FidelityModel(ds.design, ds.response)
+    x, y = ds.design.values, ds.response.y
+    lam = 0.05 * float(np.max(np.abs(x.T @ (y - y.mean()))))
+    calls = [0]
+    grad_m = solver._SurrogateSolve.grad_m
+
+    def counted(self, b):
+        calls[0] += 1
+        return grad_m(self, b)
+
+    monkeypatch.setattr(solver._SurrogateSolve, "grad_m", counted)
+    res = one_step_fit(Problem(model, PenaltySpec(family=Family.SCAD, lam=lam)), SolverConfig())
+    assert res.outer_iters == 1 and res.map_evals == 1
+    assert calls[0] == 134
+
+
 def test_one_step_requires_overdetermined_design():
     model = make_model("gaussian", n=4, p=6, seed=33)
     prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=1.0))
@@ -1117,10 +1230,15 @@ def test_mm_map_matches_one_plain_iteration():
 
 
 class CountingDesign(np.ndarray):
-    """A design matrix that counts its products with vectors (X theta, X^T r)."""
+    """A design matrix that counts its products with vectors (X theta, X^T r),
+    taken through ``ndarray.dot`` or ``@``."""
 
     def __array_finalize__(self, obj):
         self.counter = getattr(obj, "counter", None)
+
+    def dot(self, other):
+        self.counter[0] += 1
+        return np.asarray(self).dot(other)
 
     def __matmul__(self, other):
         self.counter[0] += 1
@@ -1140,6 +1258,26 @@ def count_products(model):
 
 
 HOT_FAMILIES = ["gaussian", "logistic", "cox"]
+
+
+@pytest.mark.parametrize("family", HOT_FAMILIES)
+def test_a_strided_design_fits_as_its_contiguous_copy(family):
+    # every other column of a wider matrix, with no intercept: the model keeps
+    # one contiguous copy, so each product is the same BLAS call on the same
+    # layout as for the copy
+    base = make_model(family, n=60, p=10, seed=67)
+    wide = base._xt[:, 1:] if base.has_intercept else base._xt
+    strided = wide[:, ::2]
+    assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+    fits = []
+    for x in (strided, np.ascontiguousarray(strided)):
+        model = FidelityModel(DesignMatrix(x, has_intercept=False), base.response)
+        prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=0.5))
+        start = CoefficientVector.zeros(5, False)
+        fits.append([accelerated_fit(prob, TIGHT, start, mode=m) for m in ("plain", "squarem")]
+                    + [one_step_fit(prob, SolverConfig())])
+    for strided_fit, copy_fit in zip(*fits):
+        assert_same_fit(strided_fit, copy_fit)
 
 
 @pytest.mark.parametrize("family", HOT_FAMILIES)
