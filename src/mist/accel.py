@@ -26,11 +26,10 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import fidelity as fid
-from . import penalties as pen
 from .exceptions import ConvergenceError, ValidationError
 from .fidelity import CoefficientVector, FidelityModel
 from .penalties import PenaltySpec
-from .solver import DESCENT_SLACK, FitResult, Problem, SolverConfig, _drive, _kkt, _start_theta, fit, mm_map
+from .solver import FitResult, Problem, SolverConfig, _descends, _drive, _Objective, _start_theta, fit, mm_map
 
 #: one extrapolated candidate per step: a step that falls back to the double
 #: map step has made 2 + MAX_BACKTRACKS + 1 map evaluations (the probe counts)
@@ -70,9 +69,9 @@ def squarem_step(
     the steplength is alpha = ||r|| / ||v|| clamped to [1, step_max].  When
     alpha > 1 the step maps the extrapolated point theta + 2 alpha r +
     alpha^2 v once more and keeps that map output if its objective is finite
-    and at most ``solver.DESCENT_SLACK`` above the objective at theta; an
-    ``OverflowError`` rejects it.  A rejected candidate, or alpha = 1, gives
-    the double map step m2.  A fixed point (||r|| <= ``FIXED_POINT_TOL``)
+    and at most ``solver.DESCENT_SLACK`` above the objective at theta
+    (``solver._descends``); an ``OverflowError`` rejects it.  A rejected
+    candidate, or alpha = 1, gives the double map step m2.  A fixed point (||r|| <= ``FIXED_POINT_TOL``)
     returns theta, and v = 0 returns m2.
 
     ``obj0`` is the objective at theta when the caller already has it.  The
@@ -111,7 +110,7 @@ def squarem_step(
         except OverflowError:
             obj = math.inf  # the candidate left the region where the fidelity is finite
         at_bound = alpha == step_max
-        if math.isfinite(obj) and obj <= obj0 + DESCENT_SLACK:
+        if _descends(obj, obj0):
             if at_bound:
                 step_max *= STEP_FACTOR
             return state(point, alpha, 0, obj)
@@ -211,15 +210,21 @@ def fit_path(
     theta = _start_theta(Problem(model, spec), start)
     has_int = model.has_intercept
     off = 1 if has_int else 0
-    zeros = np.zeros(model.design.n_cols)
-    xt_t, residual = model._xt.T, fid.residual_kernel(model)
-    grad = xt_t.dot(residual(model._xt.dot(theta)))
+    zeros = np.zeros(model.n_coef)
+    xt_t, lik = model._xt.T, fid.kernels(model)
+
+    def full_grad(eta):
+        """The log-likelihood gradient over all p columns at eta."""
+        return xt_t.dot(lik.residual(eta, lik.parts(eta)))
+
+    grad = full_grad(model._xt.dot(theta))
     tau_warm = None  # the thresholds at the lambda theta was fitted at
     out = []
     for lam in lams:
         try:
             problem = Problem(model, replace(spec, lam=lam))
-            tau = pen.kernels(problem.penalty)[1](zeros)
+            full = _Objective(problem)  # the thresholds and the KKT over all p columns
+            tau = full.tau(zeros)[off:]
             ref = tau if tau_warm is None else tau_warm
             with np.errstate(invalid="ignore"):  # inf - inf on pinned columns
                 keep = (theta[off:] != 0.0) | (np.abs(grad[off:]) >= 2.0 * tau - ref)
@@ -241,7 +246,7 @@ def fit_path(
                 sub_theta = res.coef.augmented()
                 current = np.zeros_like(theta)
                 current[idx] = sub_theta
-                g_full = xt_t.dot(residual(sub_model._xt.dot(sub_theta)))
+                g_full = full_grad(sub_model._xt.dot(sub_theta))
                 violators = ~keep & (np.abs(g_full[off:]) > tau)
                 if not np.any(violators):
                     break
@@ -253,7 +258,7 @@ def fit_path(
                 trace=np.concatenate([f.trace for f in fits]),
                 outer_iters=sum(f.outer_iters for f in fits),
                 map_evals=sum(f.map_evals for f in fits),
-                kkt_residual=_kkt(problem, coef.beta, g_full),
+                kkt_residual=full.kkt(current, g_full),
                 termination=fits[-1].termination,
                 descent_backtracks=sum(f.descent_backtracks for f in fits),
                 working_set=cols,

@@ -2,8 +2,9 @@
 ``simulate`` (replicates of a simulation scenario).
 
 Exit codes: 0 on a tolerance-based termination, 2 when the iteration cap was
-hit (the result is still written), 1 on any error.  Errors go to stderr as a
-single machine-parsable line ``error: <message>``.
+hit (the result is still written), 1 on any error, a usage error (a missing
+or unknown option, a bad choice) included.  Errors go to stderr as a single
+machine-parsable line ``error: <message>``.
 """
 from __future__ import annotations
 
@@ -205,7 +206,24 @@ def _with_opts(opts):
     return deco
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group; click's usage errors, raised while it parses its own
+    arguments or a command's, are reported by ``_fail`` as every other error is."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as err:
+            _fail(err.format_message().replace("\n", " "))
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as err:
+            _fail(err.format_message().replace("\n", " "))
+
+
+@click.group(cls=_Group, no_args_is_help=False)
 def main():
     """Penalized-regression solvers built on iterated soft-thresholding."""
 

@@ -1,11 +1,15 @@
 """Data-fidelity terms: likelihoods, gradients, curvature bounds.
 
 All four families expose the negative log-likelihood (up to additive
-constants), the gradient of the LOG-likelihood, and a finite curvature bound
-where one exists.  The Poisson family has no global curvature bound; it gets
-the separable majorizer machinery at the bottom of this module instead.
-Every gradient is one product X^T r, with r the residual y - mu, or for Cox
-the martingale residual delta - w a (``residual_kernel``).
+constants), the gradient of the LOG-likelihood, the Hessian of the negative
+log-likelihood, and a finite curvature bound where one exists.  Each
+family's likelihood is written once, in ``kernels``: functions of the linear
+predictor eta = X theta that share the parts computed at eta, which every
+public function here and every fit reads.  The Poisson family has no global
+curvature bound; it gets the separable majorizer machinery at the bottom of
+this module instead.  Every gradient is one product X^T r, with r the
+residual y - mu, or for Cox the martingale residual delta - w a
+(``Kernels.residual``).
 
 Sign convention: ``gradient`` returns the gradient of the log-likelihood, so
 fitting code ascends it (the MM updates add a multiple of it), and the
@@ -18,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -236,117 +240,111 @@ def _guard_exp(eta: np.ndarray, context: str) -> np.ndarray:
     return np.exp(eta)
 
 
+class Kernels(NamedTuple):
+    """The likelihood of one model as functions of eta = X theta (``kernels``).
+
+    ``parts(eta)`` is what the other functions share at eta, and each of them
+    takes it: ``nll(eta, parts)``, ``residual(eta, parts)``, the score
+    residual r with gradient X^T r, and ``hessian(eta, parts)``, the Hessian
+    of the negative log-likelihood.  ``bound()`` is the family's curvature
+    bound (``curvature_bound``).
+    """
+
+    parts: Callable[[np.ndarray], object]
+    nll: Callable[[np.ndarray, object], float]
+    residual: Callable[[np.ndarray, object], np.ndarray]
+    hessian: Callable[[np.ndarray, object], np.ndarray]
+    bound: Callable[[], float]
+
+
+def kernels(model: FidelityModel) -> Kernels:
+    """The likelihood kernels of one model, unchecked: eta is a float array.
+
+    The family is chosen here, once, so a fit that holds the kernels runs no
+    family test per call.  The parts are the gaussian residual y - eta, the
+    Poisson mean d e^eta, the Cox risk-set sums ``_cox_parts``, and nothing
+    (None) for logistic; a caller that keeps them with eta forms each once
+    per point.
+    """
+    y, xt = model.response.y, model._xt
+    fam = model.family
+
+    if fam is ResponseFamily.GAUSSIAN:
+        return Kernels(
+            partial(np.subtract, y),
+            # r . r is the same double for r = y - eta as for eta - y
+            lambda eta, r: 0.5 * float(r.dot(r)),
+            lambda eta, r: r,
+            lambda eta, r: xt.T @ xt,
+            lambda: _top_gram_eigenvalue(xt),
+        )
+    if fam is ResponseFamily.LOGISTIC:
+        def mean(eta):
+            # sigmoid via stable tanh form
+            return 0.5 * (1.0 + np.tanh(0.5 * eta))
+
+        def hessian(eta, parts):
+            mu = mean(eta)
+            return xt.T @ ((mu * (1.0 - mu))[:, None] * xt)
+
+        return Kernels(
+            lambda eta: None,
+            lambda eta, parts: float(np.add.reduce(np.logaddexp(0.0, eta) - y * eta)),
+            lambda eta, parts: y - mean(eta),
+            hessian,
+            lambda: 0.25 * _top_gram_eigenvalue(xt),
+        )
+    if fam is ResponseFamily.POISSON:
+        d = model.response.offsets
+
+        def no_bound():
+            raise NotGloballyLipschitz(
+                "the poisson log-likelihood has no global curvature bound; "
+                "use the separable majorizer or supply a region-restricted bound"
+            )
+
+        return Kernels(
+            lambda eta: d * _guard_exp(eta, "poisson mean"),
+            lambda eta, mu: float(np.add.reduce(mu - y * eta)),
+            lambda eta, mu: y - mu,
+            lambda eta, mu: xt.T @ (mu[:, None] * xt),
+            no_bound,
+        )
+    if fam is ResponseFamily.COX:
+        event, status = model._cox_event, model.response.status
+
+        def nll(eta, parts):
+            e, log_d = parts
+            return float(-np.add.reduce(e[event] - log_d))
+
+        return Kernels(
+            lambda eta: _cox_parts(model, eta),
+            nll,
+            lambda eta, parts: status - _cox_risk_mass(model, parts),
+            lambda eta, parts: _cox_neg_hessian(model, parts),
+            # the event count times the largest squared row norm
+            lambda: float(np.sum(status == 1.0) * np.max(np.sum(xt**2, axis=1))),
+        )
+    raise ValidationError(f"unknown family {fam}")
+
+
 def neg_loglik(model: FidelityModel, coef: CoefficientVector) -> float:
     """Negative log-likelihood, up to family-specific additive constants."""
-    return nll_kernel(model)(model.linear_predictor(coef))
+    lik, eta = kernels(model), model.linear_predictor(coef)
+    return lik.nll(eta, lik.parts(eta))
 
 
 def gradient(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:
     """Gradient of the log-likelihood over the augmented coefficients."""
-    return model._xt.T @ residual_kernel(model)(model.linear_predictor(coef))
-
-
-def parts_kernel(model: FidelityModel) -> Optional[Callable[[np.ndarray], object]]:
-    """What the likelihood and the score of one model share at eta, as a
-    function of eta: the gaussian residual y - eta, or the Cox risk-set sums
-    ``_cox_parts``; None for the families that share nothing.
-
-    ``nll_kernel`` and ``residual_kernel`` take these ``parts``, so a caller
-    that keeps them with eta forms each once per point.
-    """
-    fam = model.family
-    if fam is ResponseFamily.GAUSSIAN:
-        return partial(np.subtract, model.response.y)
-    if fam is ResponseFamily.COX:
-        return lambda eta: _cox_parts(model, eta)
-    return None
-
-
-def nll_kernel(model: FidelityModel) -> Callable[..., float]:
-    """``neg_loglik`` of one model as a function of (eta, parts=None), unchecked.
-
-    eta is the linear predictor X theta, and ``parts`` are the
-    ``parts_kernel`` value at eta when the caller has it.  The family is
-    chosen here, once, so a fit that holds the kernel runs no family test
-    per call.
-    """
-    y = model.response.y
-    fam = model.family
-    if fam is ResponseFamily.GAUSSIAN:
-        def nll(eta, parts=None):
-            # r . r is the same double for r = y - eta as for eta - y
-            r = y - eta if parts is None else parts
-            return 0.5 * float(r.dot(r))
-    elif fam is ResponseFamily.LOGISTIC:
-        def nll(eta, parts=None):
-            return float(np.add.reduce(np.logaddexp(0.0, eta) - y * eta))
-    elif fam is ResponseFamily.POISSON:
-        d = model.response.offsets
-
-        def nll(eta, parts=None):
-            return float(np.add.reduce(d * _guard_exp(eta, "poisson neg_loglik") - y * eta))
-    elif fam is ResponseFamily.COX:
-        event = model._cox_event
-
-        def nll(eta, parts=None):
-            e, log_d = _cox_parts(model, eta) if parts is None else parts
-            return float(-np.add.reduce(e[event] - log_d))
-    else:
-        raise ValidationError(f"unknown family {fam}")
-    return nll
-
-
-def residual_kernel(model: FidelityModel) -> Callable[..., np.ndarray]:
-    """The score residual of one model as a function of (eta, parts=None):
-    y - mu, or the Cox martingale residual delta - w a, so that the gradient
-    at eta is X^T r; ``parts`` as in ``nll_kernel``.  The family is chosen
-    here, once."""
-    y = model.response.y
-    fam = model.family
-    if fam is ResponseFamily.GAUSSIAN:
-        def residual(eta, parts=None):
-            return y - eta if parts is None else parts
-    elif fam is ResponseFamily.LOGISTIC:
-        def residual(eta, parts=None):
-            # sigmoid via stable tanh form
-            return y - 0.5 * (1.0 + np.tanh(0.5 * eta))
-    elif fam is ResponseFamily.POISSON:
-        d = model.response.offsets
-
-        def residual(eta, parts=None):
-            return y - d * _guard_exp(eta, "poisson gradient")
-    elif fam is ResponseFamily.COX:
-        status = model.response.status
-
-        def residual(eta, parts=None):
-            return status - _cox_risk_mass(model, _cox_parts(model, eta) if parts is None else parts)
-    else:
-        raise ValidationError(f"unknown family {fam}")
-    return residual
+    lik, eta = kernels(model), model.linear_predictor(coef)
+    return model._xt.T @ lik.residual(eta, lik.parts(eta))
 
 
 def hessian(model: FidelityModel, coef: CoefficientVector) -> np.ndarray:
     """Hessian of the NEGATIVE log-likelihood, X^T diag(v) X for the GLM
     families."""
-    return _neg_hessian(model, model.linear_predictor(coef))
-
-
-def _neg_hessian(model: FidelityModel, eta: np.ndarray, parts=None) -> np.ndarray:
-    """``hessian`` at the linear predictor eta = X theta, unchecked (the
-    Newton MLE's); ``parts`` are the Cox ``_cox_parts`` at eta when the
-    caller has them."""
-    xt = model._xt
-    fam = model.family
-    if fam is ResponseFamily.GAUSSIAN:
-        return xt.T @ xt
-    if fam is ResponseFamily.COX:
-        return _cox_neg_hessian(model, eta, parts)
-    if fam is ResponseFamily.LOGISTIC:
-        mu = 0.5 * (1.0 + np.tanh(0.5 * eta))
-        v = mu * (1.0 - mu)
-    else:
-        v = model.response.offsets * _guard_exp(eta, "poisson hessian")
-    return xt.T @ (v[:, None] * xt)
+    lik, eta = kernels(model), model.linear_predictor(coef)
+    return lik.hessian(eta, lik.parts(eta))
 
 
 # -- Cox partial likelihood (Breslow ties) --------------------------------
@@ -374,9 +372,8 @@ def _cox_risk_mass(model: FidelityModel, parts) -> np.ndarray:
     return wa
 
 
-def _cox_neg_hessian(model: FidelityModel, eta: np.ndarray, parts=None) -> np.ndarray:
+def _cox_neg_hessian(model: FidelityModel, parts) -> np.ndarray:
     """X^T diag(w a) X - xbar^T xbar, xbar holding each event's risk-set mean."""
-    parts = _cox_parts(model, eta) if parts is None else parts
     e, log_d = parts
     shift = e.max()
     xt = model._xt
@@ -414,26 +411,8 @@ def curvature_bound(model: FidelityModel) -> float:
     Gram matrix of the model's own augmented design, so no copy of it is made.
     """
     if model._curvature_bound is None:
-        model._curvature_bound = _curvature_bound(model)
+        model._curvature_bound = kernels(model).bound()
     return model._curvature_bound
-
-
-def _curvature_bound(model: FidelityModel) -> float:
-    fam = model.family
-    if fam is ResponseFamily.GAUSSIAN:
-        return _top_gram_eigenvalue(model._xt)
-    if fam is ResponseFamily.LOGISTIC:
-        return 0.25 * _top_gram_eigenvalue(model._xt)
-    if fam is ResponseFamily.COX:
-        n_events = int(np.sum(model.response.status == 1.0))
-        row_norms = np.sum(model._xt**2, axis=1)
-        return float(n_events * np.max(row_norms))
-    if fam is ResponseFamily.POISSON:
-        raise NotGloballyLipschitz(
-            "the poisson log-likelihood has no global curvature bound; "
-            "use the separable majorizer or supply a region-restricted bound"
-        )
-    raise ValidationError(f"unknown family {fam}")
 
 
 # -- Poisson separable majorizer ------------------------------------------
@@ -520,20 +499,20 @@ def _fit_mle(model: FidelityModel) -> np.ndarray:
             raise ValidationError("design matrix is rank deficient; MLE is not unique")
         return theta
 
-    # Newton on the augmented array: one eta per iterate, and for Cox one
-    # sum of its risk sets, feeds the likelihood, the score and the Hessian
-    nll, residual, xt_t = nll_kernel(model), residual_kernel(model), xt.T
-    cox = model.family is ResponseFamily.COX
+    # Newton on the augmented array: one eta per iterate, and its parts (the
+    # Poisson mean, the Cox risk-set sums), feed the likelihood, the score and
+    # the Hessian
+    lik, xt_t = kernels(model), xt.T
     theta = np.zeros(k)
     eta = xt @ theta
-    parts = _cox_parts(model, eta) if cox else None
-    obj = nll(eta, parts)
+    parts = lik.parts(eta)
+    obj = lik.nll(eta, parts)
     for _ in range(MLE_MAX_ITER):
-        g = xt_t @ residual(eta, parts)
+        g = xt_t @ lik.residual(eta, parts)
         if np.max(np.abs(g)) <= MLE_TOL:
             return theta
         try:
-            step = np.linalg.solve(_neg_hessian(model, eta, parts), g)
+            step = np.linalg.solve(lik.hessian(eta, parts), g)
         except np.linalg.LinAlgError as err:
             raise ValidationError("singular hessian; MLE does not exist or is not unique") from err
         scale = 1.0
@@ -542,9 +521,9 @@ def _fit_mle(model: FidelityModel) -> np.ndarray:
             if not np.all(np.isfinite(cand)):
                 raise ValidationError("coefficients must be finite")
             cand_eta = xt @ cand
-            cand_parts = _cox_parts(model, cand_eta) if cox else None
             try:
-                cand_obj = nll(cand_eta, cand_parts)
+                cand_parts = lik.parts(cand_eta)
+                cand_obj = lik.nll(cand_eta, cand_parts)
             except OverflowError:
                 scale *= 0.5
                 continue
@@ -555,7 +534,7 @@ def _fit_mle(model: FidelityModel) -> np.ndarray:
             scale *= 0.5
         else:
             raise ConvergenceError("Newton line search failed", last_iterate=theta, residual=g)
-    g = xt_t @ residual(eta, parts)
+    g = xt_t @ lik.residual(eta, parts)
     if np.max(np.abs(g)) <= 1e-6:
         return theta
     raise ConvergenceError(

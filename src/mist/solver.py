@@ -67,12 +67,13 @@ reports the KKT residual from the gradient at the eta cached at its last
 iterate, one product with X.
 
 What does not change within a fit is built once, when its map object is
-built: the likelihood, score-residual and shared-parts kernels of the family
-(``fidelity.nll_kernel``, ``fidelity.residual_kernel``,
-``fidelity.parts_kernel``), the penalty's value and derivative
-(``penalties.kernels``, one family switch for both), and the step.  The map
-object holds one augmented threshold array, with 0 in the intercept slot,
-and its ``tau(theta)`` is the only place thresholds are made.  The linear
+built: the likelihood kernels of the model (``fidelity.kernels``, one family
+switch for the shared parts, the likelihood and the score residual), the
+penalty's value and derivative (``penalties.kernels``, one family switch for
+both), and the step.  The map object's ``kkt`` reads the same derivative
+kernel, so the KKT check of a fit or of a path's lambda builds nothing.
+The map object holds one augmented threshold array, with 0 in the intercept
+slot, and its ``tau(theta)`` is the only place thresholds are made.  The linear
 families (lasso, adaptive lasso and the elastic nets), whose thresholds
 lam w_j do not depend on theta, write the array once, when the map is built;
 the other families rewrite it at each map from the |beta| cached at theta.
@@ -277,27 +278,8 @@ def kkt_residual(problem: Problem, coef: CoefficientVector) -> float:
     +inf; a pinned coordinate held at zero gives 0; an exact zero is checked
     against the subgradient interval [-p'(0), p'(0)].
     """
-    return _kkt(problem, coef.beta, fid.gradient(problem.model, coef))
-
-
-def _kkt(problem: Problem, beta: np.ndarray, grad_ll: np.ndarray) -> float:
-    """``kkt_residual`` at the slopes beta, given the log-likelihood gradient there."""
-    spec = problem.penalty
-    has_int = problem.model.has_intercept
-    g = -grad_ll[1:] if has_int else -grad_ll  # gradient of the fidelity term
-    s = g + 2.0 * spec.lam * spec.epsilon * beta
-    d = pen.kernels(spec)[1](np.abs(beta))
-    nonzero = beta != 0.0
-    pinned = np.isinf(d)
-    if np.any(nonzero & pinned):
-        return math.inf
-    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf on pinned zeros
-        r = np.where(
-            nonzero,
-            np.abs(s + d * np.sign(beta)),
-            np.where(pinned, 0.0, np.maximum(np.abs(s) - d, 0.0)),
-        )
-    return float(np.max(r, initial=abs(grad_ll[0]) if has_int else 0.0))
+    grad = fid.gradient(problem.model, coef)  # checks coef
+    return _Objective(problem).kkt(coef.augmented(), grad)
 
 
 # -- inner solver ---------------------------------------------------------
@@ -322,7 +304,8 @@ def ist_minimize(
     which is s itself while t = 1.  When (z - s) . (s - b) > 0 the momentum
     points uphill, so the iteration restarts (O'Donoghue & Candes 2015): t
     goes back to 1 and z to s.  It stops at the first s with ||s - z|| <=
-    ``inner_tol`` and returns it.
+    ``inner_tol`` and returns it.  The start ``b0`` is used as it is, not
+    copied: no iteration writes into it.
 
     Given ``m``, the smooth part itself, the step is backtracked as in Beck &
     Teboulle (2009): it starts at ``BACKTRACK_START * omega``, and the
@@ -334,7 +317,7 @@ def ist_minimize(
     serves as m(z) whenever z is s.
     """
     tau = np.asarray(tau, dtype=float)
-    b = np.asarray(b0, dtype=float).copy()
+    b = np.asarray(b0, dtype=float)
     if tau.shape != b.shape:
         raise ValidationError("threshold vector and start must have equal length")
     floor = 0.5 * omega
@@ -428,13 +411,12 @@ def _start_theta(problem: Problem, start: CoefficientVector) -> np.ndarray:
 class _Objective:
     """The penalized objective over augmented arrays, remembering its last point.
 
-    Built once per fit, it picks its likelihood, score-residual and shared
-    kernels (``fidelity.nll_kernel``, ``fidelity.residual_kernel`` and
-    ``fidelity.parts_kernel``) and its penalty kernels at construction, so no
-    call tests the family.  ``fidelity(theta)`` stores (theta, eta = X theta),
-    the fidelity ``nll`` at theta and the parts the likelihood shares with the
-    score there: the gaussian residual r = y - eta, of which nll = r . r / 2
-    and the gradient is X^T r, or the Cox risk-set sums
+    Built once per fit, it picks its likelihood kernels (``fidelity.kernels``)
+    and its penalty kernels at construction, so no call tests the family.
+    ``fidelity(theta)`` stores (theta, eta = X theta), the fidelity ``nll`` at
+    theta and the parts the likelihood shares with the score there: the
+    gaussian residual r = y - eta, of which nll = r . r / 2 and the gradient
+    is X^T r, the Poisson mean, or the Cox risk-set sums
     ``fidelity._cox_parts``.  ``objective(theta)`` stores |beta| at theta as
     well.  ``objective``, ``eta``, ``grad`` and ``tau`` reuse them when asked
     about the same array object (the fits never change an iterate in place),
@@ -450,7 +432,8 @@ class _Objective:
     linear families (lasso, adaptive lasso and the elastic nets), whose
     thresholds lam w_j do not depend on theta, the array is written once, when
     the map is built; for the others ``tau`` rewrites its slopes at the |beta|
-    cached at theta.  The ridge term is added only when eps > 0.
+    cached at theta.  The ridge term is added only when eps > 0.  ``kkt``
+    reads the same derivative kernel and the cached |beta|.
     """
 
     #: the map's step; None for a map with no step, which ``_halving`` tries once
@@ -468,9 +451,8 @@ class _Objective:
         self.off = 1 if model.has_intercept else 0
         self.cox = model.family is ResponseFamily.COX
         self.pinned = _pinned_mask(problem)
-        self._nll = fid.nll_kernel(model)
-        self._residual = fid.residual_kernel(model)
-        self._parts_of = fid.parts_kernel(model)
+        lik = fid.kernels(model)
+        self._parts_of, self._nll, self._residual = lik.parts, lik.nll, lik.residual
         self._ridge_lam = spec.lam * spec.epsilon
         self._penalty, self._derivative = pen.kernels(spec)
         #: whether the thresholds are constant over the fit
@@ -486,7 +468,7 @@ class _Objective:
     def fidelity(self, theta: np.ndarray) -> float:
         """The fidelity at theta, remembered with theta, eta and the shared parts."""
         eta = self.xt.dot(theta)
-        parts = None if self._parts_of is None else self._parts_of(eta)
+        parts = self._parts_of(eta)
         self.nll = self._nll(eta, parts)
         self._theta, self._eta, self._parts = theta, eta, parts
         return self.nll
@@ -507,7 +489,8 @@ class _Objective:
         """The log-likelihood gradient at theta."""
         if theta is self._theta:
             return self._xt_t.dot(self._residual(self._eta, self._parts))
-        return self._xt_t.dot(self._residual(self.xt.dot(theta)))
+        eta = self.xt.dot(theta)
+        return self._xt_t.dot(self._residual(eta, self._parts_of(eta)))
 
     def abs_beta(self, theta: np.ndarray) -> np.ndarray:
         """|beta| at theta, as the last objective stored it when it was at theta."""
@@ -522,6 +505,23 @@ class _Objective:
         if not self.linear:
             self._tau[self.off:] = self._derivative(self.abs_beta(theta))
         return self._tau
+
+    def kkt(self, theta: np.ndarray, grad: np.ndarray) -> float:
+        """``kkt_residual`` at theta, given the log-likelihood gradient there."""
+        beta = theta[self.off:]
+        s = 2.0 * self._ridge_lam * beta - grad[self.off:]  # the smooth part's gradient
+        d = self._derivative(self.abs_beta(theta))
+        nonzero = beta != 0.0
+        pinned = np.isinf(d)
+        if np.any(nonzero & pinned):
+            return math.inf
+        with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf on pinned zeros
+            r = np.where(
+                nonzero,
+                np.abs(s + d * np.sign(beta)),
+                np.where(pinned, 0.0, np.maximum(np.abs(s) - d, 0.0)),
+            )
+        return float(np.max(r, initial=abs(grad[0]) if self.off else 0.0))
 
 
 # -- GLM single-map update ------------------------------------------------
@@ -686,7 +686,7 @@ def _drive(
         trace=np.array(trace),
         outer_iters=outer,
         map_evals=map_evals,
-        kkt_residual=_kkt(problem, theta[m.off:], m.grad(theta)),
+        kkt_residual=m.kkt(theta, m.grad(theta)),
         termination=termination,
         descent_backtracks=backtracks,
     )
@@ -736,7 +736,7 @@ def _halving(m: _Objective) -> Step:
                 obj_new = m.objective(theta_new)
             except OverflowError:
                 obj_new = math.inf
-            if math.isfinite(obj_new) and obj_new <= obj + DESCENT_SLACK:
+            if _descends(obj_new, obj):
                 d = theta_new - theta
                 if at_floor or _majorizes(m.nll, nll0, grad0, d, w):
                     if m.backtrack:
@@ -754,6 +754,12 @@ def _halving(m: _Objective) -> Step:
             w *= 0.5
 
     return step
+
+
+def _descends(obj_new: float, obj: float) -> bool:
+    """Whether a candidate's objective is finite and at most ``DESCENT_SLACK``
+    above the objective obj it would replace: the descent test of every step."""
+    return math.isfinite(obj_new) and obj_new <= obj + DESCENT_SLACK
 
 
 def _majorizes(nll_new: float, nll0: float, grad0: np.ndarray, d: np.ndarray, w: float) -> bool:
@@ -790,7 +796,9 @@ class _SurrogateSolve(_Objective):
     ``inner_omega`` down to that half step (``ist_minimize`` given ``m``),
     testing majorization at each extrapolated point.  ``m`` remembers eta
     and the Cox risk-set sums at its point, and ``ist_minimize`` evaluates
-    it before ``grad_m`` there, so the gradient reuses them.  It serves
+    it before ``grad_m`` there, so the gradient reuses them.  The solve
+    starts at the iterate itself, not a copy, so its first ``m`` and
+    ``grad_m`` reuse what the objective there cached.  It serves
     every penalty: for SCAD and MCP, as for the convex ones, the linearized
     penalty majorizes the penalty, so every solve descends.
     """
@@ -812,9 +820,10 @@ class _SurrogateSolve(_Objective):
         """The fidelity plus the ridge itself.
 
         It remembers eta and the Cox risk-set sums at b (``fidelity``), so
-        ``grad_m`` at the same array reuses them.
+        ``grad_m`` at the same array reuses them; at the array it remembers,
+        such as the iterate a solve starts from, it reuses the fidelity.
         """
-        nll = self.fidelity(b)
+        nll = self.nll if b is self._theta else self.fidelity(b)
         return nll + float(self.ridge.dot(b * b)) if self._ridge_lam else nll
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from mist.fidelity import (
     FidelityModel,
     Response,
     ResponseFamily,
+    kernels,
 )
 
 
@@ -40,6 +41,18 @@ def make_model(family, n, p, seed, intercept=None, beta_scale=0.5):
     else:
         raise ValueError(family)
     return FidelityModel(DesignMatrix(X, has_intercept=intercept), resp)
+
+
+def kernel_nll(model, eta):
+    """The negative log-likelihood at eta, from the model's kernels and their parts."""
+    lik = kernels(model)
+    return lik.nll(eta, lik.parts(eta))
+
+
+def kernel_score(model, eta):
+    """The log-likelihood gradient X^T r at eta, from the model's kernels and their parts."""
+    lik = kernels(model)
+    return model._xt.T @ lik.residual(eta, lik.parts(eta))
 
 
 def random_coef(model, seed, scale=0.3):

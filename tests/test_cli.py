@@ -132,6 +132,39 @@ def test_fit_exit_one_on_malformed_csv(tmp_path):
     assert r.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["fit", "--out", "x.json"], "error: Missing option '--penalty-json'."),
+        (["fit", "--penalty-json", '{"family":"lasso","lambda":1.0}', "--family", "binomial", "--out", "x.json"],
+         "error: Invalid value for '--family': 'binomial' is not one of"),
+        (["fit", "--penalty-json", '{"family":"lasso","lambda":1.0}', "--famly", "cox", "--out", "x.json"],
+         "error: No such option '--famly'."),
+        ([], "error: Missing command."),
+    ],
+    ids=["missing-option", "bad-choice", "unknown-option", "no-command"],
+)
+def test_a_usage_error_exits_one_on_one_error_line(args, message, tmp_path):
+    # 2 is the iteration-cap code, so a usage error must not use it
+    r = run_cli(*args, cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stdout == "" and len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith(message)
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_help_exits_zero_and_an_in_process_usage_error_exits_one():
+    from mist import cli
+
+    for args in (["--help"], ["fit", "--help"]):
+        r = run_cli(*args)
+        assert r.returncode == 0 and r.stdout.startswith("Usage:")
+    # the in-process call of the benchmark: a usage error is a SystemExit(1)
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["path", "--out", "x.csv"], prog_name="mist", standalone_mode=False)
+    assert stop.value.code == 1
+
+
 def test_fit_csv_output(toy_csv, tmp_path):
     out = tmp_path / "fit.csv"
     r = run_cli("fit", "--data", str(toy_csv),

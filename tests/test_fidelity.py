@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_gradient, make_model, random_coef
+from conftest import fd_gradient, kernel_nll, kernel_score, make_model, random_coef
 from mist.exceptions import ConvergenceError, NotGloballyLipschitz, ValidationError
 from mist import fidelity as fid
 from mist.fidelity import (
@@ -260,7 +260,8 @@ def test_cox_neg_hessian_matches_the_event_loop(tie):
         model = _tied(make_model("cox", n=40, p=4, seed=300 + seed), tie)
         eta = model._xt @ random_coef(model, seed).augmented()
         want = _cox_neg_hessian_loop(model, eta)
-        got = fid._cox_neg_hessian(model, eta)
+        lik = fid.kernels(model)
+        got = lik.hessian(eta, lik.parts(eta))
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -314,7 +315,7 @@ def _tied_cox_designs(count, span):
 def test_cox_score_matches_the_running_sum_score():
     for model, eta in _tied_cox_designs(200, None):
         want = _running_sum_score(model, eta)
-        got = model._xt.T @ fid.residual_kernel(model)(eta)
+        got = kernel_score(model, eta)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
@@ -325,7 +326,7 @@ def test_cox_score_is_finite_wherever_the_running_sum_score_is():
     for model, eta in _tied_cox_designs(300, 1000.0):
         with np.errstate(all="ignore"):
             want = _running_sum_score(model, eta)
-            got = model._xt.T @ fid.residual_kernel(model)(eta)
+            got = kernel_score(model, eta)
         if np.all(np.isfinite(want)):
             finite += 1
             assert np.all(np.isfinite(got))
@@ -343,10 +344,29 @@ def test_cox_likelihood_and_score_match_per_event_references_on_a_wide_eta_span(
             nll += np.logaddexp.reduce(eta[risk]) - eta[i]
             w = np.exp(eta[risk] - np.max(eta[risk]))
             score += x[i] - w @ x[risk] / np.sum(w)
-        got_nll, got_score = fid.nll_kernel(model)(eta), model._xt.T @ fid.residual_kernel(model)(eta)
+        got_nll, got_score = kernel_nll(model, eta), kernel_score(model, eta)
         assert math.isfinite(got_nll) and np.all(np.isfinite(got_score))
         assert abs(got_nll - nll) <= 1e-13 * abs(nll)
         assert np.linalg.norm(got_score - score) <= 1e-10 * (1.0 + np.linalg.norm(score))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_public_likelihood_functions_are_the_kernels_bit_for_bit(family):
+    # one set of parts at eta serves the likelihood, the score and the Hessian
+    model = make_model(family, n=40, p=4, seed=95)
+    lik = fid.kernels(model)
+    for seed in range(3):
+        coef = random_coef(model, seed=96 + seed, scale=0.8)
+        eta = model._xt @ coef.augmented()
+        parts = lik.parts(eta)
+        assert neg_loglik(model, coef) == lik.nll(eta, parts)
+        assert np.array_equal(gradient(model, coef), model._xt.T @ lik.residual(eta, parts))
+        assert np.array_equal(hessian(model, coef), lik.hessian(eta, parts))
+    if family == "poisson":
+        with pytest.raises(NotGloballyLipschitz):
+            lik.bound()
+    else:
+        assert curvature_bound(model) == lik.bound()
 
 
 # -- restricted models -----------------------------------------------------
@@ -412,9 +432,9 @@ def test_gradient_matches_central_differences_on_adversarial_designs(family):
         theta = random_coef(model, seed + 500, scale=0.8).augmented()
 
         def f(th):
-            return fid.nll_kernel(model)(model._xt @ th)
+            return kernel_nll(model, model._xt @ th)
 
-        g = -(model._xt.T @ fid.residual_kernel(model)(model._xt @ theta))
+        g = -kernel_score(model, model._xt @ theta)
         fd = fd_gradient(f, theta)
         assert np.linalg.norm(fd - g) <= 1e-6 * max(1.0, float(np.linalg.norm(g)))
         assert g[-1] == 0.0  # the all-zero column has a zero score
@@ -622,6 +642,24 @@ def test_poisson_mle_converges_at_large_counts(seed):
     y = rng.poisson(np.exp(8.0 + 0.1 * x.sum(axis=1))).astype(float)
     model = FidelityModel(DesignMatrix(x, has_intercept=True), Response(family=ResponseFamily.POISSON, y=y))
     coef = fit_mle(model)
+    assert np.max(np.abs(gradient(model, coef))) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", [21, 24])
+def test_poisson_newton_mle_exponentiates_each_probed_eta_once(seed, monkeypatch):
+    # the mean d e^eta is the parts of the Poisson kernels, which the
+    # likelihood, the score and the Hessian at one eta share
+    model = make_model("poisson", n=200, p=4, seed=seed, beta_scale=1.0)
+    probed = []
+    original = fid._guard_exp
+
+    def recorded(eta, context):
+        probed.append(eta.tobytes())
+        return original(eta, context)
+
+    monkeypatch.setattr(fid, "_guard_exp", recorded)
+    coef = fit_mle(model)
+    assert len(probed) > 5 and len(set(probed)) == len(probed)
     assert np.max(np.abs(gradient(model, coef))) <= 1e-6
 
 

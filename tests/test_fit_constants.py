@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_model, random_coef
+from conftest import kernel_score, make_model, random_coef
 from mist import fidelity as fid
 from mist import penalties as pen
 from mist import solver
@@ -81,7 +81,7 @@ def test_fused_map_is_bit_identical_to_the_two_branch_map(response, intercept, f
         theta[model.has_intercept + 5] *= 5.0  # in the SCAD/MCP tail
         if prob.penalty.weights is not None:
             theta[model.has_intercept + 1] = 0.0  # the pinned coordinate, as a fit holds it
-        score = model._xt.T @ fid.residual_kernel(model)(model._xt @ theta)
+        score = kernel_score(model, model._xt @ theta)
         grad = score + rng.standard_normal(theta.shape[0])
         # the full step, a step halved twice, then the full step again: the
         # map rebuilds its thresholds when the step changes
@@ -139,8 +139,9 @@ def test_surrogate_solve_reuses_eta_and_the_risk_sets_of_its_last_m(monkeypatch)
     # above its floor step ist_minimize takes m(z) before grad_m(z) at every
     # point z, and m(s) at every candidate s; each grad_m reuses the sums of
     # the m before it, and the objective at the returned point those of its
-    # m.  Each run gets a fresh model, so that both count the MLE's Newton
-    # fit, which a model keeps
+    # m.  The solve starts at the iterate itself, so its first m and grad_m
+    # reuse the sums of the objective there.  Each run gets a fresh model, so
+    # that both count the MLE's Newton fit, which a model keeps
     def problem():
         return Problem(make_model("cox", n=120, p=8, seed=72), PenaltySpec(family=Family.SCAD, lam=1.0))
 
@@ -161,12 +162,13 @@ def test_surrogate_solve_reuses_eta_and_the_risk_sets_of_its_last_m(monkeypatch)
     reused, inner_grads = calls[0], grads[0]
 
     def m_without_memory(self, b):
-        return self._nll(self.xt @ b) + float(self.ridge @ (b * b))
+        eta = self.xt @ b
+        return self._nll(eta, self._parts_of(eta)) + float(self.ridge @ (b * b))
 
     calls[0] = 0
     monkeypatch.setattr(solver._SurrogateSolve, "m", m_without_memory)
     ref = one_step_fit(problem(), SolverConfig())
-    assert calls[0] == 53
+    assert reused == 35 and calls[0] == 52
     assert inner_grads > 10 and calls[0] == reused + inner_grads + 1
     assert np.array_equal(res.coef.augmented(), ref.coef.augmented())
     assert res.objective == ref.objective and np.array_equal(res.trace, ref.trace)
