@@ -3,8 +3,9 @@
 
 Exit codes: 0 on a tolerance-based termination, 2 when the iteration cap was
 hit (the result is still written), 1 on any error, a usage error (a missing
-or unknown option, a bad choice) included.  Errors go to stderr as a single
-machine-parsable line ``error: <message>``.
+or unknown option, a bad choice) included.  The command group reports every
+error, wherever it is raised (click's parser, a command, the library), to
+stderr as a single machine-parsable line ``error: <message>``.
 """
 from __future__ import annotations
 
@@ -39,6 +40,13 @@ def _fmt(x) -> str:
 def _fail(message: str) -> "NoReturn":
     sys.stderr.write(f"error: {message}\n")
     sys.exit(1)
+
+
+def _write_csv(out: str, head: list[str], rows) -> None:
+    with open(out, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(head)
+        writer.writerows(rows)
 
 
 def _load_table(path: str) -> tuple[list[str], np.ndarray]:
@@ -92,6 +100,8 @@ def _build_model(
     offset_col: str,
     intercept: bool,
 ) -> FidelityModel:
+    if not data:
+        raise ValidationError("--data is required")
     header, table = _load_table(data)
 
     def col(name):
@@ -120,23 +130,18 @@ def _build_model(
     return FidelityModel(design, response)
 
 
+def _json_arg(text: str) -> str:
+    """A JSON option's text, read from the file it names when it is ``@file``."""
+    return Path(text[1:]).read_text() if text.startswith("@") else text
+
+
 def _load_penalty(penalty_json: str, lam: float | None) -> PenaltySpec:
-    text = penalty_json
-    if text.startswith("@"):
-        text = Path(text[1:]).read_text()
-    spec = PenaltySpec.from_json(text)
-    if lam is not None:
-        spec = replace(spec, lam=lam)
-    return spec
+    spec = PenaltySpec.from_json(_json_arg(penalty_json))
+    return spec if lam is None else replace(spec, lam=lam)
 
 
 def _load_config(solver_json: str | None) -> SolverConfig:
-    if not solver_json:
-        return SolverConfig()
-    text = solver_json
-    if text.startswith("@"):
-        text = Path(text[1:]).read_text()
-    return SolverConfig.from_json(text)
+    return SolverConfig.from_json(_json_arg(solver_json)) if solver_json else SolverConfig()
 
 
 def _resolve_start(problem: Problem, config: SolverConfig, start: str) -> CoefficientVector:
@@ -148,31 +153,27 @@ def _resolve_start(problem: Problem, config: SolverConfig, start: str) -> Coeffi
     return solver.starting_point(problem, config, start)
 
 
-def _write_fit(result: FitResult, out: str, fmt: str, include_trace: bool):
-    if fmt == "json":
-        Path(out).write_text(result.to_json(include_trace) + "\n")
-        return
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        names = [f"b{j + 1}" for j in range(result.coef.beta.shape[0])]
-        head = ["objective", "kkt", "iters", "map_evals", "termination"]
-        if result.coef.intercept is not None:
-            head.append("intercept")
-        writer.writerow(head + names)
-        row = [
-            _fmt(result.objective),
-            _fmt(result.kkt_residual),
-            result.outer_iters,
-            result.map_evals,
-            result.termination.value,
-        ]
-        if result.coef.intercept is not None:
-            row.append(_fmt(result.coef.intercept))
-        writer.writerow(row + [_fmt(float(b)) for b in result.coef.beta])
+def _result_head(model: FidelityModel, *middle: str) -> list[str]:
+    """The CSV columns of a fit of ``model``; ``middle`` goes before "termination"."""
+    head = ["objective", "kkt", "iters", "map_evals", *middle, "termination"]
+    if model.has_intercept:
+        head.append("intercept")
+    return head + [f"b{j + 1}" for j in range(model.design.n_cols)]
 
 
-def _exit_for(result: FitResult):
-    sys.exit(2 if result.termination is Termination.MAX_ITER else 0)
+def _result_row(result: FitResult, *middle) -> list:
+    """``result`` under ``_result_head``'s columns."""
+    row = [
+        _fmt(result.objective),
+        _fmt(result.kkt_residual),
+        result.outer_iters,
+        result.map_evals,
+        *middle,
+        result.termination.value,
+    ]
+    if result.coef.intercept is not None:
+        row.append(_fmt(result.coef.intercept))
+    return row + [_fmt(float(b)) for b in result.coef.beta]
 
 
 #: ``--accel`` value -> ``accelerated_fit`` mode
@@ -206,21 +207,27 @@ def _with_opts(opts):
     return deco
 
 
+def _reported(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.exceptions.Exit:
+        raise
+    except click.UsageError as err:
+        _fail(err.format_message().replace("\n", " "))
+    except Exception as err:  # noqa: BLE001 - the CLI boundary
+        _fail(str(err))
+
+
 class _Group(click.Group):
-    """The command group; click's usage errors, raised while it parses its own
-    arguments or a command's, are reported by ``_fail`` as every other error is."""
+    """The command group: every exception raised while it parses its own
+    arguments or runs a command is reported by ``_fail``.  ``SystemExit`` and
+    click's ``Exit`` (``--help``) pass through."""
 
     def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as err:
-            _fail(err.format_message().replace("\n", " "))
+        return _reported(super().make_context, *args, **kwargs)
 
     def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as err:
-            _fail(err.format_message().replace("\n", " "))
+        return _reported(super().invoke, ctx)
 
 
 @click.group(cls=_Group, no_args_is_help=False)
@@ -238,39 +245,27 @@ def main():
 def fit_cmd(data, family, response_col, time_col, status_col, offset_col, intercept,
             penalty_json, solver_json, start, accel, out, fmt, lam, trace, emit_penalty_grid):
     """Fit one penalized model and write the result."""
-    try:
-        if emit_penalty_grid is not None:
-            spec = _load_penalty(penalty_json, lam)
-            _emit_penalty_grid(spec, emit_penalty_grid)
-            sys.exit(0)
-        if not data:
-            raise ValidationError("--data is required")
-        model = _build_model(data, family, response_col, time_col, status_col, offset_col, intercept)
-        problem = Problem(model, _load_penalty(penalty_json, lam))
-        config = _load_config(solver_json)
-        start_coef = _resolve_start(problem, config, start)
-        result = accel_mod.accelerated_fit(problem, config, start_coef, mode=_MODES[accel])
-        _write_fit(result, out, fmt, trace)
-    except SystemExit:
-        raise
-    except Exception as err:  # noqa: BLE001 - CLI boundary
-        _fail(str(err))
-    _exit_for(result)
+    if emit_penalty_grid is not None:
+        _emit_penalty_grid(_load_penalty(penalty_json, lam), emit_penalty_grid)
+        sys.exit(0)
+    model = _build_model(data, family, response_col, time_col, status_col, offset_col, intercept)
+    problem = Problem(model, _load_penalty(penalty_json, lam))
+    config = _load_config(solver_json)
+    start_coef = _resolve_start(problem, config, start)
+    result = accel_mod.accelerated_fit(problem, config, start_coef, mode=_MODES[accel])
+    if fmt == "json":
+        Path(out).write_text(result.to_json(trace) + "\n")
+    else:
+        _write_csv(out, _result_head(model), [_result_row(result)])
+    sys.exit(2 if result.termination is Termination.MAX_ITER else 0)
 
 
 def _emit_penalty_grid(spec: PenaltySpec, out: str):
     hi = max(10.0, 2.0 * spec.a * spec.lam)
     grid = np.geomspace(1e-4, hi, 400)
     value, derivative = pen.coordinate_penalty(spec, 0)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "value", "derivative"])
-        for r in grid:
-            writer.writerow([
-                _fmt(float(r)),
-                _fmt(value(float(r))),
-                _fmt(derivative(float(r))),
-            ])
+    rows = ([_fmt(float(r)), _fmt(value(float(r))), _fmt(derivative(float(r)))] for r in grid)
+    _write_csv(out, ["r", "value", "derivative"], rows)
 
 
 @main.command("path")
@@ -286,48 +281,22 @@ def path_cmd(data, family, response_col, time_col, status_col, offset_col, inter
     one row per lambda; its "active" column is the size of the final working
     set.
     """
-    try:
-        if not lams:
-            raise ValidationError("lambda grid must be nonempty")
-        if any(l <= 0 for l in lams):
-            raise ValidationError("lambda grid must be strictly positive")
-        if not data:
-            raise ValidationError("--data is required")
-        model = _build_model(data, family, response_col, time_col, status_col, offset_col, intercept)
-        config = _load_config(solver_json)
-        spec = _load_penalty(penalty_json, None)
-        grid = sorted(set(lams), reverse=True)
-        start_coef = _resolve_start(Problem(model, replace(spec, lam=grid[0])), config, start)
-        results = accel_mod.fit_path(model, spec, grid, config, start_coef, mode=_MODES[accel])
-
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            names = [f"b{j + 1}" for j in range(model.design.n_cols)]
-            head = ["lambda", "status", "objective", "kkt", "iters", "map_evals", "active", "termination"]
-            if model.has_intercept:
-                head.append("intercept")
-            writer.writerow(head + names)
-            for lam, result in zip(grid, results):
-                if isinstance(result, Exception):
-                    writer.writerow([_fmt(lam), f"error: {result}"] + [""] * (len(head) - 2 + len(names)))
-                    continue
-                row = [
-                    _fmt(lam),
-                    "ok",
-                    _fmt(result.objective),
-                    _fmt(result.kkt_residual),
-                    result.outer_iters,
-                    result.map_evals,
-                    len(result.working_set),
-                    result.termination.value,
-                ]
-                if model.has_intercept:
-                    row.append(_fmt(result.coef.intercept))
-                writer.writerow(row + [_fmt(float(b)) for b in result.coef.beta])
-    except SystemExit:
-        raise
-    except Exception as err:  # noqa: BLE001
-        _fail(str(err))
+    if any(l <= 0 for l in lams):
+        raise ValidationError("lambda grid must be strictly positive")
+    model = _build_model(data, family, response_col, time_col, status_col, offset_col, intercept)
+    config = _load_config(solver_json)
+    spec = _load_penalty(penalty_json, None)
+    grid = sorted(set(lams), reverse=True)
+    start_coef = _resolve_start(Problem(model, replace(spec, lam=grid[0])), config, start)
+    results = accel_mod.fit_path(model, spec, grid, config, start_coef, mode=_MODES[accel])
+    head = ["lambda", "status", *_result_head(model, "active")]
+    rows = (
+        [_fmt(lam), f"error: {result}"] + [""] * (len(head) - 2)
+        if isinstance(result, Exception)
+        else [_fmt(lam), "ok", *_result_row(result, len(result.working_set))]
+        for lam, result in zip(grid, results)
+    )
+    _write_csv(out, head, rows)
     sys.exit(0)
 
 
@@ -389,27 +358,18 @@ _SIM_HEADER = [
 def simulate_cmd(scenario, p, q, n, rho, sigma, seed, replicates,
                  penalty_json, solver_json, out, lams, start):
     """Replicate-level comparison of full fits against the one-step baseline."""
-    try:
-        base = simlab.SimScenario(
-            family=simlab.ScenarioFamily(scenario), p=p, q=q, n=n, rho=rho, sigma=sigma, seed=seed
-        )
-        config = _load_config(solver_json)
-        spec = _load_penalty(penalty_json, None)
-        lam_grid = sorted(set(lams), reverse=True)
-        blocks = [
-            _simulate_replicate(base.replicate(r), lam_grid, spec, config, start)
-            for r in range(replicates)
-        ]
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_SIM_HEADER)
-            for block in blocks:
-                for row in block:
-                    writer.writerow(row)
-    except SystemExit:
-        raise
-    except Exception as err:  # noqa: BLE001
-        _fail(str(err))
+    base = simlab.SimScenario(
+        family=simlab.ScenarioFamily(scenario), p=p, q=q, n=n, rho=rho, sigma=sigma, seed=seed
+    )
+    config = _load_config(solver_json)
+    spec = _load_penalty(penalty_json, None)
+    lam_grid = sorted(set(lams), reverse=True)
+    rows = [
+        row
+        for r in range(replicates)
+        for row in _simulate_replicate(base.replicate(r), lam_grid, spec, config, start)
+    ]
+    _write_csv(out, _SIM_HEADER, rows)
     sys.exit(0)
 
 

@@ -507,6 +507,10 @@ def _fit_mle(model: FidelityModel) -> np.ndarray:
     eta = xt @ theta
     parts = lik.parts(eta)
     obj = lik.nll(eta, parts)
+    # each iterate is a function of the one before: once one repeats (at the
+    # score's rounding floor), the rest of the loop is periodic, so jump to the
+    # iterate it would end on
+    history, seen = [theta], {theta.tobytes(): 0}
     for _ in range(MLE_MAX_ITER):
         g = xt_t @ lik.residual(eta, parts)
         if np.max(np.abs(g)) <= MLE_TOL:
@@ -534,6 +538,13 @@ def _fit_mle(model: FidelityModel) -> np.ndarray:
             scale *= 0.5
         else:
             raise ConvergenceError("Newton line search failed", last_iterate=theta, residual=g)
+        first = seen.setdefault(theta.tobytes(), len(history))
+        if first < len(history):
+            theta = history[first + (MLE_MAX_ITER - first) % (len(history) - first)]
+            eta = xt @ theta
+            parts = lik.parts(eta)
+            break
+        history.append(theta)
     g = xt_t @ lik.residual(eta, parts)
     if np.max(np.abs(g)) <= 1e-6:
         return theta

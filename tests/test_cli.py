@@ -153,6 +153,76 @@ def test_a_usage_error_exits_one_on_one_error_line(args, message, tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_json_options_read_at_file_as_their_inline_text(toy_csv, tmp_path, fmt):
+    penalty, config = '{"family": "scad", "lambda": 1.0}', '{"coef_tol": 1e-10, "obj_tol": 1e-300}'
+    (tmp_path / "penalty.json").write_text(penalty)
+    (tmp_path / "solver.json").write_text(config)
+    outputs = []
+    for args in ([penalty, config], ["@penalty.json", "@solver.json"]):
+        out = tmp_path / f"fit{len(outputs)}.{fmt}"
+        r = run_cli("fit", "--data", str(toy_csv), "--format", fmt, "--penalty-json", args[0],
+                    "--solver-json", args[1], "--out", str(out), cwd=tmp_path)
+        assert r.returncode == 0, r.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--penalty-json", "@missing.json"],
+        ["--penalty-json", '{"family": "lasso", "lambda": 1.0}', "--solver-json", "@missing.json"],
+    ],
+    ids=["penalty", "solver"],
+)
+def test_a_missing_at_file_exits_one_on_one_error_line(toy_csv, tmp_path, args):
+    r = run_cli("fit", "--data", str(toy_csv), *args, "--out", "x.json", cwd=tmp_path)
+    assert r.returncode == 1
+    assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+    assert "missing.json" in r.stderr
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["path", "--data", "missing.csv", "--penalty-json", '{"family": "lasso", "lambda": 1}',
+          "--lambda", "1"], "error: [Errno 2] No such file or directory: 'missing.csv'"),
+        (["simulate", "--scenario", "linear_ex1", "--p", "9", "--n", "30", "-B", "1",
+          "--penalty-json", '{"family": "adaptive_lasso", "lambda": 1}', "--lambda", "1"],
+         "error: adaptive_lasso requires a weight vector"),
+    ],
+    ids=["path-missing-data", "simulate-without-weights"],
+)
+def test_a_library_error_exits_one_on_one_error_line(args, message, tmp_path):
+    r = run_cli(*args, "--out", "out.csv", cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stdout == "" and len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith(message)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_failed_lambda_is_an_error_row_of_the_header_width(tmp_path):
+    # all-zero counts: the Poisson intercept runs off to minus infinity
+    data = tmp_path / "zero.csv"
+    x = np.random.default_rng(104).standard_normal((12, 2))
+    np.savetxt(data, np.column_stack([np.zeros(12), x]), fmt="%.17g", delimiter=",",
+               header="y,x1,x2", comments="")
+    out = tmp_path / "path.csv"
+    r = run_cli("path", "--data", str(data), "--family", "poisson",
+                "--penalty-json", '{"family": "lasso", "lambda": 1}',
+                "--lambda", "1", "--lambda", "0.5", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    head, *rows = read_rows(out)
+    assert head[:2] == ["lambda", "status"] and head[-3:] == ["intercept", "b1", "b2"]
+    assert [row[0] for row in rows] == ["1", "0.5"]
+    for row in rows:
+        assert len(row) == len(head)
+        assert row[1].startswith("error: ")
+        assert row[2:] == [""] * (len(head) - 2)
+
+
 def test_help_exits_zero_and_an_in_process_usage_error_exits_one():
     from mist import cli
 

@@ -663,6 +663,27 @@ def test_poisson_newton_mle_exponentiates_each_probed_eta_once(seed, monkeypatch
     assert np.max(np.abs(gradient(model, coef))) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_poisson_newton_mle_stops_once_an_iterate_repeats(seed, monkeypatch):
+    # objective about 1e7: the score's rounding floor lies above MLE_TOL, and
+    # Newton's accepted steps sit on a fixed point (seed 0) or cycle (seed 1)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((400, 4))
+    y = rng.poisson(np.exp(8.0 + 0.1 * x.sum(axis=1))).astype(float)
+    model = FidelityModel(DesignMatrix(x, has_intercept=True), Response(family=ResponseFamily.POISSON, y=y))
+    calls = [0]
+    original = fid._guard_exp
+
+    def counted(eta, context):
+        calls[0] += 1
+        return original(eta, context)
+
+    monkeypatch.setattr(fid, "_guard_exp", counted)
+    coef = fit_mle(model)
+    assert calls[0] <= 45
+    assert np.max(np.abs(gradient(model, coef))) <= 1e-6
+
+
 @pytest.mark.parametrize("family", ["gaussian", "logistic"])
 def test_a_model_keeps_its_mle_and_hands_back_copies(family, monkeypatch):
     model = make_model(family, n=60, p=4, seed=22)
