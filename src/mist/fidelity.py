@@ -233,7 +233,10 @@ class FidelityModel:
 
 
 def _guard_exp(eta: np.ndarray, context: str) -> np.ndarray:
-    if np.any(eta > _EXP_GUARD):
+    """e^eta, or ``OverflowError`` when its largest entry exceeds
+    ``_EXP_GUARD``.  An array holding a NaN, whose largest entry is NaN,
+    passes through."""
+    if eta.size and eta.max() > _EXP_GUARD:
         raise OverflowError(
             f"{context}: linear predictor too large (max {np.max(eta):.3g}); iterate diverged"
         )
@@ -478,7 +481,9 @@ def poisson_majorizer_component(
 def fit_mle(model: FidelityModel) -> CoefficientVector:
     """Unpenalized MLE: least squares for gaussian, damped Newton otherwise.
 
-    Requires more observations than coefficients; raises on singular designs.
+    Requires more observations than coefficients; raises on singular designs,
+    and ``ConvergenceError`` when the Hessian at an iterate is not finite, as
+    when the Cox risk sets underflow on a separable design.
     Fitted the first time a model is asked and kept on it, as the curvature
     bound is; every call returns a fresh copy.
     """
@@ -515,8 +520,20 @@ def _fit_mle(model: FidelityModel) -> np.ndarray:
         g = xt_t @ lik.residual(eta, parts)
         if np.max(np.abs(g)) <= MLE_TOL:
             return theta
+        # a Cox risk set whose sum underflows (eta spread over more than about
+        # 745) leaves 0 / 0 in the Hessian
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hess = lik.hessian(eta, parts)
+        if not np.all(np.isfinite(hess)):
+            cause = "the risk sets underflowed" if model.family is ResponseFamily.COX else "it overflowed"
+            raise ConvergenceError(
+                f"Newton MLE: the Hessian is not finite ({cause}); "
+                "the design looks separable, so the MLE may not exist",
+                last_iterate=theta,
+                residual=float(np.max(np.abs(g))),
+            )
         try:
-            step = np.linalg.solve(lik.hessian(eta, parts), g)
+            step = np.linalg.solve(hess, g)
         except np.linalg.LinAlgError as err:
             raise ValidationError("singular hessian; MLE does not exist or is not unique") from err
         scale = 1.0

@@ -29,6 +29,18 @@ gradient at theta comes once per step from the cached eta and serves every
 attempt.  A map with no step (``omega`` None: the surrogate solve, the
 Poisson map) gets a single attempt.
 
+The Poisson map (``_PoissonMap``) solves its scalar problems by a batched
+safeguarded Newton iteration over the coordinates whose minimizer is not 0.
+It builds once per fit a stack of four n x k slabs, x, x^2 / w, |x| and
+x / w, with the column sums of x y and |x| y, so each probe is one
+exponential over the active columns and one reduction of the first three
+slabs against it, which gives the slope, the curvature and the rounding
+scale together.  One exponential at b = 0, over every column, decides each
+coordinate's side.  A coordinate that starts at theta_j takes its first
+probe free: there u = eta, so its sums are the Poisson mean that the
+objective at theta cached against the slabs, and its first Newton update is
+made before any exponential.
+
 The step constant omega comes from ``fidelity.curvature_bound``: 0.95 * 2 /
 bound, a true upper bound on the curvature.  For gaussian fits the bound is
 exact and for logistic fits it is the usual 1/4 of it.  For Cox the bound
@@ -862,11 +874,15 @@ class _PoissonMap(_Objective):
 
     The majorizer splits into one strictly convex scalar problem per
     coordinate, all anchored at the same eta = X theta.  What does not depend
-    on theta (the weights w, the ratios x_ij / w_ij and the curvature factors
-    x_ij^2 / w_ij, both zero where x_ij = 0, and the empty-column mask) is
-    built once per fit here.  Each call takes eta from the last objective
-    evaluation or computes it once, and solves every scalar problem together
-    in ``_poisson_scalar_min``.
+    on theta is built once per fit here: the weights w, the empty-column mask,
+    and one stack of four n x k slabs, x_ij, x_ij^2 / w_ij, |x_ij| and the
+    ratio x_ij / w_ij (the last two zero where x_ij = 0), with the column sums
+    sum_i x_ij y_i and sum_i |x_ij| y_i.  A probe's slope, curvature and
+    rounding scale are the first three slabs summed against d_i e^u_ij, so
+    one reduction gives all three.  Each call takes eta from the last
+    objective evaluation or computes it once, and solves every scalar problem
+    together in ``_poisson_scalar_min``; at a theta the objective was just
+    evaluated at, ``mean`` is the Poisson mean it cached there.
     """
 
     def __init__(self, problem: Problem):
@@ -874,13 +890,18 @@ class _PoissonMap(_Objective):
         model = problem.model
         xt = self.xt
         self.nz = xt != 0.0
-        self.ratio = np.divide(xt, fid._row_weights(xt), out=np.zeros_like(xt), where=self.nz)
-        self.curv = xt * self.ratio
-        self.absx = np.abs(xt)
+        ratio = np.divide(xt, fid._row_weights(xt), out=np.zeros_like(xt), where=self.nz)
+        #: x, x^2 / w, |x| and x / w, one n x k slab each
+        self.stack = np.stack([xt, xt * ratio, np.abs(xt), ratio])
         self.empty = ~np.any(self.nz, axis=0)
-        self.d = model.response.offsets
-        self.y = model.response.y
+        self.d = model.response.offsets[:, None]
+        y = model.response.y
+        self.xy, self.absxy = y.dot(xt), y.dot(self.stack[2])
         self.ridge = _ridge(problem)
+
+    def mean(self, theta: np.ndarray) -> np.ndarray:
+        """The Poisson mean d e^eta at theta: the objective's, when it was last at theta."""
+        return self._parts if theta is self._theta else self._parts_of(self.xt.dot(theta))
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         """The map at theta; the majorizer has no step."""
@@ -890,23 +911,25 @@ class _PoissonMap(_Objective):
             theta = np.where(self.pinned, 0.0, theta)
         eta = self.eta(theta)
         # u_ij = base_ij + ratio_ij * b; entries with x_ij = 0 stay at u = 0
-        base = np.where(self.nz, eta[:, None] - self.ratio * theta, 0.0)
+        base = np.where(self.nz, eta[:, None] - self.stack[3] * theta, 0.0)
         return _poisson_scalar_min(self, base, self.tau(theta), theta)
 
 
-def _next_probe(c, newton, lo, hi, max_step, double):
-    """The Newton point from c if it is safe, else a bisection or doubling.
+def _next_probe(newton, move, lo, hi, max_step, fast):
+    """The Newton point if it is safe, else a bisection or doubling.
 
-    The Newton point is safe when it lies in (lo, hi) and, on a closed
-    bracket, moves at most ``max_step``; on a bracket still open above, when it
-    lies no farther out than max(2 lo, 1) and ``double`` is false.  Otherwise
-    a closed bracket is bisected and an open one is probed at max(2 lo, 1).
+    The Newton point, ``move`` away from the last probe, is safe when it lies
+    in (lo, hi) and, on a closed bracket, moves at most ``max_step``; on a
+    bracket still open above, when it lies no farther out than max(2 lo, 1)
+    and the slope fell ``fast``.  Otherwise a closed bracket is bisected and
+    an open one is probed at max(2 lo, 1).
     """
-    outer = np.maximum(2.0 * lo, 1.0)
     is_open = np.isinf(hi)
-    ok = (newton > lo) & (newton < hi)
-    ok &= np.where(is_open, (newton <= outer) & ~double, np.abs(newton - c) <= max_step)
-    return np.where(ok, newton, np.where(is_open, outer, 0.5 * (lo + hi)))
+    outer = np.maximum(2.0 * lo, 1.0)
+    ok = (newton > lo) & np.where(is_open, (newton <= outer) & fast, (newton < hi) & (move <= max_step))
+    nxt = np.where(is_open, outer, 0.5 * (lo + hi))
+    np.copyto(nxt, newton, where=ok)
+    return nxt
 
 
 def _poisson_scalar_min(
@@ -920,70 +943,99 @@ def _poisson_scalar_min(
     otherwise it has the sign of -k_j'(0).  Flipping the columns of the
     negative coordinates turns every search into one over c > 0 that starts
     with the bracket [0, inf) and phi'(0+) < 0, and a batched Newton iteration
-    solves them together, starting from theta_j where theta_j lies in the
-    bracket, with one exponential over the active columns per iteration.
-    Each probe narrows its coordinate's bracket; ``_next_probe`` replaces an
-    unsafe Newton point by bisection or, while the bracket is open, by
-    doubling.  A coordinate stops when |phi'| is at the rounding level of its
-    own sum, or when its Newton step or bracket is at most 1e-15 (1 + |c|).
-    An all-zero column maps to 0: the fidelity does not depend on its
-    coordinate and the penalty is nondecreasing in |b|, so 0 minimizes it.
+    solves them together.  Each probe narrows its coordinate's bracket;
+    ``_next_probe`` replaces an unsafe Newton point by bisection or, while the
+    bracket is open, by doubling.  A coordinate stops when |phi'| is at the
+    rounding level of its own sum, or when its Newton step or bracket is at
+    most 1e-15 (1 + |c|).  An all-zero column maps to 0: the fidelity does not
+    depend on its coordinate and the penalty is nondecreasing in |b|, so 0
+    minimizes it.
+
+    The first probe costs no exponential.  A coordinate whose theta_j lies in
+    the bracket starts there, where u_ij = eta_i, so its sums are the Poisson
+    mean at theta (``pm.mean``, the objective's when it was at theta) against
+    the slabs; it takes its first bracket and Newton update before any
+    exponential, so the first one is already at its Newton point.  The
+    others start at c = 0, whose sums the exponential at b = 0 (over every
+    column, which decides each coordinate's side) has given, and take their
+    first Newton step from there.  Every later probe is one
+    exponential over the active columns and one reduction of the first three
+    slabs against it: phi' = sum_i x_ij d_i e^u_ij - sum_i x_ij y_i + tau_j,
+    phi'' and the scale sum_i |x_ij| (d_i e^u_ij + y_i) + tau_j, plus the
+    ridge terms only when eps > 0.  ``POISSON_NEWTON_MAX`` caps the Newton
+    steps, the free first one included.
     """
-    y = pm.y[:, None]
-    eu0 = pm.d[:, None] * fid._guard_exp(base, "poisson coordinate update")
-    g0 = np.einsum("ij,ij->j", pm.xt, eu0 - y)
+    eu0 = pm.d * fid._guard_exp(base, "poisson coordinate update")
+    sums0 = np.einsum("tij,ij->tj", pm.stack[:3], eu0)
+    g0 = sums0[0] - pm.xy
     out = np.zeros_like(theta)
     act = np.flatnonzero(~pm.empty & (np.abs(g0) > tau))
     if act.size == 0:
         return out
 
     sgn = np.where(g0[act] > tau[act], -1.0, 1.0)
-    tau_a, ridge_a = tau[act], pm.ridge[act]
-    x_a, r_a = pm.xt[:, act] * sgn, pm.ratio[:, act] * sgn
-    curv_a, absx_a, base_a = pm.curv[:, act], pm.absx[:, act], base[:, act]
+    # the active columns' slabs, x and x / w flipped to the search over c > 0;
+    # the first three give a probe's sums, the last its u
+    cols = pm.stack[:, :, act]
+    cols[0] *= sgn
+    cols[3] *= sgn
+    base = base[:, act]
+    # phi' and the scale less the sums over e^u
+    lin = tau[act] - sgn * pm.xy[act]
+    fixed = tau[act] + pm.absxy[act]
+    ridge2 = 2.0 * pm.ridge[act] if pm._ridge_lam else None
+    # the first probe is theta_j where it lies in the bracket, else 0
+    c = np.maximum(sgn * theta[act], 0.0)
+    from_theta = c > 0.0
+    if from_theta.all():
+        sums = pm.mean(theta) @ cols[:3]
+    else:
+        sums = sums0[:, act]
+        sums[0] *= sgn
+        if from_theta.any():
+            sums = np.where(from_theta, pm.mean(theta) @ cols[:3], sums)
     lo = np.zeros(act.size)
     hi = np.full(act.size, np.inf)
-    step = step_old = hi
-    # the first probe is theta_j where it lies in the bracket, else a step
-    # from c = 0, where the slope and the curvature are already known
-    c = sgn * theta[act]
-    from_theta = c > 0.0
-    dphi = sgn * g0[act] + tau_a
-    d2phi = np.einsum("ij,ij->j", curv_a, eu0[:, act]) + 2.0 * ridge_a
+    max_step = step = tenth = hi.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
-        newton = -dphi / d2phi
-    c = np.where(from_theta, c, _next_probe(0.0, newton, lo, hi, np.inf, np.zeros(act.size, bool)))
-    dphi_prev = np.where(from_theta, np.inf, dphi)
-    for _ in range(POISSON_NEWTON_MAX):
-        eu = pm.d[:, None] * fid._guard_exp(base_a + r_a * c, "poisson coordinate update")
-        dphi = np.einsum("ij,ij->j", x_a, eu - y) + 2.0 * ridge_a * c + tau_a
-        d2phi = np.einsum("ij,ij->j", curv_a, eu) + 2.0 * ridge_a
-        scale = np.einsum("ij,ij->j", absx_a, eu + y) + np.abs(2.0 * ridge_a * c) + tau_a
-        # while the bracket is open, a slope that fell by less than 10x since
-        # the last probe means slow progress (phi' concave, or a minimizer
-        # only where e^u underflows): double instead
-        double = np.isinf(hi) & (dphi < 0.0) & (np.abs(dphi) > 0.1 * np.abs(dphi_prev))
-        lo = np.where(dphi < 0.0, c, lo)
-        hi = np.where(dphi > 0.0, c, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = c - dphi / d2phi
-        # on a closed bracket, a Newton step longer than half the one before
-        # the last bisects instead
-        nxt = _next_probe(c, newton, lo, hi, 0.5 * np.abs(step_old), double)
-        tol = 1e-15 * (1.0 + c)
-        done = (np.abs(dphi) <= 8.0 * EPS * scale) | (np.abs(newton - c) <= tol) | (hi - lo <= tol)
-        step_old, step, dphi_prev = step, nxt - c, dphi
-        if np.any(done):
-            out[act[done]] = sgn[done] * c[done]
-            keep = ~done
-            if not np.any(keep):
-                return out
-            act, sgn, tau_a, ridge_a = act[keep], sgn[keep], tau_a[keep], ridge_a[keep]
-            x_a, r_a, curv_a = x_a[:, keep], r_a[:, keep], curv_a[:, keep]
-            absx_a, base_a = absx_a[:, keep], base_a[:, keep]
-            lo, hi, nxt = lo[keep], hi[keep], nxt[keep]
-            step, step_old, dphi_prev = step[keep], step_old[keep], dphi_prev[keep]
-        c = nxt
+        for probe in range(POISSON_NEWTON_MAX):
+            if probe:
+                u = cols[3] * c
+                u += base
+                eu = pm.d * fid._guard_exp(u, "poisson coordinate update")
+                sums = np.einsum("tij,ij->tj", cols[:3], eu)
+            dphi, d2phi, scale = sums[0] + lin, sums[1], sums[2] + fixed
+            if ridge2 is not None:
+                rc = ridge2 * c
+                dphi, d2phi, scale = dphi + rc, d2phi + ridge2, scale + np.abs(rc)
+            np.copyto(lo, c, where=dphi < 0.0)
+            np.copyto(hi, c, where=dphi > 0.0)
+            delta = dphi / d2phi
+            newton, move, adphi = c - delta, np.abs(delta), np.abs(dphi)
+            # while the bracket is open, a slope that fell by less than 10x
+            # since the last probe means slow progress (phi' concave, or a
+            # minimizer only where e^u underflows): double instead; on a
+            # closed bracket, a Newton step longer than half the one before
+            # the last bisects instead
+            nxt = _next_probe(newton, move, lo, hi, max_step, adphi <= tenth)
+            done = (adphi <= 8.0 * EPS * scale) | (np.fmin(move, hi - lo) <= 1e-15 * (1.0 + c))
+            max_step, step, tenth = 0.5 * np.abs(step), nxt - c, 0.1 * adphi
+            if not probe and not from_theta.all():
+                # 0 is no probe to stop at, and the move from it no Newton step
+                done &= from_theta
+                step = np.where(from_theta, step, np.inf)
+            if done.any():
+                out[act[done]] = sgn[done] * c[done]
+                keep = ~done
+                if not keep.any():
+                    return out
+                act, sgn, lin, fixed = act[keep], sgn[keep], lin[keep], fixed[keep]
+                cols, base = cols[:, :, keep], base[:, keep]
+                lo, hi, nxt = lo[keep], hi[keep], nxt[keep]
+                max_step, step, tenth = max_step[keep], step[keep], tenth[keep]
+                if ridge2 is not None:
+                    ridge2 = ridge2[keep]
+            c = nxt
     raise ConvergenceError(
         f"poisson coordinates {act.tolist()} did not converge in "
         f"{POISSON_NEWTON_MAX} Newton steps",

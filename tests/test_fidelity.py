@@ -180,6 +180,18 @@ def test_poisson_overflow_raises():
         neg_loglik(m, CoefficientVector(beta=np.array([800.0])))
 
 
+def test_guard_exp_passes_empty_and_nan_and_names_an_overflow():
+    assert fid._guard_exp(np.array([]), "ctx").shape == (0,)
+    assert fid._guard_exp(np.zeros((3, 0)), "ctx").shape == (3, 0)
+    got = fid._guard_exp(np.array([np.nan, 0.0]), "ctx")
+    assert math.isnan(got[0]) and got[1] == 1.0
+    assert fid._guard_exp(np.array([700.0]), "ctx")[0] == math.exp(700.0)
+    msg = "ctx: linear predictor too large (max 701); iterate diverged"
+    with pytest.raises(OverflowError) as err:
+        fid._guard_exp(np.array([[1.0, 701.0], [0.0, -5.0]]), "ctx")
+    assert str(err.value) == msg
+
+
 # -- gradient and hessian against finite differences -----------------------
 
 
@@ -682,6 +694,18 @@ def test_poisson_newton_mle_stops_once_an_iterate_repeats(seed, monkeypatch):
     coef = fit_mle(model)
     assert calls[0] <= 45
     assert np.max(np.abs(gradient(model, coef))) <= 1e-6
+
+
+def test_cox_mle_of_a_separable_design_is_a_convergence_error():
+    # the Newton iterates spread eta over more than about 745, so the early
+    # risk sets underflow in the Hessian: the MLE does not exist, and the
+    # error says so instead of taking a NaN step
+    model = make_model("cox", n=30, p=4, seed=44, beta_scale=2.0)
+    with pytest.raises(ConvergenceError, match="risk sets underflowed.*separable") as err:
+        fit_mle(model)
+    theta = err.value.last_iterate
+    assert theta.shape == (4,) and np.all(np.isfinite(theta))
+    assert np.ptp(model._xt @ theta) > 700.0
 
 
 @pytest.mark.parametrize("family", ["gaussian", "logistic"])

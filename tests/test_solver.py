@@ -25,6 +25,7 @@ from mist.fidelity import (
     poisson_majorizer_component,
     poisson_weights,
 )
+from mist import fidelity as fid
 from mist import simlab, solver
 from mist.accel import accelerated_fit, squarem_step
 from mist.penalties import Family, PenaltySpec, kernels, penalty_derivative_vec, threshold_vector
@@ -897,6 +898,63 @@ def test_poisson_map_matches_per_coordinate_oracle(
     assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
     if pinned:
         assert got[-1] == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(4, 30),
+    p=st.integers(1, 5),
+    intercept=st.booleans(),
+    offsets=st.booleans(),
+    ridge=st.booleans(),
+    cached=st.booleans(),
+    lam=st.floats(0.01, 5.0),
+)
+def test_a_second_poisson_map_matches_the_oracle(seed, n, p, intercept, offsets, ridge, cached, lam):
+    # the second map starts most coordinates at theta_j, where the first probe
+    # comes from the Poisson mean at theta: the objective's when it was
+    # evaluated there (cached), else computed by the map
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    d = np.exp(rng.uniform(-1.0, 1.0, n)) if offsets else None
+    mu = (d if offsets else 1.0) * np.exp(np.clip(0.3 + 0.4 * X @ rng.standard_normal(p), -5.0, 3.0))
+    y = rng.poisson(mu).astype(float)
+    assume(not intercept or np.any(y > 0))
+    model = FidelityModel(
+        DesignMatrix(X, has_intercept=intercept),
+        Response(family=ResponseFamily.POISSON, y=y, offsets=d),
+    )
+    family = Family.ELASTIC_NET if ridge else Family.LASSO
+    prob = Problem(model, PenaltySpec(family=family, lam=lam, epsilon=0.5 if ridge else 0.0))
+    m = mm_map(prob)
+    first = m(0.5 * rng.standard_normal(model.n_coef))
+    if cached:
+        m.objective(first)
+    got = m(first)
+    want = _poisson_map_oracle(prob, first)
+    assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+
+
+def test_a_poisson_fit_takes_its_first_probes_from_the_cached_mean(monkeypatch):
+    # each map's first probe at theta reads the mean the objective there
+    # cached, so it takes no exponential: 271 two-dimensional _guard_exp calls
+    # over the fit's 66 maps, against 336 when every coordinate's first probe
+    # at theta_j took one; the one-dimensional calls are the objectives' alone
+    model = make_model("poisson", n=50, p=4, seed=29)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=2.0))
+    calls = {1: 0, 2: 0}
+    original = fid._guard_exp
+
+    def counted(eta, context):
+        calls[eta.ndim] += 1
+        return original(eta, context)
+
+    monkeypatch.setattr(fid, "_guard_exp", counted)
+    res = fit(prob, SolverConfig(), CoefficientVector.zeros(4, True))
+    assert res.map_evals == 66 and res.termination is Termination.OBJ_TOL
+    assert calls[1] == res.map_evals + 1
+    assert calls[2] <= 290
 
 
 def test_poisson_empty_column_moves_to_zero():
