@@ -2,10 +2,12 @@
 
 All four families expose the negative log-likelihood (up to additive
 constants), the gradient of the LOG-likelihood, the Hessian of the negative
-log-likelihood, and a finite curvature bound where one exists.  Each
-family's likelihood is written once, in ``kernels``: functions of the linear
-predictor eta = X theta that share the parts computed at eta, which every
-public function here and every fit reads.  The Poisson family has no global
+log-likelihood, and finite curvature bounds where they exist: one shared by
+every coordinate (``curvature_bound``) and one per coordinate
+(``diagonal_bound``).  Each family's likelihood is written once, in
+``kernels``: functions of the linear predictor eta = X theta that share the
+parts computed at eta, which every public function here and every fit
+reads.  The Poisson family has no global
 curvature bound; it gets the separable majorizer machinery at the bottom of
 this module instead.  Every gradient is one product X^T r, with r the
 residual y - mu, or for Cox the martingale residual delta - w a
@@ -177,6 +179,7 @@ class FidelityModel:
         # outside BLAS; a C- or F-ordered one is kept as it is
         self._xt = xt if xt.flags.c_contiguous or xt.flags.f_contiguous else np.ascontiguousarray(xt)
         self._curvature_bound: Optional[float] = None  # set by curvature_bound
+        self._diagonal_bound: Optional[np.ndarray] = None  # set by diagonal_bound
         self._mle: Optional[np.ndarray] = None  # the augmented MLE, set by fit_mle
         if self.family is ResponseFamily.COX:
             # descending time order: risk set of subject k (in sorted order)
@@ -195,14 +198,14 @@ class FidelityModel:
 
         The augmented design is gathered once, and the restricted design's
         values are a view of it; the response and the Cox risk-set arrays are
-        shared, not validated or sorted again.  The curvature bound and the
+        shared, not validated or sorted again.  The curvature bounds and the
         MLE are not: the column subset has its own.
         """
         cols = np.asarray(cols, dtype=np.intp)
         idx = np.concatenate([[0], cols + 1]) if self.has_intercept else cols
         sub = copy.copy(self)
         sub._xt = self._xt[:, idx]
-        sub._curvature_bound = sub._mle = None
+        sub._curvature_bound = sub._diagonal_bound = sub._mle = None
         values = sub._xt[:, 1:] if self.has_intercept else sub._xt
         sub.design = DesignMatrix(values, has_intercept=self.has_intercept)
         return sub
@@ -250,7 +253,8 @@ class Kernels(NamedTuple):
     takes it: ``nll(eta, parts)``, ``residual(eta, parts)``, the score
     residual r with gradient X^T r, and ``hessian(eta, parts)``, the Hessian
     of the negative log-likelihood.  ``bound()`` is the family's curvature
-    bound (``curvature_bound``).
+    bound (``curvature_bound``) and ``diagonal()`` its bound per coordinate
+    (``diagonal_bound``).
     """
 
     parts: Callable[[np.ndarray], object]
@@ -258,6 +262,7 @@ class Kernels(NamedTuple):
     residual: Callable[[np.ndarray, object], np.ndarray]
     hessian: Callable[[np.ndarray, object], np.ndarray]
     bound: Callable[[], float]
+    diagonal: Callable[[], np.ndarray]
 
 
 def kernels(model: FidelityModel) -> Kernels:
@@ -280,6 +285,7 @@ def kernels(model: FidelityModel) -> Kernels:
             lambda eta, r: r,
             lambda eta, r: xt.T @ xt,
             lambda: _top_gram_eigenvalue(xt),
+            lambda: _scaled_gram_bound(xt),
         )
     if fam is ResponseFamily.LOGISTIC:
         def mean(eta):
@@ -296,6 +302,7 @@ def kernels(model: FidelityModel) -> Kernels:
             lambda eta, parts: y - mean(eta),
             hessian,
             lambda: 0.25 * _top_gram_eigenvalue(xt),
+            lambda: 0.25 * _scaled_gram_bound(xt),
         )
     if fam is ResponseFamily.POISSON:
         d = model.response.offsets
@@ -312,6 +319,7 @@ def kernels(model: FidelityModel) -> Kernels:
             lambda eta, mu: y - mu,
             lambda eta, mu: xt.T @ (mu[:, None] * xt),
             no_bound,
+            no_bound,
         )
     if fam is ResponseFamily.COX:
         event, status = model._cox_event, model.response.status
@@ -320,13 +328,17 @@ def kernels(model: FidelityModel) -> Kernels:
             e, log_d = parts
             return float(-np.add.reduce(e[event] - log_d))
 
+        def bound():
+            # the event count times the largest squared row norm
+            return float(np.sum(status == 1.0) * np.max(np.sum(xt**2, axis=1)))
+
         return Kernels(
             lambda eta: _cox_parts(model, eta),
             nll,
             lambda eta, parts: status - _cox_risk_mass(model, parts),
             lambda eta, parts: _cox_neg_hessian(model, parts),
-            # the event count times the largest squared row norm
-            lambda: float(np.sum(status == 1.0) * np.max(np.sum(xt**2, axis=1))),
+            bound,
+            lambda: np.full(xt.shape[1], bound()),
         )
     raise ValidationError(f"unknown family {fam}")
 
@@ -406,6 +418,16 @@ def _top_gram_eigenvalue(xt: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
+def _scaled_gram_bound(xt: np.ndarray) -> np.ndarray:
+    """L_s s_j^2 for every column j of xt, with s_j = ||x_j|| (1 for an
+    all-zero column) and L_s the largest eigenvalue of S^-1 xt^T xt S^-1, so
+    that xt^T xt <= L_s S^2.  L_s lies in [1, columns], whatever the columns'
+    scales."""
+    s2 = np.einsum("ij,ij->j", xt, xt)
+    s2[s2 == 0.0] = 1.0
+    return _top_gram_eigenvalue(xt / np.sqrt(s2)) * s2
+
+
 def curvature_bound(model: FidelityModel) -> float:
     """Finite upper bound on the largest hessian eigenvalue of the fidelity.
 
@@ -416,6 +438,21 @@ def curvature_bound(model: FidelityModel) -> float:
     if model._curvature_bound is None:
         model._curvature_bound = kernels(model).bound()
     return model._curvature_bound
+
+
+def diagonal_bound(model: FidelityModel) -> np.ndarray:
+    """A curvature bound per augmented coordinate: D with H <= diag(D) for the
+    Hessian H of the fidelity at every point.
+
+    For gaussian fits D_j = L_s ||x_j||^2 (``_scaled_gram_bound``), and 1/4 of
+    it for logistic fits, so a column's bound follows its own scale and not
+    the largest column's.  For Cox it is ``curvature_bound`` in every
+    coordinate.  Computed the first time a model is asked and kept on it, as
+    ``curvature_bound`` is; the array is the model's own.
+    """
+    if model._diagonal_bound is None:
+        model._diagonal_bound = kernels(model).diagonal()
+    return model._diagonal_bound
 
 
 # -- Poisson separable majorizer ------------------------------------------
@@ -483,7 +520,9 @@ def fit_mle(model: FidelityModel) -> CoefficientVector:
 
     Requires more observations than coefficients; raises on singular designs,
     and ``ConvergenceError`` when the Hessian at an iterate is not finite, as
-    when the Cox risk sets underflow on a separable design.
+    when the Cox risk sets underflow on a separable design, or when a Poisson
+    model with an intercept has no nonzero count, so that its intercept has
+    no finite MLE.
     Fitted the first time a model is asked and kept on it, as the curvature
     bound is; every call returns a fresh copy.
     """
@@ -503,6 +542,13 @@ def _fit_mle(model: FidelityModel) -> np.ndarray:
         if rank < k:
             raise ValidationError("design matrix is rank deficient; MLE is not unique")
         return theta
+    if model.family is ResponseFamily.POISSON and model.has_intercept and not np.any(model.response.y):
+        # the likelihood falls towards its supremum as the intercept goes to
+        # -inf, and its score there is as small as the Newton stop
+        raise ConvergenceError(
+            "Newton MLE: every count is 0, so the intercept has no finite MLE",
+            last_iterate=np.zeros(k),
+        )
 
     # Newton on the augmented array: one eta per iterate, and its parts (the
     # Poisson mean, the Cox risk-set sums), feed the likelihood, the score and

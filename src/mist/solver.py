@@ -23,11 +23,11 @@ Every choice of code path is made by the problem, its family and its
 weights; no option selects one.
 
 ``fit`` runs ``mm_map``'s map through ``_halving(map)``, which turns a map
-into a step.  A map with a step omega (``_GlmMap``) is applied at omega,
-halved until the objective is finite and does not rise; the log-likelihood
-gradient at theta comes once per step from the cached eta and serves every
-attempt.  A map with no step (``omega`` None: the surrogate solve, the
-Poisson map) gets a single attempt.
+into a step.  A map with a step omega (``_GlmMap``) is applied at w omega
+for a scalar multiplier w, 1 first and halved until the objective is finite
+and does not rise; the log-likelihood gradient at theta comes once per step
+from the cached eta and serves every attempt.  A map with no step (``omega``
+None: the surrogate solve, the Poisson map) gets a single attempt.
 
 The Poisson map (``_PoissonMap``) solves its scalar problems by a batched
 safeguarded Newton iteration over the coordinates whose minimizer is not 0.
@@ -41,26 +41,34 @@ probe free: there u = eta, so its sums are the Poisson mean that the
 objective at theta cached against the slabs, and its first Newton update is
 made before any exponential.
 
-The step constant omega comes from ``fidelity.curvature_bound``: 0.95 * 2 /
-bound, a true upper bound on the curvature.  For gaussian fits the bound is
-exact and for logistic fits it is the usual 1/4 of it.  For Cox the bound
-n_events * max ||x_i||^2 is several times the largest Hessian eigenvalue,
-so a Cox fit backtracks on the curvature instead (Beck & Teboulle 2009).
-Its first step tries ``BACKTRACK_START`` (64) times the certified step and
-halves until the quadratic surrogate majorizes the fidelity at the
-candidate, checked exactly:
+The gaussian and logistic maps step each coordinate by its own omega_j =
+0.95 * 2 / D_j, from the diagonal curvature bound D of
+``fidelity.diagonal_bound``: D_j = L_s ||x_j||^2 over the augmented design
+(intercept included, and ||x_j|| taken as 1 for an all-zero column), with
+L_s the largest eigenvalue of S^-1 X^T X S^-1 for S = diag ||x_j||, and 1/4
+of that for logistic.  X^T X <= L_s S^2, so the surrogate with the quadratic
+term sum_j d_j^2 / omega_j majorizes the fidelity, and the map stays one
+componentwise soft-threshold; a column's step follows its own scale, not
+that of the largest column.  The Cox map keeps one step for every
+coordinate, 0.95 * 2 / ``fidelity.curvature_bound`` (``resolve_step``).
+Its bound n_events * max ||x_i||^2 is several times the largest Hessian
+eigenvalue, so a Cox fit backtracks on the curvature instead (Beck &
+Teboulle 2009).  Its first step tries ``BACKTRACK_START`` (64) times the
+certified step and halves until the quadratic surrogate majorizes the
+fidelity at the candidate, checked exactly:
 
     nll(theta+) <= nll(theta) - grad l(theta) . d + ||d||^2 / omega.
 
 The accepted step carries to the next one and never grows; at the certified
 step the test is skipped, since the bound guarantees it.  Squarem, which
-needs a fixed map, applies the Cox map at the certified step; the Poisson
-map has no step.
+needs a fixed map, applies each map at its own step, the certified one for
+Cox; the Poisson map has no step.
 
 Every surrogate solve (``mm_outer``'s step, and so the one-step estimator)
 runs ``ist_minimize``: FISTA (Beck & Teboulle 2009) with gradient-based
-adaptive restart (O'Donoghue & Candes 2015), at half the certified step,
-since FISTA needs a step of at most 1 / curvature.  A Cox solve backtracks
+adaptive restart (O'Donoghue & Candes 2015), at half the scalar step that
+``fidelity.curvature_bound`` certifies, since FISTA needs a step of at most
+1 / curvature.  A Cox solve backtracks
 that step by the same rule as the outer step, tested at the extrapolated
 point, down to the half step.
 
@@ -89,8 +97,9 @@ slot, and its ``tau(theta)`` is the only place thresholds are made.  The linear
 families (lasso, adaptive lasso and the elastic nets), whose thresholds
 lam w_j do not depend on theta, write the array once, when the map is built;
 the other families rewrite it at each map from the |beta| cached at theta.
-A GLM map keeps -omega/2 and omega/2 times it, and rebuilds them when the
-family is not linear or when the step changed, on a halving.  A GLM map is
+A GLM map keeps its half step omega/2 and -omega/2 and omega/2 times the
+thresholds; it rebuilds the thresholds when the family is not linear, and
+all three when the step's multiplier changed, on a halving.  A GLM map is
 then one soft-threshold over the whole augmented vector,
 u - min(max(u, -t), t) (a zero threshold returns the intercept exactly),
 and, only when eps > 0, one shrink of the slopes; with
@@ -145,8 +154,10 @@ class SolverConfig:
 
     ``coef_tol``, ``obj_tol`` and ``max_outer`` stop the outer loop;
     ``inner_tol`` and ``inner_max`` stop the inner soft-thresholding of a
-    surrogate solve.  Every step comes from the problem's curvature bound
-    (``resolve_step``), so no field sets one.
+    surrogate solve.  Every step comes from the problem's curvature bounds,
+    one per coordinate for the gaussian and logistic maps
+    (``fidelity.diagonal_bound``) and one for every coordinate for the Cox
+    map and the surrogate solve (``resolve_step``), so no field sets one.
 
     The fields are checked when the config is built.  The tolerances must be
     real numbers > 0, and the caps integers >= 1; an integral float such as
@@ -380,9 +391,13 @@ def _safe_step(lip: float) -> float:
 
 
 def resolve_step(problem: Problem, config: Optional[SolverConfig] = None) -> float:
-    """The MM step constant, ``STEP_SAFETY * 2 / curvature_bound``.
+    """The scalar MM step constant, ``STEP_SAFETY * 2 / curvature_bound``.
 
-    ``config`` is not read.  The parameter stays so that callers written as
+    It is the step of the Cox map, and twice the step of every surrogate
+    solve; the gaussian and logistic maps step each coordinate by its own
+    bound instead (``_GlmMap``).  ``glm_map`` at this step is still an MM
+    map, since the scalar surrogate majorizes as well.  ``config`` is not
+    read.  The parameter stays so that callers written as
     ``resolve_step(problem, config)``, such as the acceptance tests'
     strict-majorization check, keep working.
     """
@@ -542,74 +557,106 @@ class _Objective:
 def glm_map(
     problem: Problem,
     theta: np.ndarray,
-    omega: float,
+    omega: Union[float, np.ndarray],
     grad: Optional[np.ndarray] = None,
-    bounds: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    terms: Optional[tuple] = None,
 ) -> np.ndarray:
     """One closed-form surrogate minimization for bounded-hessian families.
 
-    The update soft-thresholds theta + omega/2 grad l(theta) over the whole
-    augmented array at omega/2 tau, with tau = p'(|theta_j|) and 0 in the
-    intercept slot, and shrinks the slopes by 1 / (1 + omega lam eps) when
-    eps > 0.  ``grad`` (the log-likelihood gradient at theta) and ``bounds``
-    (the thresholds -omega/2 tau and omega/2 tau) are passed together by a
-    fit's map (``_GlmMap``); without ``bounds`` both come from a map object of
-    the problem built here.  Nothing is checked: theta is the augmented
-    coefficient array of a problem's model.
+    The step omega is one number or one per augmented coordinate.  The update
+    soft-thresholds theta + omega/2 grad l(theta) over the whole augmented
+    array at omega/2 tau, with tau = p'(|theta_j|) and 0 in the intercept
+    slot, and shrinks each slope by 1 / (1 + omega_j lam eps) when eps > 0.
+    ``grad`` (the log-likelihood gradient at theta) and ``terms`` are passed
+    together by a fit's map (``_GlmMap``): ``terms`` holds omega/2, the
+    thresholds -omega/2 tau and omega/2 tau and the slopes' shrink
+    (``_shrink``), so omega itself is not read.  Without ``terms`` they come
+    from a map object of the problem built here.  Nothing is checked: theta is
+    the augmented coefficient array of a problem's model.
     """
-    half = 0.5 * omega
-    if bounds is None:
+    if terms is None:
         m = _Objective(problem)
         theta = np.asarray(theta, dtype=float)
         if grad is None:
             grad = m.grad(theta)
-        tau = m.tau(theta)
+        half = 0.5 * omega
+        hi = half * m.tau(theta)
         with np.errstate(invalid="ignore"):  # inf - inf: an infinite argument at a pinned coordinate
-            out = _soft_threshold(theta + half * grad, -half * tau, half * tau)
+            out = _soft_threshold(theta + half * grad, -hi, hi)
+        shrink = _shrink(problem, omega)
     else:
-        out = _soft_threshold(theta + half * grad, *bounds)
-    spec = problem.penalty
-    if spec.epsilon:
-        out[1 if problem.model.has_intercept else 0:] *= 1.0 / (1.0 + omega * spec.lam * spec.epsilon)
+        half, lo, hi, shrink = terms
+        out = _soft_threshold(theta + half * grad, lo, hi)
+    if shrink is not None:
+        out[1 if problem.model.has_intercept else 0:] *= shrink
     return out
+
+
+def _shrink(problem: Problem, omega: Union[float, np.ndarray]) -> Union[None, float, np.ndarray]:
+    """The ridge shrink 1 / (1 + omega lam eps) of the slopes at step omega,
+    from the slopes' entries of a step per coordinate; None when eps = 0."""
+    spec = problem.penalty
+    if not spec.epsilon:
+        return None
+    if np.ndim(omega):
+        omega = omega[1 if problem.model.has_intercept else 0:]
+    return 1.0 / (1.0 + omega * spec.lam * spec.epsilon)
 
 
 class _GlmMap(_Objective):
     """The single soft-threshold MM map of one gaussian, logistic or cox problem.
 
-    Built once per fit.  Its step ``omega`` is ``resolve_step``'s, and it
-    backtracks that step exactly when the family is Cox, whose curvature
-    bound is loose.  Calling it applies ``glm_map`` at omega, or at a halved
-    step passed as the second argument, with the log-likelihood gradient at
-    theta passed as the third, or else taken from the eta and the shared
-    parts (the gaussian residual, the Cox risk-set sums) of the last
-    objective evaluation when it is at the same point.  A plain step with h
-    halvings then multiplies by X 2 + h times (X^T r once at theta, whose eta
-    and r the objective there cached, and X theta+ in every objective), and a
-    squarem step four times plus once per backtrack.
+    Built once per fit.  On gaussian and logistic problems its step ``omega``
+    is one per augmented coordinate, omega_j = ``STEP_SAFETY`` * 2 / D_j
+    with D = ``fidelity.diagonal_bound``, so a column's step follows its own
+    scale; the surrogate with ||d||^2 / omega replaced by sum_j d_j^2 /
+    omega_j still majorizes, since H <= diag(D), and the map stays one
+    soft-threshold.  On Cox problems it is ``resolve_step``'s scalar, which it
+    backtracks, since the Cox curvature bound is loose.
 
-    The thresholds -omega/2 tau and omega/2 tau, with tau from ``tau``, are
-    kept between maps and rebuilt when the family is not linear, at every map
-    from the |beta| that the objective at theta cached, or when the step
-    changed, that is on a halving and on the full step after it.
+    Calling it applies ``glm_map`` at w omega for a scalar multiplier w, 1
+    unless ``_halving`` passes a smaller one (or, on Cox, a larger one) as
+    the second argument, with the log-likelihood gradient at theta passed as
+    the third, or else taken from the eta and the shared parts (the gaussian
+    residual, the Cox risk-set sums) of the last objective evaluation when it
+    is at the same point.  A plain step with h halvings then multiplies by X
+    2 + h times (X^T r once at theta, whose eta and r the objective there
+    cached, and X theta+ in every objective), and a squarem step four times
+    plus once per backtrack.
+
+    The half step w omega / 2 and the slopes' ridge shrink are kept between
+    maps and rebuilt when w changed, that is on a halving and on the full
+    step after it.  The thresholds -w omega/2 tau and w omega/2 tau, with tau
+    from ``tau``, are kept with them and rebuilt then too, and at every map
+    when the family is not linear, from the |beta| that the objective at
+    theta cached.  So a map at a vector step makes the array operations of a
+    map at a scalar one.
     """
 
     def __init__(self, problem: Problem):
         super().__init__(problem)
-        self.omega = resolve_step(problem)
         self.backtrack = self.cox
+        if self.cox:
+            self.omega = resolve_step(problem)
+        else:
+            bound = fid.diagonal_bound(self.model)
+            self.omega = np.divide(STEP_SAFETY * 2.0, bound, out=np.ones_like(bound), where=bound > 0.0)
         self._w = None
 
     def __call__(
-        self, theta: np.ndarray, omega: Optional[float] = None, grad: Optional[np.ndarray] = None
+        self, theta: np.ndarray, w: Optional[float] = None, grad: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        w = self.omega if omega is None else omega
+        w = 1.0 if w is None else w
         if grad is None:
             grad = self.grad(theta)
-        if not self.linear or w != self._w:
-            half, tau = 0.5 * w, self.tau(theta)
-            self._w, self._lo, self._hi = w, -half * tau, half * tau
-        return glm_map(self.problem, theta, w, grad, (self._lo, self._hi))
+        rebuild = w != self._w
+        if rebuild:
+            step = w * self.omega
+            self._w, self._half, self._ridge_shrink = w, 0.5 * step, _shrink(self.problem, step)
+        if rebuild or not self.linear:
+            hi = self._half * self.tau(theta)
+            self._lo, self._hi = -hi, hi
+        return glm_map(self.problem, theta, None, grad, (self._half, self._lo, self._hi, self._ridge_shrink))
 
     def anchor(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """The fidelity and the log-likelihood gradient at theta."""
@@ -619,9 +666,17 @@ class _GlmMap(_Objective):
 
 
 def glm_surrogate_value(
-    problem: Problem, omega: float, alpha: CoefficientVector, beta: CoefficientVector
+    problem: Problem,
+    omega: Union[float, np.ndarray],
+    alpha: CoefficientVector,
+    beta: CoefficientVector,
 ) -> float:
-    """The quadratic-plus-linearized-penalty surrogate at beta, anchored at alpha."""
+    """The quadratic-plus-linearized-penalty surrogate at beta, anchored at alpha.
+
+    Its quadratic term is sum_j d_j^2 / omega_j over the augmented difference
+    d = beta - alpha, for a step omega that is one number or one per
+    coordinate; ``glm_map`` at omega minimizes it.
+    """
     model = problem.model
     spec = problem.penalty
     ta, tb = alpha.augmented(), beta.augmented()
@@ -629,7 +684,7 @@ def glm_surrogate_value(
     value = (
         fid.neg_loglik(model, alpha)
         - float(fid.gradient(model, alpha) @ diff)
-        + float(diff @ diff) / omega
+        + float((diff / omega) @ diff)
     )
     a, b = np.abs(alpha.beta), np.abs(beta.beta)
     tau = pen.penalty_derivative_vec(spec, a)
@@ -707,31 +762,34 @@ def _drive(
 def _halving(m: _Objective) -> Step:
     """The plain MM step of map ``m``: the map at its step, halved until it descends.
 
-    A candidate is accepted when its objective is finite and at most
-    DESCENT_SLACK above the current one; an ``OverflowError`` from the map or
-    the objective rejects the candidate like a non-finite objective.  After
-    ``FLOOR_ATTEMPTS`` rejected candidates at or below ``m.omega`` the step
-    raises ``ConvergenceError`` carrying the current iterate.  A map with no
-    step (``m.omega`` None) is called on theta alone and gets one attempt,
-    since a retry would recompute the rejected point.  A map with a step gets
-    nll(theta) and grad l(theta) once per step from the cached eta
-    (``m.anchor``), and every attempt reuses that gradient.
+    The step is ``m.omega``, one number or one per coordinate, times a scalar
+    multiplier w that the map is called with (``_GlmMap``), so halving w
+    halves every coordinate's step.  A candidate is accepted when its
+    objective is finite and at most DESCENT_SLACK above the current one; an
+    ``OverflowError`` from the map or the objective rejects the candidate
+    like a non-finite objective.  After ``FLOOR_ATTEMPTS`` rejected
+    candidates at w <= 1 the step raises ``ConvergenceError`` carrying the
+    current iterate.  A map with no step (``m.omega`` None) is called on
+    theta alone and gets one attempt, since a retry would recompute the
+    rejected point.  A map with a step gets nll(theta) and grad l(theta) once
+    per step from the cached eta (``m.anchor``), and every attempt reuses that
+    gradient.
 
-    A map with ``m.backtrack`` backtracks on the curvature as in Beck &
-    Teboulle (2009); ``m.omega`` is then the step certified by the global
-    curvature bound.  The fit's first step starts at ``BACKTRACK_START *
-    omega``.  A candidate theta+ at a step w above omega must also satisfy,
-    with d = theta+ - theta,
+    A map with ``m.backtrack`` (Cox, whose ``m.omega`` is the scalar step
+    certified by the global curvature bound) backtracks on the curvature as
+    in Beck & Teboulle (2009).  The fit's first step starts at w =
+    ``BACKTRACK_START``.  A candidate theta+ at a multiplier w above 1 must
+    also satisfy, with d = theta+ - theta,
 
-        nll(theta+) <= nll(theta) - grad l(theta) . d + ||d||^2 / w
+        nll(theta+) <= nll(theta) - grad l(theta) . d + ||d||^2 / (w omega)
 
     up to ``MAJORIZE_SLACK * (1 + |nll(theta)|)``: the surrogate majorizes
-    the fidelity at theta+.  At or below omega the global bound certifies it.
-    The accepted w, or omega if that is larger, is the next step's first try,
-    so the step never grows within a fit.
+    the fidelity at theta+.  At or below 1 the global bound certifies it.
+    The accepted w, or 1 if that is larger, is the next step's first try, so
+    the step never grows within a fit.
     """
     omega = m.omega
-    first = BACKTRACK_START * omega if m.backtrack else omega
+    first = BACKTRACK_START if m.backtrack else 1.0
     attempts = 1 if omega is None else FLOOR_ATTEMPTS
 
     def step(theta, obj):
@@ -742,17 +800,17 @@ def _halving(m: _Objective) -> Step:
         evals = floor_rejects = 0
         while True:
             evals += 1
-            at_floor = w is None or w <= omega
+            at_floor = w <= 1.0
             try:
-                theta_new = m(theta) if w is None else m(theta, w, grad0)
+                theta_new = m(theta) if omega is None else m(theta, w, grad0)
                 obj_new = m.objective(theta_new)
             except OverflowError:
                 obj_new = math.inf
             if _descends(obj_new, obj):
                 d = theta_new - theta
-                if at_floor or _majorizes(m.nll, nll0, grad0, d, w):
+                if at_floor or _majorizes(m.nll, nll0, grad0, d, w * omega):
                     if m.backtrack:
-                        first = max(w, omega)
+                        first = max(w, 1.0)
                     return theta_new, obj_new, math.sqrt(float(d.dot(d))), evals, evals - 1
             if at_floor:
                 floor_rejects += 1

@@ -1,0 +1,110 @@
+"""Steps that follow each column's scale.
+
+The gaussian and logistic maps step coordinate j by omega_j = 0.95 * 2 / D_j,
+with D = ``fidelity.diagonal_bound``, so that a column of scale 1e-4 beside
+one of scale 1e4 takes a step of its own size.  A step shared by every
+coordinate is set by the largest column, and on the designs here it leaves
+the plain fit at ``max_iter`` far from the optimum.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_model
+from mist import fidelity as fid
+from mist import solver
+from mist.accel import accelerated_fit
+from mist.fidelity import CoefficientVector, DesignMatrix, FidelityModel, Response
+from mist.penalties import Family, PenaltySpec
+from mist.solver import Problem, SolverConfig, Termination, glm_map, glm_surrogate_value, mm_map, total_objective
+
+#: stop on a step below 1e-10 or an exactly unchanged objective, else at 1 000 steps
+CONFIG = SolverConfig(coef_tol=1e-10, obj_tol=1e-300, max_outer=1000)
+SCALES = np.array([1e-4, 1.0, 1e4, 1.0])
+
+
+def scaled_model(family, scales=SCALES, seed=0, coef=None):
+    """A 60-row standard normal design with the given column scales and an
+    intercept; by default each column's coefficient undoes its scale."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((60, len(scales))) * scales
+    if coef is None:
+        coef = np.where(np.arange(len(scales)) < 3, 1.0, 0.0) / scales
+    eta = x @ coef
+    if family == "gaussian":
+        y = eta + rng.standard_normal(60)
+    else:
+        y = (rng.random(60) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    return FidelityModel(DesignMatrix(x), Response(family, y))
+
+
+def fit_both(prob):
+    start = CoefficientVector.zeros(prob.model.design.n_cols, True)
+    return [accelerated_fit(prob, CONFIG, start, mode=mode) for mode in ("plain", "squarem")]
+
+
+@pytest.mark.parametrize(
+    "family,coef",
+    [("gaussian", np.array([1e3, 1.0, 1e-3, 0.0])), ("logistic", np.array([1e3, 1.0, 1e-4, 0.0]))],
+)
+def test_a_badly_scaled_design_fits_plain_and_squarem_to_one_optimum(family, coef):
+    model = scaled_model(family, coef=coef)
+    plain, squarem = fit_both(Problem(model, PenaltySpec(family=Family.LASSO, lam=1.0)))
+    for res in (plain, squarem):
+        assert res.termination is not Termination.MAX_ITER
+    assert np.all(np.diff(plain.trace) <= solver.DESCENT_SLACK)
+    assert abs(plain.objective - squarem.objective) <= 1e-10 * abs(squarem.objective)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+    st.integers(0, 2**16),
+    st.sampled_from(["gaussian", "logistic"]),
+    st.sampled_from([Family.LASSO, Family.MCP]),
+)
+def test_plain_and_squarem_agree_whatever_the_column_scales(log_scales, seed, family, penalty):
+    model = scaled_model(family, 10.0 ** np.array(log_scales), seed)
+    lam = 2.0 if family == "gaussian" else 0.5
+    plain, squarem = fit_both(Problem(model, PenaltySpec(family=penalty, lam=lam, a=3.0)))
+    assert np.all(np.diff(plain.trace) <= solver.DESCENT_SLACK)
+    for res in (plain, squarem):
+        assert res.termination is not Termination.MAX_ITER
+    assert abs(plain.objective - squarem.objective) <= 1e-9 * abs(squarem.objective)
+
+
+def designs():
+    yield make_model("gaussian", n=40, p=5, seed=90)
+    yield make_model("logistic", n=40, p=5, seed=91)
+    yield scaled_model("gaussian")
+    yield scaled_model("logistic")
+
+
+@pytest.mark.parametrize("penalty", [Family.LASSO, Family.MCP])
+@pytest.mark.parametrize("model", list(designs()), ids=["gaussian", "logistic", "scaled-gaussian", "scaled-logistic"])
+def test_the_surrogate_at_the_per_coordinate_step_majorizes_and_touches(model, penalty):
+    prob = Problem(model, PenaltySpec(family=penalty, lam=0.7))
+    omega = mm_map(prob).omega
+    assert omega.shape == (model.n_coef,)
+    assert np.array_equal(omega, solver.STEP_SAFETY * 2.0 / fid.diagonal_bound(model))
+    # coefficients of each column's own size, so that every column moves the fit
+    size = np.sqrt(fid.diagonal_bound(model))
+    rng = np.random.default_rng(92)
+
+    def point():
+        return CoefficientVector.from_augmented(3.0 * rng.standard_normal(model.n_coef) / size, True)
+
+    for _ in range(20):
+        alpha, beta = point(), point()
+        at_alpha = total_objective(prob, alpha)
+        assert glm_surrogate_value(prob, omega, alpha, alpha) == pytest.approx(at_alpha, rel=1e-12)
+        assert glm_surrogate_value(prob, omega, alpha, beta) >= total_objective(prob, beta) - 1e-10 * abs(at_alpha)
+        # the map minimizes the surrogate, with the gap sum_j kappa_j^2 / omega_j
+        star = glm_map(prob, alpha.augmented(), omega)
+        kappa = rng.standard_normal(model.n_coef) / size
+        moved = CoefficientVector.from_augmented(star + kappa, True)
+        gap = glm_surrogate_value(prob, omega, alpha, moved) - glm_surrogate_value(
+            prob, omega, alpha, CoefficientVector.from_augmented(star, True)
+        )
+        assert gap >= float((kappa / omega) @ kappa) - 1e-10 * abs(at_alpha)

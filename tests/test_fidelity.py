@@ -708,6 +708,26 @@ def test_cox_mle_of_a_separable_design_is_a_convergence_error():
     assert np.ptp(model._xt @ theta) > 700.0
 
 
+def test_poisson_mle_with_no_counts_is_a_convergence_error():
+    # with every count 0 the likelihood rises towards its supremum as the
+    # intercept goes to -inf, and the Newton score there falls below its stop
+    from mist.penalties import Family, PenaltySpec
+    from mist.solver import Problem, SolverConfig, one_step_fit
+
+    x = np.random.default_rng(45).standard_normal((12, 2))
+    model = FidelityModel(DesignMatrix(x), Response(family=ResponseFamily.POISSON, y=np.zeros(12)))
+    with pytest.raises(ConvergenceError, match="every count is 0, so the intercept has no finite MLE"):
+        fit_mle(model)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=1.0))
+    with pytest.raises(ConvergenceError, match="every count is 0"):
+        one_step_fit(prob, SolverConfig())
+    # one count is enough for a finite MLE
+    y = np.zeros(12)
+    y[3] = 1.0
+    one = FidelityModel(DesignMatrix(x), Response(family=ResponseFamily.POISSON, y=y))
+    assert np.all(np.isfinite(fit_mle(one).augmented()))
+
+
 @pytest.mark.parametrize("family", ["gaussian", "logistic"])
 def test_a_model_keeps_its_mle_and_hands_back_copies(family, monkeypatch):
     model = make_model(family, n=60, p=4, seed=22)

@@ -25,8 +25,10 @@ from mist.solver import Problem, SolverConfig, mm_outer, one_step_fit
 
 def two_branch_map(problem, theta, omega, grad):
     """The map as it was computed before the fused form, kept as its reference:
-    the intercept updated alone, then the slopes soft-thresholded and shrunk."""
+    the intercept updated alone, then the slopes soft-thresholded and shrunk,
+    at a step omega that is one number or one per coordinate."""
     spec = problem.penalty
+    omega = np.broadcast_to(omega, theta.shape)
     half = 0.5 * omega
     arg = theta + half * grad
     shrink = 1.0 / (1.0 + omega * spec.lam * spec.epsilon)
@@ -40,8 +42,8 @@ def two_branch_map(problem, theta, omega, grad):
     if problem.model.has_intercept:
         tau = derivative(np.abs(theta[1:]))
         out = np.empty_like(theta)
-        out[0] = theta[0] + half * grad[0]
-        out[1:] = shrink * soft(arg[1:], half * tau)
+        out[0] = theta[0] + half[0] * grad[0]
+        out[1:] = shrink[1:] * soft(arg[1:], half[1:] * tau)
         return out
     tau = derivative(np.abs(theta))
     return shrink * soft(arg, half * tau)
@@ -84,10 +86,10 @@ def test_fused_map_is_bit_identical_to_the_two_branch_map(response, intercept, f
         score = kernel_score(model, model._xt @ theta)
         grad = score + rng.standard_normal(theta.shape[0])
         # the full step, a step halved twice, then the full step again: the
-        # map rebuilds its thresholds when the step changes
-        for w in (omega, omega / 4.0, omega):
+        # map rebuilds its thresholds when the step's multiplier changes
+        for w in (1.0, 0.25, 1.0):
             got = gmap(theta, w, grad)
-            assert np.array_equal(got, two_branch_map(prob, theta, w, grad))
+            assert np.array_equal(got, two_branch_map(prob, theta, w * omega, grad))
         assert np.array_equal(gmap(theta, None, grad), two_branch_map(prob, theta, omega, grad))
 
 

@@ -491,16 +491,24 @@ def test_curvature_bound_is_computed_once_per_model(family, monkeypatch):
     model = make_model(family, n=30, p=5, seed=23)
     lasso = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.3))
     start = CoefficientVector.zeros(5, True)
+    # the maps' bound per coordinate, once for both fits
     fit(lasso, TIGHT, start)
     accelerated_fit(lasso, TIGHT, start, mode="squarem")
-    one_step_fit(Problem(model, PenaltySpec(family=Family.SCAD, lam=0.3)), TIGHT)
     assert shapes == [(30, 6)]
+    # the surrogate solve's scalar bound, once for both one-step fits
+    scad = Problem(model, PenaltySpec(family=Family.SCAD, lam=0.3))
+    one_step_fit(scad, TIGHT)
+    one_step_fit(scad, TIGHT)
+    fit(scad, TIGHT, start)
+    assert shapes == [(30, 6), (30, 6)]
     # a column subset gets its own bound, and the full model keeps its own
     sub = model.restrict(np.array([0, 3]))
     fit(Problem(sub, lasso.penalty), TIGHT, CoefficientVector.zeros(2, True))
-    assert shapes == [(30, 6), (30, 3)]
+    assert shapes == [(30, 6), (30, 6), (30, 3)]
     scale = 1.0 if family == "gaussian" else 0.25
-    assert fid.curvature_bound(sub) == scale * real(sub._xt)
+    for m in (sub, model):
+        s2 = np.einsum("ij,ij->j", m._xt, m._xt)
+        assert np.array_equal(fid.diagonal_bound(m), scale * real(m._xt / np.sqrt(s2)) * s2)
     assert fid.curvature_bound(model) == scale * real(model._xt)
 
 
@@ -1010,15 +1018,16 @@ def tied_cox_problems(draw):
 
 
 class RecordingMap(solver._GlmMap):
-    """A ``_GlmMap`` that records the step of every map it applies."""
+    """A ``_GlmMap`` that records the multiplier of its step at every map it
+    applies."""
 
     def __init__(self, problem):
         super().__init__(problem)
         self.steps = []
 
-    def __call__(self, theta, omega=None, grad=None):
-        self.steps.append(omega)
-        return super().__call__(theta, omega, grad)
+    def __call__(self, theta, w=None, grad=None):
+        self.steps.append(w)
+        return super().__call__(theta, w, grad)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1030,7 +1039,8 @@ def test_backtracked_cox_step_majorizes_and_never_grows(prob):
     omega_c = gmap.omega
     assert omega_c == resolve_step(prob) and gmap.backtrack
     halving = solver._halving(gmap)
-    tried = [solver.BACKTRACK_START * omega_c]
+    # the step is w * omega_c, and the map records w
+    tried = [solver.BACKTRACK_START]
 
     def step(theta, obj):
         gmap.steps.clear()
@@ -1039,16 +1049,16 @@ def test_backtracked_cox_step_majorizes_and_never_grows(prob):
         assert len(steps) == evals == rejected + 1
         assert steps[0] <= tried[-1]  # the step never grows
         assert obj_new <= obj + solver.DESCENT_SLACK
-        if w > omega_c:
+        if w > 1.0:
             coef = CoefficientVector(beta=theta)
             d = theta_new - theta
             nll = neg_loglik(model, coef)
-            bound = nll - float(gradient(model, coef) @ d) + float(d @ d) / w
+            bound = nll - float(gradient(model, coef) @ d) + float(d @ d) / (w * omega_c)
             new = neg_loglik(model, CoefficientVector(beta=theta_new))
             assert new <= bound + solver.MAJORIZE_SLACK * (1.0 + abs(nll))
-        elif w < omega_c:
-            assert omega_c in steps  # the certified step itself was rejected
-        tried.append(max(w, omega_c))
+        elif w < 1.0:
+            assert 1.0 in steps  # the certified step itself was rejected
+        tried.append(max(w, 1.0))
         return theta_new, obj_new, delta, evals, rejected
 
     start = CoefficientVector.zeros(model.design.n_cols, False)
@@ -1102,9 +1112,11 @@ def test_auto_step_is_not_backtracked_outside_cox(family):
     start = CoefficientVector.zeros(4, True)
     gmap = RecordingMap(prob)
     assert not gmap.backtrack
+    # the certified step is one per coordinate
+    assert np.array_equal(gmap.omega, solver.STEP_SAFETY * 2.0 / fid.diagonal_bound(model))
     res = solver._drive(prob, TIGHT, start, gmap, solver._halving(gmap))
     # every map is applied at the certified step, which descends on its own
-    assert set(gmap.steps) == {gmap.omega} and res.descent_backtracks == 0
+    assert set(gmap.steps) == {1.0} and res.descent_backtracks == 0
     auto = glm_mm_fit(prob, TIGHT, start)
     assert np.array_equal(auto.coef.augmented(), res.coef.augmented())
     assert np.array_equal(auto.trace, res.trace)
@@ -1277,10 +1289,9 @@ def test_fit_result_json_round_trip():
 def test_mm_map_matches_one_plain_iteration():
     model = make_model("logistic", n=25, p=3, seed=38)
     prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.3))
-    cfg = SolverConfig()
     mp = mm_map(prob)
     theta = CoefficientVector.zeros(3, True).augmented()
-    one = glm_map(prob, theta, resolve_step(prob, cfg))
+    one = glm_map(prob, theta, solver.STEP_SAFETY * 2.0 / fid.diagonal_bound(model))
     assert np.array_equal(mp(theta), one)
 
 
@@ -1352,7 +1363,8 @@ def test_plain_iteration_multiplies_by_x_at_most_twice(family):
     gmap.objective(new)
     assert counter[0] == 2  # X^T r at theta, X theta at the new point
     counter[0] = 0
-    curvature_bound(model)  # mm_map has bounded the model already: no product
+    # mm_map has bounded the model already, per coordinate unless Cox: no product
+    (curvature_bound if family == "cox" else fid.diagonal_bound)(model)
     bound_products = counter[0]
     counter[0] = 0
     res = glm_mm_fit(prob, cfg, CoefficientVector.zeros(5, model.has_intercept))
@@ -1391,9 +1403,10 @@ def test_a_plain_step_multiplies_by_x_twice(family, pen_family):
 def test_halved_step_multiplies_by_x_once_per_attempt_plus_one_gradient(monkeypatch):
     model = make_model("gaussian", n=40, p=5, seed=60)
     prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.3))
-    # past 4 / curvature_bound, where a gaussian map can rise: most steps halve
-    omega = 4.0 * resolve_step(prob)
-    monkeypatch.setattr(solver, "resolve_step", lambda problem: omega)
+    # four times the certified step of every coordinate, where a gaussian map
+    # can rise: most steps halve
+    real = fid.diagonal_bound
+    monkeypatch.setattr(fid, "diagonal_bound", lambda m: real(m) / 4.0)
     cfg = SolverConfig(coef_tol=1e-12, obj_tol=1e-300, max_outer=50)
     counter = count_products(model)
     gmap = mm_map(prob)
@@ -1505,7 +1518,7 @@ def test_reported_objective_is_the_objective_at_the_coefficients(family, mode):
 def test_nonfinite_objective_is_a_rejected_step(monkeypatch):
     model = make_model("gaussian", n=30, p=4, seed=65)
     prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.5))
-    monkeypatch.setattr(solver, "resolve_step", lambda problem: 1e300)
+    monkeypatch.setattr(fid, "diagonal_bound", lambda m: np.full(m.n_coef, 1e-300))
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="30 step halvings") as err:
         glm_mm_fit(prob, SolverConfig(), CoefficientVector.zeros(4, True))
     assert not math.isfinite(err.value.residual)
@@ -1515,7 +1528,7 @@ def test_squarem_nonfinite_fallback_raises_with_last_iterate(monkeypatch):
     model = make_model("gaussian", n=30, p=4, seed=65)
     prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.5))
     start = CoefficientVector.zeros(4, True)
-    monkeypatch.setattr(solver, "resolve_step", lambda problem: 1e300)
+    monkeypatch.setattr(fid, "diagonal_bound", lambda m: np.full(m.n_coef, 1e-300))
     with np.errstate(all="ignore"), pytest.raises(ConvergenceError, match="non-finite") as err:
         accelerated_fit(prob, SolverConfig(), start, mode="squarem")
     assert np.array_equal(err.value.last_iterate, start.augmented())
