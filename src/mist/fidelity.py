@@ -288,18 +288,21 @@ def kernels(model: FidelityModel) -> Kernels:
             lambda: _scaled_gram_bound(xt),
         )
     if fam is ResponseFamily.LOGISTIC:
-        def mean(eta):
-            # sigmoid via stable tanh form
-            return 0.5 * (1.0 + np.tanh(0.5 * eta))
+        # the mean is (1 + tanh(eta / 2)) / 2, the stable form of the sigmoid,
+        # so the score residual y - mean is (y - 1/2) - tanh(eta / 2) / 2
+        centred, ones = y - 0.5, np.ones(y.shape[0])
 
         def hessian(eta, parts):
-            mu = mean(eta)
+            mu = 0.5 * (1.0 + np.tanh(0.5 * eta))
             return xt.T @ ((mu * (1.0 - mu))[:, None] * xt)
 
         return Kernels(
             lambda eta: None,
-            lambda eta, parts: float(np.add.reduce(np.logaddexp(0.0, eta) - y * eta)),
-            lambda eta, parts: y - mean(eta),
+            # summed per element: log(1 + e^eta) and y eta are each near |eta|
+            # where |eta| is large, so the split form sum log(1 + e^eta) - y . eta
+            # cancels, and its rounding reaches the descent slack of a fit
+            lambda eta, parts: float(ones.dot(np.logaddexp(0.0, eta) - y * eta)),
+            lambda eta, parts: centred - 0.5 * np.tanh(0.5 * eta),
             hessian,
             lambda: 0.25 * _top_gram_eigenvalue(xt),
             lambda: 0.25 * _scaled_gram_bound(xt),
@@ -520,9 +523,10 @@ def fit_mle(model: FidelityModel) -> CoefficientVector:
 
     Requires more observations than coefficients; raises on singular designs,
     and ``ConvergenceError`` when the Hessian at an iterate is not finite, as
-    when the Cox risk sets underflow on a separable design, or when a Poisson
-    model with an intercept has no nonzero count, so that its intercept has
-    no finite MLE.
+    when the Cox risk sets underflow on a separable design, or when a model
+    with an intercept has a response that leaves the intercept no finite MLE:
+    a Poisson model with no nonzero count, or a logistic model whose
+    responses are all 0 or all 1.
     Fitted the first time a model is asked and kept on it, as the curvature
     bound is; every call returns a fresh copy.
     """
@@ -542,12 +546,19 @@ def _fit_mle(model: FidelityModel) -> np.ndarray:
         if rank < k:
             raise ValidationError("design matrix is rank deficient; MLE is not unique")
         return theta
-    if model.family is ResponseFamily.POISSON and model.has_intercept and not np.any(model.response.y):
-        # the likelihood falls towards its supremum as the intercept goes to
-        # -inf, and its score there is as small as the Newton stop
+    # the likelihood rises towards its supremum as the intercept goes to -inf
+    # (+inf for logistic responses all 1), and its score on the way falls
+    # below the Newton stop, which would return a far intercept as the MLE
+    y = model.response.y
+    if model.has_intercept and model.family is ResponseFamily.POISSON and not np.any(y):
+        cause = "every count is 0"
+    elif model.has_intercept and model.family is ResponseFamily.LOGISTIC and np.all(y == y[0]):
+        cause = f"every response is {y[0]:g}"
+    else:
+        cause = None
+    if cause is not None:
         raise ConvergenceError(
-            "Newton MLE: every count is 0, so the intercept has no finite MLE",
-            last_iterate=np.zeros(k),
+            f"Newton MLE: {cause}, so the intercept has no finite MLE", last_iterate=np.zeros(k)
         )
 
     # Newton on the augmented array: one eta per iterate, and its parts (the

@@ -13,7 +13,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -129,28 +129,51 @@ def _check_r_vec(r: np.ndarray) -> np.ndarray:
 
 def penalty_value_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
     """Vectorized penalty values over |coefficients| r (one entry per coordinate)."""
-    return kernels(spec)[0](_check_r_vec(r))
+    r = _check_r_vec(r)
+    return kernels(spec, r.size).value(r)
 
 
 def penalty_derivative_vec(spec: PenaltySpec, r: np.ndarray) -> np.ndarray:
     """Vectorized right-derivatives over |coefficients| r."""
-    return kernels(spec)[1](_check_r_vec(r))
+    r = _check_r_vec(r)
+    return kernels(spec, r.size).derivative(r)
 
 
 Kernel = Callable[[np.ndarray], np.ndarray]
 
 
-def kernels(spec: PenaltySpec) -> tuple[Kernel, Kernel]:
-    """``penalty_value_vec`` and ``penalty_derivative_vec`` of one spec as
-    functions of r alone, without their checks: r is a float array, all >= 0.
+class Kernels(NamedTuple):
+    """The penalty of one spec over p coordinates as functions of r = |beta|
+    (``kernels``).
+
+    ``value(r)`` and ``derivative(r)`` are p(r_j) and p'(r_j) at every
+    coordinate, the unchecked ``penalty_value_vec`` and
+    ``penalty_derivative_vec``; ``total(r)`` is sum_j p(r_j), the penalty
+    term of the objective, in one call.
+    """
+
+    value: Kernel
+    derivative: Kernel
+    total: Callable[[np.ndarray], float]
+
+
+def kernels(spec: PenaltySpec, p: int) -> Kernels:
+    """The penalty kernels of one spec over p coordinates, without checks:
+    r is a float array of length p, all >= 0.
 
     The family is chosen here, once, and an adaptive family's lam * w and its
-    pinned mask are computed here, so a fit that holds the pair runs no family
-    test per call.  SCAD and MCP are written through s = min(r, a lam), which
-    covers their pieces without a per-coordinate choice.
+    pinned mask are computed here, so a fit that holds the kernels runs no
+    family test per call.  SCAD and MCP are written through s = min(r, a lam)
+    and t = (s - lam)_+, which cover their pieces without a per-coordinate
+    choice.  Each total is a dot product over the p coordinates, cheaper
+    than a ufunc reduction on short vectors, and the common ones do not form
+    the values they sum: a linear family's total is (lam w) . r, unless a
+    weight is infinite, SCAD's lam sum_j s_j - t . t / (2 (a - 1)) and MCP's
+    s . (lam - s / (2 a)).
     """
     lam, a, d = spec.lam, spec.a, spec.delta
     fam = spec.family
+    ones = np.ones(p)
     if fam in LINEAR_FAMILIES:
         lw = lam if spec.weights is None else lam * spec.weights
         pinned = spec.weights is not None and np.isinf(spec.weights)
@@ -159,7 +182,7 @@ def kernels(spec: PenaltySpec) -> tuple[Kernel, Kernel]:
             return np.full(r.shape, lw)
 
         if not np.any(pinned):
-            return (lambda r: lw * r), derivative
+            return Kernels(lambda r: lw * r, derivative, np.full(p, lw).dot)
 
         def pinned_linear(r):
             with np.errstate(invalid="ignore"):
@@ -168,7 +191,7 @@ def kernels(spec: PenaltySpec) -> tuple[Kernel, Kernel]:
             out[pinned & (r == 0.0)] = 0.0
             return out
 
-        return pinned_linear, derivative
+        return Kernels(pinned_linear, derivative, lambda r: ones.dot(pinned_linear(r)))
     if fam is Family.SCAD:
         al, am1 = a * lam, a - 1.0
 
@@ -177,7 +200,12 @@ def kernels(spec: PenaltySpec) -> tuple[Kernel, Kernel]:
             t = np.maximum(s - lam, 0.0)
             return lam * s - t * t / (2.0 * am1)
 
-        return scad, lambda r: np.minimum(lam, np.maximum(al - r, 0.0) / am1)
+        def scad_total(r):
+            s = np.minimum(r, al)
+            t = np.maximum(s - lam, 0.0)
+            return lam * ones.dot(s) - t.dot(t) / (2.0 * am1)
+
+        return Kernels(scad, lambda r: np.minimum(lam, np.maximum(al - r, 0.0) / am1), scad_total)
     if fam is Family.MCP:
         al = a * lam
 
@@ -185,12 +213,18 @@ def kernels(spec: PenaltySpec) -> tuple[Kernel, Kernel]:
             s = np.minimum(r, al)
             return s * (lam - s / (2.0 * a))
 
-        return mcp, lambda r: np.maximum(lam - r / a, 0.0)
+        def mcp_total(r):
+            s = np.minimum(r, al)
+            return s.dot(lam - s / (2.0 * a))
+
+        return Kernels(mcp, lambda r: np.maximum(lam - r / a, 0.0), mcp_total)
     if fam is Family.GEMAN:
-        return (lambda r: lam * d * r / (1 + d * r)), (lambda r: lam * d / (1 + d * r) ** 2)
-    if fam is Family.LOG:
-        return (lambda r: lam * np.log1p(d * r)), (lambda r: lam * d / (d * r + 1))
-    raise ValidationError(f"unknown family {fam}")
+        value, derivative = (lambda r: lam * d * r / (1 + d * r)), (lambda r: lam * d / (1 + d * r) ** 2)
+    elif fam is Family.LOG:
+        value, derivative = (lambda r: lam * np.log1p(d * r)), (lambda r: lam * d / (d * r + 1))
+    else:
+        raise ValidationError(f"unknown family {fam}")
+    return Kernels(value, derivative, lambda r: ones.dot(value(r)))
 
 
 def threshold_vector(spec: PenaltySpec, alpha: np.ndarray) -> np.ndarray:

@@ -81,36 +81,54 @@ A map object (``_Objective``) is the single source of a fit's numbers.  Its
 likelihood shares with the score (the gaussian residual r = y - eta, or the
 Cox risk-set sums) and |beta|, so the map applied next at the same point
 neither multiplies by X for eta, forms r, sums the risk sets nor takes
-|beta| again.  A plain step then multiplies by X twice, X^T r at theta and
+|beta| again.
+
+One plain iteration of a gaussian or logistic fit is then:
+
+1. the log-likelihood gradient at theta, X^T r from the cached eta and
+   parts (``_halving``, through ``_Objective.grad``);
+2. the map (``_GlmMap``, through ``glm_map``): u = theta + omega/2 grad,
+   formed once, and the soft-threshold u - min(max(u, -t), t) at the kept
+   thresholds t = omega/2 tau, written inline, and a shrink of the slopes
+   only when eps > 0;
+3. the objective at the candidate (``_Objective.objective``): eta = X
+   theta+, its parts and the likelihood, inline, and the penalty as one call
+   of the spec's ``total`` kernel on |beta|, a dot product for the linear
+   families;
+4. the descent test, inline, and the step norm sqrt(d . d).
+
+That is seven Python frames on a gaussian lasso fit: the step, the gradient
+and its residual kernel, the map and ``glm_map``, the objective and its
+likelihood kernel.  A plain step multiplies by X twice, X^T r at theta and
 X theta+ in the objective of its candidate, plus once per halving; a fit
 reports the KKT residual from the gradient at the eta cached at its last
-iterate, one product with X.
+iterate, one product with X.  Only a backtracked Cox step also reads
+nll(theta), for its majorization test (``_GlmMap.anchor``).
 
 What does not change within a fit is built once, when its map object is
 built: the likelihood kernels of the model (``fidelity.kernels``, one family
 switch for the shared parts, the likelihood and the score residual), the
-penalty's value and derivative (``penalties.kernels``, one family switch for
-both), and the step.  The map object's ``kkt`` reads the same derivative
-kernel, so the KKT check of a fit or of a path's lambda builds nothing.
-The map object holds one augmented threshold array, with 0 in the intercept
-slot, and its ``tau(theta)`` is the only place thresholds are made.  The linear
-families (lasso, adaptive lasso and the elastic nets), whose thresholds
-lam w_j do not depend on theta, write the array once, when the map is built;
-the other families rewrite it at each map from the |beta| cached at theta.
-A GLM map keeps its half step omega/2 and -omega/2 and omega/2 times the
-thresholds; it rebuilds the thresholds when the family is not linear, and
-all three when the step's multiplier changed, on a halving.  A GLM map is
-then one soft-threshold over the whole augmented vector,
-u - min(max(u, -t), t) (a zero threshold returns the intercept exactly),
-and, only when eps > 0, one shrink of the slopes; with
-eps = 0 the objective, the map and the inner solve form no ridge term.  A
-pinned coordinate is held at 0 with an infinite threshold and a finite
-argument, which the soft-threshold maps to u - u = 0 without forming
-inf - inf.  Every step norm is sqrt(d . d), which is what ``np.linalg.norm``
-computes for a real vector.  The loops take every product, X theta and
-X^T r as well as d . d and the other dot products of two vectors, with
-``ndarray.dot``: the same BLAS call as ``@`` with less dispatch.  The model
-keeps its design contiguous (``FidelityModel``), so no product copies it.
+penalty's value, derivative and summed value (``penalties.kernels``, one
+family switch for all three), and the step.  The map object's ``kkt`` reads
+the same derivative kernel, so the KKT check of a fit or of a path's lambda
+builds nothing.  The map object holds one augmented threshold array, with 0
+in the intercept slot, and its ``tau(theta)`` is the only place thresholds
+are made.  The linear families (lasso, adaptive lasso and the elastic nets),
+whose thresholds lam w_j do not depend on theta, write the array once, when
+the map is built; the other families rewrite it at each map from the |beta|
+cached at theta.  A GLM map keeps its half step omega/2, the thresholds
+-omega/2 tau and omega/2 tau and the slopes' shrink as one tuple, which it
+rebuilds at every map when the family is not linear, and when the step's
+multiplier changed, on a halving.  A zero threshold returns the intercept
+exactly; with eps = 0 the objective, the map and the inner solve form no
+ridge term.  A pinned coordinate is held at 0 with an infinite threshold
+and a finite argument, which the soft-threshold maps to u - u = 0 without
+forming inf - inf.  Every step norm is sqrt(d . d), which is what
+``np.linalg.norm`` computes for a real vector.  The loops take every
+product, X theta and X^T r as well as d . d and the other dot products of
+two vectors, with ``ndarray.dot``: the same BLAS call as ``@`` with less
+dispatch.  The model keeps its design contiguous (``FidelityModel``), so no
+product copies it.
 """
 from __future__ import annotations
 
@@ -322,9 +340,9 @@ def ist_minimize(
     ``omega`` must lie in (0, 2 / Lip], Lip the Lipschitz constant of
     ``grad_m``.  Each iteration soft-thresholds from an extrapolated point z
     (Beck & Teboulle 2009) at the step w = omega / 2, at most 1 / Lip as
-    FISTA needs: s = S(z - w grad_m(z), w tau).  With t' = (1 + sqrt(1 +
-    4 t^2)) / 2 and b the previous s, the next z is s + ((t - 1) / t')(s - b),
-    which is s itself while t = 1.  When (z - s) . (s - b) > 0 the momentum
+    FISTA needs: s = S(z - w grad_m(z), w tau), written inline as in
+    ``glm_map``.  With t' = (1 + sqrt(1 + 4 t^2)) / 2 and b the previous s,
+    the next z is s + ((t - 1) / t')(s - b), which is s itself while t = 1.  When (z - s) . (s - b) > 0 the momentum
     points uphill, so the iteration restarts (O'Donoghue & Candes 2015): t
     goes back to 1 and z to s.  It stops at the first s with ||s - z|| <=
     ``inner_tol`` and returns it.  The start ``b0`` is used as it is, not
@@ -355,19 +373,20 @@ def ist_minimize(
             if w > floor and mz is None:
                 mz = m(z)
             g = grad_m(z)
-            s = _soft_threshold(z - w * g, neg, thresh)
+            u = z - w * g
+            s = u - np.minimum(np.maximum(u, neg), thresh)  # ``_soft_threshold``, inline
             while w > floor and not _majorizes(ms := m(s), mz, -g, s - z, 2.0 * w):
                 w *= 0.5
                 thresh, neg = w * tau, -w * tau
                 s = _soft_threshold(z - w * g, neg, thresh)
             d = s - z
-            resid = math.sqrt(float(d.dot(d)))
+            resid = math.sqrt(d.dot(d))
             if resid <= inner_tol:
                 return s
             # above the floor the test accepted s, so m(s) is known
             ms = ms if w > floor else None
             e = s - b
-            if float(d.dot(e)) < 0.0:
+            if d.dot(e) < 0.0:
                 # (z - s) . (s - b) > 0: the momentum points uphill, restart
                 t, z, mz = 1.0, s, ms
             else:
@@ -444,23 +463,24 @@ class _Objective:
     theta and the parts the likelihood shares with the score there: the
     gaussian residual r = y - eta, of which nll = r . r / 2 and the gradient
     is X^T r, the Poisson mean, or the Cox risk-set sums
-    ``fidelity._cox_parts``.  ``objective(theta)`` stores |beta| at theta as
-    well.  ``objective``, ``eta``, ``grad`` and ``tau`` reuse them when asked
-    about the same array object (the fits never change an iterate in place),
-    so a map applied to the point whose objective was just evaluated neither
-    multiplies by X, forms the residual, sums the risk sets nor takes |beta|
-    again.
+    ``fidelity._cox_parts``.  ``objective(theta)``, which runs once per map,
+    computes and stores the same inline, without a ``fidelity`` frame, and
+    stores |beta| at theta as well.  ``objective``, ``eta``, ``grad`` and
+    ``tau`` reuse them when asked about the same array object (the fits never
+    change an iterate in place), so a map applied to the point whose
+    objective was just evaluated neither multiplies by X, forms the residual,
+    sums the risk sets nor takes |beta| again.
 
-    The penalty reaches it only through the spec's kernel pair
-    (``penalties.kernels``): the value p(|beta_j|), summed in the objective
-    (a pinned coordinate held at 0 has value 0), and the threshold
-    p'(|beta_j|).  It holds one augmented threshold array, 0 in the intercept
-    slot, and ``tau(theta)`` is the only place thresholds are made: for the
-    linear families (lasso, adaptive lasso and the elastic nets), whose
-    thresholds lam w_j do not depend on theta, the array is written once, when
-    the map is built; for the others ``tau`` rewrites its slopes at the |beta|
-    cached at theta.  The ridge term is added only when eps > 0.  ``kkt``
-    reads the same derivative kernel and the cached |beta|.
+    The penalty reaches it only through the spec's kernels
+    (``penalties.kernels``): the summed value sum_j p(|beta_j|) in one call,
+    in the objective (a pinned coordinate held at 0 adds 0), and the
+    threshold p'(|beta_j|).  It holds one augmented threshold array, 0 in the
+    intercept slot, and ``tau(theta)`` is the only place thresholds are made:
+    for the linear families (lasso, adaptive lasso and the elastic nets),
+    whose thresholds lam w_j do not depend on theta, the array is written
+    once, when the map is built; for the others ``tau`` rewrites its slopes
+    at the |beta| cached at theta.  The ridge term is added only when eps > 0.
+    ``kkt`` reads the same derivative kernel and the cached |beta|.
     """
 
     #: the map's step; None for a map with no step, which ``_halving`` tries once
@@ -481,7 +501,8 @@ class _Objective:
         lik = fid.kernels(model)
         self._parts_of, self._nll, self._residual = lik.parts, lik.nll, lik.residual
         self._ridge_lam = spec.lam * spec.epsilon
-        self._penalty, self._derivative = pen.kernels(spec)
+        penalty = pen.kernels(spec, model.design.n_cols)
+        self._total, self._derivative = penalty.total, penalty.derivative
         #: whether the thresholds are constant over the fit
         self.linear = spec.family in pen.LINEAR_FAMILIES
         #: the augmented thresholds, 0 in the intercept slot
@@ -501,10 +522,16 @@ class _Objective:
         return self.nll
 
     def objective(self, theta: np.ndarray) -> float:
-        nll = self.nll if theta is self._theta else self.fidelity(theta)
+        if theta is not self._theta:
+            # ``fidelity``, inline: the objective runs once per map
+            eta = self.xt.dot(theta)
+            parts = self._parts_of(eta)
+            self.nll = self._nll(eta, parts)
+            self._theta, self._eta, self._parts = theta, eta, parts
         beta = theta[self.off:]
-        self._abs_at, self._abs = theta, np.abs(beta)
-        value = nll + float(np.add.reduce(self._penalty(self._abs)))
+        r = np.abs(beta)
+        self._abs_at, self._abs = theta, r
+        value = self.nll + float(self._total(r))
         if self._ridge_lam:
             value += self._ridge_lam * float(beta.dot(beta))
         return value
@@ -570,9 +597,12 @@ def glm_map(
     ``grad`` (the log-likelihood gradient at theta) and ``terms`` are passed
     together by a fit's map (``_GlmMap``): ``terms`` holds omega/2, the
     thresholds -omega/2 tau and omega/2 tau and the slopes' shrink
-    (``_shrink``), so omega itself is not read.  Without ``terms`` they come
-    from a map object of the problem built here.  Nothing is checked: theta is
-    the augmented coefficient array of a problem's model.
+    (``_shrink``), so omega itself is not read, and the update forms
+    u = theta + omega/2 grad once and soft-thresholds it inline, as
+    u - min(max(u, -t), t) (``_soft_threshold``): a fit calls this once per
+    map.  Without ``terms`` they come from a map object of the problem built
+    here.  Nothing is checked: theta is the augmented coefficient array of a
+    problem's model.
     """
     if terms is None:
         m = _Objective(problem)
@@ -586,7 +616,8 @@ def glm_map(
         shrink = _shrink(problem, omega)
     else:
         half, lo, hi, shrink = terms
-        out = _soft_threshold(theta + half * grad, lo, hi)
+        u = theta + half * grad
+        out = u - np.minimum(np.maximum(u, lo), hi)  # ``_soft_threshold``, inline
     if shrink is not None:
         out[1 if problem.model.has_intercept else 0:] *= shrink
     return out
@@ -625,12 +656,15 @@ class _GlmMap(_Objective):
     plus once per backtrack.
 
     The half step w omega / 2 and the slopes' ridge shrink are kept between
-    maps and rebuilt when w changed, that is on a halving and on the full
-    step after it.  The thresholds -w omega/2 tau and w omega/2 tau, with tau
-    from ``tau``, are kept with them and rebuilt then too, and at every map
-    when the family is not linear, from the |beta| that the objective at
-    theta cached.  So a map at a vector step makes the array operations of a
-    map at a scalar one.
+    maps, as ``glm_map``'s ``terms``, and rebuilt when w changed, that is on
+    a halving and on the full step after it.  The thresholds -w omega/2 tau
+    and w omega/2 tau, with tau from ``tau``, are kept in the same tuple and
+    rebuilt then too, and at every map when the family is not linear, from
+    the |beta| that the objective at theta cached; a linear family's map at
+    an unchanged w hands the kept tuple on as it is.  So a map at a vector
+    step makes the array operations of a map at a scalar one.  ``anchor``
+    gives the fidelity with the gradient at theta, which only a backtracked
+    step's majorization test reads.
     """
 
     def __init__(self, problem: Problem):
@@ -641,22 +675,25 @@ class _GlmMap(_Objective):
         else:
             bound = fid.diagonal_bound(self.model)
             self.omega = np.divide(STEP_SAFETY * 2.0, bound, out=np.ones_like(bound), where=bound > 0.0)
-        self._w = None
+        self._w = self._terms = None
 
     def __call__(
         self, theta: np.ndarray, w: Optional[float] = None, grad: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        w = 1.0 if w is None else w
+        if w is None:
+            w = 1.0
         if grad is None:
             grad = self.grad(theta)
-        rebuild = w != self._w
-        if rebuild:
+        if w != self._w:
             step = w * self.omega
-            self._w, self._half, self._ridge_shrink = w, 0.5 * step, _shrink(self.problem, step)
-        if rebuild or not self.linear:
-            hi = self._half * self.tau(theta)
-            self._lo, self._hi = -hi, hi
-        return glm_map(self.problem, theta, None, grad, (self._half, self._lo, self._hi, self._ridge_shrink))
+            self._w, half, shrink = w, 0.5 * step, _shrink(self.problem, step)
+        elif self.linear:  # the kept thresholds hold at every theta
+            return glm_map(self.problem, theta, None, grad, self._terms)
+        else:
+            half, _, _, shrink = self._terms
+        hi = half * self.tau(theta)
+        self._terms = (half, -hi, hi, shrink)
+        return glm_map(self.problem, theta, None, grad, self._terms)
 
     def anchor(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """The fidelity and the log-likelihood gradient at theta."""
@@ -771,15 +808,16 @@ def _halving(m: _Objective) -> Step:
     candidates at w <= 1 the step raises ``ConvergenceError`` carrying the
     current iterate.  A map with no step (``m.omega`` None) is called on
     theta alone and gets one attempt, since a retry would recompute the
-    rejected point.  A map with a step gets nll(theta) and grad l(theta) once
-    per step from the cached eta (``m.anchor``), and every attempt reuses that
-    gradient.
+    rejected point.  A map with a step gets grad l(theta) once per step from
+    the cached eta (``m.grad``), and every attempt reuses it; the descent
+    test (``_descends``) is written inline, as it runs once per map.
 
     A map with ``m.backtrack`` (Cox, whose ``m.omega`` is the scalar step
     certified by the global curvature bound) backtracks on the curvature as
     in Beck & Teboulle (2009).  The fit's first step starts at w =
-    ``BACKTRACK_START``.  A candidate theta+ at a multiplier w above 1 must
-    also satisfy, with d = theta+ - theta,
+    ``BACKTRACK_START``, and each step takes nll(theta) with the gradient
+    (``m.anchor``).  A candidate theta+ at a multiplier w above 1 must also
+    satisfy, with d = theta+ - theta,
 
         nll(theta+) <= nll(theta) - grad l(theta) . d + ||d||^2 / (w omega)
 
@@ -788,14 +826,16 @@ def _halving(m: _Objective) -> Step:
     The accepted w, or 1 if that is larger, is the next step's first try, so
     the step never grows within a fit.
     """
-    omega = m.omega
-    first = BACKTRACK_START if m.backtrack else 1.0
+    omega, backtrack = m.omega, m.backtrack
+    first = BACKTRACK_START if backtrack else 1.0
     attempts = 1 if omega is None else FLOOR_ATTEMPTS
 
     def step(theta, obj):
         nonlocal first
-        if omega is not None:
+        if backtrack:
             nll0, grad0 = m.anchor(theta)
+        elif omega is not None:
+            grad0 = m.grad(theta)
         w = first
         evals = floor_rejects = 0
         while True:
@@ -806,12 +846,12 @@ def _halving(m: _Objective) -> Step:
                 obj_new = m.objective(theta_new)
             except OverflowError:
                 obj_new = math.inf
-            if _descends(obj_new, obj):
+            if obj_new <= obj + DESCENT_SLACK and math.isfinite(obj_new):  # ``_descends``, inline
                 d = theta_new - theta
                 if at_floor or _majorizes(m.nll, nll0, grad0, d, w * omega):
-                    if m.backtrack:
+                    if backtrack:
                         first = max(w, 1.0)
-                    return theta_new, obj_new, math.sqrt(float(d.dot(d))), evals, evals - 1
+                    return theta_new, obj_new, math.sqrt(d.dot(d)), evals, evals - 1
             if at_floor:
                 floor_rejects += 1
                 if floor_rejects == attempts:

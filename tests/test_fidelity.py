@@ -100,6 +100,25 @@ def test_logistic_single_row_log2():
     assert v == pytest.approx(math.log(2.0), abs=1e-14)
 
 
+def test_logistic_nll_is_summed_per_element_at_a_large_linear_predictor():
+    # every row is classified with a margin of 30 to 40, so each term
+    # log(1 + e^eta) - y eta is at most e^-30 while log(1 + e^eta) and y eta
+    # are each near 35 where y = 1
+    rng = np.random.default_rng(90)
+    n = 200
+    x = rng.uniform(30.0, 40.0, n) * rng.choice([-1.0, 1.0], n)
+    y = (x > 0.0).astype(float)
+    model = FidelityModel(DesignMatrix(x[:, None], has_intercept=False), Response(family=ResponseFamily.LOGISTIC, y=y))
+    terms = np.logaddexp(0.0, x) - y * x  # eta = x at beta = 1
+    exact = math.fsum(terms)
+    # the rounding bound of any order of summing n terms of one sign
+    tol = n * np.finfo(float).eps * exact
+    assert abs(neg_loglik(model, CoefficientVector(beta=np.array([1.0]))) - exact) <= tol
+    # the split form sums two totals near 3500 and cancels them
+    split = float(np.add.reduce(np.logaddexp(0.0, x))) - float(y.dot(x))
+    assert abs(split - exact) > 100.0 * tol
+
+
 def test_cox_two_subject_log2():
     # two events at distinct times, beta = 0: -[(0 - log 2) + (0 - log 1)]
     m = FidelityModel(
@@ -726,6 +745,29 @@ def test_poisson_mle_with_no_counts_is_a_convergence_error():
     y[3] = 1.0
     one = FidelityModel(DesignMatrix(x), Response(family=ResponseFamily.POISSON, y=y))
     assert np.all(np.isfinite(fit_mle(one).augmented()))
+
+
+@pytest.mark.parametrize("response", [0.0, 1.0])
+def test_logistic_mle_with_a_constant_response_is_a_convergence_error(response):
+    # with every response 0 (or 1) the likelihood rises towards its supremum
+    # as the intercept goes to -inf (or +inf); the Newton score on the way
+    # falls below its stop, at an intercept of about -26.2 (or +26.2)
+    from mist.penalties import Family, PenaltySpec
+    from mist.solver import Problem, SolverConfig, one_step_fit
+
+    x = np.random.default_rng(45).standard_normal((12, 2))
+    model = FidelityModel(DesignMatrix(x), Response(family=ResponseFamily.LOGISTIC, y=np.full(12, response)))
+    with pytest.raises(ConvergenceError, match=f"every response is {response:g}, so the intercept has no finite MLE"):
+        fit_mle(model)
+    prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=0.5))
+    with pytest.raises(ConvergenceError, match="no finite MLE"):
+        one_step_fit(prob, SolverConfig())
+    # one response of the other kind, on a row that no line separates from
+    # the rest, leaves a finite MLE
+    y = np.full(12, response)
+    y[0] = 1.0 - response
+    one = FidelityModel(DesignMatrix(x), Response(family=ResponseFamily.LOGISTIC, y=y))
+    assert np.max(np.abs(fit_mle(one).augmented())) < 3.0
 
 
 @pytest.mark.parametrize("family", ["gaussian", "logistic"])

@@ -38,7 +38,7 @@ def two_branch_map(problem, theta, omega, grad):
             shrunk = np.abs(u) - v
         return np.sign(u) * np.maximum(shrunk, 0.0)
 
-    derivative = pen.kernels(spec)[1]
+    derivative = pen.kernels(spec, problem.model.design.n_cols).derivative
     if problem.model.has_intercept:
         tau = derivative(np.abs(theta[1:]))
         out = np.empty_like(theta)
@@ -98,14 +98,14 @@ def test_a_lasso_fit_builds_its_thresholds_once(monkeypatch):
     calls = [0]
     original = pen.kernels
 
-    def counted_kernels(spec):
-        value, derivative = original(spec)
+    def counted_kernels(spec, p):
+        kernels = original(spec, p)
 
         def counted(r):
             calls[0] += 1
-            return derivative(r)
+            return kernels.derivative(r)
 
-        return value, counted
+        return kernels._replace(derivative=counted)
 
     monkeypatch.setattr(pen, "kernels", counted_kernels)
     cfg = SolverConfig(coef_tol=1e-12, obj_tol=1e-300)

@@ -223,6 +223,23 @@ def test_coordinate_penalty_of_a_pinned_coordinate():
     assert coordinate_penalty(spec, 0)[0](0.5) == 1.0
 
 
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family.value)
+def test_kernel_total_is_the_sum_of_the_values(spec):
+    p = 3
+    r = np.array([0.0, 0.7, 9.0])
+    value, _, total = kernels(spec, p)
+    want = math.fsum(value(r))
+    assert abs(total(r) - want) <= 1e-15 * p * want
+
+
+def test_kernel_total_of_a_pinned_weight():
+    spec = PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=1.0, weights=np.array([2.0, math.inf, 0.5]))
+    total = kernels(spec, 3).total
+    # a pinned coordinate adds 0 at the origin and +inf anywhere else
+    assert total(np.array([0.5, 0.0, 2.0])) == 2.0
+    assert total(np.array([0.5, 1e-300, 2.0])) == math.inf
+
+
 @pytest.mark.parametrize("j", [-1, 2])
 def test_coordinate_penalty_outside_the_weights_is_rejected(j):
     spec = PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=1.0, weights=np.array([2.0, 1.0]))
@@ -254,13 +271,15 @@ def test_flat_tail_kernels_are_the_piecewise_definitions(family, lam, a):
         np.nextafter(al, [0.0, math.inf]),
         np.linspace(0.0, 2.0 * al, 2001),
     ])
-    value, derivative = kernels(spec)
+    value, derivative, total = kernels(spec, r.size)
     got_v, got_d = value(r), derivative(r)
     want_v, want_d = piecewise(family, lam, a, r)
     # within 8 units in the last place of the published form, which rounds
     # several times itself; exact where it is 0
     for got, want in ((got_v, want_v), (got_d, want_d)):
         assert np.all(np.abs(got - want) <= 8.0 * np.spacing(np.abs(want)))
+    # the objective's sum, taken in one call, is the sum of the values
+    assert abs(total(r) - math.fsum(want_v)) <= 1e-14 * math.fsum(want_v)
     assert derivative(np.array([0.0]))[0] == lam
     assert np.all(derivative(r[r >= al]) == 0.0)
     assert np.all(value(r[r >= al]) == value(np.array([al]))[0])

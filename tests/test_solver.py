@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,7 @@ from mist.fidelity import (
 )
 from mist import fidelity as fid
 from mist import simlab, solver
-from mist.accel import accelerated_fit, squarem_step
+from mist.accel import accelerated_fit, fit_path, squarem_step
 from mist.penalties import Family, PenaltySpec, kernels, penalty_derivative_vec, threshold_vector
 from mist.solver import (
     FitResult,
@@ -1184,7 +1185,7 @@ def test_cox_one_step_lies_at_the_global_step_minimizer():
     mle = fit_mle(model).augmented()
     fixed = ist_minimize(
         lambda b: -gradient(model, CoefficientVector(beta=b)),
-        kernels(prob.penalty)[1](np.abs(mle)),
+        kernels(prob.penalty, 5).derivative(np.abs(mle)),
         solver.STEP_SAFETY * 2.0 / curvature_bound(model),
         mle,
         inner_tol=1e-13,
@@ -1542,3 +1543,77 @@ def test_start_is_checked_on_entry():
         for mode in ("plain", "squarem"):
             with pytest.raises(ValidationError):
                 accelerated_fit(prob, TIGHT, bad, mode=mode)
+
+
+# -- independence from earlier fits and the cost of an iteration ----------
+
+
+@pytest.mark.parametrize("response", ["gaussian", "logistic", "poisson", "cox"])
+def test_a_fit_does_not_depend_on_the_fits_before_it_on_the_same_model(response):
+    # a model keeps its curvature bounds and its MLE between fits; replaying
+    # the same fits after others on the model must give the same bits
+    model = make_model(response, n=60, p=5, seed=87)
+    start = CoefficientVector.zeros(5, model.has_intercept)
+    lam = 0.2 * float(np.max(np.abs(gradient(model, start)[model.has_intercept:])))
+    cfg = SolverConfig(coef_tol=1e-10, obj_tol=1e-300)
+
+    def replayed():
+        out = []
+        for family in (Family.LASSO, Family.SCAD):
+            prob = Problem(model, PenaltySpec(family=family, lam=lam))
+            out += [
+                accelerated_fit(prob, cfg, start, mode="plain"),
+                accelerated_fit(prob, cfg, start, mode="squarem"),
+                one_step_fit(prob, cfg),
+            ]
+        return out
+
+    first = replayed()
+    accelerated_fit(Problem(model, PenaltySpec(family=Family.MCP, lam=lam)), cfg, start, mode="squarem")
+    fit_path(model, PenaltySpec(family=Family.LASSO, lam=lam), [2.0 * lam, lam], cfg, start)
+    for before, after in zip(first, replayed()):
+        assert np.array_equal(before.coef.augmented(), after.coef.augmented())
+        assert before.objective == after.objective
+        assert before.outer_iters == after.outer_iters
+
+
+def python_calls_per_iteration(run):
+    """Python frames entered while ``run()`` fits, per outer iteration."""
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        res = run()
+    finally:
+        sys.setprofile(None)
+    return calls[0] / res.outer_iters, res
+
+
+@pytest.mark.parametrize(
+    "scenario,share,family,start,ceiling",
+    [
+        # the step, the gradient and its residual, the map and glm_map, the
+        # objective and the likelihood; the lasso sum is a bound dot product
+        (simlab.SimScenario(family="linear_ex1", p=35, n=100, rho=0.75, seed=88), 0.05, Family.LASSO, "zero", 7.2),
+        # and the logistic parts, the thresholds at theta (tau, |beta| and
+        # the derivative) and the SCAD sum
+        (simlab.SimScenario(family="logistic_ex2", p=10, n=200, rho=0.5, seed=88), 0.1, Family.SCAD, "one_step", 12.2),
+    ],
+    ids=["gaussian-lasso", "logistic-scad-one-step"],
+)
+def test_a_plain_iteration_enters_a_bounded_number_of_python_frames(scenario, share, family, start, ceiling):
+    ds = simlab.gen_dataset(scenario)
+    model = FidelityModel(ds.design, ds.response)
+    zero = CoefficientVector.zeros(scenario.p, True)
+    lam = share * float(np.max(np.abs(gradient(model, zero)[1:])))
+    prob = Problem(model, PenaltySpec(family=family, lam=lam))
+    cfg = SolverConfig(coef_tol=1e-10, obj_tol=1e-300)
+    begin = one_step_fit(prob, cfg).coef if start == "one_step" else zero
+    accelerated_fit(prob, cfg, begin, mode="plain")  # the model's bound, computed once
+    per_iteration, res = python_calls_per_iteration(lambda: accelerated_fit(prob, cfg, begin, mode="plain"))
+    assert res.outer_iters > 100 and res.descent_backtracks == 0
+    assert per_iteration <= ceiling, per_iteration
