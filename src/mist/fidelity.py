@@ -3,8 +3,9 @@
 All four families expose the negative log-likelihood (up to additive
 constants), the gradient of the LOG-likelihood, the Hessian of the negative
 log-likelihood, and finite curvature bounds where they exist: one shared by
-every coordinate (``curvature_bound``) and one per coordinate
-(``diagonal_bound``).  Each family's likelihood is written once, in
+every coordinate (``curvature_bound``) and the one every step is made from
+(``diagonal_bound``), per coordinate for gaussian and logistic and the shared
+one for Cox.  Each family's likelihood is written once, in
 ``kernels``: functions of the linear predictor eta = X theta that share the
 parts computed at eta, which every public function here and every fit
 reads.  The Poisson family has no global
@@ -24,7 +25,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -179,7 +180,7 @@ class FidelityModel:
         # outside BLAS; a C- or F-ordered one is kept as it is
         self._xt = xt if xt.flags.c_contiguous or xt.flags.f_contiguous else np.ascontiguousarray(xt)
         self._curvature_bound: Optional[float] = None  # set by curvature_bound
-        self._diagonal_bound: Optional[np.ndarray] = None  # set by diagonal_bound
+        self._diagonal_bound: Union[None, float, np.ndarray] = None  # set by diagonal_bound
         self._mle: Optional[np.ndarray] = None  # the augmented MLE, set by fit_mle
         if self.family is ResponseFamily.COX:
             # descending time order: risk set of subject k (in sorted order)
@@ -254,7 +255,7 @@ class Kernels(NamedTuple):
     residual r with gradient X^T r, and ``hessian(eta, parts)``, the Hessian
     of the negative log-likelihood.  ``bound()`` is the family's curvature
     bound (``curvature_bound``) and ``diagonal()`` its bound per coordinate
-    (``diagonal_bound``).
+    (``diagonal_bound``), which for Cox is ``bound()`` itself.
     """
 
     parts: Callable[[np.ndarray], object]
@@ -262,7 +263,7 @@ class Kernels(NamedTuple):
     residual: Callable[[np.ndarray, object], np.ndarray]
     hessian: Callable[[np.ndarray, object], np.ndarray]
     bound: Callable[[], float]
-    diagonal: Callable[[], np.ndarray]
+    diagonal: Callable[[], Union[float, np.ndarray]]
 
 
 def kernels(model: FidelityModel) -> Kernels:
@@ -341,7 +342,7 @@ def kernels(model: FidelityModel) -> Kernels:
             lambda eta, parts: status - _cox_risk_mass(model, parts),
             lambda eta, parts: _cox_neg_hessian(model, parts),
             bound,
-            lambda: np.full(xt.shape[1], bound()),
+            bound,
         )
     raise ValidationError(f"unknown family {fam}")
 
@@ -443,15 +444,17 @@ def curvature_bound(model: FidelityModel) -> float:
     return model._curvature_bound
 
 
-def diagonal_bound(model: FidelityModel) -> np.ndarray:
-    """A curvature bound per augmented coordinate: D with H <= diag(D) for the
-    Hessian H of the fidelity at every point.
+def diagonal_bound(model: FidelityModel) -> Union[float, np.ndarray]:
+    """The curvature bound that every GLM step is made from: D with H <=
+    diag(D) for the Hessian H of the fidelity at every point.
 
-    For gaussian fits D_j = L_s ||x_j||^2 (``_scaled_gram_bound``), and 1/4 of
-    it for logistic fits, so a column's bound follows its own scale and not
-    the largest column's.  For Cox it is ``curvature_bound`` in every
-    coordinate.  Computed the first time a model is asked and kept on it, as
-    ``curvature_bound`` is; the array is the model's own.
+    For gaussian fits D_j = L_s ||x_j||^2 (``_scaled_gram_bound``), one per
+    augmented coordinate, and 1/4 of it for logistic fits, so a column's
+    bound follows its own scale and not the largest column's.  For Cox it is
+    the scalar ``curvature_bound``, n_events * max ||x_i||^2, shared by every
+    coordinate.  The solver's one step rule turns D into the step of every
+    map and surrogate solve.  Computed the first time a model is asked and
+    kept on it, as ``curvature_bound`` is; an array is the model's own.
     """
     if model._diagonal_bound is None:
         model._diagonal_bound = kernels(model).diagonal()
@@ -526,7 +529,9 @@ def fit_mle(model: FidelityModel) -> CoefficientVector:
     when the Cox risk sets underflow on a separable design, or when a model
     with an intercept has a response that leaves the intercept no finite MLE:
     a Poisson model with no nonzero count, or a logistic model whose
-    responses are all 0 or all 1.
+    responses are all 0 or all 1.  A logistic Newton fit that stops at a
+    point classifying every row strictly raises ``ConvergenceError`` too: the
+    design is separable, and the nll falls along that point's ray.
     Fitted the first time a model is asked and kept on it, as the curvature
     bound is; every call returns a fresh copy.
     """
@@ -576,7 +581,7 @@ def _fit_mle(model: FidelityModel) -> np.ndarray:
     for _ in range(MLE_MAX_ITER):
         g = xt_t @ lik.residual(eta, parts)
         if np.max(np.abs(g)) <= MLE_TOL:
-            return theta
+            break
         # a Cox risk set whose sum underflows (eta spread over more than about
         # 745) leaves 0 / 0 in the Hessian
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -620,10 +625,14 @@ def _fit_mle(model: FidelityModel) -> np.ndarray:
             break
         history.append(theta)
     g = xt_t @ lik.residual(eta, parts)
-    if np.max(np.abs(g)) <= 1e-6:
+    # a logistic point that puts every row strictly on its own side is no
+    # finite MLE: scaling it up lowers the nll, so the stop met a far point
+    separable = model.family is ResponseFamily.LOGISTIC and np.all((2.0 * y - 1.0) * eta > 0.0)
+    if np.max(np.abs(g)) <= 1e-6 and not separable:
         return theta
     raise ConvergenceError(
-        f"Newton MLE did not converge in {MLE_MAX_ITER} iterations",
+        "Newton MLE: every row is classified strictly; the design is separable, so the MLE does not exist"
+        if separable else f"Newton MLE did not converge in {MLE_MAX_ITER} iterations",
         last_iterate=theta,
         residual=float(np.max(np.abs(g))),
     )

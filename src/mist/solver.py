@@ -41,17 +41,20 @@ probe free: there u = eta, so its sums are the Poisson mean that the
 objective at theta cached against the slabs, and its first Newton update is
 made before any exponential.
 
-The gaussian and logistic maps step each coordinate by its own omega_j =
-0.95 * 2 / D_j, from the diagonal curvature bound D of
-``fidelity.diagonal_bound``: D_j = L_s ||x_j||^2 over the augmented design
-(intercept included, and ||x_j|| taken as 1 for an all-zero column), with
-L_s the largest eigenvalue of S^-1 X^T X S^-1 for S = diag ||x_j||, and 1/4
-of that for logistic.  X^T X <= L_s S^2, so the surrogate with the quadratic
-term sum_j d_j^2 / omega_j majorizes the fidelity, and the map stays one
+Every GLM step, of the gaussian, logistic and Cox maps and of every
+surrogate solve, comes from one rule (``glm_step``): omega = 0.95 * 2 /
+(D + extra), with D the curvature bound of ``fidelity.diagonal_bound`` and
+extra the curvature of the ridge, 2 lam eps, in a surrogate solve (0 in a
+map, whose ridge is exact).  For gaussian and logistic D is one number per
+coordinate, D_j = L_s ||x_j||^2 over the augmented design (intercept
+included, and ||x_j|| taken as 1 for an all-zero column), with L_s the
+largest eigenvalue of S^-1 X^T X S^-1 for S = diag ||x_j||, and 1/4 of that
+for logistic.  X^T X <= L_s S^2, so the surrogate with the quadratic term
+sum_j d_j^2 / omega_j majorizes the fidelity, and the map stays one
 componentwise soft-threshold; a column's step follows its own scale, not
-that of the largest column.  The Cox map keeps one step for every
-coordinate, 0.95 * 2 / ``fidelity.curvature_bound`` (``resolve_step``).
-Its bound n_events * max ||x_i||^2 is several times the largest Hessian
+that of the largest column.  For Cox D is one number, the bound n_events *
+max ||x_i||^2 of ``fidelity.curvature_bound``, so the Cox step is
+``resolve_step``'s.  That bound is several times the largest Hessian
 eigenvalue, so a Cox fit backtracks on the curvature instead (Beck &
 Teboulle 2009).  Its first step tries ``BACKTRACK_START`` (64) times the
 certified step and halves until the quadratic surrogate majorizes the
@@ -66,11 +69,13 @@ Cox; the Poisson map has no step.
 
 Every surrogate solve (``mm_outer``'s step, and so the one-step estimator)
 runs ``ist_minimize``: FISTA (Beck & Teboulle 2009) with gradient-based
-adaptive restart (O'Donoghue & Candes 2015), at half the scalar step that
-``fidelity.curvature_bound`` certifies, since FISTA needs a step of at most
-1 / curvature.  A Cox solve backtracks
-that step by the same rule as the outer step, tested at the extrapolated
-point, down to the half step.
+adaptive restart (O'Donoghue & Candes 2015), at half the step of the same
+rule, omega / 2 <= 1 / D_j per coordinate, since FISTA needs a step of at
+most 1 / curvature.  With a step per coordinate this is FISTA after the
+change of variables b_j = c_j / sqrt(D_j), so its guarantee carries over.
+A Cox solve backtracks its one step by the same rule as the outer step,
+tested at the extrapolated point, down to the half step.  The inner solve
+stops on ||s - z|| <= ``inner_tol`` in coefficient units.
 
 The loops work on plain augmented arrays (intercept first) and run on
 unchecked kernels; ``_drive`` checks the start once, and nothing inside a fit
@@ -172,10 +177,10 @@ class SolverConfig:
 
     ``coef_tol``, ``obj_tol`` and ``max_outer`` stop the outer loop;
     ``inner_tol`` and ``inner_max`` stop the inner soft-thresholding of a
-    surrogate solve.  Every step comes from the problem's curvature bounds,
-    one per coordinate for the gaussian and logistic maps
-    (``fidelity.diagonal_bound``) and one for every coordinate for the Cox
-    map and the surrogate solve (``resolve_step``), so no field sets one.
+    surrogate solve.  Every step of a map or a surrogate solve comes from the
+    problem's curvature bound by one rule (``glm_step``), one per coordinate
+    for gaussian and logistic and one for every coordinate for Cox, so no
+    field sets one.
 
     The fields are checked when the config is built.  The tolerances must be
     real numbers > 0, and the caps integers >= 1; an integral float such as
@@ -329,7 +334,7 @@ def kkt_residual(problem: Problem, coef: CoefficientVector) -> float:
 def ist_minimize(
     grad_m: Callable[[np.ndarray], np.ndarray],
     tau: np.ndarray,
-    omega: float,
+    omega: Union[float, np.ndarray],
     b0: np.ndarray,
     inner_tol: float = 1e-8,
     inner_max: int = 100_000,
@@ -337,32 +342,39 @@ def ist_minimize(
 ) -> np.ndarray:
     """Restarted FISTA for min m(b) + sum_j tau_j |b_j|.
 
-    ``omega`` must lie in (0, 2 / Lip], Lip the Lipschitz constant of
-    ``grad_m``.  Each iteration soft-thresholds from an extrapolated point z
-    (Beck & Teboulle 2009) at the step w = omega / 2, at most 1 / Lip as
-    FISTA needs: s = S(z - w grad_m(z), w tau), written inline as in
-    ``glm_map``.  With t' = (1 + sqrt(1 + 4 t^2)) / 2 and b the previous s,
-    the next z is s + ((t - 1) / t')(s - b), which is s itself while t = 1.  When (z - s) . (s - b) > 0 the momentum
+    ``omega`` is one number in (0, 2 / Lip], Lip the Lipschitz constant of
+    ``grad_m``, or one per coordinate, of tau's shape, with m(b) <= m(z) +
+    grad_m(z) . (b - z) + sum_j (b_j - z_j)^2 / omega_j for all b and z, as
+    ``glm_step``'s is; any other shape raises ``ValidationError``.  Each
+    iteration soft-thresholds from an extrapolated point z (Beck & Teboulle
+    2009) at the step w = omega / 2, at most 1 / Lip as FISTA needs (at most
+    the inverse of each coordinate's curvature for a vector omega, which is
+    FISTA in the variables scaled by 1 / sqrt(w)): s = S(z - w grad_m(z),
+    w tau), written inline as in ``glm_map``.  With t' = (1 + sqrt(1 + 4
+    t^2)) / 2 and b the previous s, the next z is s + ((t - 1) / t')(s - b),
+    which is s itself while t = 1.  When (z - s) . (s - b) > 0 the momentum
     points uphill, so the iteration restarts (O'Donoghue & Candes 2015): t
     goes back to 1 and z to s.  It stops at the first s with ||s - z|| <=
-    ``inner_tol`` and returns it.  The start ``b0`` is used as it is, not
-    copied: no iteration writes into it.
+    ``inner_tol``, in coefficient units whatever the step, and returns it.
+    The start ``b0`` is used as it is, not copied: no iteration writes into
+    it.
 
-    Given ``m``, the smooth part itself, the step is backtracked as in Beck &
-    Teboulle (2009): it starts at ``BACKTRACK_START * omega``, and the
-    candidate s from z at a step w above omega / 2 is kept only when
-    m(s) <= m(z) + grad_m(z) . (s - z) + ||s - z||^2 / (2 w), up to a rounding
-    slack; otherwise w halves.  ``omega / 2`` is the floor, taken without the
-    test.  The kept w is the next iteration's first try, so it never grows.
+    Given ``m``, the smooth part itself, a scalar step is backtracked as in
+    Beck & Teboulle (2009): w = k omega for a multiplier k that starts at
+    ``BACKTRACK_START``, and the candidate s from z at a k above 1/2 is kept
+    only when m(s) <= m(z) + grad_m(z) . (s - z) + ||s - z||^2 / (2 w), up to
+    a rounding slack; otherwise k halves.  k = 1/2 is the floor, taken
+    without the test.  The kept k is the next iteration's first try, so it
+    never grows.  A step per coordinate is not backtracked.
     m is evaluated once per point, and before ``grad_m`` there: the kept m(s)
     serves as m(z) whenever z is s.
     """
     tau = np.asarray(tau, dtype=float)
     b = np.asarray(b0, dtype=float)
-    if tau.shape != b.shape:
-        raise ValidationError("threshold vector and start must have equal length")
-    floor = 0.5 * omega
-    w = floor if m is None else BACKTRACK_START * omega
+    if tau.shape != b.shape or np.ndim(omega) and (np.shape(omega) != b.shape or m is not None):
+        raise ValidationError("thresholds, start and step need one shape; a step per coordinate cannot backtrack")
+    k = 0.5 if m is None else BACKTRACK_START
+    w = k * omega
     thresh = w * tau
     if np.any(thresh < 0):
         raise ValidationError("thresholds must be >= 0")
@@ -370,13 +382,13 @@ def ist_minimize(
     z, t, mz = b, 1.0, None
     with np.errstate(invalid="ignore"):  # inf - inf in the threshold at a pinned coordinate
         for _ in range(inner_max):
-            if w > floor and mz is None:
+            if k > 0.5 and mz is None:
                 mz = m(z)
             g = grad_m(z)
             u = z - w * g
             s = u - np.minimum(np.maximum(u, neg), thresh)  # ``_soft_threshold``, inline
-            while w > floor and not _majorizes(ms := m(s), mz, -g, s - z, 2.0 * w):
-                w *= 0.5
+            while k > 0.5 and not _majorizes(ms := m(s), mz, -g, s - z, 2.0 * w):
+                k, w = 0.5 * k, 0.5 * w
                 thresh, neg = w * tau, -w * tau
                 s = _soft_threshold(z - w * g, neg, thresh)
             d = s - z
@@ -384,7 +396,7 @@ def ist_minimize(
             if resid <= inner_tol:
                 return s
             # above the floor the test accepted s, so m(s) is known
-            ms = ms if w > floor else None
+            ms = ms if k > 0.5 else None
             e = s - b
             if d.dot(e) < 0.0:
                 # (z - s) . (s - b) > 0: the momentum points uphill, restart
@@ -404,23 +416,34 @@ def ist_minimize(
 # -- step resolution ------------------------------------------------------
 
 
-def _safe_step(lip: float) -> float:
-    """STEP_SAFETY * 2 / lip, or 1.0 when the curvature bound is not positive."""
-    return STEP_SAFETY * 2.0 / lip if lip > 0 else 1.0
-
-
 def resolve_step(problem: Problem, config: Optional[SolverConfig] = None) -> float:
     """The scalar MM step constant, ``STEP_SAFETY * 2 / curvature_bound``.
 
-    It is the step of the Cox map, and twice the step of every surrogate
-    solve; the gaussian and logistic maps step each coordinate by its own
-    bound instead (``_GlmMap``).  ``glm_map`` at this step is still an MM
-    map, since the scalar surrogate majorizes as well.  ``config`` is not
-    read.  The parameter stays so that callers written as
-    ``resolve_step(problem, config)``, such as the acceptance tests'
-    strict-majorization check, keep working.
+    On a Cox problem it is the step that ``glm_step`` gives, since the Cox
+    curvature bound is one number.  The gaussian and logistic maps and
+    surrogate solves step each coordinate by its own bound instead
+    (``glm_step``); ``glm_map`` at this scalar step is still an MM map, since
+    the scalar surrogate majorizes as well.  ``config`` is not read.  The
+    parameter stays so that callers written as ``resolve_step(problem,
+    config)``, such as the acceptance tests' strict-majorization check, keep
+    working.
     """
-    return _safe_step(fid.curvature_bound(problem.model))
+    lip = fid.curvature_bound(problem.model)
+    return STEP_SAFETY * 2.0 / lip if lip > 0 else 1.0
+
+
+def glm_step(model: FidelityModel, extra: float = 0.0) -> Union[float, np.ndarray]:
+    """The one step rule of every GLM map and surrogate solve:
+    ``STEP_SAFETY * 2 / (D + extra)`` with D = ``fidelity.diagonal_bound``.
+
+    D, and so the step, is one per augmented coordinate for gaussian and
+    logistic models and one number for Cox; ``extra`` is a curvature the
+    caller adds, the ridge's 2 lam eps in a surrogate solve.  A bound that is
+    not positive (an all-zero design) gives the step 1.
+    """
+    bound = np.asarray(fid.diagonal_bound(model) + extra)
+    step = np.divide(STEP_SAFETY * 2.0, bound, out=np.ones_like(bound), where=bound > 0.0)
+    return step if step.ndim else float(step)
 
 
 def _pinned_mask(problem: Problem) -> Optional[np.ndarray]:
@@ -483,8 +506,9 @@ class _Objective:
     ``kkt`` reads the same derivative kernel and the cached |beta|.
     """
 
-    #: the map's step; None for a map with no step, which ``_halving`` tries once
-    omega: Optional[float] = None
+    #: the map's step, one number or one per coordinate (``glm_step``); None for
+    #: a map with no step, which ``_halving`` tries once
+    omega: Union[None, float, np.ndarray] = None
     #: whether ``_halving`` backtracks the step on the curvature
     backtrack = False
 
@@ -637,13 +661,14 @@ def _shrink(problem: Problem, omega: Union[float, np.ndarray]) -> Union[None, fl
 class _GlmMap(_Objective):
     """The single soft-threshold MM map of one gaussian, logistic or cox problem.
 
-    Built once per fit.  On gaussian and logistic problems its step ``omega``
-    is one per augmented coordinate, omega_j = ``STEP_SAFETY`` * 2 / D_j
-    with D = ``fidelity.diagonal_bound``, so a column's step follows its own
-    scale; the surrogate with ||d||^2 / omega replaced by sum_j d_j^2 /
-    omega_j still majorizes, since H <= diag(D), and the map stays one
-    soft-threshold.  On Cox problems it is ``resolve_step``'s scalar, which it
-    backtracks, since the Cox curvature bound is loose.
+    Built once per fit.  Its step ``omega`` is ``glm_step``'s: on gaussian
+    and logistic problems one per augmented coordinate, omega_j =
+    ``STEP_SAFETY`` * 2 / D_j with D = ``fidelity.diagonal_bound``, so a
+    column's step follows its own scale; the surrogate with ||d||^2 / omega
+    replaced by sum_j d_j^2 / omega_j still majorizes, since H <= diag(D), and
+    the map stays one soft-threshold.  On Cox problems it is one number,
+    ``resolve_step``'s, which it backtracks, since the Cox curvature bound is
+    loose.
 
     Calling it applies ``glm_map`` at w omega for a scalar multiplier w, 1
     unless ``_halving`` passes a smaller one (or, on Cox, a larger one) as
@@ -670,11 +695,7 @@ class _GlmMap(_Objective):
     def __init__(self, problem: Problem):
         super().__init__(problem)
         self.backtrack = self.cox
-        if self.cox:
-            self.omega = resolve_step(problem)
-        else:
-            bound = fid.diagonal_bound(self.model)
-            self.omega = np.divide(STEP_SAFETY * 2.0, bound, out=np.ones_like(bound), where=bound > 0.0)
+        self.omega = glm_step(self.model)
         self._w = self._terms = None
 
     def __call__(
@@ -899,12 +920,14 @@ class _SurrogateSolve(_Objective):
 
     The surrogate at theta keeps the fidelity and the ridge exact and
     linearizes the penalty, l(b) + lam eps ||b||^2 + sum_j p'(|theta_j|) |b_j|;
-    ``ist_minimize`` solves it from theta by restarted FISTA at half the
-    step that ``curvature_bound`` certifies (``inner_omega``, computed once
-    per fit), with ``inner_tol`` and ``inner_max`` from the config.  The Cox
-    bound is loose, so Cox solves backtrack the inner step from 64 times
-    ``inner_omega`` down to that half step (``ist_minimize`` given ``m``),
-    testing majorization at each extrapolated point.  ``m`` remembers eta
+    ``ist_minimize`` solves it from theta by restarted FISTA at half the step
+    ``inner_omega`` = ``glm_step(model, 2 lam eps)``, computed once per fit:
+    the map's step rule with the ridge's curvature added, one step per
+    coordinate for gaussian and logistic.  ``inner_tol`` and ``inner_max``
+    come from the config.  The Cox bound is one loose number, so Cox solves
+    backtrack the inner step from 64 times ``inner_omega`` down to that half
+    step (``ist_minimize`` given ``m``), testing majorization at each
+    extrapolated point.  ``m`` remembers eta
     and the Cox risk-set sums at its point, and ``ist_minimize`` evaluates
     it before ``grad_m`` there, so the gradient reuses them.  The solve
     starts at the iterate itself, not a copy, so its first ``m`` and
@@ -915,10 +938,9 @@ class _SurrogateSolve(_Objective):
 
     def __init__(self, problem: Problem, config: SolverConfig):
         super().__init__(problem)
-        spec = problem.penalty
         self.config = config
         self.ridge = _ridge(problem)
-        self.inner_omega = _safe_step(fid.curvature_bound(problem.model) + 2.0 * spec.lam * spec.epsilon)
+        self.inner_omega = glm_step(self.model, 2.0 * self._ridge_lam)
 
     def grad_m(self, b: np.ndarray) -> np.ndarray:
         """Gradient of the fidelity plus the ridge, the smooth part."""

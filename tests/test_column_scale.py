@@ -1,10 +1,12 @@
 """Steps that follow each column's scale.
 
-The gaussian and logistic maps step coordinate j by omega_j = 0.95 * 2 / D_j,
-with D = ``fidelity.diagonal_bound``, so that a column of scale 1e-4 beside
-one of scale 1e4 takes a step of its own size.  A step shared by every
-coordinate is set by the largest column, and on the designs here it leaves
-the plain fit at ``max_iter`` far from the optimum.
+The gaussian and logistic maps, and the surrogate solves of ``mm_outer`` and
+the one-step estimator, step coordinate j by omega_j = 0.95 * 2 / D_j, with
+D = ``fidelity.diagonal_bound``, so that a column of scale 1e-4 beside one of
+scale 1e4 takes a step of its own size.  A step shared by every coordinate is
+set by the largest column, and on the designs here it leaves the plain fit
+and ``mm_outer`` at ``max_iter`` far from the optimum, and the one-step
+estimator near its start.
 """
 import numpy as np
 import pytest
@@ -15,9 +17,20 @@ from conftest import make_model
 from mist import fidelity as fid
 from mist import solver
 from mist.accel import accelerated_fit
+from mist.exceptions import ConvergenceError
 from mist.fidelity import CoefficientVector, DesignMatrix, FidelityModel, Response
 from mist.penalties import Family, PenaltySpec
-from mist.solver import Problem, SolverConfig, Termination, glm_map, glm_surrogate_value, mm_map, total_objective
+from mist.solver import (
+    Problem,
+    SolverConfig,
+    Termination,
+    glm_map,
+    glm_surrogate_value,
+    mm_map,
+    mm_outer,
+    one_step_fit,
+    total_objective,
+)
 
 #: stop on a step below 1e-10 or an exactly unchanged objective, else at 1 000 steps
 CONFIG = SolverConfig(coef_tol=1e-10, obj_tol=1e-300, max_outer=1000)
@@ -39,22 +52,34 @@ def scaled_model(family, scales=SCALES, seed=0, coef=None):
     return FidelityModel(DesignMatrix(x), Response(family, y))
 
 
-def fit_both(prob):
+def fit_all(prob):
+    """Plain, squarem and ``mm_outer`` from zero, each stopped on a step below
+    1e-10 or within 1 000 steps."""
     start = CoefficientVector.zeros(prob.model.design.n_cols, True)
-    return [accelerated_fit(prob, CONFIG, start, mode=mode) for mode in ("plain", "squarem")]
+    fits = [accelerated_fit(prob, CONFIG, start, mode=mode) for mode in ("plain", "squarem")]
+    return fits + [mm_outer(prob, CONFIG, start)]
+
+
+def close(a, b, rel):
+    return abs(a.objective - b.objective) <= rel * abs(b.objective)
 
 
 @pytest.mark.parametrize(
     "family,coef",
     [("gaussian", np.array([1e3, 1.0, 1e-3, 0.0])), ("logistic", np.array([1e3, 1.0, 1e-4, 0.0]))],
 )
-def test_a_badly_scaled_design_fits_plain_and_squarem_to_one_optimum(family, coef):
+def test_a_badly_scaled_design_fits_every_solve_to_one_optimum(family, coef):
     model = scaled_model(family, coef=coef)
-    plain, squarem = fit_both(Problem(model, PenaltySpec(family=Family.LASSO, lam=1.0)))
-    for res in (plain, squarem):
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=1.0))
+    plain, squarem, outer = fit_all(prob)
+    for res in (plain, squarem, outer):
         assert res.termination is not Termination.MAX_ITER
     assert np.all(np.diff(plain.trace) <= solver.DESCENT_SLACK)
-    assert abs(plain.objective - squarem.objective) <= 1e-10 * abs(squarem.objective)
+    assert close(plain, squarem, 1e-10)
+    # the lasso surrogate is the lasso itself, so one solve from the MLE is
+    # the optimum as well
+    for res in (outer, one_step_fit(prob, CONFIG)):
+        assert close(res, plain, 1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -64,14 +89,26 @@ def test_a_badly_scaled_design_fits_plain_and_squarem_to_one_optimum(family, coe
     st.sampled_from(["gaussian", "logistic"]),
     st.sampled_from([Family.LASSO, Family.MCP]),
 )
-def test_plain_and_squarem_agree_whatever_the_column_scales(log_scales, seed, family, penalty):
+def test_every_solve_agrees_whatever_the_column_scales(log_scales, seed, family, penalty):
     model = scaled_model(family, 10.0 ** np.array(log_scales), seed)
     lam = 2.0 if family == "gaussian" else 0.5
-    plain, squarem = fit_both(Problem(model, PenaltySpec(family=penalty, lam=lam, a=3.0)))
+    prob = Problem(model, PenaltySpec(family=penalty, lam=lam, a=3.0))
+    plain, squarem, outer = fit_all(prob)
     assert np.all(np.diff(plain.trace) <= solver.DESCENT_SLACK)
-    for res in (plain, squarem):
+    for res in (plain, squarem, outer):
         assert res.termination is not Termination.MAX_ITER
-    assert abs(plain.objective - squarem.objective) <= 1e-9 * abs(squarem.objective)
+    assert close(plain, squarem, 1e-9)
+    if penalty is Family.MCP:
+        # MCP is not convex, so mm_outer may stop at another stationary point
+        start = CoefficientVector.zeros(model.design.n_cols, True)
+        assert outer.kkt_residual <= 1e-6 * max(1.0, np.max(np.abs(fid.gradient(model, start))))
+        return
+    assert close(outer, plain, 1e-9)
+    try:
+        fid.fit_mle(model)
+    except ConvergenceError:
+        return  # a separable logistic design has no MLE to take one step from
+    assert close(one_step_fit(prob, CONFIG), plain, 1e-9)
 
 
 def designs():

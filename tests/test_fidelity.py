@@ -770,6 +770,30 @@ def test_logistic_mle_with_a_constant_response_is_a_convergence_error(response):
     assert np.max(np.abs(fit_mle(one).augmented())) < 3.0
 
 
+@pytest.mark.parametrize("row", range(12))
+def test_a_separable_logistic_design_has_no_mle(row):
+    # one y = 1 among twelve: where a line puts that row strictly apart from
+    # the rest, every scaled-up separating point lowers the nll, and the
+    # Newton stop is met at a far point that classifies every row strictly
+    from mist.penalties import Family, PenaltySpec
+    from mist.solver import Problem, SolverConfig, one_step_fit
+
+    x = np.random.default_rng(45).standard_normal((12, 2))
+    y = np.zeros(12)
+    y[row] = 1.0
+    model = FidelityModel(DesignMatrix(x), Response(family=ResponseFamily.LOGISTIC, y=y))
+    if row in (0, 2, 6, 8):
+        theta = fit_mle(model).augmented()
+        margins = (2.0 * y - 1.0) * (model._xt @ theta)
+        assert np.any(margins <= 0.0) and np.max(np.abs(theta)) < 10.0
+        return
+    with pytest.raises(ConvergenceError, match="separable, so the MLE does not exist") as err:
+        fit_mle(model)
+    assert np.all((2.0 * y - 1.0) * (model._xt @ err.value.last_iterate) > 0.0)
+    with pytest.raises(ConvergenceError, match="separable"):
+        one_step_fit(Problem(model, PenaltySpec(family=Family.SCAD, lam=0.5)), SolverConfig())
+
+
 @pytest.mark.parametrize("family", ["gaussian", "logistic"])
 def test_a_model_keeps_its_mle_and_hands_back_copies(family, monkeypatch):
     model = make_model(family, n=60, p=4, seed=22)

@@ -231,6 +231,37 @@ def test_ist_iteration_cap_raises_with_diagnostics():
     assert exc.value.residual is not None
 
 
+def test_ist_with_a_step_per_coordinate_reaches_the_minimizer_across_scales():
+    # m(b) = sum_j h_j (b_j - a_j)^2 / 2 with curvatures from 1e-8 to 1e8, each
+    # minimizer of its own coordinate's scale, solved at omega_j = 1 / h_j
+    rng = np.random.default_rng(8)
+    h = np.geomspace(1e-8, 1e8, 9)
+    a = rng.standard_normal(9) / np.sqrt(h)
+    tau = 0.5 * np.sqrt(h)
+    want = soft_threshold_vec(h * a, tau) / h
+    assert 0 < np.count_nonzero(want) < 9  # the threshold is active
+
+    def grad_m(b):
+        return h * (b - a)
+
+    b = ist_minimize(grad_m, tau, 1.0 / h, np.zeros(9), inner_tol=1e-9)
+    assert np.all(np.abs(b - want) <= 1e-12 * np.abs(want))
+    # one step for every coordinate, that of the largest curvature, moves the
+    # flat coordinates by less than the tolerance: the solve stops at its start
+    flat = ist_minimize(grad_m, tau, 1.0 / h.max(), np.zeros(9), inner_tol=1e-9)
+    assert np.max(np.abs(flat - want)) > 1.0
+
+
+def test_ist_checks_a_step_per_coordinate():
+    tau, b0 = np.full(3, 0.1), np.zeros(3)
+    with pytest.raises(ValidationError, match="shape"):
+        ist_minimize(lambda b: b - 1.0, tau, np.ones(2), b0)
+    # only a scalar step is backtracked
+    with pytest.raises(ValidationError, match="backtrack"):
+        ist_minimize(lambda b: b - 1.0, tau, np.ones(3), b0, m=lambda b: 0.5 * float((b - 1.0) @ (b - 1.0)))
+    assert np.allclose(ist_minimize(lambda b: b - 1.0, tau, np.ones(3), b0, inner_tol=1e-12), 0.9)
+
+
 def test_fista_reaches_the_ista_minimizer_in_a_third_of_the_gradients():
     # an ill-conditioned quadratic, kappa = 1e3
     rng = np.random.default_rng(7)
@@ -470,14 +501,17 @@ def test_mm_outer_computes_the_curvature_bound_once(family, monkeypatch):
     import mist.fidelity as fid
 
     model = make_model(family, n=25, p=4, seed=17)
-    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.4))
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.4, epsilon=0.5))
     start = CoefficientVector.zeros(4, model.has_intercept)
-    bound = fid.curvature_bound(model)
-    # the inner step is STEP_SAFETY * 2 / bound, exactly
-    assert solver._SurrogateSolve(prob, TIGHT).inner_omega == 0.95 * 2.0 / bound
+    bound = fid.diagonal_bound(model)
+    # the inner step is STEP_SAFETY * 2 / (D + 2 lam eps), exactly: one per
+    # coordinate for gaussian, one number for cox
+    inner = solver._SurrogateSolve(prob, TIGHT).inner_omega
+    assert np.ndim(inner) == (family == "gaussian")
+    assert np.array_equal(inner, 0.95 * 2.0 / (bound + 2.0 * 0.4 * 0.5))
     calls = []
-    real = fid.curvature_bound
-    monkeypatch.setattr(fid, "curvature_bound", lambda m: calls.append(m) or real(m))
+    real = fid.diagonal_bound
+    monkeypatch.setattr(fid, "diagonal_bound", lambda m: calls.append(m) or real(m))
     mm_outer(prob, TIGHT, start)
     assert len(calls) == 1
 
@@ -492,20 +526,20 @@ def test_curvature_bound_is_computed_once_per_model(family, monkeypatch):
     model = make_model(family, n=30, p=5, seed=23)
     lasso = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.3))
     start = CoefficientVector.zeros(5, True)
-    # the maps' bound per coordinate, once for both fits
+    # one bound per coordinate serves the maps of both fits
     fit(lasso, TIGHT, start)
     accelerated_fit(lasso, TIGHT, start, mode="squarem")
     assert shapes == [(30, 6)]
-    # the surrogate solve's scalar bound, once for both one-step fits
+    # and the surrogate solves of both one-step fits: one eigenvalue per model
     scad = Problem(model, PenaltySpec(family=Family.SCAD, lam=0.3))
     one_step_fit(scad, TIGHT)
     one_step_fit(scad, TIGHT)
     fit(scad, TIGHT, start)
-    assert shapes == [(30, 6), (30, 6)]
+    assert shapes == [(30, 6)]
     # a column subset gets its own bound, and the full model keeps its own
     sub = model.restrict(np.array([0, 3]))
     fit(Problem(sub, lasso.penalty), TIGHT, CoefficientVector.zeros(2, True))
-    assert shapes == [(30, 6), (30, 6), (30, 3)]
+    assert shapes == [(30, 6), (30, 3)]
     scale = 1.0 if family == "gaussian" else 0.25
     for m in (sub, model):
         s2 = np.einsum("ij,ij->j", m._xt, m._xt)
@@ -1151,8 +1185,7 @@ def test_one_step_scad_far_tail_returns_mle():
 
 def test_one_step_inner_gradient_count_on_the_simulation_design(monkeypatch):
     # simlab linear_ex1 at p = 35, n = 100, rho = 0.75: the restarted FISTA
-    # inner solve takes 134 gradients; plain soft-thresholding at the full
-    # certified step took 433
+    # inner solve at the per-coordinate step takes 119 gradients
     ds = simlab.gen_dataset(simlab.SimScenario(family="linear_ex1", p=35, n=100, rho=0.75, seed=7))
     model = FidelityModel(ds.design, ds.response)
     x, y = ds.design.values, ds.response.y
@@ -1167,7 +1200,7 @@ def test_one_step_inner_gradient_count_on_the_simulation_design(monkeypatch):
     monkeypatch.setattr(solver._SurrogateSolve, "grad_m", counted)
     res = one_step_fit(Problem(model, PenaltySpec(family=Family.SCAD, lam=lam)), SolverConfig())
     assert res.outer_iters == 1 and res.map_evals == 1
-    assert calls[0] == 134
+    assert calls[0] == 119
 
 
 def test_one_step_requires_overdetermined_design():
@@ -1364,8 +1397,8 @@ def test_plain_iteration_multiplies_by_x_at_most_twice(family):
     gmap.objective(new)
     assert counter[0] == 2  # X^T r at theta, X theta at the new point
     counter[0] = 0
-    # mm_map has bounded the model already, per coordinate unless Cox: no product
-    (curvature_bound if family == "cox" else fid.diagonal_bound)(model)
+    # mm_map has bounded the model already (``glm_step``): no product
+    fid.diagonal_bound(model)
     bound_products = counter[0]
     counter[0] = 0
     res = glm_mm_fit(prob, cfg, CoefficientVector.zeros(5, model.has_intercept))
