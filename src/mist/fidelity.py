@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import enum
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
@@ -298,7 +299,10 @@ def kernels(model: FidelityModel) -> Kernels:
             return xt.T @ ((mu * (1.0 - mu))[:, None] * xt)
 
         return Kernels(
-            lambda eta: None,
+            # None for every eta, as a builtin: a deque of length 0 keeps
+            # nothing of what it is given, and its append enters no Python
+            # frame, which a lambda would at every objective
+            deque(maxlen=0).append,
             # summed per element: log(1 + e^eta) and y eta are each near |eta|
             # where |eta| is large, so the split form sum log(1 + e^eta) - y . eta
             # cancels, and its rounding reaches the descent slack of a fit
@@ -521,6 +525,27 @@ def poisson_majorizer_component(
 # -- unpenalized maximum likelihood ---------------------------------------
 
 
+def require_finite_intercept(model: FidelityModel, theta: np.ndarray, what: str) -> None:
+    """Raise ``ConvergenceError`` when the response leaves the intercept no
+    finite minimizer: a Poisson model with no nonzero count, or a logistic
+    model whose responses are all 0 or all 1.
+
+    The likelihood then rises towards its supremum as the intercept goes to
+    -inf (+inf for logistic responses all 1), whatever the slopes, and no
+    penalty reaches the intercept, so neither the MLE nor a penalized fit has
+    a finite solution.  ``what`` names the solution in the message, and
+    ``theta`` is the error's ``last_iterate``.
+    """
+    y, fam = model.response.y, model.family
+    if model.has_intercept and fam is ResponseFamily.POISSON and not np.any(y):
+        cause = "every count is 0"
+    elif model.has_intercept and fam is ResponseFamily.LOGISTIC and np.all(y == y[0]):
+        cause = f"every response is {y[0]:g}"
+    else:
+        return
+    raise ConvergenceError(f"{cause}, so the intercept has no finite {what}", last_iterate=theta)
+
+
 def fit_mle(model: FidelityModel) -> CoefficientVector:
     """Unpenalized MLE: least squares for gaussian, damped Newton otherwise.
 
@@ -551,20 +576,8 @@ def _fit_mle(model: FidelityModel) -> np.ndarray:
         if rank < k:
             raise ValidationError("design matrix is rank deficient; MLE is not unique")
         return theta
-    # the likelihood rises towards its supremum as the intercept goes to -inf
-    # (+inf for logistic responses all 1), and its score on the way falls
-    # below the Newton stop, which would return a far intercept as the MLE
-    y = model.response.y
-    if model.has_intercept and model.family is ResponseFamily.POISSON and not np.any(y):
-        cause = "every count is 0"
-    elif model.has_intercept and model.family is ResponseFamily.LOGISTIC and np.all(y == y[0]):
-        cause = f"every response is {y[0]:g}"
-    else:
-        cause = None
-    if cause is not None:
-        raise ConvergenceError(
-            f"Newton MLE: {cause}, so the intercept has no finite MLE", last_iterate=np.zeros(k)
-        )
+    # the Newton score would fall below its stop at a far intercept
+    require_finite_intercept(model, np.zeros(k), "MLE")
 
     # Newton on the augmented array: one eta per iterate, and its parts (the
     # Poisson mean, the Cox risk-set sums), feed the likelihood, the score and
@@ -627,7 +640,7 @@ def _fit_mle(model: FidelityModel) -> np.ndarray:
     g = xt_t @ lik.residual(eta, parts)
     # a logistic point that puts every row strictly on its own side is no
     # finite MLE: scaling it up lowers the nll, so the stop met a far point
-    separable = model.family is ResponseFamily.LOGISTIC and np.all((2.0 * y - 1.0) * eta > 0.0)
+    separable = model.family is ResponseFamily.LOGISTIC and np.all((2.0 * model.response.y - 1.0) * eta > 0.0)
     if np.max(np.abs(g)) <= 1e-6 and not separable:
         return theta
     raise ConvergenceError(

@@ -24,10 +24,11 @@ weights; no option selects one.
 
 ``fit`` runs ``mm_map``'s map through ``_halving(map)``, which turns a map
 into a step.  A map with a step omega (``_GlmMap``) is applied at w omega
-for a scalar multiplier w, 1 first and halved until the objective is finite
-and does not rise; the log-likelihood gradient at theta comes once per step
-from the cached eta and serves every attempt.  A map with no step (``omega``
-None: the surrogate solve, the Poisson map) gets a single attempt.
+for a scalar multiplier w, backtracked on the curvature and halved until the
+objective is finite and does not rise; the fidelity and the log-likelihood
+gradient at theta come once per step from what the objective there cached
+and serve every attempt.  A map with no step (``omega`` None: the surrogate
+solve, the Poisson map) gets a single attempt.
 
 The Poisson map (``_PoissonMap``) solves its scalar problems by a batched
 safeguarded Newton iteration over the coordinates whose minimizer is not 0.
@@ -54,18 +55,25 @@ sum_j d_j^2 / omega_j majorizes the fidelity, and the map stays one
 componentwise soft-threshold; a column's step follows its own scale, not
 that of the largest column.  For Cox D is one number, the bound n_events *
 max ||x_i||^2 of ``fidelity.curvature_bound``, so the Cox step is
-``resolve_step``'s.  That bound is several times the largest Hessian
-eigenvalue, so a Cox fit backtracks on the curvature instead (Beck &
-Teboulle 2009).  Its first step tries ``BACKTRACK_START`` (64) times the
-certified step and halves until the quadratic surrogate majorizes the
-fidelity at the candidate, checked exactly:
+``resolve_step``'s.
 
-    nll(theta+) <= nll(theta) - grad l(theta) . d + ||d||^2 / omega.
+Each of these bounds holds everywhere, but MM only needs the surrogate to
+majorize at the point it accepts, and the bounds are loose there: the Cox
+bound is several times the largest Hessian eigenvalue, the logistic 1/4 is
+the curvature at eta = 0 only, and a diagonal bound exceeds the Hessian of
+a correlated design in most directions.  So every plain fit backtracks on the
+curvature (Beck & Teboulle 2009).  Its first step tries ``BACKTRACK_START``
+(64) times the certified step and halves until the candidate descends and
+the quadratic surrogate majorizes the fidelity there, checked exactly:
 
-The accepted step carries to the next one and never grows; at the certified
-step the test is skipped, since the bound guarantees it.  Squarem, which
-needs a fixed map, applies each map at its own step, the certified one for
-Cox; the Poisson map has no step.
+    nll(theta+) <= nll(theta) - grad l(theta) . d + sum_j d_j^2 / (w omega_j).
+
+A gaussian fidelity is quadratic, so its test reads ||X d||^2 / 2 on the
+left, exactly, with the first two terms on the right moved over.  The
+accepted step carries to the next one and never grows; at or below the
+certified step the test is skipped, since the bound guarantees it.
+Squarem, which needs a fixed map, applies each map at its certified step;
+the Poisson map has no step.
 
 Every surrogate solve (``mm_outer``'s step, and so the one-step estimator)
 runs ``ist_minimize``: FISTA (Beck & Teboulle 2009) with gradient-based
@@ -107,8 +115,9 @@ and its residual kernel, the map and ``glm_map``, the objective and its
 likelihood kernel.  A plain step multiplies by X twice, X^T r at theta and
 X theta+ in the objective of its candidate, plus once per halving; a fit
 reports the KKT residual from the gradient at the eta cached at its last
-iterate, one product with X.  Only a backtracked Cox step also reads
-nll(theta), for its majorization test (``_GlmMap.anchor``).
+iterate, one product with X.  The majorization test of a step above the
+certified one reads nll(theta), which the objective at theta cached, and
+adds no frame.
 
 What does not change within a fit is built once, when its map object is
 built: the likelihood kernels of the model (``fidelity.kernels``, one family
@@ -158,7 +167,7 @@ DESCENT_SLACK = 1e-12
 STEP_SAFETY = 0.95
 #: cap on the batched Newton iterations of one poisson map
 POISSON_NEWTON_MAX = 200
-#: a backtracked Cox step starts each fit at this multiple of the certified step
+#: a backtracked GLM step starts each fit at this multiple of the certified step
 BACKTRACK_START = 64.0
 #: relative rounding slack of the majorization test of a backtracked step
 MAJORIZE_SLACK = 1e-12
@@ -467,10 +476,13 @@ def _ridge(problem: Problem) -> np.ndarray:
 
 def _start_theta(problem: Problem, start: CoefficientVector) -> np.ndarray:
     """The start as a fresh augmented array, pinned coordinates set to 0:
-    the one check of a whole fit or path."""
+    the one check of a whole fit or path.  A response that leaves the
+    intercept no finite minimizer raises ``ConvergenceError`` here, before
+    any map (``fidelity.require_finite_intercept``)."""
     theta = problem.model._check(start).astype(float)
     if not np.all(np.isfinite(theta)):
         raise ValidationError("start coefficients must be finite")
+    fid.require_finite_intercept(problem.model, theta, "minimizer")
     pinned = _pinned_mask(problem)
     if pinned is not None:
         theta[pinned] = 0.0
@@ -506,11 +518,9 @@ class _Objective:
     ``kkt`` reads the same derivative kernel and the cached |beta|.
     """
 
-    #: the map's step, one number or one per coordinate (``glm_step``); None for
-    #: a map with no step, which ``_halving`` tries once
+    #: the map's step, one number or one per coordinate (``glm_step``), which
+    #: ``_halving`` backtracks; None for a map with no step, which it tries once
     omega: Union[None, float, np.ndarray] = None
-    #: whether ``_halving`` backtracks the step on the curvature
-    backtrack = False
 
     def __init__(self, problem: Problem):
         model, spec = problem.model, problem.penalty
@@ -667,42 +677,34 @@ class _GlmMap(_Objective):
     column's step follows its own scale; the surrogate with ||d||^2 / omega
     replaced by sum_j d_j^2 / omega_j still majorizes, since H <= diag(D), and
     the map stays one soft-threshold.  On Cox problems it is one number,
-    ``resolve_step``'s, which it backtracks, since the Cox curvature bound is
-    loose.
+    ``resolve_step``'s.  A plain fit backtracks the step in both cases
+    (``_halving``).
 
     Calling it applies ``glm_map`` at w omega for a scalar multiplier w, 1
-    unless ``_halving`` passes a smaller one (or, on Cox, a larger one) as
-    the second argument, with the log-likelihood gradient at theta passed as
-    the third, or else taken from the eta and the shared parts (the gaussian
-    residual, the Cox risk-set sums) of the last objective evaluation when it
-    is at the same point.  A plain step with h halvings then multiplies by X
+    unless ``_halving`` passes another one as the second argument, with the
+    log-likelihood gradient at theta passed as the third, or else taken from
+    the eta and the shared parts (the gaussian residual, the Cox risk-set
+    sums) of the last objective evaluation when it is at the same point.  A plain step with h halvings then multiplies by X
     2 + h times (X^T r once at theta, whose eta and r the objective there
     cached, and X theta+ in every objective), and a squarem step four times
     plus once per backtrack.
 
     The half step w omega / 2 and the slopes' ridge shrink are kept between
     maps, as ``glm_map``'s ``terms``, and rebuilt when w changed, that is on
-    a halving and on the full step after it.  The thresholds -w omega/2 tau
+    a halving and on the step after one below 1, which tries 1 again.  The thresholds -w omega/2 tau
     and w omega/2 tau, with tau from ``tau``, are kept in the same tuple and
     rebuilt then too, and at every map when the family is not linear, from
     the |beta| that the objective at theta cached; a linear family's map at
     an unchanged w hands the kept tuple on as it is.  So a map at a vector
-    step makes the array operations of a map at a scalar one.  ``anchor``
-    gives the fidelity with the gradient at theta, which only a backtracked
-    step's majorization test reads.
+    step makes the array operations of a map at a scalar one.
     """
 
     def __init__(self, problem: Problem):
         super().__init__(problem)
-        self.backtrack = self.cox
         self.omega = glm_step(self.model)
         self._w = self._terms = None
 
-    def __call__(
-        self, theta: np.ndarray, w: Optional[float] = None, grad: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        if w is None:
-            w = 1.0
+    def __call__(self, theta: np.ndarray, w: float = 1.0, grad: Optional[np.ndarray] = None) -> np.ndarray:
         if grad is None:
             grad = self.grad(theta)
         if w != self._w:
@@ -715,12 +717,6 @@ class _GlmMap(_Objective):
         hi = half * self.tau(theta)
         self._terms = (half, -hi, hi, shrink)
         return glm_map(self.problem, theta, None, grad, self._terms)
-
-    def anchor(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """The fidelity and the log-likelihood gradient at theta."""
-        if theta is not self._theta:
-            self.fidelity(theta)
-        return self.nll, self.grad(theta)
 
 
 def glm_surrogate_value(
@@ -818,70 +814,83 @@ def _drive(
 
 
 def _halving(m: _Objective) -> Step:
-    """The plain MM step of map ``m``: the map at its step, halved until it descends.
+    """The plain MM step of map ``m``: the map at its step, backtracked on
+    the curvature (Beck & Teboulle 2009) and halved until it descends.
 
     The step is ``m.omega``, one number or one per coordinate, times a scalar
     multiplier w that the map is called with (``_GlmMap``), so halving w
-    halves every coordinate's step.  A candidate is accepted when its
-    objective is finite and at most DESCENT_SLACK above the current one; an
-    ``OverflowError`` from the map or the objective rejects the candidate
-    like a non-finite objective.  After ``FLOOR_ATTEMPTS`` rejected
-    candidates at w <= 1 the step raises ``ConvergenceError`` carrying the
-    current iterate.  A map with no step (``m.omega`` None) is called on
-    theta alone and gets one attempt, since a retry would recompute the
-    rejected point.  A map with a step gets grad l(theta) once per step from
-    the cached eta (``m.grad``), and every attempt reuses it; the descent
-    test (``_descends``) is written inline, as it runs once per map.
+    halves every coordinate's step.  A fit's first step tries w =
+    ``BACKTRACK_START``; the accepted w, or 1 if that is larger, is the next
+    step's first try, so the step never grows within a fit.  A candidate is
+    accepted when its objective is finite and at most DESCENT_SLACK above the
+    current one, the difference taken as the trace check takes it
+    (``_descends``, written inline, as it runs once per map), and, at w
+    above 1, when with d = theta+ - theta
 
-    A map with ``m.backtrack`` (Cox, whose ``m.omega`` is the scalar step
-    certified by the global curvature bound) backtracks on the curvature as
-    in Beck & Teboulle (2009).  The fit's first step starts at w =
-    ``BACKTRACK_START``, and each step takes nll(theta) with the gradient
-    (``m.anchor``).  A candidate theta+ at a multiplier w above 1 must also
-    satisfy, with d = theta+ - theta,
-
-        nll(theta+) <= nll(theta) - grad l(theta) . d + ||d||^2 / (w omega)
+        nll(theta+) <= nll(theta) - grad l(theta) . d + sum_j d_j^2 / (w omega_j)
 
     up to ``MAJORIZE_SLACK * (1 + |nll(theta)|)``: the surrogate majorizes
-    the fidelity at theta+.  At or below 1 the global bound certifies it.
-    The accepted w, or 1 if that is larger, is the next step's first try, so
-    the step never grows within a fit.
+    the fidelity at theta+.  At or below 1 the curvature bound certifies it,
+    so the test is skipped.  A scalar step forms the quadratic term as
+    d . d / (w omega).  A gaussian fidelity is quadratic, so there
+    nll(theta+) - nll(theta) + grad l(theta) . d is ||X d||^2 / 2 exactly,
+    and the test takes that form, from eta at the two points, with no slack:
+    near the optimum the difference of two likelihood sums is rounding
+    alone, under which a step long enough to make the iterates oscillate
+    would pass.  nll(theta), grad l(theta) and eta come once per step from
+    what the objective at theta cached (``m.grad``), and every attempt
+    reuses them.  An ``OverflowError`` from the map or the objective rejects
+    the candidate like a non-finite objective.  After ``FLOOR_ATTEMPTS``
+    rejected candidates at w <= 1, the last at w = 2^-30, the step raises
+    ``ConvergenceError`` carrying the current iterate.
+
+    A map with no step (``m.omega`` None: the surrogate solve, the Poisson
+    map) is called on theta alone and gets one attempt, since a retry would
+    recompute the rejected point.
     """
-    omega, backtrack = m.omega, m.backtrack
-    first = BACKTRACK_START if backtrack else 1.0
-    attempts = 1 if omega is None else FLOOR_ATTEMPTS
+    omega = m.omega
+    scalar = np.ndim(omega) == 0
+    quadratic = m.model.family is ResponseFamily.GAUSSIAN
+    first = 1.0 if omega is None else BACKTRACK_START
+    # the last multiplier tried before a step gives up
+    last = 1.0 if omega is None else 0.5 ** (FLOOR_ATTEMPTS - 1)
 
     def step(theta, obj):
         nonlocal first
-        if backtrack:
-            nll0, grad0 = m.anchor(theta)
-        elif omega is not None:
-            grad0 = m.grad(theta)
-        w = first
-        evals = floor_rejects = 0
+        if omega is not None:
+            if theta is not m._theta:
+                m.fidelity(theta)
+            nll0, grad0, eta0 = m.nll, m.grad(theta), m._eta
+        w, evals = first, 0
         while True:
             evals += 1
-            at_floor = w <= 1.0
             try:
                 theta_new = m(theta) if omega is None else m(theta, w, grad0)
                 obj_new = m.objective(theta_new)
             except OverflowError:
                 obj_new = math.inf
-            if obj_new <= obj + DESCENT_SLACK and math.isfinite(obj_new):  # ``_descends``, inline
+            if obj_new - obj <= DESCENT_SLACK and math.isfinite(obj_new):  # ``_descends``, inline
                 d = theta_new - theta
-                if at_floor or _majorizes(m.nll, nll0, grad0, d, w * omega):
-                    if backtrack:
-                        first = max(w, 1.0)
-                    return theta_new, obj_new, math.sqrt(d.dot(d)), evals, evals - 1
-            if at_floor:
-                floor_rejects += 1
-                if floor_rejects == attempts:
-                    raise ConvergenceError(
-                        "objective increased, was not finite or overflowed in "
-                        f"{evals} attempt(s) ({evals - 1} step halvings)",
-                        last_iterate=theta,
-                        residual=obj_new - obj,
-                    )
+                dd = d.dot(d)
+                majorizes = w <= 1.0  # the curvature bound certifies it
+                if not majorizes:  # the majorization test, inline
+                    quad = dd / (w * omega) if scalar else d.dot(d / (w * omega))
+                    if quadratic:  # nll(theta+) - nll(theta) + grad l . d is ||X d||^2 / 2
+                        de = m._eta - eta0
+                        majorizes = 0.5 * de.dot(de) <= quad
+                    else:
+                        bound = nll0 - float(grad0.dot(d)) + float(quad)
+                        majorizes = m.nll <= bound + MAJORIZE_SLACK * (1.0 + abs(nll0))
+                if majorizes:
+                    first = max(w, 1.0)
+                    return theta_new, obj_new, math.sqrt(dd), evals, evals - 1
+            if w <= last:
+                raise ConvergenceError(
+                    "objective increased, was not finite or overflowed in "
+                    f"{evals} attempt(s) ({evals - 1} step halvings)",
+                    last_iterate=theta,
+                    residual=obj_new - obj,
+                )
             w *= 0.5
 
     return step
@@ -889,8 +898,10 @@ def _halving(m: _Objective) -> Step:
 
 def _descends(obj_new: float, obj: float) -> bool:
     """Whether a candidate's objective is finite and at most ``DESCENT_SLACK``
-    above the objective obj it would replace: the descent test of every step."""
-    return math.isfinite(obj_new) and obj_new <= obj + DESCENT_SLACK
+    above the objective obj it would replace: the descent test of every step.
+    It takes the difference obj_new - obj, as a check of a trace's steps
+    does, so an accepted step never rises by more than the slack there."""
+    return math.isfinite(obj_new) and obj_new - obj <= DESCENT_SLACK
 
 
 def _majorizes(nll_new: float, nll0: float, grad0: np.ndarray, d: np.ndarray, w: float) -> bool:
@@ -906,9 +917,9 @@ def _majorizes(nll_new: float, nll0: float, grad0: np.ndarray, d: np.ndarray, w:
 def glm_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
     """Single-soft-threshold-per-iteration MM fit (gaussian/logistic/cox).
 
-    It is ``fit`` on those families.  A Cox fit backtracks its step on the
-    curvature (``_GlmMap``); gaussian and logistic fits map at the fixed
-    step.
+    It is ``fit`` on those families: each fit backtracks its step on the
+    curvature from ``BACKTRACK_START`` times the certified step and never
+    lets it grow (``_halving``).
     """
     if problem.model.family is ResponseFamily.POISSON:
         raise NotGloballyLipschitz("use fit for the poisson family")

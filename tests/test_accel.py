@@ -326,13 +326,13 @@ def test_squarem_keeps_exact_zeros_and_meets_the_kkt_target():
 
 
 def test_squarem_map_overflow_is_a_convergence_error():
-    # a poisson fit with no counts: the first map sends the intercept far
-    # down and the second overflows; the squarem fit ends as the plain fit
-    # does, in a ConvergenceError carrying the last iterate
+    # rate multipliers of 1e-305 put the minimizing linear predictor past the
+    # exponent guard, so the first map overflows; the squarem fit ends as the
+    # plain fit does, in a ConvergenceError carrying the last iterate
     rng = np.random.default_rng(0)
     model = FidelityModel(
         DesignMatrix(rng.standard_normal((12, 2)), has_intercept=True),
-        Response(family=ResponseFamily.POISSON, y=np.zeros(12)),
+        Response(family=ResponseFamily.POISSON, y=np.ones(12), offsets=np.full(12, 1e-305)),
     )
     prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=1.0))
     start = CoefficientVector.zeros(2, True)

@@ -204,13 +204,14 @@ def test_a_library_error_exits_one_on_one_error_line(args, message, tmp_path):
 
 
 def test_a_failed_lambda_is_an_error_row_of_the_header_width(tmp_path):
-    # all-zero counts: the Poisson intercept runs off to minus infinity
-    data = tmp_path / "zero.csv"
+    # rate multipliers of 1e-305: the minimizing linear predictor lies past
+    # the exponent guard, so every lambda's first map overflows
+    data = tmp_path / "tiny.csv"
     x = np.random.default_rng(104).standard_normal((12, 2))
-    np.savetxt(data, np.column_stack([np.zeros(12), x]), fmt="%.17g", delimiter=",",
-               header="y,x1,x2", comments="")
+    np.savetxt(data, np.column_stack([np.ones(12), np.full(12, 1e-305), x]), fmt="%.17g", delimiter=",",
+               header="y,offset,x1,x2", comments="")
     out = tmp_path / "path.csv"
-    r = run_cli("path", "--data", str(data), "--family", "poisson",
+    r = run_cli("path", "--data", str(data), "--family", "poisson", "--offset-col", "offset",
                 "--penalty-json", '{"family": "lasso", "lambda": 1}',
                 "--lambda", "1", "--lambda", "0.5", "--out", str(out))
     assert r.returncode == 0, r.stderr

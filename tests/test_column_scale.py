@@ -145,3 +145,20 @@ def test_the_surrogate_at_the_per_coordinate_step_majorizes_and_touches(model, p
             prob, omega, alpha, CoefficientVector.from_augmented(star, True)
         )
         assert gap >= float((kappa / omega) @ kappa) - 1e-10 * abs(at_alpha)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_gaussian_fit_from_the_optimum_does_not_wander(seed):
+    # the one-step start of the lasso lands within rounding of the optimum,
+    # where the difference of two likelihood sums is rounding alone; the
+    # gaussian majorization test is ||X d||^2 / 2 against the quadratic term,
+    # exactly, so a step long enough to make the iterates oscillate fails it
+    # and the fit stops in a few steps, after at most log2(BACKTRACK_START)
+    # halvings of its first
+    model = scaled_model("gaussian", coef=np.array([1e3, 1.0, 1e-3, 0.0]), seed=seed)
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=1.0))
+    res = solver.fit(prob, CONFIG, one_step_fit(prob, CONFIG).coef)
+    zero = solver.fit(prob, CONFIG, CoefficientVector.zeros(4, True))
+    assert res.outer_iters <= 5 and res.map_evals <= res.outer_iters + np.log2(solver.BACKTRACK_START)
+    assert np.all(np.diff(res.trace) <= solver.DESCENT_SLACK)
+    assert close(res, zero, 1e-12)

@@ -90,7 +90,7 @@ def test_fused_map_is_bit_identical_to_the_two_branch_map(response, intercept, f
         for w in (1.0, 0.25, 1.0):
             got = gmap(theta, w, grad)
             assert np.array_equal(got, two_branch_map(prob, theta, w * omega, grad))
-        assert np.array_equal(gmap(theta, None, grad), two_branch_map(prob, theta, omega, grad))
+        assert np.array_equal(gmap(theta, grad=grad), two_branch_map(prob, theta, omega, grad))
 
 
 def test_a_lasso_fit_builds_its_thresholds_once(monkeypatch):
