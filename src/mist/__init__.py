@@ -36,7 +36,6 @@ from .solver import (
     Termination,
     fit,
     glm_mm_fit,
-    ist_minimize,
     kkt_residual,
     mm_outer,
     one_step_fit,
@@ -76,7 +75,6 @@ __all__ = [
     "Termination",
     "fit",
     "glm_mm_fit",
-    "ist_minimize",
     "kkt_residual",
     "mm_outer",
     "one_step_fit",

@@ -98,22 +98,22 @@ class Response:
             if not np.all(np.isin(y, (0.0, 1.0))):
                 raise ValidationError("logistic response must be in {0, 1}")
         elif fam is ResponseFamily.POISSON:
-            if np.any(y < 0) or np.any(y != np.round(y)):
-                raise ValidationError("poisson response must be nonnegative integers")
+            if not np.all(np.isfinite(y)) or np.any(y < 0) or np.any(y != np.round(y)):
+                raise ValidationError("poisson response must be finite nonnegative integers")
             if self.offsets is None:
                 object.__setattr__(self, "offsets", np.ones_like(y))
             else:
                 d = np.asarray(self.offsets, dtype=float)
-                if np.any(d <= 0):
-                    raise ValidationError("poisson offsets must be positive")
+                if not np.all(np.isfinite(d) & (d > 0)):
+                    raise ValidationError("poisson offsets must be finite and positive")
                 object.__setattr__(self, "offsets", d)
         elif fam is ResponseFamily.COX:
             if self.time is None or self.status is None:
                 raise ValidationError("cox response requires time and status vectors")
             t = np.asarray(self.time, dtype=float)
             s = np.asarray(self.status, dtype=float)
-            if np.any(t <= 0):
-                raise ValidationError("cox times must be positive")
+            if not np.all(np.isfinite(t) & (t > 0)):
+                raise ValidationError("cox times must be finite and positive")
             if not np.all(np.isin(s, (0.0, 1.0))):
                 raise ValidationError("cox status flags must be in {0, 1}")
             if not np.any(s == 1.0):

@@ -43,15 +43,15 @@ objective at theta cached against the slabs, and its first Newton update is
 made before any exponential.
 
 Every GLM step, of the gaussian, logistic and Cox maps and of every
-surrogate solve, comes from one rule (``glm_step``): omega = 0.95 * 2 /
-(D + extra), with D the curvature bound of ``fidelity.diagonal_bound`` and
-extra the curvature of the ridge, 2 lam eps, in a surrogate solve (0 in a
-map, whose ridge is exact).  For gaussian and logistic D is one number per
-coordinate, D_j = L_s ||x_j||^2 over the augmented design (intercept
-included, and ||x_j|| taken as 1 for an all-zero column), with L_s the
-largest eigenvalue of S^-1 X^T X S^-1 for S = diag ||x_j||, and 1/4 of that
-for logistic.  X^T X <= L_s S^2, so the surrogate with the quadratic term
-sum_j d_j^2 / omega_j majorizes the fidelity, and the map stays one
+surrogate solve, comes from one rule (``glm_step``): omega = 0.95 * 2 / D,
+with D the curvature bound of ``fidelity.diagonal_bound``; the ridge is
+never part of it, since every update applies it exactly, as the shrink 1 /
+(1 + omega lam eps) of the slopes.  For gaussian and logistic D is one
+number per coordinate, D_j = L_s ||x_j||^2 over the augmented design
+(intercept included, and ||x_j|| taken as 1 for an all-zero column), with
+L_s the largest eigenvalue of S^-1 X^T X S^-1 for S = diag ||x_j||, and 1/4
+of that for logistic.  X^T X <= L_s S^2, so the surrogate with the quadratic
+term sum_j d_j^2 / omega_j majorizes the fidelity, and the map stays one
 componentwise soft-threshold; a column's step follows its own scale, not
 that of the largest column.  For Cox D is one number, the bound n_events *
 max ||x_i||^2 of ``fidelity.curvature_bound``, so the Cox step is
@@ -64,7 +64,8 @@ the curvature at eta = 0 only, and a diagonal bound exceeds the Hessian of
 a correlated design in most directions.  So every plain fit backtracks on the
 curvature (Beck & Teboulle 2009).  Its first step tries ``BACKTRACK_START``
 (64) times the certified step and halves until the candidate descends and
-the quadratic surrogate majorizes the fidelity there, checked exactly:
+the quadratic surrogate majorizes the fidelity there, checked exactly by
+the one test of every backtracked step (``_majorizes``):
 
     nll(theta+) <= nll(theta) - grad l(theta) . d + sum_j d_j^2 / (w omega_j).
 
@@ -76,14 +77,16 @@ Squarem, which needs a fixed map, applies each map at its certified step;
 the Poisson map has no step.
 
 Every surrogate solve (``mm_outer``'s step, and so the one-step estimator)
-runs ``ist_minimize``: FISTA (Beck & Teboulle 2009) with gradient-based
-adaptive restart (O'Donoghue & Candes 2015), at half the step of the same
-rule, omega / 2 <= 1 / D_j per coordinate, since FISTA needs a step of at
-most 1 / curvature.  With a step per coordinate this is FISTA after the
-change of variables b_j = c_j / sqrt(D_j), so its guarantee carries over.
-A Cox solve backtracks its one step by the same rule as the outer step,
-tested at the extrapolated point, down to the half step.  The inner solve
-stops on ||s - z|| <= ``inner_tol`` in coefficient units.
+is restarted FISTA (Beck & Teboulle 2009) with gradient-based adaptive
+restart (O'Donoghue & Candes 2015) run over the map itself
+(``_SurrogateSolve``): each inner update is ``glm_map`` at the map's step,
+from the extrapolated point, with the thresholds frozen at theta.  The
+map's half step omega / 2 <= 1 / D_j is the step FISTA needs; with a step
+per coordinate this is FISTA after the change of variables b_j = c_j /
+sqrt(D_j), so its guarantee carries over.  A Cox solve backtracks its step
+from the extrapolated point by the outer step's test (``_majorizes``),
+from 2 ``BACKTRACK_START`` times the step down to the step itself.  The
+inner solve stops on ||s - z|| <= ``inner_tol`` in coefficient units.
 
 The loops work on plain augmented arrays (intercept first) and run on
 unchecked kernels; ``_drive`` checks the start once, and nothing inside a fit
@@ -116,8 +119,8 @@ likelihood kernel.  A plain step multiplies by X twice, X^T r at theta and
 X theta+ in the objective of its candidate, plus once per halving; a fit
 reports the KKT residual from the gradient at the eta cached at its last
 iterate, one product with X.  The majorization test of a step above the
-certified one reads nll(theta), which the objective at theta cached, and
-adds no frame.
+certified one (``_majorizes``) is one frame more; it reads nll(theta),
+which the objective at theta cached.
 
 What does not change within a fit is built once, when its map object is
 built: the likelihood kernels of the model (``fidelity.kernels``, one family
@@ -130,19 +133,15 @@ in the intercept slot, and its ``tau(theta)`` is the only place thresholds
 are made.  The linear families (lasso, adaptive lasso and the elastic nets),
 whose thresholds lam w_j do not depend on theta, write the array once, when
 the map is built; the other families rewrite it at each map from the |beta|
-cached at theta.  A GLM map keeps its half step omega/2, the thresholds
--omega/2 tau and omega/2 tau and the slopes' shrink as one tuple, which it
-rebuilds at every map when the family is not linear, and when the step's
-multiplier changed, on a halving.  A zero threshold returns the intercept
-exactly; with eps = 0 the objective, the map and the inner solve form no
-ridge term.  A pinned coordinate is held at 0 with an infinite threshold
-and a finite argument, which the soft-threshold maps to u - u = 0 without
-forming inf - inf.  Every step norm is sqrt(d . d), which is what
-``np.linalg.norm`` computes for a real vector.  The loops take every
-product, X theta and X^T r as well as d . d and the other dot products of
-two vectors, with ``ndarray.dot``: the same BLAS call as ``@`` with less
-dispatch.  The model keeps its design contiguous (``FidelityModel``), so no
-product copies it.
+cached at theta.  A zero threshold returns the intercept exactly; with
+eps = 0 the objective, the map and the inner solve form no ridge term.  A
+pinned coordinate is held at 0 with an infinite threshold and a finite
+argument, which the soft-threshold maps to u - u = 0 without forming
+inf - inf.  Every step norm is sqrt(d . d), which is what ``np.linalg.norm``
+computes for a real vector.  The loops take every product, X theta and
+X^T r as well as d . d and the other dot products of two vectors, with
+``ndarray.dot``: the same BLAS call as ``@`` with less dispatch.  The model
+keeps its design contiguous (``FidelityModel``), so no product copies it.
 """
 from __future__ import annotations
 
@@ -171,6 +170,8 @@ POISSON_NEWTON_MAX = 200
 BACKTRACK_START = 64.0
 #: relative rounding slack of the majorization test of a backtracked step
 MAJORIZE_SLACK = 1e-12
+#: cap on the inner iterations of one surrogate solve
+INNER_MAX = 100_000
 EPS = float(np.finfo(float).eps)
 
 
@@ -185,35 +186,32 @@ class SolverConfig:
     """Stopping controls.
 
     ``coef_tol``, ``obj_tol`` and ``max_outer`` stop the outer loop;
-    ``inner_tol`` and ``inner_max`` stop the inner soft-thresholding of a
-    surrogate solve.  Every step of a map or a surrogate solve comes from the
-    problem's curvature bound by one rule (``glm_step``), one per coordinate
-    for gaussian and logistic and one for every coordinate for Cox, so no
-    field sets one.
+    ``inner_tol`` stops the inner soft-thresholding of a surrogate solve,
+    whose iterations the constant ``INNER_MAX`` caps.  Every step of a map or
+    a surrogate solve comes from the problem's curvature bound by one rule
+    (``glm_step``), one per coordinate for gaussian and logistic and one for
+    every coordinate for Cox, so no field sets one.
 
     The fields are checked when the config is built.  The tolerances must be
-    real numbers > 0, and the caps integers >= 1; an integral float such as
-    JSON's ``1e6`` is taken as that integer, and a bool is neither.
+    real numbers > 0, and ``max_outer`` an integer >= 1; an integral float
+    such as JSON's ``1e6`` is taken as that integer, and a bool is neither.
     """
 
     coef_tol: float = 1e-6
     obj_tol: float = 1e-6
     max_outer: int = 1_000_000
     inner_tol: float = 1e-8
-    inner_max: int = 100_000
 
     def __post_init__(self):
         for name in ("coef_tol", "obj_tol", "inner_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
                 raise ValidationError(f"{name} must be a real number > 0, got {value!r}")
-        for name in ("max_outer", "inner_max"):
-            value = getattr(self, name)
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-                setattr(self, name, value)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        value = self.max_outer
+        if isinstance(value, float) and value.is_integer():
+            value = self.max_outer = int(value)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValidationError(f"max_outer must be an integer >= 1, got {value!r}")
 
     @classmethod
     def from_json(cls, s: str) -> "SolverConfig":
@@ -302,8 +300,8 @@ def soft_threshold_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValidationError(f"shape mismatch {u.shape} vs {v.shape}")
-    if np.any(v < 0):
-        raise ValidationError("thresholds must be >= 0")
+    if not np.all(v >= 0.0):
+        raise ValidationError("thresholds must be >= 0, not negative or NaN")
     with np.errstate(invalid="ignore"):  # inf - inf: an infinite u at a pinned coordinate
         return _soft_threshold(u, -v, v)
 
@@ -337,91 +335,6 @@ def kkt_residual(problem: Problem, coef: CoefficientVector) -> float:
     return _Objective(problem).kkt(coef.augmented(), grad)
 
 
-# -- inner solver ---------------------------------------------------------
-
-
-def ist_minimize(
-    grad_m: Callable[[np.ndarray], np.ndarray],
-    tau: np.ndarray,
-    omega: Union[float, np.ndarray],
-    b0: np.ndarray,
-    inner_tol: float = 1e-8,
-    inner_max: int = 100_000,
-    m: Optional[Callable[[np.ndarray], float]] = None,
-) -> np.ndarray:
-    """Restarted FISTA for min m(b) + sum_j tau_j |b_j|.
-
-    ``omega`` is one number in (0, 2 / Lip], Lip the Lipschitz constant of
-    ``grad_m``, or one per coordinate, of tau's shape, with m(b) <= m(z) +
-    grad_m(z) . (b - z) + sum_j (b_j - z_j)^2 / omega_j for all b and z, as
-    ``glm_step``'s is; any other shape raises ``ValidationError``.  Each
-    iteration soft-thresholds from an extrapolated point z (Beck & Teboulle
-    2009) at the step w = omega / 2, at most 1 / Lip as FISTA needs (at most
-    the inverse of each coordinate's curvature for a vector omega, which is
-    FISTA in the variables scaled by 1 / sqrt(w)): s = S(z - w grad_m(z),
-    w tau), written inline as in ``glm_map``.  With t' = (1 + sqrt(1 + 4
-    t^2)) / 2 and b the previous s, the next z is s + ((t - 1) / t')(s - b),
-    which is s itself while t = 1.  When (z - s) . (s - b) > 0 the momentum
-    points uphill, so the iteration restarts (O'Donoghue & Candes 2015): t
-    goes back to 1 and z to s.  It stops at the first s with ||s - z|| <=
-    ``inner_tol``, in coefficient units whatever the step, and returns it.
-    The start ``b0`` is used as it is, not copied: no iteration writes into
-    it.
-
-    Given ``m``, the smooth part itself, a scalar step is backtracked as in
-    Beck & Teboulle (2009): w = k omega for a multiplier k that starts at
-    ``BACKTRACK_START``, and the candidate s from z at a k above 1/2 is kept
-    only when m(s) <= m(z) + grad_m(z) . (s - z) + ||s - z||^2 / (2 w), up to
-    a rounding slack; otherwise k halves.  k = 1/2 is the floor, taken
-    without the test.  The kept k is the next iteration's first try, so it
-    never grows.  A step per coordinate is not backtracked.
-    m is evaluated once per point, and before ``grad_m`` there: the kept m(s)
-    serves as m(z) whenever z is s.
-    """
-    tau = np.asarray(tau, dtype=float)
-    b = np.asarray(b0, dtype=float)
-    if tau.shape != b.shape or np.ndim(omega) and (np.shape(omega) != b.shape or m is not None):
-        raise ValidationError("thresholds, start and step need one shape; a step per coordinate cannot backtrack")
-    k = 0.5 if m is None else BACKTRACK_START
-    w = k * omega
-    thresh = w * tau
-    if np.any(thresh < 0):
-        raise ValidationError("thresholds must be >= 0")
-    neg = -thresh
-    z, t, mz = b, 1.0, None
-    with np.errstate(invalid="ignore"):  # inf - inf in the threshold at a pinned coordinate
-        for _ in range(inner_max):
-            if k > 0.5 and mz is None:
-                mz = m(z)
-            g = grad_m(z)
-            u = z - w * g
-            s = u - np.minimum(np.maximum(u, neg), thresh)  # ``_soft_threshold``, inline
-            while k > 0.5 and not _majorizes(ms := m(s), mz, -g, s - z, 2.0 * w):
-                k, w = 0.5 * k, 0.5 * w
-                thresh, neg = w * tau, -w * tau
-                s = _soft_threshold(z - w * g, neg, thresh)
-            d = s - z
-            resid = math.sqrt(d.dot(d))
-            if resid <= inner_tol:
-                return s
-            # above the floor the test accepted s, so m(s) is known
-            ms = ms if k > 0.5 else None
-            e = s - b
-            if d.dot(e) < 0.0:
-                # (z - s) . (s - b) > 0: the momentum points uphill, restart
-                t, z, mz = 1.0, s, ms
-            else:
-                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-                z, mz = (s, ms) if t == 1.0 else (s + ((t - 1.0) / t_next) * e, None)
-                t = t_next
-            b = s
-    raise ConvergenceError(
-        f"inner soft-thresholding did not converge in {inner_max} iterations",
-        last_iterate=b,
-        residual=resid,
-    )
-
-
 # -- step resolution ------------------------------------------------------
 
 
@@ -441,16 +354,16 @@ def resolve_step(problem: Problem, config: Optional[SolverConfig] = None) -> flo
     return STEP_SAFETY * 2.0 / lip if lip > 0 else 1.0
 
 
-def glm_step(model: FidelityModel, extra: float = 0.0) -> Union[float, np.ndarray]:
+def glm_step(model: FidelityModel) -> Union[float, np.ndarray]:
     """The one step rule of every GLM map and surrogate solve:
-    ``STEP_SAFETY * 2 / (D + extra)`` with D = ``fidelity.diagonal_bound``.
+    ``STEP_SAFETY * 2 / D`` with D = ``fidelity.diagonal_bound``.
 
     D, and so the step, is one per augmented coordinate for gaussian and
-    logistic models and one number for Cox; ``extra`` is a curvature the
-    caller adds, the ridge's 2 lam eps in a surrogate solve.  A bound that is
-    not positive (an all-zero design) gives the step 1.
+    logistic models and one number for Cox.  The ridge adds no curvature to
+    it: every update applies the ridge exactly, by ``_shrink``.  A bound that
+    is not positive (an all-zero design) gives the step 1.
     """
-    bound = np.asarray(fid.diagonal_bound(model) + extra)
+    bound = np.asarray(fid.diagonal_bound(model))
     step = np.divide(STEP_SAFETY * 2.0, bound, out=np.ones_like(bound), where=bound > 0.0)
     return step if step.ndim else float(step)
 
@@ -515,7 +428,7 @@ class _Objective:
     whose thresholds lam w_j do not depend on theta, the array is written
     once, when the map is built; for the others ``tau`` rewrites its slopes
     at the |beta| cached at theta.  The ridge term is added only when eps > 0.
-    ``kkt`` reads the same derivative kernel and the cached |beta|.
+    ``kkt`` reads the same derivative kernel.
     """
 
     #: the map's step, one number or one per coordinate (``glm_step``), which
@@ -530,7 +443,8 @@ class _Objective:
         self._xt_t = self.xt.T
         #: where the slopes start in an augmented array
         self.off = 1 if model.has_intercept else 0
-        self.cox = model.family is ResponseFamily.COX
+        #: whether the fidelity is quadratic, which ``_majorizes`` tests exactly
+        self.quadratic = model.family is ResponseFamily.GAUSSIAN
         self.pinned = _pinned_mask(problem)
         lik = fid.kernels(model)
         self._parts_of, self._nll, self._residual = lik.parts, lik.nll, lik.residual
@@ -580,25 +494,23 @@ class _Objective:
         eta = self.xt.dot(theta)
         return self._xt_t.dot(self._residual(eta, self._parts_of(eta)))
 
-    def abs_beta(self, theta: np.ndarray) -> np.ndarray:
-        """|beta| at theta, as the last objective stored it when it was at theta."""
-        return self._abs if theta is self._abs_at else np.abs(theta[self.off:])
-
     def tau(self, theta: np.ndarray) -> np.ndarray:
-        """The augmented thresholds p'(|beta_j|) at theta, 0 in the intercept slot.
+        """The augmented thresholds p'(|beta_j|) at theta, 0 in the intercept slot,
+        from the |beta| the last objective stored when it was at theta.
 
         The array is the map's own; when the family is not linear, the next
         call rewrites it.
         """
         if not self.linear:
-            self._tau[self.off:] = self._derivative(self.abs_beta(theta))
+            r = self._abs if theta is self._abs_at else np.abs(theta[self.off:])
+            self._tau[self.off:] = self._derivative(r)
         return self._tau
 
     def kkt(self, theta: np.ndarray, grad: np.ndarray) -> float:
         """``kkt_residual`` at theta, given the log-likelihood gradient there."""
         beta = theta[self.off:]
         s = 2.0 * self._ridge_lam * beta - grad[self.off:]  # the smooth part's gradient
-        d = self._derivative(self.abs_beta(theta))
+        d = self._derivative(np.abs(beta))
         nonzero = beta != 0.0
         pinned = np.isinf(d)
         if np.any(nonzero & pinned):
@@ -629,14 +541,14 @@ def glm_map(
     array at omega/2 tau, with tau = p'(|theta_j|) and 0 in the intercept
     slot, and shrinks each slope by 1 / (1 + omega_j lam eps) when eps > 0.
     ``grad`` (the log-likelihood gradient at theta) and ``terms`` are passed
-    together by a fit's map (``_GlmMap``): ``terms`` holds omega/2, the
-    thresholds -omega/2 tau and omega/2 tau and the slopes' shrink
-    (``_shrink``), so omega itself is not read, and the update forms
-    u = theta + omega/2 grad once and soft-thresholds it inline, as
-    u - min(max(u, -t), t) (``_soft_threshold``): a fit calls this once per
-    map.  Without ``terms`` they come from a map object of the problem built
-    here.  Nothing is checked: theta is the augmented coefficient array of a
-    problem's model.
+    together by a GLM map or a surrogate solve (``_GlmMap._terms_at``):
+    ``terms`` holds omega/2, the thresholds -omega/2 tau and omega/2 tau and
+    the slopes' shrink (``_shrink``), so omega itself is not read, and the
+    update forms u = theta + omega/2 grad once and soft-thresholds it
+    inline, as u - min(max(u, -t), t) (``_soft_threshold``): a fit calls
+    this once per map or inner update.  Without ``terms`` they come from a
+    map object of the problem built here.  Nothing is checked: theta is the
+    augmented coefficient array of a problem's model.
     """
     if terms is None:
         m = _Objective(problem)
@@ -671,32 +583,29 @@ def _shrink(problem: Problem, omega: Union[float, np.ndarray]) -> Union[None, fl
 class _GlmMap(_Objective):
     """The single soft-threshold MM map of one gaussian, logistic or cox problem.
 
-    Built once per fit.  Its step ``omega`` is ``glm_step``'s: on gaussian
-    and logistic problems one per augmented coordinate, omega_j =
-    ``STEP_SAFETY`` * 2 / D_j with D = ``fidelity.diagonal_bound``, so a
-    column's step follows its own scale; the surrogate with ||d||^2 / omega
-    replaced by sum_j d_j^2 / omega_j still majorizes, since H <= diag(D), and
-    the map stays one soft-threshold.  On Cox problems it is one number,
-    ``resolve_step``'s.  A plain fit backtracks the step in both cases
-    (``_halving``).
+    Built once per fit.  Its step ``omega`` is ``glm_step``'s: one per
+    augmented coordinate on gaussian and logistic problems, so a column's
+    step follows its own scale (the surrogate with sum_j d_j^2 / omega_j
+    still majorizes, since H <= diag(D)), and one number, ``resolve_step``'s,
+    on Cox problems.  A plain fit backtracks it in both cases (``_halving``).
 
     Calling it applies ``glm_map`` at w omega for a scalar multiplier w, 1
     unless ``_halving`` passes another one as the second argument, with the
     log-likelihood gradient at theta passed as the third, or else taken from
     the eta and the shared parts (the gaussian residual, the Cox risk-set
-    sums) of the last objective evaluation when it is at the same point.  A plain step with h halvings then multiplies by X
-    2 + h times (X^T r once at theta, whose eta and r the objective there
-    cached, and X theta+ in every objective), and a squarem step four times
-    plus once per backtrack.
+    sums) of the last objective evaluation when it is at the same point.  A
+    plain step with h halvings then multiplies by X 2 + h times (X^T r once
+    at theta, whose eta and r the objective there cached, and X theta+ in
+    every objective), and a squarem step four times plus once per backtrack.
 
-    The half step w omega / 2 and the slopes' ridge shrink are kept between
-    maps, as ``glm_map``'s ``terms``, and rebuilt when w changed, that is on
-    a halving and on the step after one below 1, which tries 1 again.  The thresholds -w omega/2 tau
-    and w omega/2 tau, with tau from ``tau``, are kept in the same tuple and
-    rebuilt then too, and at every map when the family is not linear, from
-    the |beta| that the objective at theta cached; a linear family's map at
-    an unchanged w hands the kept tuple on as it is.  So a map at a vector
-    step makes the array operations of a map at a scalar one.
+    The map's ``terms`` (``_terms_at``: the half step w omega / 2, the
+    thresholds -w omega/2 tau and w omega/2 tau, the slopes' ridge shrink)
+    are kept between maps and rebuilt when w changed, on a halving and on
+    the step after one below 1, which tries 1 again.  When the family is not
+    linear the thresholds are rebuilt at every map as well, from the |beta|
+    that the objective at theta cached; a linear family's map at an
+    unchanged w hands the kept tuple on as it is.  So a map at a vector step
+    makes the array operations of a map at a scalar one.
     """
 
     def __init__(self, problem: Problem):
@@ -708,15 +617,19 @@ class _GlmMap(_Objective):
         if grad is None:
             grad = self.grad(theta)
         if w != self._w:
-            step = w * self.omega
-            self._w, half, shrink = w, 0.5 * step, _shrink(self.problem, step)
-        elif self.linear:  # the kept thresholds hold at every theta
-            return glm_map(self.problem, theta, None, grad, self._terms)
-        else:
+            self._w, self._terms = w, self._terms_at(w * self.omega, self.tau(theta))
+        elif not self.linear:  # the kept half step and shrink, the thresholds at theta
             half, _, _, shrink = self._terms
-        hi = half * self.tau(theta)
-        self._terms = (half, -hi, hi, shrink)
+            hi = half * self.tau(theta)
+            self._terms = (half, -hi, hi, shrink)
         return glm_map(self.problem, theta, None, grad, self._terms)
+
+    def _terms_at(self, step: Union[float, np.ndarray], tau: np.ndarray) -> tuple:
+        """``glm_map``'s terms at the step ``step`` and the thresholds ``tau``:
+        the half step, the thresholds -step/2 tau and step/2 tau, the shrink."""
+        half = 0.5 * step
+        hi = half * tau
+        return half, -hi, hi, _shrink(self.problem, step)
 
 
 def glm_surrogate_value(
@@ -825,23 +738,13 @@ def _halving(m: _Objective) -> Step:
     accepted when its objective is finite and at most DESCENT_SLACK above the
     current one, the difference taken as the trace check takes it
     (``_descends``, written inline, as it runs once per map), and, at w
-    above 1, when with d = theta+ - theta
-
-        nll(theta+) <= nll(theta) - grad l(theta) . d + sum_j d_j^2 / (w omega_j)
-
-    up to ``MAJORIZE_SLACK * (1 + |nll(theta)|)``: the surrogate majorizes
-    the fidelity at theta+.  At or below 1 the curvature bound certifies it,
-    so the test is skipped.  A scalar step forms the quadratic term as
-    d . d / (w omega).  A gaussian fidelity is quadratic, so there
-    nll(theta+) - nll(theta) + grad l(theta) . d is ||X d||^2 / 2 exactly,
-    and the test takes that form, from eta at the two points, with no slack:
-    near the optimum the difference of two likelihood sums is rounding
-    alone, under which a step long enough to make the iterates oscillate
-    would pass.  nll(theta), grad l(theta) and eta come once per step from
-    what the objective at theta cached (``m.grad``), and every attempt
-    reuses them.  An ``OverflowError`` from the map or the objective rejects
-    the candidate like a non-finite objective.  After ``FLOOR_ATTEMPTS``
-    rejected candidates at w <= 1, the last at w = 2^-30, the step raises
+    above 1, when the surrogate of step w omega majorizes the fidelity at
+    theta+ (``_majorizes``); at or below 1 the curvature bound certifies it.
+    nll(theta), grad l(theta) and eta come once per step from what the
+    objective at theta cached (``m.grad``), and every attempt reuses them.
+    An ``OverflowError`` from the map or the objective rejects the candidate
+    like a non-finite objective.  After ``FLOOR_ATTEMPTS`` rejected
+    candidates at w <= 1, the last at w = 2^-30, the step raises
     ``ConvergenceError`` carrying the current iterate.
 
     A map with no step (``m.omega`` None: the surrogate solve, the Poisson
@@ -849,8 +752,6 @@ def _halving(m: _Objective) -> Step:
     recompute the rejected point.
     """
     omega = m.omega
-    scalar = np.ndim(omega) == 0
-    quadratic = m.model.family is ResponseFamily.GAUSSIAN
     first = 1.0 if omega is None else BACKTRACK_START
     # the last multiplier tried before a step gives up
     last = 1.0 if omega is None else 0.5 ** (FLOOR_ATTEMPTS - 1)
@@ -872,16 +773,8 @@ def _halving(m: _Objective) -> Step:
             if obj_new - obj <= DESCENT_SLACK and math.isfinite(obj_new):  # ``_descends``, inline
                 d = theta_new - theta
                 dd = d.dot(d)
-                majorizes = w <= 1.0  # the curvature bound certifies it
-                if not majorizes:  # the majorization test, inline
-                    quad = dd / (w * omega) if scalar else d.dot(d / (w * omega))
-                    if quadratic:  # nll(theta+) - nll(theta) + grad l . d is ||X d||^2 / 2
-                        de = m._eta - eta0
-                        majorizes = 0.5 * de.dot(de) <= quad
-                    else:
-                        bound = nll0 - float(grad0.dot(d)) + float(quad)
-                        majorizes = m.nll <= bound + MAJORIZE_SLACK * (1.0 + abs(nll0))
-                if majorizes:
+                # at or below w = 1 the curvature bound certifies the majorization
+                if w <= 1.0 or _majorizes(m, nll0, grad0, eta0, d, dd, w * omega):
                     first = max(w, 1.0)
                     return theta_new, obj_new, math.sqrt(dd), evals, evals - 1
             if w <= last:
@@ -904,14 +797,25 @@ def _descends(obj_new: float, obj: float) -> bool:
     return math.isfinite(obj_new) and obj_new - obj <= DESCENT_SLACK
 
 
-def _majorizes(nll_new: float, nll0: float, grad0: np.ndarray, d: np.ndarray, w: float) -> bool:
-    """Whether the surrogate of step w at theta majorizes the fidelity at theta + d.
+def _majorizes(m: _Objective, nll0: float, grad0: np.ndarray, eta0: np.ndarray,
+               d: np.ndarray, dd: float, step: Union[float, np.ndarray]) -> bool:
+    """The one majorization test of every backtracked step (Beck & Teboulle 2009):
 
-    nll0 and grad0 are the fidelity and the log-likelihood gradient at theta,
-    nll_new the fidelity at theta + d.
+        nll(theta + d) <= nll(theta) - grad l(theta) . d + sum_j d_j^2 / step_j
+
+    up to ``MAJORIZE_SLACK * (1 + |nll(theta)|)``, from nll0, grad0 and eta0
+    at theta, dd = d . d, and the fidelity and eta at theta + d that ``m``
+    evaluated last.  A gaussian fidelity is quadratic, so there the test reads
+    ||X d||^2 / 2 <= sum_j d_j^2 / step_j exactly, with no slack: near the
+    optimum the difference of two likelihood sums is rounding alone, under
+    which a step long enough to make the iterates oscillate would pass.
     """
-    bound = nll0 - float(grad0.dot(d)) + float(d.dot(d)) / w
-    return nll_new <= bound + MAJORIZE_SLACK * (1.0 + abs(nll0))
+    quad = d.dot(d / step) if isinstance(step, np.ndarray) else dd / step
+    if m.quadratic:
+        de = m._eta - eta0
+        return 0.5 * de.dot(de) <= quad
+    bound = nll0 - float(grad0.dot(d)) + float(quad)
+    return m.nll <= bound + MAJORIZE_SLACK * (1.0 + abs(nll0))
 
 
 def glm_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
@@ -926,59 +830,77 @@ def glm_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector)
     return fit(problem, config, start)
 
 
-class _SurrogateSolve(_Objective):
-    """One full minimization of the exact-fidelity surrogate: a map with no step.
+class _SurrogateSolve(_GlmMap):
+    """One full minimization of the exact-fidelity surrogate: a map with no
+    outer step (``omega`` None), which ``_halving`` calls once per step.
 
     The surrogate at theta keeps the fidelity and the ridge exact and
-    linearizes the penalty, l(b) + lam eps ||b||^2 + sum_j p'(|theta_j|) |b_j|;
-    ``ist_minimize`` solves it from theta by restarted FISTA at half the step
-    ``inner_omega`` = ``glm_step(model, 2 lam eps)``, computed once per fit:
-    the map's step rule with the ridge's curvature added, one step per
-    coordinate for gaussian and logistic.  ``inner_tol`` and ``inner_max``
-    come from the config.  The Cox bound is one loose number, so Cox solves
-    backtrack the inner step from 64 times ``inner_omega`` down to that half
-    step (``ist_minimize`` given ``m``), testing majorization at each
-    extrapolated point.  ``m`` remembers eta
-    and the Cox risk-set sums at its point, and ``ist_minimize`` evaluates
-    it before ``grad_m`` there, so the gradient reuses them.  The solve
-    starts at the iterate itself, not a copy, so its first ``m`` and
-    ``grad_m`` reuse what the objective there cached.  It serves
-    every penalty: for SCAD and MCP, as for the convex ones, the linearized
-    penalty majorizes the penalty, so every solve descends.
+    linearizes the penalty, l(b) + lam eps ||b||^2 + sum_j p'(|theta_j|) |b_j|.
+    A solve is restarted FISTA over the map of the same problem, with the
+    thresholds frozen at theta (a copy of ``tau(theta)``, which a family that
+    is not linear rewrites).  Every inner update is ``glm_map`` from the
+    extrapolated point z at w times the map's step ``map_omega``, ridge shrink
+    included, with terms rebuilt only when w changes.  A step per coordinate
+    is taken at w = 1; the loose Cox step is backtracked from w = 2
+    ``BACKTRACK_START`` by the outer step's test (``_majorizes``), halving
+    down to w = 1, where the test is skipped, and the kept w is the next
+    iteration's first try.  The fidelity is evaluated once per tested point,
+    before its gradient, which reuses its eta and risk-set sums.
+
+    With t' = (1 + sqrt(1 + 4 t^2)) / 2 and b the previous s, the next z is
+    s + ((t - 1) / t')(s - b), s itself while t = 1.  When (z - s) . (s - b)
+    > 0 the momentum points uphill, and the iteration restarts (O'Donoghue &
+    Candes 2015): t = 1 and z = s.  The solve returns the first s with ||s -
+    z|| <= ``inner_tol``, and after ``INNER_MAX`` iterations raises
+    ``ConvergenceError``.  It starts at the iterate itself, so its first
+    fidelity and gradient reuse what the outer objective cached there.  For
+    every penalty the linearized penalty majorizes the penalty, so every
+    solve descends.
     """
 
     def __init__(self, problem: Problem, config: SolverConfig):
         super().__init__(problem)
-        self.config = config
-        self.ridge = _ridge(problem)
-        self.inner_omega = glm_step(self.model, 2.0 * self._ridge_lam)
-
-    def grad_m(self, b: np.ndarray) -> np.ndarray:
-        """Gradient of the fidelity plus the ridge, the smooth part."""
-        if self._ridge_lam:
-            return 2.0 * self.ridge * b - self.grad(b)
-        return -self.grad(b)
-
-    def m(self, b: np.ndarray) -> float:
-        """The fidelity plus the ridge itself.
-
-        It remembers eta and the Cox risk-set sums at b (``fidelity``), so
-        ``grad_m`` at the same array reuses them; at the array it remembers,
-        such as the iterate a solve starts from, it reuses the fidelity.
-        """
-        nll = self.nll if b is self._theta else self.fidelity(b)
-        return nll + float(self.ridge.dot(b * b)) if self._ridge_lam else nll
+        self.inner_tol = config.inner_tol
+        #: the map's step, which every inner update takes a multiple of
+        self.map_omega, self.omega = self.omega, None
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        return ist_minimize(
-            self.grad_m,
-            self.tau(theta),
-            self.inner_omega,
-            theta,
-            inner_tol=cfg.inner_tol,
-            inner_max=cfg.inner_max,
-            m=self.m if self.cox else None,
+        problem, omega = self.problem, self.map_omega
+        tau = self.tau(theta).copy()
+        w = 2.0 * BACKTRACK_START if np.ndim(omega) == 0 else 1.0
+        terms = self._terms_at(w * omega, tau)
+        z, b, t = theta, theta, 1.0
+        for _ in range(INNER_MAX):
+            if w > 1.0 and z is not self._theta:
+                self.fidelity(z)
+            nll0, eta0, grad = self.nll, self._eta, self.grad(z)
+            while True:
+                s = glm_map(problem, z, None, grad, terms)
+                d = s - z
+                dd = d.dot(d)
+                if w <= 1.0:
+                    break
+                self.fidelity(s)
+                if _majorizes(self, nll0, grad, eta0, d, dd, w * omega):
+                    break
+                w *= 0.5
+                terms = self._terms_at(w * omega, tau)
+            resid = math.sqrt(dd)
+            if resid <= self.inner_tol:
+                return s
+            e = s - b
+            if d.dot(e) < 0.0:
+                # (z - s) . (s - b) > 0: the momentum points uphill, restart
+                t, z = 1.0, s
+            else:
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+                z = s if t == 1.0 else s + ((t - 1.0) / t_next) * e
+                t = t_next
+            b = s
+        raise ConvergenceError(
+            f"inner soft-thresholding did not converge in {INNER_MAX} iterations",
+            last_iterate=b,
+            residual=resid,
         )
 
 

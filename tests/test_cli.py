@@ -192,8 +192,12 @@ def test_a_missing_at_file_exits_one_on_one_error_line(toy_csv, tmp_path, args):
         (["simulate", "--scenario", "linear_ex1", "--p", "9", "--n", "30", "-B", "1",
           "--penalty-json", '{"family": "adaptive_lasso", "lambda": 1}', "--lambda", "1"],
          "error: adaptive_lasso requires a weight vector"),
+        (["simulate", "--scenario", "linear_ex1", "--p", "9", "--n", "30", "-B", "1",
+          "--penalty-json", '{"family": "lasso", "lambda": 1}', "--lambda", "1",
+          "--solver-json", '{"inner_max": 5}'],
+         "error: unknown solver config key(s): inner_max"),
     ],
-    ids=["path-missing-data", "simulate-without-weights"],
+    ids=["path-missing-data", "simulate-without-weights", "simulate-inner-max"],
 )
 def test_a_library_error_exits_one_on_one_error_line(args, message, tmp_path):
     r = run_cli(*args, "--out", "out.csv", cwd=tmp_path)
@@ -201,6 +205,24 @@ def test_a_library_error_exits_one_on_one_error_line(args, message, tmp_path):
     assert r.stdout == "" and len(r.stderr.splitlines()) == 1
     assert r.stderr.startswith(message)
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "family, table, message",
+    [
+        ("cox", "time,status,x1\n1,1,0.5\nnan,0,-0.2\n3,1,0.1\n", "error: cox times must be finite and positive"),
+        ("poisson", "y,x1\n1,0.1\ninf,0.2\n0,-0.3\n", "error: poisson response must be finite"),
+    ],
+    ids=["cox-nan-time", "poisson-inf-count"],
+)
+def test_a_non_finite_response_in_the_csv_exits_one_on_one_error_line(family, table, message, tmp_path):
+    (tmp_path / "data.csv").write_text(table)
+    r = run_cli("fit", "--data", "data.csv", "--family", family, "--out", "out.json",
+                "--penalty-json", '{"family": "lasso", "lambda": 0.1}', cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stdout == "" and len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith(message)
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_a_failed_lambda_is_an_error_row_of_the_header_width(tmp_path):

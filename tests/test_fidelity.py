@@ -48,6 +48,24 @@ def test_poisson_response_must_be_counts():
         Response(family=ResponseFamily.POISSON, y=np.array([-1.0]))
 
 
+@pytest.mark.parametrize(
+    "family, arrays, field",
+    [
+        ("poisson", {"y": [1.0, math.inf, 0.0]}, "poisson response"),
+        ("poisson", {"y": [1.0, 2.0, 0.0], "offsets": [1.0, math.nan, 1.0]}, "poisson offsets"),
+        ("poisson", {"y": [1.0, 2.0, 0.0], "offsets": [1.0, math.inf, 1.0]}, "poisson offsets"),
+        ("cox", {"y": [1.0, 0.0, 1.0], "time": [1.0, math.nan, 3.0], "status": [1.0, 0.0, 1.0]}, "cox times"),
+        ("cox", {"y": [1.0, 0.0, 1.0], "time": [1.0, math.inf, 3.0], "status": [1.0, 0.0, 1.0]}, "cox times"),
+    ],
+    ids=["poisson-inf-count", "poisson-nan-offset", "poisson-inf-offset", "cox-nan-time", "cox-inf-time"],
+)
+def test_a_non_finite_response_input_is_rejected_by_name(family, arrays, field):
+    # a NaN sorts nowhere in a Cox risk-set order, and an infinite count or
+    # offset makes the Poisson likelihood infinite: the response refuses them
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        Response(family=family, **{k: np.array(v) for k, v in arrays.items()})
+
+
 def test_poisson_default_offsets_are_ones():
     r = Response(family=ResponseFamily.POISSON, y=np.array([0.0, 3.0]))
     assert np.array_equal(r.offsets, np.ones(2))
