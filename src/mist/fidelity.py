@@ -313,7 +313,7 @@ def kernels(model: FidelityModel) -> Kernels:
             lambda: 0.25 * _scaled_gram_bound(xt),
         )
     if fam is ResponseFamily.POISSON:
-        d = model.response.offsets
+        d, ones = model.response.offsets, np.ones(y.shape[0])
 
         def no_bound():
             raise NotGloballyLipschitz(
@@ -323,7 +323,8 @@ def kernels(model: FidelityModel) -> Kernels:
 
         return Kernels(
             lambda eta: d * _guard_exp(eta, "poisson mean"),
-            lambda eta, mu: float(np.add.reduce(mu - y * eta)),
+            # summed per element, as the logistic likelihood is
+            lambda eta, mu: float(ones.dot(mu - y * eta)),
             lambda eta, mu: y - mu,
             lambda eta, mu: xt.T @ (mu[:, None] * xt),
             no_bound,

@@ -38,9 +38,15 @@ exponential over the active columns and one reduction of the first three
 slabs against it, which gives the slope, the curvature and the rounding
 scale together.  One exponential at b = 0, over every column, decides each
 coordinate's side.  A coordinate that starts at theta_j takes its first
-probe free: there u = eta, so its sums are the Poisson mean that the
-objective at theta cached against the slabs, and its first Newton update is
-made before any exponential.
+probe free: there u = eta, so its sums are the Poisson mean at theta against
+the slabs (the objective's cached mean, or the mean of the eta the map
+forms), and its first Newton update is made before any exponential.  A
+coordinate stops at its Newton point as soon as Newton's error bound puts
+that point within 1e-16 (1 + c) of the minimizer.  The bound follows from
+|phi'''| <= R_j phi'', with R_j the largest l1 norm of the rows that column
+j touches, built once per fit.  So a converging coordinate takes no probe to
+confirm its last Newton step; the safeguarded iteration's own stop tests
+end the others.
 
 Every GLM step, of the gaussian, logistic and Cox maps and of every
 surrogate solve, comes from one rule (``glm_step``): omega = 0.95 * 2 / D,
@@ -164,7 +170,8 @@ from .penalties import PenaltySpec
 DESCENT_SLACK = 1e-12
 #: safety margin keeping the step strictly inside (0, 2 / curvature)
 STEP_SAFETY = 0.95
-#: cap on the batched Newton iterations of one poisson map
+#: cap on the batched Newton probes of one poisson map, the free first one
+#: included; a certified Newton point ends its coordinate's search without one
 POISSON_NEWTON_MAX = 200
 #: a backtracked GLM step starts each fit at this multiple of the certified step
 BACKTRACK_START = 64.0
@@ -930,12 +937,15 @@ class _PoissonMap(_Objective):
     on theta is built once per fit here: the weights w, the empty-column mask,
     and one stack of four n x k slabs, x_ij, x_ij^2 / w_ij, |x_ij| and the
     ratio x_ij / w_ij (the last two zero where x_ij = 0), with the column sums
-    sum_i x_ij y_i and sum_i |x_ij| y_i.  A probe's slope, curvature and
+    sum_i x_ij y_i and sum_i |x_ij| y_i, and 1 / R_j for R_j = max_i |x_ij /
+    w_ij|, the largest l1 norm of the rows column j touches, which the Newton
+    certificate reads (``_newton_certified``).  A probe's slope, curvature and
     rounding scale are the first three slabs summed against d_i e^u_ij, so
     one reduction gives all three.  Each call takes eta from the last
     objective evaluation or computes it once, and solves every scalar problem
-    together in ``_poisson_scalar_min``; at a theta the objective was just
-    evaluated at, ``mean`` is the Poisson mean it cached there.
+    together in ``_poisson_scalar_min``.  ``mean`` is the Poisson mean at
+    theta: the objective's when it was just evaluated there, else the mean of
+    the eta the call holds, so a map at an uncached point multiplies by X once.
     """
 
     def __init__(self, problem: Problem):
@@ -947,14 +957,21 @@ class _PoissonMap(_Objective):
         #: x, x^2 / w, |x| and x / w, one n x k slab each
         self.stack = np.stack([xt, xt * ratio, np.abs(xt), ratio])
         self.empty = ~np.any(self.nz, axis=0)
+        # an empty column, never searched, gets 1 / R_j = 1 / 0 = inf
+        with np.errstate(divide="ignore"):
+            #: 1 / R_j of each column, R_j = max_i |x_ij / w_ij|
+            self.inv_reach = 1.0 / np.abs(ratio).max(axis=0, initial=0.0)
         self.d = model.response.offsets[:, None]
         y = model.response.y
         self.xy, self.absxy = y.dot(xt), y.dot(self.stack[2])
         self.ridge = _ridge(problem)
+        #: eta at the theta the map is applied to
+        self._map_eta = None
 
     def mean(self, theta: np.ndarray) -> np.ndarray:
-        """The Poisson mean d e^eta at theta: the objective's, when it was last at theta."""
-        return self._parts if theta is self._theta else self._parts_of(self.xt.dot(theta))
+        """The Poisson mean d e^eta at the theta the map is applied to: the
+        objective's, when it was last at theta, else from the eta the map holds."""
+        return self._parts if theta is self._theta else self._parts_of(self._map_eta)
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         """The map at theta; the majorizer has no step."""
@@ -962,7 +979,7 @@ class _PoissonMap(_Objective):
         # a fit's iterates are pinned already and keep their cached eta
         if self.pinned is not None and np.any(theta[self.pinned]):
             theta = np.where(self.pinned, 0.0, theta)
-        eta = self.eta(theta)
+        eta = self._map_eta = self.eta(theta)
         # u_ij = base_ij + ratio_ij * b; entries with x_ij = 0 stay at u = 0
         base = np.where(self.nz, eta[:, None] - self.stack[3] * theta, 0.0)
         return _poisson_scalar_min(self, base, self.tau(theta), theta)
@@ -985,6 +1002,27 @@ def _next_probe(newton, move, lo, hi, max_step, fast):
     return nxt
 
 
+def _newton_certified(c, newton, move, inv_reach, lo, hi):
+    """Whether Newton's error bound certifies the Newton point ``newton`` =
+    c - delta as its coordinate's result: within 1e-16 (1 + c) of the
+    minimizer, and inside the bracket (lo, hi).  ``move`` is |delta| and
+    ``inv_reach`` is 1 / R, with R = max_i |x_ij / w_ij| over the column.
+
+    Each term of phi''' is its term of phi'' times x_ij / w_ij, so |phi'''| <=
+    R phi'' (the ridge adds to phi'' only), and phi'' changes by at most a
+    factor e^(R |t|) over a move t.  So for x = R |delta| < 1 the minimizer
+    lies on the Newton side of c, between ln(1 + x) / R and -ln(1 - x) / R
+    from it, and within (-ln(1 - x) - x) / R <= R delta^2 / (2 (1 - x)) of
+    the Newton point: about (R / 2) delta^2 for small x.  The test is
+    R delta^2 / (2 (1 - x)) <= 1e-16 (1 + c), taken as |delta| <=
+    sqrt(2e-16 (1 + c) (1 / R - |delta|)) so that no large delta is squared;
+    where x > 1 the root is NaN, under the caller's error state, and the
+    test fails.
+    """
+    ok = move <= np.sqrt((2e-16 * (1.0 + c)) * (inv_reach - move))
+    return ok & (lo < newton) & (newton < hi)
+
+
 def _poisson_scalar_min(
     pm: _PoissonMap, base: np.ndarray, tau: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
@@ -996,27 +1034,36 @@ def _poisson_scalar_min(
     otherwise it has the sign of -k_j'(0).  Flipping the columns of the
     negative coordinates turns every search into one over c > 0 that starts
     with the bracket [0, inf) and phi'(0+) < 0, and a batched Newton iteration
-    solves them together.  Each probe narrows its coordinate's bracket;
-    ``_next_probe`` replaces an unsafe Newton point by bisection or, while the
-    bracket is open, by doubling.  A coordinate stops when |phi'| is at the
-    rounding level of its own sum, or when its Newton step or bracket is at
-    most 1e-15 (1 + |c|).  An all-zero column maps to 0: the fidelity does not
-    depend on its coordinate and the penalty is nondecreasing in |b|, so 0
-    minimizes it.
+    solves them together.
+
+    Each probe forms its Newton step delta = phi' / phi'' first.  When
+    Newton's error bound (``_newton_certified``: |phi'''| <= R_j phi'', with
+    R_j the largest l1 norm of the rows column j touches) puts the Newton
+    point c - delta within 1e-16 (1 + c) of the minimizer, inside the
+    bracket, that point is the coordinate's result.  This saves the probe at
+    the Newton point, and its exponential, that the stop test below needs to
+    find |phi'| at rounding level there.  When every remaining coordinate is
+    certified the search returns at once.  Otherwise the probe narrows its
+    coordinate's bracket; ``_next_probe`` replaces an unsafe Newton point by
+    bisection or, while the bracket is open, by doubling; and a coordinate
+    that is not certified stops at c when |phi'| is at the rounding level of
+    its own sum, or when its Newton step or bracket is at most 1e-15 (1 +
+    |c|).  An all-zero column maps to 0: the fidelity does not depend on its
+    coordinate and the penalty is nondecreasing in |b|, so 0 minimizes it.
 
     The first probe costs no exponential.  A coordinate whose theta_j lies in
     the bracket starts there, where u_ij = eta_i, so its sums are the Poisson
     mean at theta (``pm.mean``, the objective's when it was at theta) against
-    the slabs; it takes its first bracket and Newton update before any
-    exponential, so the first one is already at its Newton point.  The
-    others start at c = 0, whose sums the exponential at b = 0 (over every
-    column, which decides each coordinate's side) has given, and take their
-    first Newton step from there.  Every later probe is one
+    the slabs; it takes its first certificate, bracket and Newton update
+    before any exponential, so the first one is already at its Newton point.
+    The others start at c = 0, whose sums the exponential at b = 0 (over
+    every column, which decides each coordinate's side) has given, and take
+    their first Newton step from there.  Every later probe is one
     exponential over the active columns and one reduction of the first three
     slabs against it: phi' = sum_i x_ij d_i e^u_ij - sum_i x_ij y_i + tau_j,
     phi'' and the scale sum_i |x_ij| (d_i e^u_ij + y_i) + tau_j, plus the
-    ridge terms only when eps > 0.  ``POISSON_NEWTON_MAX`` caps the Newton
-    steps, the free first one included.
+    ridge terms only when eps > 0.  ``POISSON_NEWTON_MAX`` caps the probes,
+    the free first one included.
     """
     eu0 = pm.d * fid._guard_exp(base, "poisson coordinate update")
     sums0 = np.einsum("tij,ij->tj", pm.stack[:3], eu0)
@@ -1037,6 +1084,7 @@ def _poisson_scalar_min(
     lin = tau[act] - sgn * pm.xy[act]
     fixed = tau[act] + pm.absxy[act]
     ridge2 = 2.0 * pm.ridge[act] if pm._ridge_lam else None
+    inv_reach = pm.inv_reach[act]
     # the first probe is theta_j where it lies in the bracket, else 0
     c = np.maximum(sgn * theta[act], 0.0)
     from_theta = c > 0.0
@@ -1061,10 +1109,15 @@ def _poisson_scalar_min(
             if ridge2 is not None:
                 rc = ridge2 * c
                 dphi, d2phi, scale = dphi + rc, d2phi + ridge2, scale + np.abs(rc)
+            delta = dphi / d2phi
+            newton, move = c - delta, np.abs(delta)
+            cert = _newton_certified(c, newton, move, inv_reach, lo, hi)
+            if cert.all():
+                out[act] = sgn * newton
+                return out
             np.copyto(lo, c, where=dphi < 0.0)
             np.copyto(hi, c, where=dphi > 0.0)
-            delta = dphi / d2phi
-            newton, move, adphi = c - delta, np.abs(delta), np.abs(dphi)
+            adphi = np.abs(dphi)
             # while the bracket is open, a slope that fell by less than 10x
             # since the last probe means slow progress (phi' concave, or a
             # minimizer only where e^u underflows): double instead; on a
@@ -1077,12 +1130,14 @@ def _poisson_scalar_min(
                 # 0 is no probe to stop at, and the move from it no Newton step
                 done &= from_theta
                 step = np.where(from_theta, step, np.inf)
+            done |= cert
             if done.any():
-                out[act[done]] = sgn[done] * c[done]
+                out[act[done]] = sgn[done] * np.where(cert, newton, c)[done]
                 keep = ~done
                 if not keep.any():
                     return out
                 act, sgn, lin, fixed = act[keep], sgn[keep], lin[keep], fixed[keep]
+                inv_reach = inv_reach[keep]
                 cols, base = cols[:, :, keep], base[:, keep]
                 lo, hi, nxt = lo[keep], hi[keep], nxt[keep]
                 max_step, step, tenth = max_step[keep], step[keep], tenth[keep]

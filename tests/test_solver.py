@@ -936,22 +936,27 @@ def _poisson_map_oracle(prob, theta):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(4, 30),
-    p=st.integers(1, 5),
+    p=st.integers(1, 12),
     intercept=st.booleans(),
     zero_col=st.booleans(),
     indicator=st.booleans(),
+    scaled=st.booleans(),
     offsets=st.booleans(),
     pinned=st.booleans(),
     ridge=st.booleans(),
     lam=st.floats(0.01, 5.0),
 )
 def test_poisson_map_matches_per_coordinate_oracle(
-    seed, n, p, intercept, zero_col, indicator, offsets, pinned, ridge, lam
+    seed, n, p, intercept, zero_col, indicator, scaled, offsets, pinned, ridge, lam
 ):
+    # up to 12 columns, one scaled by 30 and one a 0/1 indicator: rows with
+    # large l1 norms, the R_j of the map's Newton certificate
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
     if indicator:
         X[:, -1] = rng.random(n) < 0.4
+    if scaled:
+        X[:, p // 2] *= 30.0
     if zero_col:
         X[:, 0] = 0.0
     d = np.exp(rng.uniform(-1.0, 1.0, n)) if offsets else None
@@ -1019,11 +1024,73 @@ def test_a_second_poisson_map_matches_the_oracle(seed, n, p, intercept, offsets,
     assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 20),
+    ratio=st.floats(1e-2, 1e3),
+    log_min=st.floats(-12.0, 0.0),
+    ridge=st.booleans(),
+    log_gap=st.floats(-17.0, 0.0),
+    below=st.booleans(),
+    log_lo=st.one_of(st.none(), st.floats(-17.0, 0.0)),
+    log_hi=st.one_of(st.none(), st.floats(-17.0, 0.0)),
+)
+def test_a_certified_newton_point_is_within_its_bound_of_the_root(
+    seed, n, ratio, log_min, ridge, log_gap, below, log_lo, log_hi
+):
+    # one scalar problem of the Poisson map in its searched frame c > 0:
+    # phi(c) = sum_i d_i e^(x_i c) - c x . y + tau c + rho c^2, its ratios x_i
+    # up to ``ratio`` in size, and the counts, the rate multipliers d and tau
+    # chosen so that phi'(c*) = 0 at c* = 10^log_min (at most 2 / ratio).  A
+    # probe c lies a relative 10^log_gap from the root, in a bracket (lo, hi)
+    # around both: lo is 0 or a relative 10^log_lo below the root, hi open or
+    # 10^log_hi above it.  A Newton point that ``_newton_certified`` accepts
+    # lies in the bracket, on the root's side of 0, and within 1e-16 (1 + c)
+    # of the brentq root, plus the rounding of phi'
+    rng = np.random.default_rng(seed)
+    x = ratio * rng.uniform(-1.0, 1.0, n)
+    x[0] = ratio * rng.choice([-1.0, 1.0])
+    y = rng.integers(1, 6, n).astype(float)
+    share = rng.uniform(0.1, 0.9, n)
+    target = min(10.0**log_min, 2.0 / ratio)
+    d = y * (1.0 - np.sign(x) * share) * np.exp(-x * target)
+    epsilon = 0.5 if ridge else 0.0
+    tau = float(np.sum(np.abs(x) * y * share)) / (1.0 + 2.0 * epsilon * target)
+    rho = tau * epsilon
+
+    def slope(c):
+        return math.fsum(np.concatenate([x * d * np.exp(x * c), -x * y, [tau + 2.0 * rho * c]]))
+
+    root = brentq(slope, 0.0, 2.0 * target, xtol=1e-300, rtol=4.0 * solver.EPS, maxiter=500)
+    c = root * (1.0 - 10.0**log_gap if below else 1.0 + 10.0**log_gap)
+    lo = 0.0 if log_lo is None else root * (1.0 - 10.0**log_lo)
+    hi = math.inf if log_hi is None else root * (1.0 + 10.0**log_hi)
+    assume((lo < c or c == lo == 0.0) and c < hi)
+    # the probe's sums as the map forms them, one reduction of the slabs
+    eu = d * np.exp(x * c)
+    dphi = float(x.dot(eu)) - float(x.dot(y)) + tau + 2.0 * rho * c
+    d2phi = float((x * x).dot(eu)) + 2.0 * rho
+    scale = float(np.abs(x).dot(eu + y)) + tau + 2.0 * rho * c
+    delta = dphi / d2phi
+    newton = c - delta
+    args = [np.array([v]) for v in (c, newton, abs(delta), 1.0 / np.max(np.abs(x)), lo, hi)]
+    with np.errstate(invalid="ignore"):  # the map's loop runs under the same error state
+        certified = bool(solver._newton_certified(*args)[0])
+    if certified:
+        assert lo < newton < hi and newton > 0.0
+        rounding = 8.0 * solver.EPS * scale / d2phi + 2.0 * solver.EPS * root
+        assert abs(newton - root) <= 1e-16 * (1.0 + c) + rounding
+
+
 def test_a_poisson_fit_takes_its_first_probes_from_the_cached_mean(monkeypatch):
     # each map's first probe at theta reads the mean the objective there
-    # cached, so it takes no exponential: 271 two-dimensional _guard_exp calls
-    # over the fit's 66 maps, against 336 when every coordinate's first probe
-    # at theta_j took one; the one-dimensional calls are the objectives' alone
+    # cached, so it takes no exponential, and a coordinate whose Newton point
+    # is certified within rounding of its minimizer stops there, with no
+    # probe to confirm it: 217 two-dimensional _guard_exp calls over the
+    # fit's 66 maps, against 271 when each coordinate stopped only at a probe
+    # with |phi'| at rounding level, and 336 when every first probe at theta_j
+    # took one; the one-dimensional calls are the objectives' alone
     model = make_model("poisson", n=50, p=4, seed=29)
     prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=2.0))
     calls = {1: 0, 2: 0}
@@ -1037,7 +1104,7 @@ def test_a_poisson_fit_takes_its_first_probes_from_the_cached_mean(monkeypatch):
     res = fit(prob, SolverConfig(), CoefficientVector.zeros(4, True))
     assert res.map_evals == 66 and res.termination is Termination.OBJ_TOL
     assert calls[1] == res.map_evals + 1
-    assert calls[2] <= 290
+    assert calls[2] <= 235
 
 
 def test_poisson_empty_column_moves_to_zero():
@@ -1494,6 +1561,30 @@ def test_plain_iteration_multiplies_by_x_at_most_twice(family):
     # the curvature bound, the objective at the start, 2 + h per step with h
     # halvings, then the KKT's gradient at the eta cached at the last iterate
     assert counter[0] == bound_products + 1 + 2 * res.map_evals - res.descent_backtracks + 1
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_a_poisson_map_multiplies_by_x_once_where_the_objective_was_not(pinned):
+    # at a point the objective did not cache (squarem's second and
+    # extrapolated maps, or a pinned coordinate re-pinned into a new array)
+    # the map forms eta = X theta once, and its first probes take the Poisson
+    # mean from that eta; at a point the objective cached, it forms none
+    model = make_model("poisson", n=40, p=5, seed=60)
+    weights = np.array([1.0, math.inf, 0.5, 2.0, 1.0]) if pinned else None
+    family = Family.ADAPTIVE_LASSO if pinned else Family.LASSO
+    prob = Problem(model, PenaltySpec(family=family, lam=0.3, weights=weights))
+    counter = count_products(model)
+    pmap = mm_map(prob)
+    theta = random_coef(model, seed=61).augmented()
+    assert theta[2] != 0.0
+    counter[0] = 0
+    new = pmap(theta)
+    assert counter[0] == 1
+    assert np.allclose(new, _poisson_map_oracle(prob, theta), rtol=1e-9, atol=1e-9)
+    pmap.objective(new)
+    counter[0] = 0
+    pmap(new)
+    assert counter[0] == 0
 
 
 @pytest.mark.parametrize("pen_family", [Family.LASSO, Family.SCAD])
