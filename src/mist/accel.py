@@ -9,8 +9,9 @@ output when its objective does not increase.  Otherwise it keeps the plain
 double map step, so every step descends, and every point a step returns is
 its start or a map output.  The bound step_max starts at 1 for each fit,
 grows x4 whenever alpha reaches it and shrinks /4 when an extrapolation at
-the bound is rejected.  ``accelerated_fit`` hands this step to
-``solver._drive``, the one outer loop of every fit.
+the bound is rejected.  ``_squarem`` makes this step a step of the one loop
+of every fit: ``accelerated_fit`` hands it to ``solver._drive``, and
+``solver.mm_outer`` runs it on each weighted-lasso surrogate.
 
 ``fit_path`` runs ``accelerated_fit`` along a warm-started lambda path, each
 lambda on the columns that the sequential strong rule keeps (Tibshirani et
@@ -29,7 +30,9 @@ from . import fidelity as fid
 from .exceptions import ConvergenceError, ValidationError
 from .fidelity import CoefficientVector, FidelityModel
 from .penalties import PenaltySpec
-from .solver import FitResult, Problem, SolverConfig, _descends, _drive, _Objective, _start_theta, fit, mm_map
+from .solver import (
+    FitResult, Problem, SolverConfig, Step, _descends, _drive, _Objective, _start_theta, fit, mm_map,
+)
 
 #: one extrapolated candidate per step: a step that falls back to the double
 #: map step has made 2 + MAX_BACKTRACKS + 1 map evaluations (the probe counts)
@@ -133,25 +136,35 @@ def accelerated_fit(
     """Fit with the single-map MM update, optionally accelerated.
 
     mode 'plain' delegates to the base fit; 'squarem' runs ``squarem_step``
-    (Varadhan & Roland 2008) as the step of the shared outer loop, with the
-    map residual ||r|| as its step norm, and carries the steplength bound
-    ``step_max`` from each step to the next, starting at 1.  A squarem step
-    whose map overflows, or that falls back to the double map step and finds
-    its objective not finite, raises ``ConvergenceError`` carrying the last
-    iterate, as a plain step that cannot descend does.
+    (Varadhan & Roland 2008) over ``mm_map``'s map as the step of the shared
+    outer loop (``_squarem``).
     """
     if mode == "plain":
         return fit(problem, config, start)
     if mode != "squarem":
         raise ValidationError(f"unknown acceleration mode {mode!r}")
 
-    map_fn = mm_map(problem)
+    m = mm_map(problem)
+    return _drive(problem, config, start, m, _squarem(m))
+
+
+def _squarem(m: _Objective) -> Step:
+    """``squarem_step`` over the map object ``m`` as one step of the solver's
+    loop: the step of ``accelerated_fit`` and of ``solver.mm_outer``'s
+    surrogate fit.
+
+    Its step norm is the map residual ||r||, and it carries the steplength
+    bound ``step_max`` from each step to the next, starting at 1.  A step
+    whose map overflows, or that falls back to the double map step and finds
+    its objective not finite, raises ``ConvergenceError`` carrying the
+    iterate it started from, as a plain step that cannot descend does.
+    """
     step_max = 1.0
 
     def step(theta, obj):
         nonlocal step_max
         try:
-            state = squarem_step(map_fn, map_fn.objective, theta, obj, step_max)
+            state = squarem_step(m, m.objective, theta, obj, step_max)
         except OverflowError as err:
             raise ConvergenceError(f"squarem: {err}", last_iterate=theta) from err
         if not math.isfinite(state.objective):
@@ -164,7 +177,7 @@ def accelerated_fit(
         r = state.r
         return state.theta, state.objective, math.sqrt(float(r.dot(r))), state.map_evals, state.backtracks
 
-    return _drive(problem, config, start, map_fn, step)
+    return step
 
 
 def fit_path(

@@ -13,9 +13,10 @@ pass in, and every step is ``_halving``'s or squarem's:
                        coordinate, all solved at once by a batched safeguarded
                        Newton iteration (``_PoissonMap``).
 * ``mm_outer``      -- one full surrogate minimization per step, for every
-                       penalty: the exact-fidelity surrogate
-                       (``_SurrogateSolve``), or for poisson the separable
-                       majorizer's (``_PoissonMap``), so that it is ``fit``.
+                       penalty: a squarem fit of the weighted lasso that
+                       linearizes the penalty (``_SurrogateFit``), or for
+                       poisson the separable majorizer's (``_PoissonMap``),
+                       so that it is ``fit``.
 * ``one_step_fit``  -- ``mm_outer``'s first iteration from the MLE.
 * ``accel.accelerated_fit`` -- one safeguarded squarem step over ``mm_map``.
 
@@ -28,7 +29,7 @@ for a scalar multiplier w, backtracked on the curvature and halved until the
 objective is finite and does not rise; the fidelity and the log-likelihood
 gradient at theta come once per step from what the objective there cached
 and serve every attempt.  A map with no step (``omega`` None: the surrogate
-solve, the Poisson map) gets a single attempt.
+fit, the Poisson map) gets a single attempt.
 
 The Poisson map (``_PoissonMap``) solves its scalar problems by a batched
 safeguarded Newton iteration over the coordinates whose minimizer is not 0.
@@ -48,8 +49,8 @@ j touches, built once per fit.  So a converging coordinate takes no probe to
 confirm its last Newton step; the safeguarded iteration's own stop tests
 end the others.
 
-Every GLM step, of the gaussian, logistic and Cox maps and of every
-surrogate solve, comes from one rule (``glm_step``): omega = 0.95 * 2 / D,
+Every GLM step, of the gaussian, logistic and Cox maps and so of every
+surrogate fit, comes from one rule (``glm_step``): omega = 0.95 * 2 / D,
 with D the curvature bound of ``fidelity.diagonal_bound``; the ridge is
 never part of it, since every update applies it exactly, as the shrink 1 /
 (1 + omega lam eps) of the slopes.  For gaussian and logistic D is one
@@ -82,17 +83,17 @@ certified step the test is skipped, since the bound guarantees it.
 Squarem, which needs a fixed map, applies each map at its certified step;
 the Poisson map has no step.
 
-Every surrogate solve (``mm_outer``'s step, and so the one-step estimator)
-is restarted FISTA (Beck & Teboulle 2009) with gradient-based adaptive
-restart (O'Donoghue & Candes 2015) run over the map itself
-(``_SurrogateSolve``): each inner update is ``glm_map`` at the map's step,
-from the extrapolated point, with the thresholds frozen at theta.  The
-map's half step omega / 2 <= 1 / D_j is the step FISTA needs; with a step
-per coordinate this is FISTA after the change of variables b_j = c_j /
-sqrt(D_j), so its guarantee carries over.  A Cox solve backtracks its step
-from the extrapolated point by the outer step's test (``_majorizes``),
-from 2 ``BACKTRACK_START`` times the step down to the step itself.  The
-inner solve stops on ||s - z|| <= ``inner_tol`` in coefficient units.
+Every surrogate minimization of a gaussian, logistic or Cox problem
+(``mm_outer``'s step, and so the one-step estimator) is a fit of its own
+(``_SurrogateFit``).  At theta the surrogate keeps the fidelity and the
+ridge and linearizes the penalty (Zou & Li 2008): it is the adaptive lasso,
+or the adaptive elastic net when eps > 0, with the weights p'(|theta_j|) /
+lam.  So the step builds that problem's map and runs squarem over it from
+theta, the step of ``accel.accelerated_fit``, in the loop of every fit
+(``_iterate``), which checks and builds nothing.  The fit stops when
+squarem's step norm ||r|| falls below ``inner_tol``, in coefficient units,
+or below ``inner_tol`` / ``BACKTRACK_START`` on Cox, whose certified step is
+several times shorter than the curvature allows.
 
 The loops work on plain augmented arrays (intercept first) and run on
 unchecked kernels; ``_drive`` checks the start once, and nothing inside a fit
@@ -140,7 +141,7 @@ are made.  The linear families (lasso, adaptive lasso and the elastic nets),
 whose thresholds lam w_j do not depend on theta, write the array once, when
 the map is built; the other families rewrite it at each map from the |beta|
 cached at theta.  A zero threshold returns the intercept exactly; with
-eps = 0 the objective, the map and the inner solve form no ridge term.  A
+eps = 0 the objective and the map form no ridge term.  A
 pinned coordinate is held at 0 with an infinite threshold and a finite
 argument, which the soft-threshold maps to u - u = 0 without forming
 inf - inf.  Every step norm is sqrt(d . d), which is what ``np.linalg.norm``
@@ -177,7 +178,7 @@ POISSON_NEWTON_MAX = 200
 BACKTRACK_START = 64.0
 #: relative rounding slack of the majorization test of a backtracked step
 MAJORIZE_SLACK = 1e-12
-#: cap on the inner iterations of one surrogate solve
+#: cap on the squarem steps of one surrogate fit
 INNER_MAX = 100_000
 EPS = float(np.finfo(float).eps)
 
@@ -193,9 +194,9 @@ class SolverConfig:
     """Stopping controls.
 
     ``coef_tol``, ``obj_tol`` and ``max_outer`` stop the outer loop;
-    ``inner_tol`` stops the inner soft-thresholding of a surrogate solve,
-    whose iterations the constant ``INNER_MAX`` caps.  Every step of a map or
-    a surrogate solve comes from the problem's curvature bound by one rule
+    ``inner_tol`` stops the inner squarem fit of a surrogate (``mm_outer``'s
+    step) on its step norm, and the constant ``INNER_MAX`` caps its steps.
+    Every step of a map comes from the problem's curvature bound by one rule
     (``glm_step``), one per coordinate for gaussian and logistic and one for
     every coordinate for Cox, so no field sets one.
 
@@ -349,8 +350,8 @@ def resolve_step(problem: Problem, config: Optional[SolverConfig] = None) -> flo
     """The scalar MM step constant, ``STEP_SAFETY * 2 / curvature_bound``.
 
     On a Cox problem it is the step that ``glm_step`` gives, since the Cox
-    curvature bound is one number.  The gaussian and logistic maps and
-    surrogate solves step each coordinate by its own bound instead
+    curvature bound is one number.  The gaussian and logistic maps step
+    each coordinate by its own bound instead
     (``glm_step``); ``glm_map`` at this scalar step is still an MM map, since
     the scalar surrogate majorizes as well.  ``config`` is not read.  The
     parameter stays so that callers written as ``resolve_step(problem,
@@ -362,7 +363,7 @@ def resolve_step(problem: Problem, config: Optional[SolverConfig] = None) -> flo
 
 
 def glm_step(model: FidelityModel) -> Union[float, np.ndarray]:
-    """The one step rule of every GLM map and surrogate solve:
+    """The one step rule of every GLM map:
     ``STEP_SAFETY * 2 / D`` with D = ``fidelity.diagonal_bound``.
 
     D, and so the step, is one per augmented coordinate for gaussian and
@@ -548,14 +549,14 @@ def glm_map(
     array at omega/2 tau, with tau = p'(|theta_j|) and 0 in the intercept
     slot, and shrinks each slope by 1 / (1 + omega_j lam eps) when eps > 0.
     ``grad`` (the log-likelihood gradient at theta) and ``terms`` are passed
-    together by a GLM map or a surrogate solve (``_GlmMap._terms_at``):
-    ``terms`` holds omega/2, the thresholds -omega/2 tau and omega/2 tau and
-    the slopes' shrink (``_shrink``), so omega itself is not read, and the
-    update forms u = theta + omega/2 grad once and soft-thresholds it
-    inline, as u - min(max(u, -t), t) (``_soft_threshold``): a fit calls
-    this once per map or inner update.  Without ``terms`` they come from a
-    map object of the problem built here.  Nothing is checked: theta is the
-    augmented coefficient array of a problem's model.
+    together by a GLM map (``_GlmMap``): ``terms`` holds omega/2, the
+    thresholds -omega/2 tau and omega/2 tau and the slopes' shrink
+    (``_shrink``), so omega itself is not read, and the update forms u =
+    theta + omega/2 grad once and soft-thresholds it inline, as u -
+    min(max(u, -t), t) (``_soft_threshold``): a fit calls this once per map.
+    Without ``terms`` they come from a map object of the problem built here.
+    Nothing is checked: theta is the augmented coefficient array of a
+    problem's model.
     """
     if terms is None:
         m = _Objective(problem)
@@ -605,14 +606,14 @@ class _GlmMap(_Objective):
     at theta, whose eta and r the objective there cached, and X theta+ in
     every objective), and a squarem step four times plus once per backtrack.
 
-    The map's ``terms`` (``_terms_at``: the half step w omega / 2, the
-    thresholds -w omega/2 tau and w omega/2 tau, the slopes' ridge shrink)
-    are kept between maps and rebuilt when w changed, on a halving and on
-    the step after one below 1, which tries 1 again.  When the family is not
-    linear the thresholds are rebuilt at every map as well, from the |beta|
-    that the objective at theta cached; a linear family's map at an
-    unchanged w hands the kept tuple on as it is.  So a map at a vector step
-    makes the array operations of a map at a scalar one.
+    The map's ``terms`` (the half step w omega / 2, the thresholds -w
+    omega/2 tau and w omega/2 tau, the slopes' ridge shrink) are kept
+    between maps and rebuilt when w changed, on a halving and on the step
+    after one below 1, which tries 1 again.  When the family is not linear
+    the thresholds are rebuilt at every map as well, from the |beta| that
+    the objective at theta cached; a linear family's map at an unchanged w
+    hands the kept tuple on as it is.  So a map at a vector step makes the
+    array operations of a map at a scalar one.
     """
 
     def __init__(self, problem: Problem):
@@ -624,19 +625,15 @@ class _GlmMap(_Objective):
         if grad is None:
             grad = self.grad(theta)
         if w != self._w:
-            self._w, self._terms = w, self._terms_at(w * self.omega, self.tau(theta))
+            step = w * self.omega
+            half = 0.5 * step
+            hi = half * self.tau(theta)
+            self._w, self._terms = w, (half, -hi, hi, _shrink(self.problem, step))
         elif not self.linear:  # the kept half step and shrink, the thresholds at theta
             half, _, _, shrink = self._terms
             hi = half * self.tau(theta)
             self._terms = (half, -hi, hi, shrink)
         return glm_map(self.problem, theta, None, grad, self._terms)
-
-    def _terms_at(self, step: Union[float, np.ndarray], tau: np.ndarray) -> tuple:
-        """``glm_map``'s terms at the step ``step`` and the thresholds ``tau``:
-        the half step, the thresholds -step/2 tau and step/2 tau, the shrink."""
-        half = 0.5 * step
-        hi = half * tau
-        return half, -hi, hi, _shrink(self.problem, step)
 
 
 def glm_surrogate_value(
@@ -692,22 +689,45 @@ def _drive(
 ) -> FitResult:
     """The outer loop of every fit: start, stopping rules, accounting, result.
 
-    A fit stops when a step's norm is below ``coef_tol`` or its objective
-    change below ``obj_tol``, and otherwise after ``max_outer`` steps.  The
-    map object ``m`` gives the objective at the start and the log-likelihood
-    gradient at the last iterate, from the eta its last objective cached
-    there, for the result's KKT residual.
+    It checks the start once (``_start_theta``) and runs ``_iterate`` from
+    it under the config's rules.  The map object ``m`` gives the
+    log-likelihood gradient at the last iterate, from the eta its last
+    objective cached there, for the result's KKT residual.
     """
-    theta = _start_theta(problem, start)
+    theta, trace, outer, map_evals, backtracks, termination, _ = _iterate(
+        m, step, _start_theta(problem, start), config.coef_tol, config.obj_tol, config.max_outer
+    )
+    return FitResult(
+        coef=CoefficientVector.from_augmented(theta, problem.model.has_intercept),
+        objective=trace[-1],
+        trace=np.array(trace),
+        outer_iters=outer,
+        map_evals=map_evals,
+        kkt_residual=m.kkt(theta, m.grad(theta)),
+        termination=termination,
+        descent_backtracks=backtracks,
+    )
+
+
+def _iterate(m: _Objective, step: Step, theta: np.ndarray, coef_tol: float, obj_tol: float, max_iter: int):
+    """The loop of ``_drive`` from the checked augmented start theta, which
+    ``mm_outer``'s surrogate fit runs as well, with nothing checked or built.
+
+    It stops when a step's norm is below ``coef_tol`` or its objective change
+    below ``obj_tol``, and otherwise after ``max_iter`` steps.  ``m`` gives
+    the objective at the start.  It returns the last iterate, the objective
+    trace (a list), the steps, map evaluations and descent backtracks taken,
+    the termination and the last step's norm.
+    """
     map_evals = 0
     backtracks = 0
     termination = Termination.MAX_ITER
     outer = 0
-    coef_tol, obj_tol = config.coef_tol, config.obj_tol
+    coef_delta = math.inf
 
     obj = m.objective(theta)
     trace = [obj]
-    for outer in range(1, config.max_outer + 1):
+    for outer in range(1, max_iter + 1):
         theta_new, obj_new, coef_delta, evals, halvings = step(theta, obj)
         map_evals += evals
         backtracks += halvings
@@ -720,17 +740,7 @@ def _drive(
         if obj_delta < obj_tol:
             termination = Termination.OBJ_TOL
             break
-
-    return FitResult(
-        coef=CoefficientVector.from_augmented(theta, problem.model.has_intercept),
-        objective=obj,
-        trace=np.array(trace),
-        outer_iters=outer,
-        map_evals=map_evals,
-        kkt_residual=m.kkt(theta, m.grad(theta)),
-        termination=termination,
-        descent_backtracks=backtracks,
-    )
+    return theta, trace, outer, map_evals, backtracks, termination, coef_delta
 
 
 def _halving(m: _Objective) -> Step:
@@ -754,7 +764,7 @@ def _halving(m: _Objective) -> Step:
     candidates at w <= 1, the last at w = 2^-30, the step raises
     ``ConvergenceError`` carrying the current iterate.
 
-    A map with no step (``m.omega`` None: the surrogate solve, the Poisson
+    A map with no step (``m.omega`` None: the surrogate fit, the Poisson
     map) is called on theta alone and gets one attempt, since a retry would
     recompute the rejected point.
     """
@@ -837,90 +847,62 @@ def glm_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector)
     return fit(problem, config, start)
 
 
-class _SurrogateSolve(_GlmMap):
-    """One full minimization of the exact-fidelity surrogate: a map with no
-    outer step (``omega`` None), which ``_halving`` calls once per step.
+class _SurrogateFit(_Objective):
+    """``mm_outer``'s step on a gaussian, logistic or cox problem: a map
+    with no outer step (``omega`` None), which ``_halving`` calls once.
 
-    The surrogate at theta keeps the fidelity and the ridge exact and
-    linearizes the penalty, l(b) + lam eps ||b||^2 + sum_j p'(|theta_j|) |b_j|.
-    A solve is restarted FISTA over the map of the same problem, with the
-    thresholds frozen at theta (a copy of ``tau(theta)``, which a family that
-    is not linear rewrites).  Every inner update is ``glm_map`` from the
-    extrapolated point z at w times the map's step ``map_omega``, ridge shrink
-    included, with terms rebuilt only when w changes.  A step per coordinate
-    is taken at w = 1; the loose Cox step is backtracked from w = 2
-    ``BACKTRACK_START`` by the outer step's test (``_majorizes``), halving
-    down to w = 1, where the test is skipped, and the kept w is the next
-    iteration's first try.  The fidelity is evaluated once per tested point,
-    before its gradient, which reuses its eta and risk-set sums.
-
-    With t' = (1 + sqrt(1 + 4 t^2)) / 2 and b the previous s, the next z is
-    s + ((t - 1) / t')(s - b), s itself while t = 1.  When (z - s) . (s - b)
-    > 0 the momentum points uphill, and the iteration restarts (O'Donoghue &
-    Candes 2015): t = 1 and z = s.  The solve returns the first s with ||s -
-    z|| <= ``inner_tol``, and after ``INNER_MAX`` iterations raises
-    ``ConvergenceError``.  It starts at the iterate itself, so its first
-    fidelity and gradient reuse what the outer objective cached there.  For
-    every penalty the linearized penalty majorizes the penalty, so every
-    solve descends.
+    A call minimizes the surrogate at theta, l(b) + lam eps ||b||^2 +
+    sum_j p'(|theta_j|) |b_j|: the adaptive lasso, or the adaptive elastic
+    net when eps > 0, with the weights ``tau(theta)`` / lam, 0 and +inf
+    included.  It runs squarem (``accel._squarem``) over that problem's map
+    (``_GlmMap``) from theta in ``_iterate``, until the step norm ||r|| is
+    below ``inner_tol`` (``inner_tol`` / ``BACKTRACK_START`` at Cox's one
+    step) or the objective is exactly unchanged.  After ``INNER_MAX`` steps,
+    or on a squarem step that fails, it raises ``ConvergenceError`` carrying
+    theta.  The linearized penalty majorizes the penalty, so every fit
+    descends.
     """
 
     def __init__(self, problem: Problem, config: SolverConfig):
         super().__init__(problem)
+        from .accel import _squarem  # accel builds on this module
+
+        self._squarem = _squarem
         self.inner_tol = config.inner_tol
-        #: the map's step, which every inner update takes a multiple of
-        self.map_omega, self.omega = self.omega, None
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
-        problem, omega = self.problem, self.map_omega
-        tau = self.tau(theta).copy()
-        w = 2.0 * BACKTRACK_START if np.ndim(omega) == 0 else 1.0
-        terms = self._terms_at(w * omega, tau)
-        z, b, t = theta, theta, 1.0
-        for _ in range(INNER_MAX):
-            if w > 1.0 and z is not self._theta:
-                self.fidelity(z)
-            nll0, eta0, grad = self.nll, self._eta, self.grad(z)
-            while True:
-                s = glm_map(problem, z, None, grad, terms)
-                d = s - z
-                dd = d.dot(d)
-                if w <= 1.0:
-                    break
-                self.fidelity(s)
-                if _majorizes(self, nll0, grad, eta0, d, dd, w * omega):
-                    break
-                w *= 0.5
-                terms = self._terms_at(w * omega, tau)
-            resid = math.sqrt(dd)
-            if resid <= self.inner_tol:
-                return s
-            e = s - b
-            if d.dot(e) < 0.0:
-                # (z - s) . (s - b) > 0: the momentum points uphill, restart
-                t, z = 1.0, s
-            else:
-                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-                z = s if t == 1.0 else s + ((t - 1.0) / t_next) * e
-                t = t_next
-            b = s
-        raise ConvergenceError(
-            f"inner soft-thresholding did not converge in {INNER_MAX} iterations",
-            last_iterate=b,
-            residual=resid,
-        )
+        spec = self.problem.penalty
+        family = pen.Family.ADAPTIVE_ELASTIC_NET if spec.epsilon else pen.Family.ADAPTIVE_LASSO
+        weighted = replace(spec, family=family, weights=self.tau(theta)[self.off:] / spec.lam)
+        inner = _GlmMap(Problem(self.model, weighted))
+        tol = self.inner_tol if np.ndim(inner.omega) else self.inner_tol / BACKTRACK_START
+        try:
+            out, *_, termination, resid = _iterate(
+                inner, self._squarem(inner), theta, tol, math.ulp(0.0), INNER_MAX
+            )
+        except ConvergenceError as err:  # a squarem step whose map overflowed
+            raise ConvergenceError(f"the inner squarem fit: {err}", last_iterate=theta,
+                                   residual=err.residual) from err
+        if termination is Termination.MAX_ITER:
+            raise ConvergenceError(
+                f"the inner squarem fit did not converge in {INNER_MAX} iterations",
+                last_iterate=theta,
+                residual=resid,
+            )
+        return out
 
 
 def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -> FitResult:
     """Generic MM loop with one full surrogate minimization per step.
 
-    The solve is ``_SurrogateSolve``, or ``_PoissonMap`` for Poisson, where
-    this is ``fit``.  Neither has an outer step, so each gets one attempt.
+    The minimization is ``_SurrogateFit``'s squarem fit of the weighted
+    lasso, or ``_PoissonMap`` for Poisson, where this is ``fit``.  Neither
+    has an outer step, so each gets one attempt.
     """
     if problem.model.family is ResponseFamily.POISSON:
         solve = _PoissonMap(problem)
     else:
-        solve = _SurrogateSolve(problem, config)
+        solve = _SurrogateFit(problem, config)
     return _drive(problem, config, start, solve, _halving(solve))
 
 
@@ -929,8 +911,8 @@ def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -
 
 class _PoissonMap(_Objective):
     """The separable-majorizer MM map of one poisson problem, which is also
-    its ``mm_outer`` surrogate solve: it minimizes the majorized fidelity plus
-    the penalty linearized at theta exactly.
+    its ``mm_outer`` surrogate minimization: it minimizes the majorized
+    fidelity plus the penalty linearized at theta exactly.
 
     The majorizer splits into one strictly convex scalar problem per
     coordinate, all anchored at the same eta = X theta.  What does not depend
@@ -985,17 +967,19 @@ class _PoissonMap(_Objective):
         return _poisson_scalar_min(self, base, self.tau(theta), theta)
 
 
-def _next_probe(newton, move, lo, hi, max_step, fast):
+def _next_probe(newton, move, lo, hi, max_step, fast, inv_reach):
     """The Newton point if it is safe, else a bisection or doubling.
 
     The Newton point, ``move`` away from the last probe, is safe when it lies
     in (lo, hi) and, on a closed bracket, moves at most ``max_step``; on a
-    bracket still open above, when it lies no farther out than max(2 lo, 1)
-    and the slope fell ``fast``.  Otherwise a closed bracket is bisected and
-    an open one is probed at max(2 lo, 1).
+    bracket still open above, when it lies no farther out than max(2 lo, 1 /
+    R) and the slope fell ``fast``.  Otherwise a closed bracket is bisected
+    and an open one is probed at max(2 lo, 1 / R).  ``inv_reach`` is 1 / R,
+    with R = max_i |x_ij / w_ij| over the column, so a first probe at 1 / R
+    moves every u_ij by at most 1 and stays below the exponent guard.
     """
     is_open = np.isinf(hi)
-    outer = np.maximum(2.0 * lo, 1.0)
+    outer = np.maximum(2.0 * lo, inv_reach)
     ok = (newton > lo) & np.where(is_open, (newton <= outer) & fast, (newton < hi) & (move <= max_step))
     nxt = np.where(is_open, outer, 0.5 * (lo + hi))
     np.copyto(nxt, newton, where=ok)
@@ -1045,11 +1029,12 @@ def _poisson_scalar_min(
     find |phi'| at rounding level there.  When every remaining coordinate is
     certified the search returns at once.  Otherwise the probe narrows its
     coordinate's bracket; ``_next_probe`` replaces an unsafe Newton point by
-    bisection or, while the bracket is open, by doubling; and a coordinate
-    that is not certified stops at c when |phi'| is at the rounding level of
-    its own sum, or when its Newton step or bracket is at most 1e-15 (1 +
-    |c|).  An all-zero column maps to 0: the fidelity does not depend on its
-    coordinate and the penalty is nondecreasing in |b|, so 0 minimizes it.
+    bisection or, while the bracket is open, by doubling from 1 / R_j; and a
+    coordinate that is not certified stops at c when |phi'| is at the
+    rounding level of its own sum, or when its Newton step or bracket is at
+    most 1e-15 (1 + |c|).  An all-zero column maps to 0: the fidelity does
+    not depend on its coordinate and the penalty is nondecreasing in |b|, so
+    0 minimizes it.
 
     The first probe costs no exponential.  A coordinate whose theta_j lies in
     the bracket starts there, where u_ij = eta_i, so its sums are the Poisson
@@ -1123,7 +1108,7 @@ def _poisson_scalar_min(
             # minimizer only where e^u underflows): double instead; on a
             # closed bracket, a Newton step longer than half the one before
             # the last bisects instead
-            nxt = _next_probe(newton, move, lo, hi, max_step, adphi <= tenth)
+            nxt = _next_probe(newton, move, lo, hi, max_step, adphi <= tenth, inv_reach)
             done = (adphi <= 8.0 * EPS * scale) | (np.fmin(move, hi - lo) <= 1e-15 * (1.0 + c))
             max_step, step, tenth = 0.5 * np.abs(step), nxt - c, 0.1 * adphi
             if not probe and not from_theta.all():
@@ -1176,12 +1161,15 @@ def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
     """The one-step estimator (Zou & Li 2008): ``mm_outer``'s first iteration
     from the unpenalized MLE.
 
-    The MLE is ``fidelity.fit_mle``'s, which the model keeps, so a lambda
-    sweep on one model fits it once.  The fit reports ``max_iter`` unless
-    that step already met ``coef_tol`` or ``obj_tol``.  A step that
-    overflows, whose objective is not finite, or that rises by more than
-    ``DESCENT_SLACK`` raises ``ConvergenceError`` with the MLE as
-    ``last_iterate``.
+    On a gaussian, logistic or Cox model that step is a squarem fit, from
+    the MLE, of the adaptive lasso (the adaptive elastic net when eps > 0)
+    with the weights p'(|mle_j|) / lam (``_SurrogateFit``).  The MLE is
+    ``fidelity.fit_mle``'s, which the model keeps, so a lambda sweep on one
+    model fits it once.  The fit reports ``max_iter`` unless that step
+    already met ``coef_tol`` or ``obj_tol``.  A step that overflows, whose
+    objective is not finite, that rises by more than ``DESCENT_SLACK``, or
+    whose inner fit runs out of its ``INNER_MAX`` steps raises
+    ``ConvergenceError`` with the MLE as ``last_iterate``.
     """
     return mm_outer(problem, replace(config, max_outer=1), fid.fit_mle(problem.model))
 

@@ -137,48 +137,6 @@ def test_a_fit_with_a_pinned_weight_raises_no_runtime_warning(response):
                 assert res.kkt_residual < 1e-3
 
 
-def test_surrogate_solve_reuses_eta_and_the_risk_sets_of_its_last_fidelity(monkeypatch):
-    # above its floor step the Cox solve evaluates the fidelity at every point
-    # z before its gradient there, and at every candidate s; each gradient
-    # reuses the sums of the fidelity before it, and the objective at the
-    # returned point those of its fidelity.  The solve starts at the iterate
-    # itself, so its first fidelity and gradient reuse the sums of the
-    # objective there.  Each run gets a fresh model, so that both count the
-    # MLE's Newton fit, which a model keeps
-    def problem():
-        return Problem(make_model("cox", n=120, p=8, seed=72), PenaltySpec(family=Family.SCAD, lam=1.0))
-
-    calls, grads = [0], [0]
-    original, grad = fid._cox_parts, solver._SurrogateSolve.grad
-
-    def counted(model, eta):
-        calls[0] += 1
-        return original(model, eta)
-
-    def counted_grad(self, b):
-        grads[0] += 1
-        return grad(self, b)
-
-    monkeypatch.setattr(fid, "_cox_parts", counted)
-    monkeypatch.setattr(solver._SurrogateSolve, "grad", counted_grad)
-    res = one_step_fit(problem(), SolverConfig())
-    # every gradient of the fit: the solve's, and the one of the final KKT check
-    reused, fit_grads = calls[0], grads[0]
-
-    def grad_without_memory(self, b):
-        eta = self.xt @ b
-        return self._xt_t @ self._residual(eta, self._parts_of(eta))
-
-    calls[0] = 0
-    monkeypatch.setattr(solver._SurrogateSolve, "grad", grad_without_memory)
-    ref = one_step_fit(problem(), SolverConfig())
-    assert reused == 35 and calls[0] == 52
-    assert fit_grads > 10 and calls[0] == reused + fit_grads
-    assert np.array_equal(res.coef.augmented(), ref.coef.augmented())
-    assert res.objective == ref.objective and np.array_equal(res.trace, ref.trace)
-    assert res.kkt_residual == ref.kkt_residual
-
-
 #: the checked public functions, and the checked constructor, that no fit
 #: should run past its start: (owner, attribute)
 CHECKED = [

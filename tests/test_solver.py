@@ -142,12 +142,12 @@ def test_total_objective_zero_coef_is_fidelity_only():
     assert total_objective(prob, z) == pytest.approx(neg_loglik(model, z), abs=1e-14)
 
 
-# -- inner iterated soft-thresholding --------------------------------------
+# -- the surrogate fit ------------------------------------------------------
 
 
-def surrogate_solve(prob, theta, inner_tol):
-    """``mm_outer``'s surrogate solve of ``prob`` from the augmented ``theta``."""
-    return solver._SurrogateSolve(prob, SolverConfig(inner_tol=inner_tol))(np.asarray(theta, dtype=float))
+def surrogate_fit(prob, theta, inner_tol):
+    """``mm_outer``'s surrogate fit of ``prob`` from the augmented ``theta``."""
+    return solver._SurrogateFit(prob, SolverConfig(inner_tol=inner_tol))(np.asarray(theta, dtype=float))
 
 
 def quadratic_problem(H, c, tau):
@@ -158,23 +158,10 @@ def quadratic_problem(H, c, tau):
     return gaussian_problem(x, y, PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=1.0, weights=np.asarray(tau, float)))
 
 
-def counted_grads(solve):
-    """Count the log-likelihood gradients the solve takes."""
-    calls = [0]
-    grad = solve.grad
-
-    def counted(b):
-        calls[0] += 1
-        return grad(b)
-
-    solve.grad = counted
-    return calls
-
-
 def test_ist_scalar_lasso():
     # l(b) = 0.5 (b - 3)^2, tau = 1 -> soft(3, 1) = 2
     prob = gaussian_problem([[1.0]], [3.0], PenaltySpec(family=Family.LASSO, lam=1.0))
-    b = surrogate_solve(prob, [0.0], inner_tol=1e-12)
+    b = surrogate_fit(prob, [0.0], inner_tol=1e-12)
     assert b[0] == pytest.approx(2.0, abs=1e-10)
 
 
@@ -183,13 +170,13 @@ def test_ist_zero_threshold_matches_linear_solve():
     A = rng.standard_normal((8, 4))
     H = A.T @ A + 0.5 * np.eye(4)
     c = rng.standard_normal(4)
-    b = surrogate_solve(quadratic_problem(H, c, np.zeros(4)), np.zeros(4), inner_tol=1e-13)
+    b = surrogate_fit(quadratic_problem(H, c, np.zeros(4)), np.zeros(4), inner_tol=1e-13)
     assert np.allclose(b, np.linalg.solve(H, c), atol=1e-9)
 
 
 def test_ist_fixed_point_start():
     prob = gaussian_problem([[1.0]], [3.0], PenaltySpec(family=Family.LASSO, lam=1.0))
-    b = surrogate_solve(prob, [2.0], inner_tol=1e-12)
+    b = surrogate_fit(prob, [2.0], inner_tol=1e-12)
     assert b[0] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -212,51 +199,20 @@ def test_ist_contraction_on_quadratic():
         b = b_new
 
 
-def cox_scad(seed=72):
-    model = make_model("cox", n=60, p=5, seed=seed)
-    return Problem(model, PenaltySpec(family=Family.SCAD, lam=2.0)), fit_mle(model).augmented()
-
-
-def test_ist_backtracked_step_reaches_the_same_minimizer_in_fewer_iterations(monkeypatch):
-    # the Cox bound is several times the curvature: a backtracked step gets
-    # to the minimizer of the same surrogate in far fewer gradients
-    prob, mle = cox_scad()
-
-    def run():
-        solve = solver._SurrogateSolve(prob, SolverConfig(inner_tol=1e-13))
-        calls = counted_grads(solve)
-        return solve(mle), calls[0]
-
-    local, local_iters = run()
-    monkeypatch.setattr(solver, "BACKTRACK_START", 0.5)  # first try w = 1: never backtracked
-    fixed, fixed_iters = run()
-    assert np.max(np.abs(local - fixed)) <= 1e-10
-    assert local_iters * 4 < fixed_iters
-
-
-def test_ist_backtracking_evaluates_the_fidelity_once_per_point():
-    # the accepted candidate's fidelity is the next iteration's at z = s
-    prob, mle = cox_scad()
-    solve = solver._SurrogateSolve(prob, SolverConfig(inner_tol=1e-13))
-    points = []
-    fidelity = solve.fidelity
-
-    def recorded(b):
-        points.append(b.tobytes())
-        return fidelity(b)
-
-    solve.fidelity = recorded
-    solve(mle)
-    assert len(points) > 10
-    assert len(set(points)) == len(points)
+def ill_conditioned_quadratic():
+    """An 8-coordinate quadratic problem, kappa = 1e3, whose thresholds are active."""
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    H = q @ np.diag(np.geomspace(1.0, 1e3, 8)) @ q.T
+    return quadratic_problem(H, 30.0 * rng.standard_normal(8), np.full(8, 10.0))
 
 
 def test_ist_iteration_cap_raises_with_diagnostics(monkeypatch):
     monkeypatch.setattr(solver, "INNER_MAX", 3)
-    prob = gaussian_problem([[0.3], [0.2]], [3.0, 1.0], PenaltySpec(family=Family.LASSO, lam=0.1))
+    start = np.zeros(8)
     with pytest.raises(ConvergenceError, match="in 3 iterations") as exc:
-        surrogate_solve(prob, [0.0], inner_tol=1e-14)
-    assert exc.value.last_iterate is not None
+        surrogate_fit(ill_conditioned_quadratic(), start, inner_tol=1e-14)
+    assert np.array_equal(exc.value.last_iterate, start)
     assert exc.value.residual is not None
 
 
@@ -272,86 +228,30 @@ def test_ist_with_a_step_per_coordinate_reaches_the_minimizer_across_scales():
     assert 0 < np.count_nonzero(want) < 9  # the threshold is active
     prob = gaussian_problem(np.diag(np.sqrt(h)), np.sqrt(h) * a,
                             PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=0.5, weights=np.sqrt(h)))
-    solve = solver._SurrogateSolve(prob, SolverConfig(inner_tol=1e-9))
-    b = solve(np.zeros(9))
+    b = surrogate_fit(prob, np.zeros(9), inner_tol=1e-9)
     assert np.all(np.abs(b - want) <= 1e-12 * np.abs(want))
-    # one step for every coordinate, that of the largest curvature, moves the
-    # flat coordinates by less than the tolerance: the solve stops at its start
-    solve.map_omega = np.full(9, solve.map_omega.min())
-    flat = solve(np.zeros(9))
-    assert np.max(np.abs(flat - want)) > 1.0
 
 
-def test_fista_reaches_the_ista_minimizer_in_a_third_of_the_gradients():
-    # an ill-conditioned quadratic, kappa = 1e3
-    rng = np.random.default_rng(7)
-    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    H = q @ np.diag(np.geomspace(1.0, 1e3, 8)) @ q.T
-    c = 30.0 * rng.standard_normal(8)
-    tau = np.full(8, 10.0)
-    tol = 1e-14
-    solve = solver._SurrogateSolve(quadratic_problem(H, c, tau), SolverConfig(inner_tol=tol))
-    fista_grads = counted_grads(solve)
-    # plain iterated soft-thresholding at the full step omega, twice the solve's
-    omega = solve.map_omega
-    b, ista_grads = np.zeros(8), 0
-    while True:
-        ista_grads += 1
-        s = soft_threshold_vec(b - omega * (H @ b - c), omega * tau)
-        done = np.linalg.norm(s - b) <= tol
-        b = s
-        if done:
-            break
-    fista = solve(np.zeros(8))
-    assert np.count_nonzero(b) < 8  # the threshold is active
-    assert np.max(np.abs(fista - b)) <= 1e-10
-    assert 3 * fista_grads[0] <= ista_grads
-
-
-def test_fista_restarts_when_the_step_reverses():
-    # l(b) = h b^2 / 2 from b = 1: the momentum carries z past the minimizer
-    # at the third gradient, the step from there points back, and the
-    # iteration restarts: the next two gradients are taken at the
-    # thresholded points themselves, with no extrapolation
-    prob = gaussian_problem([[math.sqrt(3.0)]], [0.0],
-                            PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=1.0, weights=np.zeros(1)))
-    solve = solver._SurrogateSolve(prob, SolverConfig(inner_tol=1e-14))
-    points = []
-    grad = solve.grad
-
-    def recorded(b):
-        points.append(b.copy())
-        return grad(b)
-
-    solve.grad = recorded
-    out = solve(np.ones(1))
-    assert abs(out[0]) <= 1e-14
-    z = [p[0] for p in points]
-    # the thresholded point from each z: the map at its own step
-    s = [glm_map(prob, np.array([zk]), solve.map_omega)[0] for zk in z]
-    assert z[1] == s[0]  # t = 1: no extrapolation
-    assert z[2] != s[1] and z[2] < 0.0 < s[1]  # the momentum overshoots
-    assert (z[2] - s[2]) * (s[2] - s[1]) > 0.0  # the restart condition
-    assert z[3] == s[2] and z[4] == s[3]
-    assert z[5] != s[4]  # the momentum is back
-
-
-def test_surrogate_solve_with_a_ridge_lands_on_the_adaptive_elastic_net_optimum():
-    # with eps > 0 the solve's shrink applies the ridge exactly: from the MLE
-    # it minimizes l(b) + lam eps ||b||^2 + sum_j p'(|mle_j|) |b_j|, the
-    # adaptive elastic net with weights p'(|mle_j|) / lam, which a plain fit
-    # reaches as well
-    for family in ("gaussian", "logistic", "cox"):
-        model = make_model(family, n=60, p=5, seed=37)
-        scad = PenaltySpec(family=Family.SCAD, lam=4.0, epsilon=0.5)
+@pytest.mark.parametrize("epsilon", [0.0, 0.5])
+def test_surrogate_fit_lands_on_the_adaptive_elastic_net_optimum(epsilon):
+    # from the MLE the fit minimizes l(b) + lam eps ||b||^2 + sum_j p'(|mle_j|)
+    # |b_j|, the adaptive lasso (elastic net when eps > 0) with weights
+    # p'(|mle_j|) / lam, with the ridge applied exactly by the map's shrink.
+    # It is stationary there, and a tight squarem fit of that problem lands
+    # on it: a plain Cox fit stops on an unchanged objective short of 1e-7
+    family = Family.ADAPTIVE_ELASTIC_NET if epsilon else Family.ADAPTIVE_LASSO
+    for response in ("gaussian", "logistic", "cox"):
+        model = make_model(response, n=60, p=5, seed=37)
+        scad = PenaltySpec(family=Family.SCAD, lam=4.0, epsilon=epsilon)
         mle = fit_mle(model)
-        solved = surrogate_solve(Problem(model, scad), mle.augmented(), inner_tol=1e-12)
+        solved = surrogate_fit(Problem(model, scad), mle.augmented(), inner_tol=1e-12)
         weights = kernels(scad, 5).derivative(np.abs(mle.beta)) / scad.lam
-        enet = Problem(model, PenaltySpec(family=Family.ADAPTIVE_ELASTIC_NET, lam=4.0, epsilon=0.5, weights=weights))
-        ref = fit(enet, SolverConfig(coef_tol=1e-13, obj_tol=1e-300), mle)
+        enet = Problem(model, PenaltySpec(family=family, lam=4.0, epsilon=epsilon, weights=weights))
+        assert kkt_residual(enet, CoefficientVector.from_augmented(solved, model.has_intercept)) <= 1e-7
+        ref = accelerated_fit(enet, SolverConfig(coef_tol=1e-13, obj_tol=1e-300), mle, mode="squarem")
         assert ref.termination is not Termination.MAX_ITER and ref.kkt_residual <= 1e-7
         assert np.count_nonzero(solved[model.has_intercept:]) < 5  # a threshold is active
-        assert np.max(np.abs(solved - ref.coef.augmented())) <= 1e-8, family
+        assert np.max(np.abs(solved - ref.coef.augmented())) <= 1e-8, response
 
 
 # -- single-map GLM update -------------------------------------------------
@@ -521,13 +421,13 @@ def test_rejected_mm_outer_step_solves_once(monkeypatch):
     model = make_model("gaussian", n=25, p=4, seed=15)
     prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.4))
     calls = []
-    real = solver._SurrogateSolve.__call__
+    real = solver._SurrogateFit.__call__
 
     def uphill(self, theta):
         calls.append(1)
         return real(self, theta) + 100.0  # far above the surrogate minimizer
 
-    monkeypatch.setattr(solver._SurrogateSolve, "__call__", uphill)
+    monkeypatch.setattr(solver._SurrogateFit, "__call__", uphill)
     with pytest.raises(ConvergenceError, match=r"in 1 attempt\(s\)"):
         mm_outer(prob, TIGHT, CoefficientVector.zeros(4, True))
     assert len(calls) == 1
@@ -540,18 +440,27 @@ def test_mm_outer_computes_the_curvature_bound_once(family, monkeypatch):
     model = make_model(family, n=25, p=4, seed=17)
     prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.4, epsilon=0.5))
     start = CoefficientVector.zeros(4, model.has_intercept)
-    bound = fid.diagonal_bound(model)
-    # the inner updates take the map's step, STEP_SAFETY * 2 / D, exactly:
-    # one per coordinate for gaussian, one number for cox; the ridge adds no
+    computed, steps = [], []
+    real, glm_map_class = fid.diagonal_bound, solver._GlmMap
+
+    class Recorded(glm_map_class):
+        def __init__(self, problem):
+            super().__init__(problem)
+            steps.append(self.omega)
+
+    # each surrogate fit builds its map, which reads the bound the model keeps
+    monkeypatch.setattr(fid, "diagonal_bound", lambda m: computed.append(m._diagonal_bound is None) or real(m))
+    monkeypatch.setattr(solver, "_GlmMap", Recorded)
+    res = mm_outer(prob, TIGHT, start)
+    assert computed.count(True) == 1 and len(computed) == res.outer_iters
+    # every surrogate fit maps at the step STEP_SAFETY * 2 / D exactly: one per
+    # coordinate for gaussian, one number for cox; the ridge adds no
     # curvature, since the map's shrink applies it exactly
-    inner = solver._SurrogateSolve(prob, TIGHT).map_omega
-    assert np.ndim(inner) == (family == "gaussian")
-    assert np.array_equal(inner, 0.95 * 2.0 / bound)
-    calls = []
-    real = fid.diagonal_bound
-    monkeypatch.setattr(fid, "diagonal_bound", lambda m: calls.append(m) or real(m))
-    mm_outer(prob, TIGHT, start)
-    assert len(calls) == 1
+    bound = real(model)
+    assert len(steps) == res.outer_iters > 0
+    for inner in steps:
+        assert np.ndim(inner) == (family == "gaussian")
+        assert np.array_equal(inner, 0.95 * 2.0 / bound)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "logistic"])
@@ -832,6 +741,23 @@ def test_poisson_fit_whose_map_overflows_is_a_rejected_step():
     with pytest.raises(ConvergenceError, match="1 attempt") as err:
         fit(prob, SolverConfig(), CoefficientVector.zeros(2, True))
     assert np.array_equal(err.value.last_iterate, np.zeros(3))
+
+
+@pytest.mark.parametrize("count", [1e6, 1e7, 1e8])
+def test_a_poisson_map_probes_an_open_bracket_within_the_exponent_guard(count):
+    # a row of l1 norm 1000 beside 200 rows whose counts pull the coefficient
+    # up: a first open-bracket probe at c = 1 would put u = 1000 past the
+    # exponent guard, one at 1 / R = 1e-3 moves u by 1.  With one column the
+    # separable majorizer is the fidelity itself, so the map lands on the
+    # lasso minimizer, where sum_i x_i (e^(x_i b) - y_i) + lam = 0
+    x = np.concatenate([[1000.0], np.full(200, 0.01)])
+    y = np.concatenate([[0.0], np.full(200, count)])
+    model = FidelityModel(DesignMatrix(x[:, None], has_intercept=False), Response(family=ResponseFamily.POISSON, y=y))
+    prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=1.0))
+    got = mm_map(prob)(np.zeros(1))[0]
+    want = brentq(lambda b: x.dot(np.exp(x * b) - y) + 1.0, 0.0, 0.02, xtol=1e-15)
+    assert 0.007 < got < 0.013
+    assert abs(got - want) <= 1e-12
 
 
 def test_poisson_step_makes_one_attempt(monkeypatch):
@@ -1336,9 +1262,9 @@ def test_one_step_scad_far_tail_returns_mle():
 
 
 def test_one_step_inner_gradient_count_on_the_simulation_design(monkeypatch):
-    # simlab linear_ex1 at p = 35, n = 100, rho = 0.75: the restarted FISTA
-    # inner solve at the per-coordinate step takes 119 gradients, one per
-    # inner update (``glm_map``), since a step per coordinate is not backtracked
+    # simlab linear_ex1 at p = 35, n = 100, rho = 0.75: the surrogate's
+    # squarem fit at the per-coordinate step takes 77 maps (``glm_map``),
+    # where restarted FISTA took 119 inner updates
     ds = simlab.gen_dataset(simlab.SimScenario(family="linear_ex1", p=35, n=100, rho=0.75, seed=7))
     model = FidelityModel(ds.design, ds.response)
     x, y = ds.design.values, ds.response.y
@@ -1353,7 +1279,7 @@ def test_one_step_inner_gradient_count_on_the_simulation_design(monkeypatch):
     monkeypatch.setattr(solver, "glm_map", counted)
     res = one_step_fit(Problem(model, PenaltySpec(family=Family.SCAD, lam=lam)), SolverConfig())
     assert res.outer_iters == 1 and res.map_evals == 1
-    assert calls[0] == 119
+    assert calls[0] == 77
 
 
 def test_one_step_requires_overdetermined_design():
@@ -1416,10 +1342,31 @@ def test_one_step_that_overflows_is_a_convergence_error(family, monkeypatch):
         raise OverflowError("injected")
 
     monkeypatch.setattr(solver._PoissonMap, "__call__", overflow)
-    monkeypatch.setattr(solver._SurrogateSolve, "__call__", overflow)
+    monkeypatch.setattr(solver._SurrogateFit, "__call__", overflow)
     model = make_model(family, n=50, p=4, seed=36)
     prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=1.0))
     with pytest.raises(ConvergenceError, match=r"in 1 attempt\(s\)") as info:
+        one_step_fit(prob, SolverConfig())
+    assert np.array_equal(info.value.last_iterate, fit_mle(model).augmented())
+
+
+@pytest.mark.parametrize("family", ["gaussian", "cox"])
+def test_one_step_whose_inner_map_overflows_is_a_convergence_error_at_the_mle(family, monkeypatch):
+    # the maps of the surrogate's squarem fit overflow once its first step
+    # has moved from the MLE: the error still carries the MLE, the outer iterate
+    calls = []
+    real = solver._GlmMap.__call__
+
+    def overflow_later(self, theta, *args):
+        calls.append(1)
+        if len(calls) > 2:
+            raise OverflowError("injected")
+        return real(self, theta, *args)
+
+    monkeypatch.setattr(solver._GlmMap, "__call__", overflow_later)
+    model = make_model(family, n=50, p=4, seed=36)
+    prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=1.0))
+    with pytest.raises(ConvergenceError, match="inner squarem fit: squarem: injected") as info:
         one_step_fit(prob, SolverConfig())
     assert np.array_equal(info.value.last_iterate, fit_mle(model).augmented())
 
@@ -1775,7 +1722,7 @@ def test_a_response_with_no_finite_intercept_is_named_before_any_map(family, y, 
     def no_map(self, theta, *args):
         raise AssertionError("a map was applied")
 
-    for cls in (solver._GlmMap, solver._PoissonMap, solver._SurrogateSolve):
+    for cls in (solver._GlmMap, solver._PoissonMap, solver._SurrogateFit):
         monkeypatch.setattr(cls, "__call__", no_map)
     x = np.random.default_rng(0).standard_normal((12, 2))
     model = FidelityModel(DesignMatrix(x), Response(family=family, y=np.full(12, y)))
