@@ -13,10 +13,9 @@ pass in, and every step is ``_halving``'s or squarem's:
                        coordinate, all solved at once by a batched safeguarded
                        Newton iteration (``_PoissonMap``).
 * ``mm_outer``      -- one full surrogate minimization per step, for every
-                       penalty: a squarem fit of the weighted lasso that
-                       linearizes the penalty (``_SurrogateFit``), or for
-                       poisson the separable majorizer's (``_PoissonMap``),
-                       so that it is ``fit``.
+                       family and penalty: a squarem fit over ``mm_map`` of
+                       the weighted lasso that linearizes the penalty
+                       (``_SurrogateFit``).
 * ``one_step_fit``  -- ``mm_outer``'s first iteration from the MLE.
 * ``accel.accelerated_fit`` -- one safeguarded squarem step over ``mm_map``.
 
@@ -83,17 +82,18 @@ certified step the test is skipped, since the bound guarantees it.
 Squarem, which needs a fixed map, applies each map at its certified step;
 the Poisson map has no step.
 
-Every surrogate minimization of a gaussian, logistic or Cox problem
-(``mm_outer``'s step, and so the one-step estimator) is a fit of its own
-(``_SurrogateFit``).  At theta the surrogate keeps the fidelity and the
-ridge and linearizes the penalty (Zou & Li 2008): it is the adaptive lasso,
-or the adaptive elastic net when eps > 0, with the weights p'(|theta_j|) /
-lam.  So the step builds that problem's map and runs squarem over it from
-theta, the step of ``accel.accelerated_fit``, in the loop of every fit
-(``_iterate``), which checks and builds nothing.  The fit stops when
-squarem's step norm ||r|| falls below ``inner_tol``, in coefficient units,
-or below ``inner_tol`` / ``BACKTRACK_START`` on Cox, whose certified step is
-several times shorter than the curvature allows.
+Every surrogate minimization (``mm_outer``'s step, and so the one-step
+estimator) is a fit of its own (``_SurrogateFit``), for every family.  At
+theta the surrogate keeps the fidelity and the ridge and linearizes the
+penalty (Zou & Li 2008): it is the adaptive lasso, or the adaptive elastic
+net when eps > 0, with the weights p'(|theta_j|) / lam.  So the step builds
+that problem's map (``mm_map``) and runs squarem over it from theta, the
+step of ``accel.accelerated_fit``, in the loop of every fit (``_iterate``),
+which checks and builds nothing.  The fit stops when squarem's step norm
+||r|| falls below ``INNER_TOL``, in coefficient units, or below
+``INNER_TOL`` / ``BACKTRACK_START`` on a map with no step per coordinate:
+Cox, whose certified step is several times shorter than the curvature
+allows, and Poisson.
 
 The loops work on plain augmented arrays (intercept first) and run on
 unchecked kernels; ``_drive`` checks the start once, and nothing inside a fit
@@ -180,6 +180,8 @@ BACKTRACK_START = 64.0
 MAJORIZE_SLACK = 1e-12
 #: cap on the squarem steps of one surrogate fit
 INNER_MAX = 100_000
+#: the step norm below which a surrogate fit stops (``_SurrogateFit``)
+INNER_TOL = 1e-8
 EPS = float(np.finfo(float).eps)
 
 
@@ -193,9 +195,10 @@ class Termination(str, enum.Enum):
 class SolverConfig:
     """Stopping controls.
 
-    ``coef_tol``, ``obj_tol`` and ``max_outer`` stop the outer loop;
-    ``inner_tol`` stops the inner squarem fit of a surrogate (``mm_outer``'s
-    step) on its step norm, and the constant ``INNER_MAX`` caps its steps.
+    ``coef_tol``, ``obj_tol`` and ``max_outer`` stop the outer loop.  The
+    inner squarem fit of a surrogate (``mm_outer``'s step) stops on its step
+    norm at the constant ``INNER_TOL``, and the constant ``INNER_MAX`` caps
+    its steps.
     Every step of a map comes from the problem's curvature bound by one rule
     (``glm_step``), one per coordinate for gaussian and logistic and one for
     every coordinate for Cox, so no field sets one.
@@ -208,10 +211,9 @@ class SolverConfig:
     coef_tol: float = 1e-6
     obj_tol: float = 1e-6
     max_outer: int = 1_000_000
-    inner_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("coef_tol", "obj_tol", "inner_tol"):
+        for name in ("coef_tol", "obj_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
                 raise ValidationError(f"{name} must be a real number > 0, got {value!r}")
@@ -415,17 +417,15 @@ class _Objective:
 
     Built once per fit, it picks its likelihood kernels (``fidelity.kernels``)
     and its penalty kernels at construction, so no call tests the family.
-    ``fidelity(theta)`` stores (theta, eta = X theta), the fidelity ``nll`` at
-    theta and the parts the likelihood shares with the score there: the
-    gaussian residual r = y - eta, of which nll = r . r / 2 and the gradient
-    is X^T r, the Poisson mean, or the Cox risk-set sums
-    ``fidelity._cox_parts``.  ``objective(theta)``, which runs once per map,
-    computes and stores the same inline, without a ``fidelity`` frame, and
-    stores |beta| at theta as well.  ``objective``, ``eta``, ``grad`` and
-    ``tau`` reuse them when asked about the same array object (the fits never
-    change an iterate in place), so a map applied to the point whose
-    objective was just evaluated neither multiplies by X, forms the residual,
-    sums the risk sets nor takes |beta| again.
+    ``objective(theta)``, which runs once per map, stores (theta, eta = X
+    theta), the fidelity ``nll`` at theta, the parts the likelihood shares
+    with the score there (the gaussian residual r = y - eta, of which
+    nll = r . r / 2 and the gradient is X^T r, the Poisson mean, or the Cox
+    risk-set sums ``fidelity._cox_parts``) and |beta| at theta.  ``objective``,
+    ``eta``, ``grad`` and ``tau`` reuse them when asked about the same array
+    object (the fits never change an iterate in place), so a map applied to
+    the point whose objective was just evaluated neither multiplies by X,
+    forms the residual, sums the risk sets nor takes |beta| again.
 
     The penalty reaches it only through the spec's kernels
     (``penalties.kernels``): the summed value sum_j p(|beta_j|) in one call,
@@ -469,17 +469,8 @@ class _Objective:
         self.nll = math.nan
         self._abs_at = self._abs = None
 
-    def fidelity(self, theta: np.ndarray) -> float:
-        """The fidelity at theta, remembered with theta, eta and the shared parts."""
-        eta = self.xt.dot(theta)
-        parts = self._parts_of(eta)
-        self.nll = self._nll(eta, parts)
-        self._theta, self._eta, self._parts = theta, eta, parts
-        return self.nll
-
     def objective(self, theta: np.ndarray) -> float:
         if theta is not self._theta:
-            # ``fidelity``, inline: the objective runs once per map
             eta = self.xt.dot(theta)
             parts = self._parts_of(eta)
             self.nll = self._nll(eta, parts)
@@ -777,7 +768,7 @@ def _halving(m: _Objective) -> Step:
         nonlocal first
         if omega is not None:
             if theta is not m._theta:
-                m.fidelity(theta)
+                m.objective(theta)
             nll0, grad0, eta0 = m.nll, m.grad(theta), m._eta
         w, evals = first, 0
         while True:
@@ -848,34 +839,34 @@ def glm_mm_fit(problem: Problem, config: SolverConfig, start: CoefficientVector)
 
 
 class _SurrogateFit(_Objective):
-    """``mm_outer``'s step on a gaussian, logistic or cox problem: a map
-    with no outer step (``omega`` None), which ``_halving`` calls once.
+    """``mm_outer``'s step on a problem of any family: a map with no outer
+    step (``omega`` None), which ``_halving`` calls once.
 
-    A call minimizes the surrogate at theta, l(b) + lam eps ||b||^2 +
-    sum_j p'(|theta_j|) |b_j|: the adaptive lasso, or the adaptive elastic
-    net when eps > 0, with the weights ``tau(theta)`` / lam, 0 and +inf
-    included.  It runs squarem (``accel._squarem``) over that problem's map
-    (``_GlmMap``) from theta in ``_iterate``, until the step norm ||r|| is
-    below ``inner_tol`` (``inner_tol`` / ``BACKTRACK_START`` at Cox's one
-    step) or the objective is exactly unchanged.  After ``INNER_MAX`` steps,
-    or on a squarem step that fails, it raises ``ConvergenceError`` carrying
-    theta.  The linearized penalty majorizes the penalty, so every fit
-    descends.
+    A call minimizes the surrogate at theta, l(b) + lam eps ||b||^2 + sum_j
+    p'(|theta_j|) |b_j|: the adaptive lasso, or the adaptive elastic net when
+    eps > 0, with the weights ``tau(theta)`` / lam, 0 and +inf included.  It
+    runs squarem (``accel._squarem``) over that problem's map (``mm_map``:
+    ``_GlmMap``, or ``_PoissonMap`` for Poisson) from theta in ``_iterate``,
+    until the step norm ||r|| is below ``INNER_TOL``, or ``INNER_TOL`` /
+    ``BACKTRACK_START`` on a map with no step per coordinate (Cox's one step,
+    the Poisson map's none), or the objective is exactly unchanged.  After
+    ``INNER_MAX`` steps, or on a squarem step that fails, it raises
+    ``ConvergenceError`` carrying theta.  The linearized penalty majorizes the
+    penalty, so every fit descends.
     """
 
-    def __init__(self, problem: Problem, config: SolverConfig):
+    def __init__(self, problem: Problem):
         super().__init__(problem)
         from .accel import _squarem  # accel builds on this module
 
         self._squarem = _squarem
-        self.inner_tol = config.inner_tol
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         spec = self.problem.penalty
         family = pen.Family.ADAPTIVE_ELASTIC_NET if spec.epsilon else pen.Family.ADAPTIVE_LASSO
         weighted = replace(spec, family=family, weights=self.tau(theta)[self.off:] / spec.lam)
-        inner = _GlmMap(Problem(self.model, weighted))
-        tol = self.inner_tol if np.ndim(inner.omega) else self.inner_tol / BACKTRACK_START
+        inner = mm_map(Problem(self.model, weighted))
+        tol = INNER_TOL if np.ndim(inner.omega) else INNER_TOL / BACKTRACK_START
         try:
             out, *_, termination, resid = _iterate(
                 inner, self._squarem(inner), theta, tol, math.ulp(0.0), INNER_MAX
@@ -896,13 +887,10 @@ def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -
     """Generic MM loop with one full surrogate minimization per step.
 
     The minimization is ``_SurrogateFit``'s squarem fit of the weighted
-    lasso, or ``_PoissonMap`` for Poisson, where this is ``fit``.  Neither
-    has an outer step, so each gets one attempt.
+    lasso, for every family.  It has no outer step, so each step gets one
+    attempt.
     """
-    if problem.model.family is ResponseFamily.POISSON:
-        solve = _PoissonMap(problem)
-    else:
-        solve = _SurrogateFit(problem, config)
+    solve = _SurrogateFit(problem)
     return _drive(problem, config, start, solve, _halving(solve))
 
 
@@ -910,9 +898,10 @@ def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -
 
 
 class _PoissonMap(_Objective):
-    """The separable-majorizer MM map of one poisson problem, which is also
-    its ``mm_outer`` surrogate minimization: it minimizes the majorized
-    fidelity plus the penalty linearized at theta exactly.
+    """The separable-majorizer MM map of one poisson problem: it minimizes
+    the majorized fidelity plus the penalty linearized at theta exactly.  A
+    surrogate fit (``_SurrogateFit``) runs squarem over it on the weighted
+    lasso of its outer iterate.
 
     The majorizer splits into one strictly convex scalar problem per
     coordinate, all anchored at the same eta = X theta.  What does not depend
@@ -1161,15 +1150,14 @@ def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
     """The one-step estimator (Zou & Li 2008): ``mm_outer``'s first iteration
     from the unpenalized MLE.
 
-    On a gaussian, logistic or Cox model that step is a squarem fit, from
-    the MLE, of the adaptive lasso (the adaptive elastic net when eps > 0)
-    with the weights p'(|mle_j|) / lam (``_SurrogateFit``).  The MLE is
-    ``fidelity.fit_mle``'s, which the model keeps, so a lambda sweep on one
-    model fits it once.  The fit reports ``max_iter`` unless that step
-    already met ``coef_tol`` or ``obj_tol``.  A step that overflows, whose
-    objective is not finite, that rises by more than ``DESCENT_SLACK``, or
-    whose inner fit runs out of its ``INNER_MAX`` steps raises
-    ``ConvergenceError`` with the MLE as ``last_iterate``.
+    For every family that step is a squarem fit, from the MLE, of the adaptive
+    lasso (the adaptive elastic net when eps > 0) with the weights p'(|mle_j|)
+    / lam (``_SurrogateFit``).  The MLE is ``fidelity.fit_mle``'s, which the
+    model keeps, so a lambda sweep on one model fits it once.  The fit reports
+    ``max_iter`` unless that step already met ``coef_tol`` or ``obj_tol``.  A
+    step that overflows, whose objective is not finite, that rises by more
+    than ``DESCENT_SLACK``, or whose inner fit runs out of its ``INNER_MAX``
+    steps raises ``ConvergenceError`` with the MLE as ``last_iterate``.
     """
     return mm_outer(problem, replace(config, max_outer=1), fid.fit_mle(problem.model))
 

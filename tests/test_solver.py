@@ -146,8 +146,11 @@ def test_total_objective_zero_coef_is_fidelity_only():
 
 
 def surrogate_fit(prob, theta, inner_tol):
-    """``mm_outer``'s surrogate fit of ``prob`` from the augmented ``theta``."""
-    return solver._SurrogateFit(prob, SolverConfig(inner_tol=inner_tol))(np.asarray(theta, dtype=float))
+    """``mm_outer``'s surrogate fit of ``prob`` from the augmented ``theta``,
+    stopped at the step norm ``inner_tol``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "INNER_TOL", inner_tol)
+        return solver._SurrogateFit(prob)(np.asarray(theta, dtype=float))
 
 
 def quadratic_problem(H, c, tau):
@@ -386,32 +389,16 @@ def assert_same_fit(a, b):
         assert np.array_equal(x, y), field.name
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        PenaltySpec(family=Family.LASSO, lam=2.0),
-        PenaltySpec(family=Family.SCAD, lam=2.0),
-        PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=2.0, weights=np.array([1.0, math.inf, 0.5, 2.0])),
-    ],
-    ids=["lasso", "scad", "adaptive_lasso"],
-)
-def test_mm_outer_on_poisson_is_fit(spec):
-    # the separable majorizer is Poisson's surrogate solve, and a single-map fit
-    model = make_model("poisson", n=60, p=4, seed=34)
-    prob = Problem(model, spec)
-    start = CoefficientVector(beta=np.full(4, 0.2), intercept=0.0)
-    assert_same_fit(mm_outer(prob, TIGHT, start), fit(prob, TIGHT, start))
-
-
 @pytest.mark.parametrize("penalty", [Family.SCAD, Family.MCP])
-@pytest.mark.parametrize("family", ["gaussian", "logistic", "cox"])
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson", "cox"])
 def test_mm_outer_on_a_flat_tail_penalty_is_glm_mm_fit(family, penalty):
     # the linearized flat-tail penalty majorizes it, so the surrogate solve
-    # descends and meets the single-map fit at the same stationary point
+    # descends and meets the single-map fit (``glm_mm_fit`` on a GLM, the
+    # separable-majorizer fit on Poisson) at the same stationary point
     model = make_model(family, n=40, p=4, seed=19)
     prob = Problem(model, PenaltySpec(family=penalty, lam=0.5))
     start = CoefficientVector.zeros(4, model.has_intercept)
-    a, b = mm_outer(prob, TIGHT, start), glm_mm_fit(prob, TIGHT, start)
+    a, b = mm_outer(prob, TIGHT, start), fit(prob, TIGHT, start)
     assert np.all(np.diff(a.trace) <= 1e-12)
     assert a.kkt_residual <= 1e-6
     assert np.max(np.abs(a.coef.augmented() - b.coef.augmented())) <= 1e-6
@@ -520,9 +507,10 @@ def test_resolve_step_auto_uses_safety_margin():
 @pytest.mark.parametrize(
     "removed",
     [{"relaxation": 0.5}, {"step_omega": 1.0}, {"step_omega": "auto"},
-     {"inner_max": False}, {"inner_max": math.inf}, {"inner_max": -3.0}, {"inner_max": 20.0}],
+     {"inner_max": False}, {"inner_max": math.inf}, {"inner_max": -3.0}, {"inner_max": 20.0},
+     {"inner_tol": 1e-8}],
     ids=["relaxation", "step_omega", "step_omega_auto",
-         "{'inner_max': False}", "{'inner_max': inf}", "{'inner_max': -3.0}", "inner_max"],
+         "{'inner_max': False}", "{'inner_max': inf}", "{'inner_max': -3.0}", "inner_max", "inner_tol"],
 )
 def test_solver_config_has_no_relaxation(removed):
     # removed fields: the step comes from the problem alone
@@ -536,8 +524,7 @@ def test_solver_config_has_no_relaxation(removed):
     "fields",
     [
         {"max_outer": True}, {"max_outer": 2.5}, {"max_outer": 0}, {"max_outer": "10"},
-        {"coef_tol": "1e-8"}, {"obj_tol": True}, {"inner_tol": 0.0}, {"coef_tol": math.nan},
-        {"obj_tol": -1e-6}, {"inner_tol": None},
+        {"coef_tol": "1e-8"}, {"obj_tol": True}, {"coef_tol": math.nan}, {"obj_tol": -1e-6},
     ],
     ids=repr,
 )
@@ -1238,24 +1225,26 @@ def test_a_backtracked_fit_takes_fewer_maps_than_the_fixed_step_fit(scenario, sh
 # -- one-step estimator ----------------------------------------------------
 
 
-def test_one_step_lasso_equals_weighted_surrogate_solution():
-    model = make_model("gaussian", n=50, p=4, seed=31)
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson", "cox"])
+def test_one_step_lasso_equals_weighted_surrogate_solution(family, monkeypatch):
+    model = make_model(family, n=50, p=4, seed=31)
     prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=0.8))
-    cfg = SolverConfig(inner_tol=1e-12)
-    res = one_step_fit(prob, cfg)
+    monkeypatch.setattr(solver, "INNER_TOL", 1e-12)
+    res = one_step_fit(prob, SolverConfig())
     # lasso is convex: the single full surrogate solve is the exact solution
-    full = glm_mm_fit(prob, TIGHT, CoefficientVector.zeros(4, True))
+    full = fit(prob, TIGHT, CoefficientVector.zeros(4, model.has_intercept))
     assert abs(res.objective - full.objective) <= 1e-8
     assert res.outer_iters == 1 and res.map_evals == 1
     assert len(res.trace) == 2 and res.trace[1] <= res.trace[0] + 1e-12
 
 
-def test_one_step_scad_far_tail_returns_mle():
+def test_one_step_scad_far_tail_returns_mle(monkeypatch):
     model = make_model("gaussian", n=40, p=3, seed=32, beta_scale=3.0)
     mle = fit_mle(model)
     lam = 1e-4  # every |mle_j| is far beyond a*lam -> tau = 0
     prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=lam))
-    res = one_step_fit(prob, SolverConfig(inner_tol=1e-12))
+    monkeypatch.setattr(solver, "INNER_TOL", 1e-12)
+    res = one_step_fit(prob, SolverConfig())
     assert np.linalg.norm(res.coef.augmented() - mle.augmented()) <= 1e-6
     # a step that meets a tolerance reports it
     assert res.termination in (Termination.COEF_TOL, Termination.OBJ_TOL)
@@ -1289,10 +1278,11 @@ def test_one_step_requires_overdetermined_design():
         one_step_fit(prob, SolverConfig())
 
 
-def test_cox_one_step_lies_at_the_global_step_minimizer():
+def test_cox_one_step_lies_at_the_global_step_minimizer(monkeypatch):
     model = make_model("cox", n=60, p=5, seed=72)
     prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=2.0))
-    local = one_step_fit(prob, SolverConfig(inner_tol=1e-13))
+    monkeypatch.setattr(solver, "INNER_TOL", 1e-13)
+    local = one_step_fit(prob, SolverConfig())
     # the same surrogate is the adaptive lasso with weights p'(|mle_j|) / lam:
     # the one-step estimate is stationary there, and a fit of it started at
     # the MLE lands on it.  The reference is squarem's: a plain Cox fit stops
@@ -1307,7 +1297,7 @@ def test_cox_one_step_lies_at_the_global_step_minimizer():
     assert np.count_nonzero(local.coef.beta) < 5
 
 
-@pytest.mark.parametrize("family", ["gaussian", "logistic", "cox"])
+@pytest.mark.parametrize("family", ["gaussian", "logistic", "poisson", "cox"])
 def test_one_step_far_from_stationary_reports_max_iter(family):
     model = make_model(family, n=50, p=4, seed=0)
     prob = Problem(model, PenaltySpec(family=Family.MCP, lam=1.0))
@@ -1341,7 +1331,6 @@ def test_one_step_that_overflows_is_a_convergence_error(family, monkeypatch):
     def overflow(self, theta):
         raise OverflowError("injected")
 
-    monkeypatch.setattr(solver._PoissonMap, "__call__", overflow)
     monkeypatch.setattr(solver._SurrogateFit, "__call__", overflow)
     model = make_model(family, n=50, p=4, seed=36)
     prob = Problem(model, PenaltySpec(family=Family.SCAD, lam=1.0))
