@@ -427,13 +427,18 @@ def _top_gram_eigenvalue(xt: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
+def _column_sq_norms(xt: np.ndarray) -> np.ndarray:
+    """||x_j||^2 for every column j of xt, and 1 for an all-zero one."""
+    s2 = np.einsum("ij,ij->j", xt, xt)
+    return np.where(s2 == 0.0, 1.0, s2)
+
+
 def _scaled_gram_bound(xt: np.ndarray) -> np.ndarray:
     """L_s s_j^2 for every column j of xt, with s_j = ||x_j|| (1 for an
     all-zero column) and L_s the largest eigenvalue of S^-1 xt^T xt S^-1, so
     that xt^T xt <= L_s S^2.  L_s lies in [1, columns], whatever the columns'
     scales."""
-    s2 = np.einsum("ij,ij->j", xt, xt)
-    s2[s2 == 0.0] = 1.0
+    s2 = _column_sq_norms(xt)
     return _top_gram_eigenvalue(xt / np.sqrt(s2)) * s2
 
 
@@ -470,23 +475,25 @@ def diagonal_bound(model: FidelityModel) -> Union[float, np.ndarray]:
 
 
 def poisson_weights(design: DesignMatrix) -> np.ndarray:
-    """Row-normalized magnitude weights over the augmented design.
+    """The separable majorizer's weights over the augmented design,
+    w_ij = (|x_ij| / s_j) / sum_k |x_ik| / s_k with s_j = ||x_j|| (1 for an
+    all-zero column), the column scale of ``diagonal_bound``.
 
-    Each row sums to one across its nonzero entries and is strictly positive
-    wherever the entry is nonzero, which is what the separable majorizer
-    needs.
+    Any weights positive where x_ij != 0 and summing to one over each row
+    majorize: eta_i(b) = eta_i(a) + sum_j w_ij (x_ij / w_ij)(b_j - a_j) is a
+    convex combination, and the row's likelihood term is convex in eta_i (De
+    Pierro 1995; Lange, Hunter & Yang 2000).  Measured against its own
+    column's scale, a large column inflates no other coordinate's curvature,
+    and scaling a column scales its coordinate's map alike.
     """
     return _row_weights(design.augmented())
 
 
 def _row_weights(xt: np.ndarray) -> np.ndarray:
-    """``poisson_weights`` of the augmented design xt."""
-    absx = np.abs(xt)
-    row_sums = absx.sum(axis=1)
-    theta = np.zeros_like(absx)
-    nz_rows = row_sums > 0
-    theta[nz_rows] = absx[nz_rows] / row_sums[nz_rows, None]
-    return theta
+    """``poisson_weights`` of the augmented design xt; a zero row gets zero weights."""
+    absx = np.abs(xt) / np.sqrt(_column_sq_norms(xt))
+    row_sums = absx.sum(axis=1, keepdims=True)
+    return np.divide(absx, row_sums, out=np.zeros_like(absx), where=row_sums > 0)
 
 
 def poisson_majorizer_component(

@@ -43,10 +43,10 @@ the slabs (the objective's cached mean, or the mean of the eta the map
 forms), and its first Newton update is made before any exponential.  A
 coordinate stops at its Newton point as soon as Newton's error bound puts
 that point within 1e-16 (1 + c) of the minimizer.  The bound follows from
-|phi'''| <= R_j phi'', with R_j the largest l1 norm of the rows that column
-j touches, built once per fit.  So a converging coordinate takes no probe to
-confirm its last Newton step; the safeguarded iteration's own stop tests
-end the others.
+|phi'''| <= R_j phi'', with R_j = s_j max_i sum_k |x_ik| / s_k over the rows
+column j touches (s the column norms), built once per fit.  So a converging
+coordinate takes no probe to confirm its last Newton step; the safeguarded
+iteration's own stop tests end the others.
 
 Every GLM step, of the gaussian, logistic and Cox maps and so of every
 surrogate fit, comes from one rule (``glm_step``): omega = 0.95 * 2 / D,
@@ -909,7 +909,8 @@ class _PoissonMap(_Objective):
     and one stack of four n x k slabs, x_ij, x_ij^2 / w_ij, |x_ij| and the
     ratio x_ij / w_ij (the last two zero where x_ij = 0), with the column sums
     sum_i x_ij y_i and sum_i |x_ij| y_i, and 1 / R_j for R_j = max_i |x_ij /
-    w_ij|, the largest l1 norm of the rows column j touches, which the Newton
+    w_ij| = s_j max_i sum_k |x_ik| / s_k over the rows column j touches (s the
+    column norms of ``fidelity.poisson_weights``), which the Newton
     certificate reads (``_newton_certified``).  A probe's slope, curvature and
     rounding scale are the first three slabs summed against d_i e^u_ij, so
     one reduction gives all three.  Each call takes eta from the last
@@ -979,7 +980,8 @@ def _newton_certified(c, newton, move, inv_reach, lo, hi):
     """Whether Newton's error bound certifies the Newton point ``newton`` =
     c - delta as its coordinate's result: within 1e-16 (1 + c) of the
     minimizer, and inside the bracket (lo, hi).  ``move`` is |delta| and
-    ``inv_reach`` is 1 / R, with R = max_i |x_ij / w_ij| over the column.
+    ``inv_reach`` is 1 / R, with R = max_i |x_ij / w_ij| = s_j max_i sum_k
+    |x_ik| / s_k over the rows column j touches.
 
     Each term of phi''' is its term of phi'' times x_ij / w_ij, so |phi'''| <=
     R phi'' (the ridge adds to phi'' only), and phi'' changes by at most a
@@ -1011,11 +1013,11 @@ def _poisson_scalar_min(
 
     Each probe forms its Newton step delta = phi' / phi'' first.  When
     Newton's error bound (``_newton_certified``: |phi'''| <= R_j phi'', with
-    R_j the largest l1 norm of the rows column j touches) puts the Newton
-    point c - delta within 1e-16 (1 + c) of the minimizer, inside the
-    bracket, that point is the coordinate's result.  This saves the probe at
-    the Newton point, and its exponential, that the stop test below needs to
-    find |phi'| at rounding level there.  When every remaining coordinate is
+    R_j = s_j max_i sum_k |x_ik| / s_k over the rows column j touches) puts
+    the Newton point c - delta within 1e-16 (1 + c) of the minimizer, inside
+    the bracket, that point is the coordinate's result.  This saves the probe
+    at the Newton point, and its exponential, that the stop test below needs
+    to find |phi'| at rounding level there.  When every remaining coordinate is
     certified the search returns at once.  Otherwise the probe narrows its
     coordinate's bracket; ``_next_probe`` replaces an unsafe Newton point by
     bisection or, while the bracket is open, by doubling from 1 / R_j; and a

@@ -7,6 +7,10 @@ scale 1e4 takes a step of its own size.  A step shared by every coordinate is
 set by the largest column, and on the designs here it leaves the plain fit
 and ``mm_outer`` at ``max_iter`` far from the optimum, and the one-step
 estimator near its start.
+
+The Poisson map has no step: it minimizes the separable majorizer, whose
+weights ``fidelity.poisson_weights`` measure each entry against its own
+column's norm, so that map follows each column's scale as well.
 """
 import numpy as np
 import pytest
@@ -47,6 +51,8 @@ def scaled_model(family, scales=SCALES, seed=0, coef=None):
     eta = x @ coef
     if family == "gaussian":
         y = eta + rng.standard_normal(60)
+    elif family == "poisson":
+        y = rng.poisson(np.exp(eta)).astype(float)
     else:
         y = (rng.random(60) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
     return FidelityModel(DesignMatrix(x), Response(family, y))
@@ -109,6 +115,48 @@ def test_every_solve_agrees_whatever_the_column_scales(log_scales, seed, family,
     except ConvergenceError:
         return  # a separable logistic design has no MLE to take one step from
     assert close(one_step_fit(prob, CONFIG), plain, 1e-9)
+
+
+@pytest.mark.parametrize("penalty", [Family.LASSO, Family.MCP])
+@pytest.mark.parametrize("big", [1e2, 1e4])
+def test_a_poisson_fit_follows_each_column_scale(big, penalty):
+    # weights that ignore the columns' scales, |x_ij| / ||x_i||_1, let the
+    # large column set every coordinate's curvature: on these designs the
+    # plain fits then run to max_iter at scale 1e2, 1e-7 from squarem's
+    # objective, and at 1e4 every fit overflows into ConvergenceError
+    scales = np.array([1.0 / big, 1.0, big, 1.0])
+    model = scaled_model("poisson", scales, coef=np.where(np.arange(4) < 3, 0.4, 0.0) / scales)
+    prob = Problem(model, PenaltySpec(family=penalty, lam=2.0, a=3.0))
+    plain, squarem, outer = fit_all(prob)
+    for res in (plain, squarem, outer):
+        assert res.termination is not Termination.MAX_ITER
+    assert np.all(np.diff(plain.trace) <= solver.DESCENT_SLACK)
+    assert close(plain, squarem, 1e-9)
+    if penalty is Family.LASSO:
+        assert close(outer, plain, 1e-9)
+    else:
+        start = CoefficientVector.zeros(4, True)
+        assert outer.kkt_residual <= 1e-6 * np.max(np.abs(fid.gradient(model, start)))
+
+
+def test_the_poisson_map_commutes_with_column_scaling():
+    # scaling column j by c_j, and its adaptive-lasso weight alike, leaves the
+    # majorizer's weights as they are, so the map at theta / c is the map at
+    # theta divided by c; with weights |x_ij| / ||x_i||_1 a probe overflows here
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((40, 3))
+    y = rng.poisson(np.exp(0.2 + x @ np.array([0.5, -0.3, 0.0]))).astype(float)
+    c = np.array([1e-3, 1.0, 1e3])
+    weights = np.array([0.5, 1.0, 2.0])
+
+    def poisson_map(scale):
+        model = FidelityModel(DesignMatrix(x * scale), Response("poisson", y))
+        return mm_map(Problem(model, PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=2.0, weights=weights * scale)))
+
+    plain, scaled = poisson_map(np.ones(3)), poisson_map(c)
+    c = np.concatenate([[1.0], c])
+    for theta in 0.3 * rng.standard_normal((5, 4)):
+        assert np.allclose(scaled(theta / c) * c, plain(theta), rtol=1e-12, atol=1e-15)
 
 
 def designs():

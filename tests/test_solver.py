@@ -1000,10 +1000,10 @@ def test_a_poisson_fit_takes_its_first_probes_from_the_cached_mean(monkeypatch):
     # each map's first probe at theta reads the mean the objective there
     # cached, so it takes no exponential, and a coordinate whose Newton point
     # is certified within rounding of its minimizer stops there, with no
-    # probe to confirm it: 217 two-dimensional _guard_exp calls over the
-    # fit's 66 maps, against 271 when each coordinate stopped only at a probe
-    # with |phi'| at rounding level, and 336 when every first probe at theta_j
-    # took one; the one-dimensional calls are the objectives' alone
+    # probe to confirm it: 216 two-dimensional _guard_exp calls over the
+    # fit's 65 maps, against 269 when each coordinate stopped only at a probe
+    # with |phi'| at rounding level, and 333 when every first probe at theta_j
+    # took one as well; the one-dimensional calls are the objectives' alone
     model = make_model("poisson", n=50, p=4, seed=29)
     prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=2.0))
     calls = {1: 0, 2: 0}
@@ -1015,7 +1015,7 @@ def test_a_poisson_fit_takes_its_first_probes_from_the_cached_mean(monkeypatch):
 
     monkeypatch.setattr(fid, "_guard_exp", counted)
     res = fit(prob, SolverConfig(), CoefficientVector.zeros(4, True))
-    assert res.map_evals == 66 and res.termination is Termination.OBJ_TOL
+    assert res.map_evals == 65 and res.termination is Termination.OBJ_TOL
     assert calls[1] == res.map_evals + 1
     assert calls[2] <= 235
 
@@ -1033,6 +1033,21 @@ def test_poisson_empty_column_moves_to_zero():
     res = fit(prob, SolverConfig(coef_tol=1e-10, obj_tol=1e-15), start)
     assert res.coef.beta[1] == 0.0
     assert res.kkt_residual <= 1e-6
+
+
+def test_the_poisson_map_reads_the_weights_that_acceptance_10_checks():
+    # the map's ratio slab is x / w for w = poisson_weights, the weights whose
+    # majorizer acceptance 10 checks, zero where x is; on columns of unequal
+    # scale, with zeros in a 0/1 column, so that each column's norm counts
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((30, 3)) * np.array([1e-3, 1.0, 1e3])
+    x[:, 1] = rng.random(30) < 0.5
+    y = rng.poisson(np.exp(0.2 + 0.3 * x[:, 1])).astype(float)
+    model = FidelityModel(DesignMatrix(x), Response(family="poisson", y=y))
+    xt = model.design.augmented()
+    want = np.divide(xt, poisson_weights(model.design), out=np.zeros_like(xt), where=xt != 0.0)
+    ratio = solver._PoissonMap(Problem(model, PenaltySpec(family=Family.LASSO, lam=1.0))).stack[3]
+    assert np.any(xt == 0.0) and np.array_equal(ratio, want)
 
 
 def test_poisson_mm_map_matches_one_plain_iteration():
