@@ -10,8 +10,8 @@ pass in, and every step is ``_halving``'s or squarem's:
                        soft-threshold map (``_GlmMap``) for gaussian, logistic
                        and cox (``glm_mm_fit``), or for poisson the separable
                        majorizer, one strictly convex scalar problem per
-                       coordinate, all solved at once by a batched safeguarded
-                       Newton iteration (``_PoissonMap``).
+                       coordinate, each taking one damped Newton step, all
+                       at once (``_PoissonMap``).
 * ``mm_outer``      -- one full surrogate minimization per step, for every
                        family and penalty: a squarem fit over ``mm_map`` of
                        the weighted lasso that linearizes the penalty
@@ -28,25 +28,27 @@ for a scalar multiplier w, backtracked on the curvature and halved until the
 objective is finite and does not rise; the fidelity and the log-likelihood
 gradient at theta come once per step from what the objective there cached
 and serve every attempt.  A map with no step (``omega`` None: the surrogate
-fit, the Poisson map) gets a single attempt.
+fit, the Poisson map) gets a single attempt; a candidate of such a map that
+rises by rounding alone (``_rounding``) is a stall, which keeps theta.
 
-The Poisson map (``_PoissonMap``) solves its scalar problems by a batched
-safeguarded Newton iteration over the coordinates whose minimizer is not 0.
-It builds once per fit a stack of four n x k slabs, x, x^2 / w, |x| and
-x / w, with the column sums of x y and |x| y, so each probe is one
-exponential over the active columns and one reduction of the first three
-slabs against it, which gives the slope, the curvature and the rounding
-scale together.  One exponential at b = 0, over every column, decides each
-coordinate's side.  A coordinate that starts at theta_j takes its first
-probe free: there u = eta, so its sums are the Poisson mean at theta against
-the slabs (the objective's cached mean, or the mean of the eta the map
-forms), and its first Newton update is made before any exponential.  A
-coordinate stops at its Newton point as soon as Newton's error bound puts
-that point within 1e-16 (1 + c) of the minimizer.  The bound follows from
-|phi'''| <= R_j phi'', with R_j = s_j max_i sum_k |x_ik| / s_k over the rows
-column j touches (s the column norms), built once per fit.  So a converging
-coordinate takes no probe to confirm its last Newton step; the safeguarded
-iteration's own stop tests end the others.
+The Poisson map (``_PoissonMap``) takes one damped Newton step on each
+scalar problem whose minimizer is not 0: MM needs each map only to decrease
+the majorizer, and one Newton step on the surrogate keeps MM's local rate
+(Lange 1995).  With delta = phi' / phi'' and x = R_j |delta|, the step is
+delta ln(1 + x) / x, clamped at half the way to 0.  Since |phi'''| <= R_j
+phi'', with R_j = s_j max_i sum_k |x_ik| / s_k over the rows column j
+touches (s the column norms), built once per fit, that step decreases
+phi by at least phi'' delta^2 ((1 + x) ln(1 + x) - x) / x^2 (Sun &
+Tran-Dinh 2019), so no certificate and no search is needed, and it moves
+every u_ij by at most ln(1 + x).  The map builds once per fit the ratio x /
+w and a stack of two n x k slabs, x and x^2 / w, with the column sums of
+x y.  One exponential at b = 0, over every column, decides each
+coordinate's side, and its sums against the slabs give the slope and
+curvature of a coordinate that starts at 0.  A coordinate that starts at
+theta_j reads them from the Poisson mean at theta against the slabs (the
+objective's cached mean, or the mean of the eta the map forms), since u =
+eta there.  So a map takes that one two-dimensional exponential and no
+other.
 
 Every GLM step, of the gaussian, logistic and Cox maps and so of every
 surrogate fit, comes from one rule (``glm_step``): omega = 0.95 * 2 / D,
@@ -171,9 +173,6 @@ from .penalties import PenaltySpec
 DESCENT_SLACK = 1e-12
 #: safety margin keeping the step strictly inside (0, 2 / curvature)
 STEP_SAFETY = 0.95
-#: cap on the batched Newton probes of one poisson map, the free first one
-#: included; a certified Newton point ends its coordinate's search without one
-POISSON_NEWTON_MAX = 200
 #: a backtracked GLM step starts each fit at this multiple of the certified step
 BACKTRACK_START = 64.0
 #: relative rounding slack of the majorization test of a backtracked step
@@ -757,7 +756,13 @@ def _halving(m: _Objective) -> Step:
 
     A map with no step (``m.omega`` None: the surrogate fit, the Poisson
     map) is called on theta alone and gets one attempt, since a retry would
-    recompute the rejected point.
+    recompute the rejected point.  Such a map descends in exact arithmetic,
+    so a finite candidate that rises by no more than the rounding of the
+    objective's own sums (``_rounding``) is a stall: the step keeps theta
+    and reports the objective unchanged, with the rejected move's norm as
+    its step norm, so the fit ends on ``obj_tol`` (or on ``coef_tol`` when
+    that move is below it), as a fit whose objective stops changing in
+    floating point does.  Any other rejected candidate raises.
     """
     omega = m.omega
     first = 1.0 if omega is None else BACKTRACK_START
@@ -785,6 +790,10 @@ def _halving(m: _Objective) -> Step:
                 if w <= 1.0 or _majorizes(m, nll0, grad0, eta0, d, dd, w * omega):
                     first = max(w, 1.0)
                     return theta_new, obj_new, math.sqrt(dd), evals, evals - 1
+            elif omega is None and math.isfinite(obj_new) and obj_new - obj <= _rounding(m, obj_new):
+                # a map with no step that rises by rounding alone: a stall at theta
+                d = theta_new - theta
+                return theta, obj, math.sqrt(d.dot(d)), evals, 0
             if w <= last:
                 raise ConvergenceError(
                     "objective increased, was not finite or overflowed in "
@@ -795,6 +804,14 @@ def _halving(m: _Objective) -> Step:
             w *= 0.5
 
     return step
+
+
+def _rounding(m: _Objective, obj: float) -> float:
+    """The rounding bound of the objective obj that ``m`` evaluated last: n
+    EPS (|nll| + penalty + ridge), with n the rows that the likelihood sums
+    over, the bound on the rounding of a sum of n terms whose magnitudes add
+    up to that.  Read only when a step is rejected."""
+    return m.model.design.n_rows * EPS * (abs(m.nll) + abs(obj - m.nll))
 
 
 def _descends(obj_new: float, obj: float) -> bool:
@@ -898,26 +915,25 @@ def mm_outer(problem: Problem, config: SolverConfig, start: CoefficientVector) -
 
 
 class _PoissonMap(_Objective):
-    """The separable-majorizer MM map of one poisson problem: it minimizes
-    the majorized fidelity plus the penalty linearized at theta exactly.  A
-    surrogate fit (``_SurrogateFit``) runs squarem over it on the weighted
-    lasso of its outer iterate.
+    """The separable-majorizer MM map of one poisson problem: one damped
+    Newton step on each coordinate's component of the majorized fidelity
+    plus the penalty linearized at theta.  A surrogate fit (``_SurrogateFit``)
+    runs squarem over it on the weighted lasso of its outer iterate.
 
     The majorizer splits into one strictly convex scalar problem per
     coordinate, all anchored at the same eta = X theta.  What does not depend
     on theta is built once per fit here: the weights w, the empty-column mask,
-    and one stack of four n x k slabs, x_ij, x_ij^2 / w_ij, |x_ij| and the
-    ratio x_ij / w_ij (the last two zero where x_ij = 0), with the column sums
-    sum_i x_ij y_i and sum_i |x_ij| y_i, and 1 / R_j for R_j = max_i |x_ij /
-    w_ij| = s_j max_i sum_k |x_ik| / s_k over the rows column j touches (s the
-    column norms of ``fidelity.poisson_weights``), which the Newton
-    certificate reads (``_newton_certified``).  A probe's slope, curvature and
-    rounding scale are the first three slabs summed against d_i e^u_ij, so
-    one reduction gives all three.  Each call takes eta from the last
-    objective evaluation or computes it once, and solves every scalar problem
-    together in ``_poisson_scalar_min``.  ``mean`` is the Poisson mean at
-    theta: the objective's when it was just evaluated there, else the mean of
-    the eta the call holds, so a map at an uncached point multiplies by X once.
+    the ratio x_ij / w_ij (zero where x_ij = 0), one stack of two n x k slabs,
+    x_ij and x_ij^2 / w_ij, whose sums against d_i e^u_ij give every
+    coordinate's slope and curvature in one reduction, the column sums sum_i
+    x_ij y_i, and 1 / R_j for R_j = max_i |x_ij / w_ij| = s_j max_i sum_k
+    |x_ik| / s_k over the rows column j touches (s the column norms of
+    ``fidelity.poisson_weights``), which damps the step.  Each call takes eta
+    from the last objective evaluation or computes it once, and steps every
+    scalar problem together in ``_poisson_scalar_min``.  ``mean`` is the
+    Poisson mean at theta: the objective's when it was just evaluated there,
+    else the mean of the eta the call holds, so a map at an uncached point
+    multiplies by X once.
     """
 
     def __init__(self, problem: Problem):
@@ -925,17 +941,17 @@ class _PoissonMap(_Objective):
         model = problem.model
         xt = self.xt
         self.nz = xt != 0.0
-        ratio = np.divide(xt, fid._row_weights(xt), out=np.zeros_like(xt), where=self.nz)
-        #: x, x^2 / w, |x| and x / w, one n x k slab each
-        self.stack = np.stack([xt, xt * ratio, np.abs(xt), ratio])
+        #: x / w, the change of u_ij per unit of b_j
+        self.ratio = np.divide(xt, fid._row_weights(xt), out=np.zeros_like(xt), where=self.nz)
+        #: x and x^2 / w, one n x k slab each
+        self.stack = np.stack([xt, xt * self.ratio])
         self.empty = ~np.any(self.nz, axis=0)
-        # an empty column, never searched, gets 1 / R_j = 1 / 0 = inf
+        # an empty column, never stepped, gets 1 / R_j = 1 / 0 = inf
         with np.errstate(divide="ignore"):
             #: 1 / R_j of each column, R_j = max_i |x_ij / w_ij|
-            self.inv_reach = 1.0 / np.abs(ratio).max(axis=0, initial=0.0)
+            self.inv_reach = 1.0 / np.abs(self.ratio).max(axis=0, initial=0.0)
         self.d = model.response.offsets[:, None]
-        y = model.response.y
-        self.xy, self.absxy = y.dot(xt), y.dot(self.stack[2])
+        self.xy = model.response.y.dot(xt)
         self.ridge = _ridge(problem)
         #: eta at the theta the map is applied to
         self._map_eta = None
@@ -953,178 +969,82 @@ class _PoissonMap(_Objective):
             theta = np.where(self.pinned, 0.0, theta)
         eta = self._map_eta = self.eta(theta)
         # u_ij = base_ij + ratio_ij * b; entries with x_ij = 0 stay at u = 0
-        base = np.where(self.nz, eta[:, None] - self.stack[3] * theta, 0.0)
+        base = np.where(self.nz, eta[:, None] - self.ratio * theta, 0.0)
         return _poisson_scalar_min(self, base, self.tau(theta), theta)
-
-
-def _next_probe(newton, move, lo, hi, max_step, fast, inv_reach):
-    """The Newton point if it is safe, else a bisection or doubling.
-
-    The Newton point, ``move`` away from the last probe, is safe when it lies
-    in (lo, hi) and, on a closed bracket, moves at most ``max_step``; on a
-    bracket still open above, when it lies no farther out than max(2 lo, 1 /
-    R) and the slope fell ``fast``.  Otherwise a closed bracket is bisected
-    and an open one is probed at max(2 lo, 1 / R).  ``inv_reach`` is 1 / R,
-    with R = max_i |x_ij / w_ij| over the column, so a first probe at 1 / R
-    moves every u_ij by at most 1 and stays below the exponent guard.
-    """
-    is_open = np.isinf(hi)
-    outer = np.maximum(2.0 * lo, inv_reach)
-    ok = (newton > lo) & np.where(is_open, (newton <= outer) & fast, (newton < hi) & (move <= max_step))
-    nxt = np.where(is_open, outer, 0.5 * (lo + hi))
-    np.copyto(nxt, newton, where=ok)
-    return nxt
-
-
-def _newton_certified(c, newton, move, inv_reach, lo, hi):
-    """Whether Newton's error bound certifies the Newton point ``newton`` =
-    c - delta as its coordinate's result: within 1e-16 (1 + c) of the
-    minimizer, and inside the bracket (lo, hi).  ``move`` is |delta| and
-    ``inv_reach`` is 1 / R, with R = max_i |x_ij / w_ij| = s_j max_i sum_k
-    |x_ik| / s_k over the rows column j touches.
-
-    Each term of phi''' is its term of phi'' times x_ij / w_ij, so |phi'''| <=
-    R phi'' (the ridge adds to phi'' only), and phi'' changes by at most a
-    factor e^(R |t|) over a move t.  So for x = R |delta| < 1 the minimizer
-    lies on the Newton side of c, between ln(1 + x) / R and -ln(1 - x) / R
-    from it, and within (-ln(1 - x) - x) / R <= R delta^2 / (2 (1 - x)) of
-    the Newton point: about (R / 2) delta^2 for small x.  The test is
-    R delta^2 / (2 (1 - x)) <= 1e-16 (1 + c), taken as |delta| <=
-    sqrt(2e-16 (1 + c) (1 / R - |delta|)) so that no large delta is squared;
-    where x > 1 the root is NaN, under the caller's error state, and the
-    test fails.
-    """
-    ok = move <= np.sqrt((2e-16 * (1.0 + c)) * (inv_reach - move))
-    return ok & (lo < newton) & (newton < hi)
 
 
 def _poisson_scalar_min(
     pm: _PoissonMap, base: np.ndarray, tau: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
-    """Minimize k_j(b) + ridge_j * b^2 + tau_j * |b| for every coordinate j.
+    """One damped Newton step on k_j(b) + ridge_j * b^2 + tau_j * |b| for
+    every coordinate j.
 
     ``k_j(b) = sum_i w_ij (d_i e^{u_ij} - y_i u_ij)`` with
     ``u_ij = base_ij + ratio_ij * b`` is the j-th majorizer component.  Its
-    minimizer is 0 when |k_j'(0)| <= tau_j (always when tau_j is infinite);
-    otherwise it has the sign of -k_j'(0).  Flipping the columns of the
-    negative coordinates turns every search into one over c > 0 that starts
-    with the bracket [0, inf) and phi'(0+) < 0, and a batched Newton iteration
-    solves them together.
-
-    Each probe forms its Newton step delta = phi' / phi'' first.  When
-    Newton's error bound (``_newton_certified``: |phi'''| <= R_j phi'', with
-    R_j = s_j max_i sum_k |x_ik| / s_k over the rows column j touches) puts
-    the Newton point c - delta within 1e-16 (1 + c) of the minimizer, inside
-    the bracket, that point is the coordinate's result.  This saves the probe
-    at the Newton point, and its exponential, that the stop test below needs
-    to find |phi'| at rounding level there.  When every remaining coordinate is
-    certified the search returns at once.  Otherwise the probe narrows its
-    coordinate's bracket; ``_next_probe`` replaces an unsafe Newton point by
-    bisection or, while the bracket is open, by doubling from 1 / R_j; and a
-    coordinate that is not certified stops at c when |phi'| is at the
-    rounding level of its own sum, or when its Newton step or bracket is at
-    most 1e-15 (1 + |c|).  An all-zero column maps to 0: the fidelity does
+    minimizer is 0 when |k_j'(0)| <= tau_j (always when tau_j is infinite),
+    and the map returns an exact 0 there; otherwise the minimizer has the
+    sign sigma_j of -k_j'(0), and the coordinate steps in the frame c =
+    sigma_j b, where the problem is phi(c) = k_j(sigma_j c) + ridge_j c^2 +
+    tau_j c over c >= 0.  One exponential at b = 0, over every column,
+    decides these signs.  An all-zero column maps to 0: the fidelity does
     not depend on its coordinate and the penalty is nondecreasing in |b|, so
     0 minimizes it.
 
-    The first probe costs no exponential.  A coordinate whose theta_j lies in
-    the bracket starts there, where u_ij = eta_i, so its sums are the Poisson
-    mean at theta (``pm.mean``, the objective's when it was at theta) against
-    the slabs; it takes its first certificate, bracket and Newton update
-    before any exponential, so the first one is already at its Newton point.
-    The others start at c = 0, whose sums the exponential at b = 0 (over
-    every column, which decides each coordinate's side) has given, and take
-    their first Newton step from there.  Every later probe is one
-    exponential over the active columns and one reduction of the first three
-    slabs against it: phi' = sum_i x_ij d_i e^u_ij - sum_i x_ij y_i + tau_j,
-    phi'' and the scale sum_i |x_ij| (d_i e^u_ij + y_i) + tau_j, plus the
-    ridge terms only when eps > 0.  ``POISSON_NEWTON_MAX`` caps the probes,
-    the free first one included.
+    The step starts at c = max(sigma_j theta_j, 0).  With delta = phi' / phi''
+    there and x = R_j |delta|, R_j = 1 / ``pm.inv_reach``, it goes to
+
+        c+ = max(c - delta ln(1 + x) / x, c / 2),
+
+    with the factor ln(1 + x) / x read as 1 at x = 0.  Each term of phi''' is
+    its term of phi'' times x_ij / w_ij, so |phi'''| <= R_j phi'' (the ridge
+    adds to phi'' only), and so phi(c + s) <= phi(c) + phi' s + phi'' (e^(R
+    |s|) - 1 - R |s|) / R^2 (Sun & Tran-Dinh 2019).  The damped step
+    minimizes that bound, which gives
+
+        phi(c+) - phi(c) <= phi'' delta^2 (x - (1 + x) ln(1 + x)) / x^2 < 0
+
+    for delta != 0; the c / 2 clamp keeps c+ on the searched side, and
+    convexity keeps its decrease.  The start descends too: 0 lies between a
+    theta_j on the other side and the minimizer.  So every map decreases
+    the majorizer, a fixed point of the map (delta = 0 at every coordinate
+    it steps) is a KKT point, and a map moves each u_ij by at most
+    ln(1 + x).  Scaling column j scales b_j and delta by the inverse factor
+    and leaves x unchanged, so the map commutes with column scaling.  No
+    certificate is needed and none is taken: MM asks each map only to
+    decrease the majorizer, and one Newton step keeps MM's local rate
+    (Lange 1995).
+
+    The step takes no exponential over the slabs beyond the one at b = 0.
+    A coordinate that starts at c = 0 reads its slope and curvature from
+    that exponential's sums.  One that starts at theta_j, where u_ij = eta_i,
+    reads them from the Poisson mean at theta (``pm.mean``, the objective's
+    when it was at theta) against the slabs: phi' = sigma_j (sum_i x_ij d_i
+    e^u_ij - sum_i x_ij y_i) + tau_j and phi'' = sum_i (x_ij^2 / w_ij) d_i
+    e^u_ij, plus 2 ridge_j c and 2 ridge_j when eps > 0.
     """
     eu0 = pm.d * fid._guard_exp(base, "poisson coordinate update")
-    sums0 = np.einsum("tij,ij->tj", pm.stack[:3], eu0)
-    g0 = sums0[0] - pm.xy
+    g, h = np.einsum("tij,ij->tj", pm.stack, eu0)
+    g -= pm.xy
     out = np.zeros_like(theta)
-    act = np.flatnonzero(~pm.empty & (np.abs(g0) > tau))
-    if act.size == 0:
+    act = ~pm.empty & (np.abs(g) > tau)
+    if not act.any():
         return out
-
-    sgn = np.where(g0[act] > tau[act], -1.0, 1.0)
-    # the active columns' slabs, x and x / w flipped to the search over c > 0;
-    # the first three give a probe's sums, the last its u
-    cols = pm.stack[:, :, act]
-    cols[0] *= sgn
-    cols[3] *= sgn
-    base = base[:, act]
-    # phi' and the scale less the sums over e^u
-    lin = tau[act] - sgn * pm.xy[act]
-    fixed = tau[act] + pm.absxy[act]
-    ridge2 = 2.0 * pm.ridge[act] if pm._ridge_lam else None
-    inv_reach = pm.inv_reach[act]
-    # the first probe is theta_j where it lies in the bracket, else 0
-    c = np.maximum(sgn * theta[act], 0.0)
-    from_theta = c > 0.0
-    if from_theta.all():
-        sums = pm.mean(theta) @ cols[:3]
-    else:
-        sums = sums0[:, act]
-        sums[0] *= sgn
-        if from_theta.any():
-            sums = np.where(from_theta, pm.mean(theta) @ cols[:3], sums)
-    lo = np.zeros(act.size)
-    hi = np.full(act.size, np.inf)
-    max_step = step = tenth = hi.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for probe in range(POISSON_NEWTON_MAX):
-            if probe:
-                u = cols[3] * c
-                u += base
-                eu = pm.d * fid._guard_exp(u, "poisson coordinate update")
-                sums = np.einsum("tij,ij->tj", cols[:3], eu)
-            dphi, d2phi, scale = sums[0] + lin, sums[1], sums[2] + fixed
-            if ridge2 is not None:
-                rc = ridge2 * c
-                dphi, d2phi, scale = dphi + rc, d2phi + ridge2, scale + np.abs(rc)
-            delta = dphi / d2phi
-            newton, move = c - delta, np.abs(delta)
-            cert = _newton_certified(c, newton, move, inv_reach, lo, hi)
-            if cert.all():
-                out[act] = sgn * newton
-                return out
-            np.copyto(lo, c, where=dphi < 0.0)
-            np.copyto(hi, c, where=dphi > 0.0)
-            adphi = np.abs(dphi)
-            # while the bracket is open, a slope that fell by less than 10x
-            # since the last probe means slow progress (phi' concave, or a
-            # minimizer only where e^u underflows): double instead; on a
-            # closed bracket, a Newton step longer than half the one before
-            # the last bisects instead
-            nxt = _next_probe(newton, move, lo, hi, max_step, adphi <= tenth, inv_reach)
-            done = (adphi <= 8.0 * EPS * scale) | (np.fmin(move, hi - lo) <= 1e-15 * (1.0 + c))
-            max_step, step, tenth = 0.5 * np.abs(step), nxt - c, 0.1 * adphi
-            if not probe and not from_theta.all():
-                # 0 is no probe to stop at, and the move from it no Newton step
-                done &= from_theta
-                step = np.where(from_theta, step, np.inf)
-            done |= cert
-            if done.any():
-                out[act[done]] = sgn[done] * np.where(cert, newton, c)[done]
-                keep = ~done
-                if not keep.any():
-                    return out
-                act, sgn, lin, fixed = act[keep], sgn[keep], lin[keep], fixed[keep]
-                inv_reach = inv_reach[keep]
-                cols, base = cols[:, :, keep], base[:, keep]
-                lo, hi, nxt = lo[keep], hi[keep], nxt[keep]
-                max_step, step, tenth = max_step[keep], step[keep], tenth[keep]
-                if ridge2 is not None:
-                    ridge2 = ridge2[keep]
-            c = nxt
-    raise ConvergenceError(
-        f"poisson coordinates {act.tolist()} did not converge in "
-        f"{POISSON_NEWTON_MAX} Newton steps",
-        last_iterate=theta,
-    )
+    sgn = np.where(g > tau, -1.0, 1.0)
+    c = np.maximum(sgn * theta, 0.0)
+    from_theta = act & (c > 0.0)
+    if from_theta.any():
+        g_theta, h_theta = pm.mean(theta) @ pm.stack
+        np.copyto(g, g_theta - pm.xy, where=from_theta)
+        np.copyto(h, h_theta, where=from_theta)
+    dphi, d2phi = sgn * g + tau, h
+    if pm._ridge_lam:
+        dphi, d2phi = dphi + 2.0 * pm.ridge * c, d2phi + 2.0 * pm.ridge
+    act = np.flatnonzero(act)
+    c, delta, inv_reach = c[act], dphi[act] / d2phi[act], pm.inv_reach[act]
+    # delta ln(1 + x) / x = sign(delta) ln(1 + x) / R: 0 at x = 0, and no inf / inf
+    step = np.copysign(np.log1p(np.abs(delta) / inv_reach) * inv_reach, delta)
+    out[act] = sgn[act] * np.maximum(c - step, 0.5 * c)
+    return out
 
 
 # -- one-step estimator and dispatch --------------------------------------
@@ -1158,8 +1078,10 @@ def one_step_fit(problem: Problem, config: SolverConfig) -> FitResult:
     model keeps, so a lambda sweep on one model fits it once.  The fit reports
     ``max_iter`` unless that step already met ``coef_tol`` or ``obj_tol``.  A
     step that overflows, whose objective is not finite, that rises by more
-    than ``DESCENT_SLACK``, or whose inner fit runs out of its ``INNER_MAX``
-    steps raises ``ConvergenceError`` with the MLE as ``last_iterate``.
+    than ``DESCENT_SLACK`` and more than the objective's rounding
+    (``_rounding``; a smaller rise keeps the MLE), or whose inner fit runs
+    out of its ``INNER_MAX`` steps raises ``ConvergenceError`` with the MLE
+    as ``last_iterate``.
     """
     return mm_outer(problem, replace(config, max_outer=1), fid.fit_mle(problem.model))
 
