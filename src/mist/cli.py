@@ -110,6 +110,8 @@ def _build_model(
         return table[:, header.index(name)]
 
     fam = ResponseFamily(family)
+    if offset_col and fam is not ResponseFamily.POISSON:
+        raise ValidationError(f"--offset-col applies to the poisson family only, not {fam.value}")
     drop = set()
     if fam is ResponseFamily.COX:
         t, s = col(time_col), col(status_col)
@@ -120,7 +122,7 @@ def _build_model(
         y = col(response_col)
         drop = {response_col}
         offsets = None
-        if fam is ResponseFamily.POISSON and offset_col:
+        if offset_col:
             offsets = col(offset_col)
             drop.add(offset_col)
         response = Response(family=fam, y=y, offsets=offsets)

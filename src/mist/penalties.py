@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .exceptions import ValidationError
+from .exceptions import ValidationError, json_object
 
 
 class Family(str, enum.Enum):
@@ -103,6 +103,11 @@ class PenaltySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PenaltySpec":
+        """The spec of an object with the keys of ``to_dict``: "family" and
+        "lambda", and any of "epsilon", "weights", "a" and "delta".  Any other
+        key, or a missing "family" or "lambda", is named in the error."""
+        d = json_object(d, "penalty", ("family", "lambda", "epsilon", "weights", "a", "delta"),
+                        required=("family", "lambda"))
         weights = d.get("weights")
         if weights is not None:
             weights = np.array([math.inf if w == "inf" else float(w) for w in weights])

@@ -100,7 +100,9 @@ allows, and Poisson.
 The loops work on plain augmented arrays (intercept first) and run on
 unchecked kernels; ``_drive`` checks the start once, and nothing inside a fit
 calls a checked function.  The public ``total_objective``, ``kkt_residual``
-and ``soft_threshold_vec`` check their arguments and compute the same values.
+and ``soft_threshold_vec`` check their arguments and compute the same values;
+the public ``glm_map`` builds a fit's map (``_GlmMap``) at the step it is
+given and applies it once, so it runs the fits' one update.
 A map object (``_Objective``) is the single source of a fit's numbers.  Its
 ``objective`` at theta keeps, with that array, eta = X theta, the parts the
 likelihood shares with the score (the gaussian residual r = y - eta, or the
@@ -165,7 +167,7 @@ import numpy as np
 
 from . import fidelity as fid
 from . import penalties as pen
-from .exceptions import ConvergenceError, NotGloballyLipschitz, ValidationError
+from .exceptions import ConvergenceError, NotGloballyLipschitz, ValidationError, json_object
 from .fidelity import CoefficientVector, FidelityModel, ResponseFamily
 from .penalties import PenaltySpec
 
@@ -225,13 +227,7 @@ class SolverConfig:
     @classmethod
     def from_json(cls, s: str) -> "SolverConfig":
         """The config of a JSON object; an unknown key is named in the error."""
-        values = json.loads(s)
-        if not isinstance(values, dict):
-            raise ValidationError(f"solver config JSON must be an object, got {values!r}")
-        unknown = sorted(set(values) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValidationError(f"unknown solver config key(s): {', '.join(unknown)}")
-        return cls(**values)
+        return cls(**json_object(json.loads(s), "solver config", [f.name for f in fields(cls)]))
 
 
 @dataclass(frozen=True)
@@ -305,6 +301,15 @@ def soft_threshold(u: float, v: float) -> float:
 
 
 def soft_threshold_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sign(u) (|u| - v)_+ componentwise, for thresholds v >= 0 of u's shape.
+
+    It forms u - min(max(u, -v), v), the form every map writes inline
+    (``glm_map``): that is sign(u) (|u| - v)_+ bit for bit, up to the sign
+    of a zero, u - v or u + v outside [-v, v] and u - u = 0 inside it.  With
+    v = 0 it returns u exactly, so a single call covers an augmented vector
+    whose intercept slot has threshold 0, and with v = inf and u finite it
+    returns 0 without forming inf - inf.
+    """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
@@ -312,20 +317,7 @@ def soft_threshold_vec(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     if not np.all(v >= 0.0):
         raise ValidationError("thresholds must be >= 0, not negative or NaN")
     with np.errstate(invalid="ignore"):  # inf - inf: an infinite u at a pinned coordinate
-        return _soft_threshold(u, -v, v)
-
-
-def _soft_threshold(u: np.ndarray, neg_v: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``soft_threshold_vec`` without its checks or its error state, given
-    the thresholds v and their negation.
-
-    u - min(max(u, -v), v) is sign(u) (|u| - v)_+ bit for bit, up to the sign
-    of a zero: u - v or u + v outside [-v, v], and u - u = 0 inside it.  With
-    v = 0 it returns u exactly, so a single call covers an augmented vector
-    whose intercept slot has threshold 0, and with v = inf and u finite it
-    returns 0 without forming inf - inf.
-    """
-    return u - np.minimum(np.maximum(u, neg_v), v)
+        return u - np.minimum(np.maximum(u, -v), v)
 
 
 def total_objective(problem: Problem, coef: CoefficientVector) -> float:
@@ -352,12 +344,9 @@ def resolve_step(problem: Problem, config: Optional[SolverConfig] = None) -> flo
 
     On a Cox problem it is the step that ``glm_step`` gives, since the Cox
     curvature bound is one number.  The gaussian and logistic maps step
-    each coordinate by its own bound instead
-    (``glm_step``); ``glm_map`` at this scalar step is still an MM map, since
-    the scalar surrogate majorizes as well.  ``config`` is not read.  The
-    parameter stays so that callers written as ``resolve_step(problem,
-    config)``, such as the acceptance tests' strict-majorization check, keep
-    working.
+    each coordinate by its own bound instead (``glm_step``); ``glm_map`` at
+    this scalar step is still an MM map, since the scalar surrogate
+    majorizes as well.  ``config`` is accepted and not read.
     """
     lip = fid.curvature_bound(problem.model)
     return STEP_SAFETY * 2.0 / lip if lip > 0 else 1.0
@@ -369,8 +358,9 @@ def glm_step(model: FidelityModel) -> Union[float, np.ndarray]:
 
     D, and so the step, is one per augmented coordinate for gaussian and
     logistic models and one number for Cox.  The ridge adds no curvature to
-    it: every update applies the ridge exactly, by ``_shrink``.  A bound that
-    is not positive (an all-zero design) gives the step 1.
+    it: every update applies the ridge exactly, as the shrink 1 / (1 + omega
+    lam eps) of the slopes (``_GlmMap``).  A bound that is not positive (an
+    all-zero design) gives the step 1.
     """
     bound = np.asarray(fid.diagonal_bound(model))
     step = np.divide(STEP_SAFETY * 2.0, bound, out=np.ones_like(bound), where=bound > 0.0)
@@ -535,47 +525,24 @@ def glm_map(
     """One closed-form surrogate minimization for bounded-hessian families.
 
     The step omega is one number or one per augmented coordinate.  The update
-    soft-thresholds theta + omega/2 grad l(theta) over the whole augmented
-    array at omega/2 tau, with tau = p'(|theta_j|) and 0 in the intercept
-    slot, and shrinks each slope by 1 / (1 + omega_j lam eps) when eps > 0.
-    ``grad`` (the log-likelihood gradient at theta) and ``terms`` are passed
-    together by a GLM map (``_GlmMap``): ``terms`` holds omega/2, the
-    thresholds -omega/2 tau and omega/2 tau and the slopes' shrink
-    (``_shrink``), so omega itself is not read, and the update forms u =
-    theta + omega/2 grad once and soft-thresholds it inline, as u -
-    min(max(u, -t), t) (``_soft_threshold``): a fit calls this once per map.
-    Without ``terms`` they come from a map object of the problem built here.
-    Nothing is checked: theta is the augmented coefficient array of a
-    problem's model.
+    forms u = theta + omega/2 grad l(theta) once, soft-thresholds it at t =
+    omega/2 tau, with tau = p'(|theta_j|) and 0 in the intercept slot, as u -
+    min(max(u, -t), t), and shrinks each slope by 1 / (1 + omega_j lam eps)
+    when eps > 0.  A fit's map (``_GlmMap``) calls this once per map with the
+    gradient at theta and its ``terms`` (omega/2, -t, t and the shrink, None
+    when eps = 0), so omega is not read.  Without ``terms`` the call builds
+    that map at the step omega and applies it once, with the gradient at
+    theta when ``grad`` is None.  Nothing is checked: theta is the augmented
+    coefficient array of a problem's model.
     """
     if terms is None:
-        m = _Objective(problem)
-        theta = np.asarray(theta, dtype=float)
-        if grad is None:
-            grad = m.grad(theta)
-        half = 0.5 * omega
-        hi = half * m.tau(theta)
-        with np.errstate(invalid="ignore"):  # inf - inf: an infinite argument at a pinned coordinate
-            out = _soft_threshold(theta + half * grad, -hi, hi)
-        shrink = _shrink(problem, omega)
-    else:
-        half, lo, hi, shrink = terms
-        u = theta + half * grad
-        out = u - np.minimum(np.maximum(u, lo), hi)  # ``_soft_threshold``, inline
+        return _GlmMap(problem, omega)(np.asarray(theta, dtype=float), 1.0, grad)
+    half, lo, hi, shrink = terms
+    u = theta + half * grad
+    out = u - np.minimum(np.maximum(u, lo), hi)
     if shrink is not None:
         out[1 if problem.model.has_intercept else 0:] *= shrink
     return out
-
-
-def _shrink(problem: Problem, omega: Union[float, np.ndarray]) -> Union[None, float, np.ndarray]:
-    """The ridge shrink 1 / (1 + omega lam eps) of the slopes at step omega,
-    from the slopes' entries of a step per coordinate; None when eps = 0."""
-    spec = problem.penalty
-    if not spec.epsilon:
-        return None
-    if np.ndim(omega):
-        omega = omega[1 if problem.model.has_intercept else 0:]
-    return 1.0 / (1.0 + omega * spec.lam * spec.epsilon)
 
 
 class _GlmMap(_Objective):
@@ -586,6 +553,9 @@ class _GlmMap(_Objective):
     step follows its own scale (the surrogate with sum_j d_j^2 / omega_j
     still majorizes, since H <= diag(D)), and one number, ``resolve_step``'s,
     on Cox problems.  A plain fit backtracks it in both cases (``_halving``).
+    A step passed to the constructor replaces ``glm_step``'s, and no
+    curvature bound is computed: ``glm_map`` builds the map so at the step it
+    is given.
 
     Calling it applies ``glm_map`` at w omega for a scalar multiplier w, 1
     unless ``_halving`` passes another one as the second argument, with the
@@ -597,18 +567,19 @@ class _GlmMap(_Objective):
     every objective), and a squarem step four times plus once per backtrack.
 
     The map's ``terms`` (the half step w omega / 2, the thresholds -w
-    omega/2 tau and w omega/2 tau, the slopes' ridge shrink) are kept
-    between maps and rebuilt when w changed, on a halving and on the step
-    after one below 1, which tries 1 again.  When the family is not linear
-    the thresholds are rebuilt at every map as well, from the |beta| that
-    the objective at theta cached; a linear family's map at an unchanged w
-    hands the kept tuple on as it is.  So a map at a vector step makes the
-    array operations of a map at a scalar one.
+    omega/2 tau and w omega/2 tau, the slopes' ridge shrink 1 / (1 + w
+    omega_j lam eps), None when eps = 0) are kept between maps and rebuilt
+    when w changed, on a halving and on the step after one below 1, which
+    tries 1 again.  When the family is not linear the thresholds are rebuilt
+    at every map as well, from the |beta| that the objective at theta
+    cached; a linear family's map at an unchanged w hands the kept tuple on
+    as it is.  So a map at a vector step makes the array operations of a map
+    at a scalar one.
     """
 
-    def __init__(self, problem: Problem):
+    def __init__(self, problem: Problem, omega: Union[None, float, np.ndarray] = None):
         super().__init__(problem)
-        self.omega = glm_step(self.model)
+        self.omega = glm_step(self.model) if omega is None else omega
         self._w = self._terms = None
 
     def __call__(self, theta: np.ndarray, w: float = 1.0, grad: Optional[np.ndarray] = None) -> np.ndarray:
@@ -618,7 +589,11 @@ class _GlmMap(_Objective):
             step = w * self.omega
             half = 0.5 * step
             hi = half * self.tau(theta)
-            self._w, self._terms = w, (half, -hi, hi, _shrink(self.problem, step))
+            spec, shrink = self.problem.penalty, None
+            if spec.epsilon:
+                slopes = step[self.off:] if np.ndim(step) else step
+                shrink = 1.0 / (1.0 + slopes * spec.lam * spec.epsilon)
+            self._w, self._terms = w, (half, -hi, hi, shrink)
         elif not self.linear:  # the kept half step and shrink, the thresholds at theta
             half, _, _, shrink = self._terms
             hi = half * self.tau(theta)
@@ -860,10 +835,11 @@ class _SurrogateFit(_Objective):
     step (``omega`` None), which ``_halving`` calls once.
 
     A call minimizes the surrogate at theta, l(b) + lam eps ||b||^2 + sum_j
-    p'(|theta_j|) |b_j|: the adaptive lasso, or the adaptive elastic net when
-    eps > 0, with the weights ``tau(theta)`` / lam, 0 and +inf included.  It
-    runs squarem (``accel._squarem``) over that problem's map (``mm_map``:
-    ``_GlmMap``, or ``_PoissonMap`` for Poisson) from theta in ``_iterate``,
+    p'(|theta_j|) |b_j|: the adaptive lasso with the weights ``tau(theta)`` /
+    lam, 0 and +inf included, and the spec's eps, which carries the ridge, so
+    an adaptive elastic net when eps > 0.  It runs squarem
+    (``accel._squarem``) over that problem's map (``mm_map``: ``_GlmMap``,
+    or ``_PoissonMap`` for Poisson) from theta in ``_iterate``,
     until the step norm ||r|| is below ``INNER_TOL``, or ``INNER_TOL`` /
     ``BACKTRACK_START`` on a map with no step per coordinate (Cox's one step,
     the Poisson map's none), or the objective is exactly unchanged.  After
@@ -880,8 +856,9 @@ class _SurrogateFit(_Objective):
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         spec = self.problem.penalty
-        family = pen.Family.ADAPTIVE_ELASTIC_NET if spec.epsilon else pen.Family.ADAPTIVE_LASSO
-        weighted = replace(spec, family=family, weights=self.tau(theta)[self.off:] / spec.lam)
+        weighted = replace(
+            spec, family=pen.Family.ADAPTIVE_LASSO, weights=self.tau(theta)[self.off:] / spec.lam
+        )
         inner = mm_map(Problem(self.model, weighted))
         tol = INNER_TOL if np.ndim(inner.omega) else INNER_TOL / BACKTRACK_START
         try:

@@ -208,6 +208,35 @@ def test_a_library_error_exits_one_on_one_error_line(args, message, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "penalty, message",
+    [
+        ('{"family": "lasso", "lambda": 1, "eps": 0.5}', "error: unknown penalty key(s): eps\n"),
+        ('{"family": "lasso", "lam": 1}', "error: unknown penalty key(s): lam; missing penalty key(s): lambda\n"),
+        ('{"lambda": 1}', "error: missing penalty key(s): family\n"),
+        ("[1]", "error: penalty JSON must be an object, got [1]\n"),
+    ],
+    ids=["unknown-key", "missing-lambda", "missing-family", "not-an-object"],
+)
+def test_a_bad_penalty_json_exits_one_on_one_error_line(toy_csv, penalty, message, tmp_path):
+    # an unknown key such as "eps" was dropped, and the fit ran with no ridge
+    r = run_cli("fit", "--data", str(toy_csv), "--penalty-json", penalty, "--out", "x.json", cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stdout == "" and r.stderr == message
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", [["fit"], ["path", "--lambda", "1"]])
+def test_an_offset_column_outside_poisson_exits_one_on_one_error_line(command, tmp_path):
+    # the column was read as one more predictor of the gaussian fit
+    (tmp_path / "data.csv").write_text("y,off,x1\n1.0,1.0,0.5\n2.0,2.0,-0.2\n0.5,1.0,0.1\n")
+    r = run_cli(*command, "--data", "data.csv", "--offset-col", "off", "--out", "out.csv",
+                "--penalty-json", '{"family": "lasso", "lambda": 0.1}', cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stdout == "" and r.stderr == "error: --offset-col applies to the poisson family only, not gaussian\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
     "family, table, message",
     [
         ("cox", "time,status,x1\n1,1,0.5\nnan,0,-0.2\n3,1,0.1\n", "error: cox times must be finite and positive"),

@@ -86,10 +86,12 @@ def test_fused_map_is_bit_identical_to_the_two_branch_map(response, intercept, f
         score = kernel_score(model, model._xt @ theta)
         grad = score + rng.standard_normal(theta.shape[0])
         # the full step, a step halved twice, then the full step again: the
-        # map rebuilds its thresholds when the step's multiplier changes
+        # map rebuilds its thresholds when the step's multiplier changes; the
+        # public glm_map at that step runs the same update
         for w in (1.0, 0.25, 1.0):
-            got = gmap(theta, w, grad)
-            assert np.array_equal(got, two_branch_map(prob, theta, w * omega, grad))
+            want = two_branch_map(prob, theta, w * omega, grad)
+            assert np.array_equal(gmap(theta, w, grad), want)
+            assert np.array_equal(solver.glm_map(prob, theta, w * omega, grad), want)
         assert np.array_equal(gmap(theta, grad=grad), two_branch_map(prob, theta, omega, grad))
 
 

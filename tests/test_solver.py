@@ -113,7 +113,7 @@ def test_clamp_soft_threshold_is_the_sign_form_bit_for_bit():
     t[900:1100] = math.inf  # a pinned coordinate
     t[1100:1200] = 5e-324  # a subnormal threshold
     with np.errstate(over="ignore"):
-        got = solver._soft_threshold(u, -t, t) + 0.0
+        got = soft_threshold_vec(u, t) + 0.0
         want = np.sign(u) * np.maximum(np.abs(u) - t, 0.0) + 0.0
     assert got.tobytes() == want.tobytes()
     assert np.all(got[700:900] == u[700:900]) and np.all(got[900:1100] == 0.0)
