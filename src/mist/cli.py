@@ -23,7 +23,7 @@ from . import accel as accel_mod
 from . import penalties as pen
 from . import simlab
 from . import solver
-from .exceptions import ValidationError
+from .exceptions import ValidationError, json_object
 from .fidelity import CoefficientVector, DesignMatrix, FidelityModel, Response, ResponseFamily
 from .penalties import PenaltySpec
 from .solver import FitResult, Problem, SolverConfig, Termination
@@ -148,7 +148,8 @@ def _load_config(solver_json: str | None) -> SolverConfig:
 
 def _resolve_start(problem: Problem, config: SolverConfig, start: str) -> CoefficientVector:
     if start.startswith("file:"):
-        payload = json.loads(Path(start[5:]).read_text())
+        payload = json_object(json.loads(Path(start[5:]).read_text()), "start", ("coef", "intercept"),
+                              required=("coef",))
         return CoefficientVector(
             beta=np.array(payload["coef"], dtype=float), intercept=payload.get("intercept")
         )

@@ -241,7 +241,7 @@ def _guard_exp(eta: np.ndarray, context: str) -> np.ndarray:
     """e^eta, or ``OverflowError`` when its largest entry exceeds
     ``_EXP_GUARD``.  An array holding a NaN, whose largest entry is NaN,
     passes through."""
-    if eta.size and eta.max() > _EXP_GUARD:
+    if eta.size and np.maximum.reduce(eta, axis=None) > _EXP_GUARD:
         raise OverflowError(
             f"{context}: linear predictor too large (max {np.max(eta):.3g}); iterate diverged"
         )

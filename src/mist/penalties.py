@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -105,24 +106,41 @@ class PenaltySpec:
     def from_dict(cls, d: dict) -> "PenaltySpec":
         """The spec of an object with the keys of ``to_dict``: "family" and
         "lambda", and any of "epsilon", "weights", "a" and "delta".  Any other
-        key, or a missing "family" or "lambda", is named in the error."""
+        key, or a missing "family" or "lambda", is named in the error, and so
+        is a value of the wrong type: "lambda", "epsilon", "a" and "delta"
+        take a real number that is not a bool, and "weights" a list of real
+        numbers and "inf"."""
         d = json_object(d, "penalty", ("family", "lambda", "epsilon", "weights", "a", "delta"),
                         required=("family", "lambda"))
         weights = d.get("weights")
         if weights is not None:
+            if not (isinstance(weights, list) and all(w == "inf" or _is_real(w) for w in weights)):
+                raise ValidationError(f'weights must be a list of real numbers and "inf", got {weights!r}')
             weights = np.array([math.inf if w == "inf" else float(w) for w in weights])
         return cls(
             family=Family(d["family"]),
-            lam=float(d["lambda"]),
-            epsilon=float(d.get("epsilon", 0.0)),
+            lam=_real("lambda", d["lambda"]),
+            epsilon=_real("epsilon", d.get("epsilon", 0.0)),
             weights=weights,
-            a=float(d.get("a", 3.7)),
-            delta=float(d.get("delta", 1.0)),
+            a=_real("a", d.get("a", 3.7)),
+            delta=_real("delta", d.get("delta", 1.0)),
         )
 
     @classmethod
     def from_json(cls, s: str) -> "PenaltySpec":
         return cls.from_dict(json.loads(s))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(key: str, value) -> float:
+    """``value`` as a float, or ``ValidationError`` naming ``key`` when it is
+    not a real number or is a bool."""
+    if not _is_real(value):
+        raise ValidationError(f"{key} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _check_r_vec(r: np.ndarray) -> np.ndarray:

@@ -48,7 +48,9 @@ curvature of a coordinate that starts at 0.  A coordinate that starts at
 theta_j reads them from the Poisson mean at theta against the slabs (the
 objective's cached mean, or the mean of the eta the map forms), since u =
 eta there.  So a map takes that one two-dimensional exponential and no
-other.
+other.  It steps every coordinate with the same few numpy calls over all k
+of them and masks the result, so it gathers and scatters no indices: a
+coordinate that maps to 0 gets delta = 0, and its masked value is an exact 0.
 
 Every GLM step, of the gaussian, logistic and Cox maps and so of every
 surrogate fit, comes from one rule (``glm_step``): omega = 0.95 * 2 / D,
@@ -899,15 +901,17 @@ class _PoissonMap(_Objective):
 
     The majorizer splits into one strictly convex scalar problem per
     coordinate, all anchored at the same eta = X theta.  What does not depend
-    on theta is built once per fit here: the weights w, the empty-column mask,
-    the ratio x_ij / w_ij (zero where x_ij = 0), one stack of two n x k slabs,
-    x_ij and x_ij^2 / w_ij, whose sums against d_i e^u_ij give every
-    coordinate's slope and curvature in one reduction, the column sums sum_i
-    x_ij y_i, and 1 / R_j for R_j = max_i |x_ij / w_ij| = s_j max_i sum_k
-    |x_ik| / s_k over the rows column j touches (s the column norms of
-    ``fidelity.poisson_weights``), which damps the step.  Each call takes eta
-    from the last objective evaluation or computes it once, and steps every
-    scalar problem together in ``_poisson_scalar_min``.  ``mean`` is the
+    on theta is built once per fit here: the weights w, the mask of the
+    columns with a nonzero entry (the only ones stepped), whether the design
+    has a zero entry at all, the ratio x_ij / w_ij (zero where x_ij = 0), one
+    stack of two n x k slabs, x_ij and x_ij^2 / w_ij, whose sums against d_i
+    e^u_ij give every coordinate's slope and curvature in one reduction, the
+    column sums sum_i x_ij y_i, and 1 / R_j for R_j = max_i |x_ij / w_ij| =
+    s_j max_i sum_k |x_ik| / s_k over the rows column j touches (s the column
+    norms of ``fidelity.poisson_weights``), which damps the step; an all-zero
+    column, never stepped, gets the finite placeholder 1.  Each call takes
+    eta from the last objective evaluation or computes it once, and steps
+    every scalar problem together in ``_poisson_scalar_min``.  ``mean`` is the
     Poisson mean at theta: the objective's when it was just evaluated there,
     else the mean of the eta the call holds, so a map at an uncached point
     multiplies by X once.
@@ -922,11 +926,14 @@ class _PoissonMap(_Objective):
         self.ratio = np.divide(xt, fid._row_weights(xt), out=np.zeros_like(xt), where=self.nz)
         #: x and x^2 / w, one n x k slab each
         self.stack = np.stack([xt, xt * self.ratio])
-        self.empty = ~np.any(self.nz, axis=0)
-        # an empty column, never stepped, gets 1 / R_j = 1 / 0 = inf
-        with np.errstate(divide="ignore"):
-            #: 1 / R_j of each column, R_j = max_i |x_ij / w_ij|
-            self.inv_reach = 1.0 / np.abs(self.ratio).max(axis=0, initial=0.0)
+        #: the design has an entry x_ij = 0, whose u_ij the map keeps at 0
+        self.has_zero = not self.nz.all()
+        #: the columns with a nonzero entry, the only ones a map steps
+        self.stepped = np.any(self.nz, axis=0)
+        reach = np.abs(self.ratio).max(axis=0, initial=0.0)
+        #: 1 / R_j of each column, R_j = max_i |x_ij / w_ij|; 1 for an empty
+        #: column, whose step, taken with delta = 0, is then 0
+        self.inv_reach = 1.0 / np.where(self.stepped, reach, 1.0)
         self.d = model.response.offsets[:, None]
         self.xy = model.response.y.dot(xt)
         self.ridge = _ridge(problem)
@@ -946,7 +953,9 @@ class _PoissonMap(_Objective):
             theta = np.where(self.pinned, 0.0, theta)
         eta = self._map_eta = self.eta(theta)
         # u_ij = base_ij + ratio_ij * b; entries with x_ij = 0 stay at u = 0
-        base = np.where(self.nz, eta[:, None] - self.ratio * theta, 0.0)
+        base = eta[:, None] - self.ratio * theta
+        if self.has_zero:
+            base = np.where(self.nz, base, 0.0)
         return _poisson_scalar_min(self, base, self.tau(theta), theta)
 
 
@@ -998,30 +1007,34 @@ def _poisson_scalar_min(
     when it was at theta) against the slabs: phi' = sigma_j (sum_i x_ij d_i
     e^u_ij - sum_i x_ij y_i) + tau_j and phi'' = sum_i (x_ij^2 / w_ij) d_i
     e^u_ij, plus 2 ridge_j c and 2 ridge_j when eps > 0.
+
+    The step runs over all k coordinates at once and a mask picks the ones
+    it steps, so no index is gathered or scattered: delta is 0 where the
+    minimizer is 0 and on an all-zero column, whose placeholder 1 / R_j
+    keeps that step at 0, and the result there is an exact 0.  A stepped
+    coordinate runs the same arithmetic as it would alone.
     """
-    eu0 = pm.d * fid._guard_exp(base, "poisson coordinate update")
+    eu0 = fid._guard_exp(base, "poisson coordinate update")
+    eu0 *= pm.d
     g, h = np.einsum("tij,ij->tj", pm.stack, eu0)
     g -= pm.xy
-    out = np.zeros_like(theta)
-    act = ~pm.empty & (np.abs(g) > tau)
-    if not act.any():
-        return out
+    act = pm.stepped & (np.abs(g) > tau)
+    if not np.logical_or.reduce(act):
+        return np.zeros_like(theta)
     sgn = np.where(g > tau, -1.0, 1.0)
     c = np.maximum(sgn * theta, 0.0)
     from_theta = act & (c > 0.0)
-    if from_theta.any():
+    if np.logical_or.reduce(from_theta):
         g_theta, h_theta = pm.mean(theta) @ pm.stack
         np.copyto(g, g_theta - pm.xy, where=from_theta)
         np.copyto(h, h_theta, where=from_theta)
     dphi, d2phi = sgn * g + tau, h
     if pm._ridge_lam:
         dphi, d2phi = dphi + 2.0 * pm.ridge * c, d2phi + 2.0 * pm.ridge
-    act = np.flatnonzero(act)
-    c, delta, inv_reach = c[act], dphi[act] / d2phi[act], pm.inv_reach[act]
+    delta = np.divide(dphi, d2phi, out=np.zeros(theta.shape), where=act)
     # delta ln(1 + x) / x = sign(delta) ln(1 + x) / R: 0 at x = 0, and no inf / inf
-    step = np.copysign(np.log1p(np.abs(delta) / inv_reach) * inv_reach, delta)
-    out[act] = sgn[act] * np.maximum(c - step, 0.5 * c)
-    return out
+    step = np.copysign(np.log1p(np.abs(delta) / pm.inv_reach) * pm.inv_reach, delta)
+    return np.where(act, sgn * np.maximum(c - step, 0.5 * c), 0.0)
 
 
 # -- one-step estimator and dispatch --------------------------------------

@@ -225,6 +225,54 @@ def test_a_bad_penalty_json_exits_one_on_one_error_line(toy_csv, penalty, messag
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize(
+    "penalty, key",
+    [
+        ('{"family": "lasso", "lambda": "x"}', "lambda"),
+        ('{"family": "lasso", "lambda": 1, "epsilon": null}', "epsilon"),
+        ('{"family": "adaptive_lasso", "lambda": 1, "weights": 5}', "weights"),
+        ('{"family": "lasso", "lambda": true}', "lambda"),
+    ],
+    ids=["string-lambda", "null-epsilon", "scalar-weights", "bool-lambda"],
+)
+def test_a_penalty_value_of_the_wrong_type_exits_one_naming_its_key(toy_csv, penalty, key, tmp_path):
+    # these printed float()'s or iteration's message, which names no key, and
+    # a bool lambda fitted with lambda = 1
+    r = run_cli("fit", "--data", str(toy_csv), "--penalty-json", penalty, "--out", "x.json", cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stdout == "" and len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith(f"error: {key} must be ")
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"beta": [1, 0, 0, 0]}, "error: unknown start key(s): beta; missing start key(s): coef\n"),
+        ([1, 0, 0, 0], "error: start JSON must be an object, got [1, 0, 0, 0]\n"),
+        ({"coef": [1, 0, 0, 0], "x": 1}, "error: unknown start key(s): x\n"),
+    ],
+    ids=["missing-coef", "not-an-object", "unknown-key"],
+)
+def test_a_bad_start_file_exits_one_on_one_error_line(toy_csv, payload, message, tmp_path):
+    # these printed "error: 'coef'", a list-index message, or fitted and
+    # ignored the unknown key
+    (tmp_path / "start.json").write_text(json.dumps(payload))
+    r = run_cli("fit", "--data", str(toy_csv), "--penalty-json", '{"family": "lasso", "lambda": 1}',
+                "--start", "file:start.json", "--out", "x.json", cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stdout == "" and r.stderr == message
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_a_start_file_starts_the_fit(toy_csv, tmp_path):
+    (tmp_path / "start.json").write_text(json.dumps({"coef": [2.0, -1.0, 0.0, 0.0], "intercept": 0.0}))
+    r = run_cli("fit", "--data", str(toy_csv), "--penalty-json", '{"family": "lasso", "lambda": 1}',
+                "--start", "file:start.json", "--out", "x.json", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert json.loads((tmp_path / "x.json").read_text())["termination"] != "max_iter"
+
+
 @pytest.mark.parametrize("command", [["fit"], ["path", "--lambda", "1"]])
 def test_an_offset_column_outside_poisson_exits_one_on_one_error_line(command, tmp_path):
     # the column was read as one more predictor of the gaussian fit
