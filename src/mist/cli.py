@@ -23,7 +23,7 @@ from . import accel as accel_mod
 from . import penalties as pen
 from . import simlab
 from . import solver
-from .exceptions import ValidationError, json_object
+from .exceptions import ValidationError, _is_real, _real, json_object
 from .fidelity import CoefficientVector, DesignMatrix, FidelityModel, Response, ResponseFamily
 from .penalties import PenaltySpec
 from .solver import FitResult, Problem, SolverConfig, Termination
@@ -150,9 +150,12 @@ def _resolve_start(problem: Problem, config: SolverConfig, start: str) -> Coeffi
     if start.startswith("file:"):
         payload = json_object(json.loads(Path(start[5:]).read_text()), "start", ("coef", "intercept"),
                               required=("coef",))
-        return CoefficientVector(
-            beta=np.array(payload["coef"], dtype=float), intercept=payload.get("intercept")
-        )
+        coef, intercept = payload["coef"], payload.get("intercept")
+        if not (isinstance(coef, list) and all(map(_is_real, coef))):
+            raise ValidationError(f"coef must be a list of real numbers, got {coef!r}")
+        if intercept is not None:
+            intercept = _real("intercept", intercept)
+        return CoefficientVector(beta=np.array(coef, dtype=float), intercept=intercept)
     return solver.starting_point(problem, config, start)
 
 

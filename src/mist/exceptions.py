@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the boundary check of a
-JSON object that raises one of them."""
+"""Exception types shared across the package, and the boundary checks of a
+JSON object and of its real-number values that raise one of them."""
+import numbers
 from typing import Iterable
 
 
@@ -10,8 +11,7 @@ class ValidationError(ValueError):
 class NotGloballyLipschitz(RuntimeError):
     """Raised when a global curvature bound does not exist (Poisson fidelity).
 
-    Callers should either use the separable majorizer path or supply a
-    region-restricted bound themselves.
+    Poisson problems are fitted by the separable majorizer (``solver.fit``).
     """
 
 
@@ -44,3 +44,16 @@ def json_object(values, what: str, keys: Iterable[str], required: Iterable[str] 
     if problems:
         raise ValidationError("; ".join(problems))
     return values
+
+
+def _is_real(value) -> bool:
+    """Whether ``value``, a decoded JSON value, is a real number and not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(key: str, value) -> float:
+    """``value`` as a float, or ``ValidationError`` naming ``key`` when it is
+    not a real number or is a bool."""
+    if not _is_real(value):
+        raise ValidationError(f"{key} must be a real number, got {value!r}")
+    return float(value)

@@ -180,7 +180,6 @@ class FidelityModel:
         # copied once, so that no product with it copies it again or runs
         # outside BLAS; a C- or F-ordered one is kept as it is
         self._xt = xt if xt.flags.c_contiguous or xt.flags.f_contiguous else np.ascontiguousarray(xt)
-        self._curvature_bound: Optional[float] = None  # set by curvature_bound
         self._diagonal_bound: Union[None, float, np.ndarray] = None  # set by diagonal_bound
         self._mle: Optional[np.ndarray] = None  # the augmented MLE, set by fit_mle
         if self.family is ResponseFamily.COX:
@@ -200,14 +199,14 @@ class FidelityModel:
 
         The augmented design is gathered once, and the restricted design's
         values are a view of it; the response and the Cox risk-set arrays are
-        shared, not validated or sorted again.  The curvature bounds and the
-        MLE are not: the column subset has its own.
+        shared, not validated or sorted again.  The diagonal curvature bound
+        and the MLE are not: the column subset has its own.
         """
         cols = np.asarray(cols, dtype=np.intp)
         idx = np.concatenate([[0], cols + 1]) if self.has_intercept else cols
         sub = copy.copy(self)
         sub._xt = self._xt[:, idx]
-        sub._curvature_bound = sub._diagonal_bound = sub._mle = None
+        sub._diagonal_bound = sub._mle = None
         values = sub._xt[:, 1:] if self.has_intercept else sub._xt
         sub.design = DesignMatrix(values, has_intercept=self.has_intercept)
         return sub
@@ -318,7 +317,7 @@ def kernels(model: FidelityModel) -> Kernels:
         def no_bound():
             raise NotGloballyLipschitz(
                 "the poisson log-likelihood has no global curvature bound; "
-                "use the separable majorizer or supply a region-restricted bound"
+                "fit uses the separable majorizer"
             )
 
         return Kernels(
@@ -445,13 +444,12 @@ def _scaled_gram_bound(xt: np.ndarray) -> np.ndarray:
 def curvature_bound(model: FidelityModel) -> float:
     """Finite upper bound on the largest hessian eigenvalue of the fidelity.
 
-    Computed the first time a model is asked and kept on it, so every fit on
-    the model shares one bound.  The gaussian and logistic bounds take the
+    No fit reads it: every step is made from ``diagonal_bound``, and only
+    ``solver.resolve_step`` takes this one, so it is computed at each call
+    and not kept on the model.  The gaussian and logistic bounds take the
     Gram matrix of the model's own augmented design, so no copy of it is made.
     """
-    if model._curvature_bound is None:
-        model._curvature_bound = kernels(model).bound()
-    return model._curvature_bound
+    return kernels(model).bound()
 
 
 def diagonal_bound(model: FidelityModel) -> Union[float, np.ndarray]:
@@ -464,7 +462,8 @@ def diagonal_bound(model: FidelityModel) -> Union[float, np.ndarray]:
     the scalar ``curvature_bound``, n_events * max ||x_i||^2, shared by every
     coordinate.  The solver's one step rule turns D into the step of every
     map and surrogate solve.  Computed the first time a model is asked and
-    kept on it, as ``curvature_bound`` is; an array is the model's own.
+    kept on it, so every fit on the model shares one bound; an array is the
+    model's own.
     """
     if model._diagonal_bound is None:
         model._diagonal_bound = kernels(model).diagonal()

@@ -12,13 +12,12 @@ from __future__ import annotations
 import enum
 import json
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .exceptions import ValidationError, json_object
+from .exceptions import ValidationError, _is_real, _real, json_object
 
 
 class Family(str, enum.Enum):
@@ -129,18 +128,6 @@ class PenaltySpec:
     @classmethod
     def from_json(cls, s: str) -> "PenaltySpec":
         return cls.from_dict(json.loads(s))
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _real(key: str, value) -> float:
-    """``value`` as a float, or ``ValidationError`` naming ``key`` when it is
-    not a real number or is a bool."""
-    if not _is_real(value):
-        raise ValidationError(f"{key} must be a real number, got {value!r}")
-    return float(value)
 
 
 def _check_r_vec(r: np.ndarray) -> np.ndarray:

@@ -901,17 +901,16 @@ class _PoissonMap(_Objective):
 
     The majorizer splits into one strictly convex scalar problem per
     coordinate, all anchored at the same eta = X theta.  What does not depend
-    on theta is built once per fit here: the weights w, the mask of the
-    columns with a nonzero entry (the only ones stepped), whether the design
-    has a zero entry at all, the ratio x_ij / w_ij (zero where x_ij = 0), one
-    stack of two n x k slabs, x_ij and x_ij^2 / w_ij, whose sums against d_i
-    e^u_ij give every coordinate's slope and curvature in one reduction, the
-    column sums sum_i x_ij y_i, and 1 / R_j for R_j = max_i |x_ij / w_ij| =
-    s_j max_i sum_k |x_ik| / s_k over the rows column j touches (s the column
-    norms of ``fidelity.poisson_weights``), which damps the step; an all-zero
-    column, never stepped, gets the finite placeholder 1.  Each call takes
-    eta from the last objective evaluation or computes it once, and steps
-    every scalar problem together in ``_poisson_scalar_min``.  ``mean`` is the
+    on theta is built once per fit here: the weights w, the ratio x_ij /
+    w_ij (zero where x_ij = 0), one stack of two n x k slabs, x_ij and
+    x_ij^2 / w_ij, whose sums against d_i e^u_ij give every coordinate's
+    slope and curvature in one reduction, the column sums sum_i x_ij y_i,
+    and 1 / R_j for R_j = max_i |x_ij / w_ij| = s_j max_i sum_k |x_ik| / s_k
+    over the rows column j touches (s the column norms of
+    ``fidelity.poisson_weights``), which damps the step; an all-zero column
+    gets the finite placeholder 1.  Each call takes eta from the last
+    objective evaluation or computes it once, and steps every scalar
+    problem together in ``_poisson_scalar_min``.  ``mean`` is the
     Poisson mean at theta: the objective's when it was just evaluated there,
     else the mean of the eta the call holds, so a map at an uncached point
     multiplies by X once.
@@ -921,19 +920,14 @@ class _PoissonMap(_Objective):
         super().__init__(problem)
         model = problem.model
         xt = self.xt
-        self.nz = xt != 0.0
-        #: x / w, the change of u_ij per unit of b_j
-        self.ratio = np.divide(xt, fid._row_weights(xt), out=np.zeros_like(xt), where=self.nz)
+        #: x / w, the change of u_ij per unit of b_j; 0 where x_ij = 0
+        self.ratio = np.divide(xt, fid._row_weights(xt), out=np.zeros_like(xt), where=xt != 0.0)
         #: x and x^2 / w, one n x k slab each
         self.stack = np.stack([xt, xt * self.ratio])
-        #: the design has an entry x_ij = 0, whose u_ij the map keeps at 0
-        self.has_zero = not self.nz.all()
-        #: the columns with a nonzero entry, the only ones a map steps
-        self.stepped = np.any(self.nz, axis=0)
         reach = np.abs(self.ratio).max(axis=0, initial=0.0)
-        #: 1 / R_j of each column, R_j = max_i |x_ij / w_ij|; 1 for an empty
-        #: column, whose step, taken with delta = 0, is then 0
-        self.inv_reach = 1.0 / np.where(self.stepped, reach, 1.0)
+        #: 1 / R_j of each column, R_j = max_i |x_ij / w_ij|; 1 for an
+        #: all-zero column, whose step, taken with delta = 0, is then 0
+        self.inv_reach = 1.0 / np.where(reach > 0.0, reach, 1.0)
         self.d = model.response.offsets[:, None]
         self.xy = model.response.y.dot(xt)
         self.ridge = _ridge(problem)
@@ -952,10 +946,8 @@ class _PoissonMap(_Objective):
         if self.pinned is not None and np.any(theta[self.pinned]):
             theta = np.where(self.pinned, 0.0, theta)
         eta = self._map_eta = self.eta(theta)
-        # u_ij = base_ij + ratio_ij * b; entries with x_ij = 0 stay at u = 0
+        # u_ij = base_ij + ratio_ij * b
         base = eta[:, None] - self.ratio * theta
-        if self.has_zero:
-            base = np.where(self.nz, base, 0.0)
         return _poisson_scalar_min(self, base, self.tau(theta), theta)
 
 
@@ -972,9 +964,18 @@ def _poisson_scalar_min(
     sign sigma_j of -k_j'(0), and the coordinate steps in the frame c =
     sigma_j b, where the problem is phi(c) = k_j(sigma_j c) + ridge_j c^2 +
     tau_j c over c >= 0.  One exponential at b = 0, over every column,
-    decides these signs.  An all-zero column maps to 0: the fidelity does
-    not depend on its coordinate and the penalty is nondecreasing in |b|, so
-    0 minimizes it.
+    decides these signs.  An entry x_ij = 0 adds an exact 0 to both sums,
+    so an all-zero column has the slope 0 there, which no threshold
+    exceeds, and maps to 0: the fidelity does not depend on its coordinate
+    and the penalty is nondecreasing in |b|, so 0 minimizes it.
+
+    The map raises ``OverflowError`` only where the Poisson mean at theta,
+    and so the objective, overflows (``pm.mean``).  Where it does not, an
+    entry of the exponential at b = 0 passes ``fidelity._EXP_GUARD`` only
+    through its coordinate's own term -(x_ij / w_ij) theta_j > 0, so every
+    such row has sign(x_ij) = -sign(theta_j): k_j'(0) is infinite with the
+    sign that puts the minimizer on theta_j's side, and that coordinate
+    steps from c = |theta_j| on the finite sums at theta.
 
     The step starts at c = max(sigma_j theta_j, 0).  With delta = phi' / phi''
     there and x = R_j |delta|, R_j = 1 / ``pm.inv_reach``, it goes to
@@ -1010,15 +1011,20 @@ def _poisson_scalar_min(
 
     The step runs over all k coordinates at once and a mask picks the ones
     it steps, so no index is gathered or scattered: delta is 0 where the
-    minimizer is 0 and on an all-zero column, whose placeholder 1 / R_j
-    keeps that step at 0, and the result there is an exact 0.  A stepped
+    minimizer is 0, the placeholder 1 / R_j of an all-zero column keeps its
+    unused step at 0, and the result there is an exact 0.  A stepped
     coordinate runs the same arithmetic as it would alone.
     """
-    eu0 = fid._guard_exp(base, "poisson coordinate update")
+    try:
+        eu0 = fid._guard_exp(base, "poisson coordinate update")
+    except OverflowError:
+        pm.mean(theta)  # raises where the mean at theta overflows
+        with np.errstate(over="ignore"):
+            eu0 = np.exp(base)
     eu0 *= pm.d
     g, h = np.einsum("tij,ij->tj", pm.stack, eu0)
     g -= pm.xy
-    act = pm.stepped & (np.abs(g) > tau)
+    act = np.abs(g) > tau
     if not np.logical_or.reduce(act):
         return np.zeros_like(theta)
     sgn = np.where(g > tau, -1.0, 1.0)

@@ -327,8 +327,10 @@ def test_squarem_keeps_exact_zeros_and_meets_the_kkt_target():
 
 def test_squarem_map_overflow_is_a_convergence_error():
     # rate multipliers of 1e-305 put the minimizing linear predictor past the
-    # exponent guard, so the first map overflows; the squarem fit ends as the
-    # plain fit does, in a ConvergenceError carrying the last iterate
+    # exponent guard, so the maps climb until a Poisson mean overflows; the
+    # squarem fit ends as the plain fit does, in a ConvergenceError carrying
+    # the last iterate: the double map step of its first step, from which the
+    # next map meets a mean past the guard
     rng = np.random.default_rng(0)
     model = FidelityModel(
         DesignMatrix(rng.standard_normal((12, 2)), has_intercept=True),
@@ -340,4 +342,5 @@ def test_squarem_map_overflow_is_a_convergence_error():
         accelerated_fit(prob, SolverConfig(), start, mode="plain")
     with pytest.raises(ConvergenceError, match="squarem") as err:
         accelerated_fit(prob, SolverConfig(), start, mode="squarem")
-    assert np.array_equal(err.value.last_iterate, np.zeros(3))
+    pm = mm_map(prob)
+    assert np.array_equal(err.value.last_iterate, pm(pm(np.zeros(3))))

@@ -265,6 +265,29 @@ def test_a_bad_start_file_exits_one_on_one_error_line(toy_csv, payload, message,
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"coef": [1, 0, 0, 0], "intercept": "x"}, "intercept"),
+        ({"coef": "ab"}, "coef"),
+        ({"coef": [None, 0, 0, 0], "intercept": 0}, "coef"),
+        ({"coef": [True, 0, 0, 0], "intercept": 0}, "coef"),
+        ({"coef": [1, 0, 0, 0], "intercept": True}, "intercept"),
+    ],
+    ids=["string-intercept", "string-coef", "null-coef", "bool-coef", "bool-intercept"],
+)
+def test_a_start_value_of_the_wrong_type_exits_one_naming_its_key(toy_csv, payload, key, tmp_path):
+    # these printed float()'s or the coefficient check's message, which names
+    # no key, and a bool coefficient or intercept started the fit at 1
+    (tmp_path / "start.json").write_text(json.dumps(payload))
+    r = run_cli("fit", "--data", str(toy_csv), "--penalty-json", '{"family": "lasso", "lambda": 1}',
+                "--start", "file:start.json", "--out", "x.json", cwd=tmp_path)
+    assert r.returncode == 1
+    assert r.stdout == "" and len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith(f"error: {key} must be ")
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_a_start_file_starts_the_fit(toy_csv, tmp_path):
     (tmp_path / "start.json").write_text(json.dumps({"coef": [2.0, -1.0, 0.0, 0.0], "intercept": 0.0}))
     r = run_cli("fit", "--data", str(toy_csv), "--penalty-json", '{"family": "lasso", "lambda": 1}',

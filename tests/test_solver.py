@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -730,9 +731,10 @@ def test_a_poisson_map_moves_each_u_by_at_most_its_damped_bound(counts, scale):
 
 def test_poisson_fit_whose_map_overflows_is_a_rejected_step():
     # rate multipliers of 1e-305 put the minimizing linear predictor past the
-    # exponent guard: the first map's damped steps move each u_ij by up to
-    # ln(1 + x), about 700, and the second map overflows at b = 0, which
-    # rejects the fit's second step, not a bare OverflowError
+    # exponent guard: each map's damped steps move each u_ij by up to
+    # ln(1 + x), about 700, and the maps climb towards it.  A map raises only
+    # where the Poisson mean at theta overflows, and the first candidate whose
+    # mean overflows rejects the fit's step, not a bare OverflowError
     rng = np.random.default_rng(42)
     m = FidelityModel(
         DesignMatrix(rng.standard_normal((12, 2)), has_intercept=True),
@@ -740,13 +742,89 @@ def test_poisson_fit_whose_map_overflows_is_a_rejected_step():
     )
     prob = Problem(m, PenaltySpec(family=Family.LASSO, lam=1.0))
     pm = mm_map(prob)
-    first = pm(np.zeros(3))
-    assert np.all(np.isfinite(first))
-    with pytest.raises(OverflowError):
-        pm(first)
+    chain = [np.zeros(3)]
+    while np.max(m._xt @ chain[-1]) <= fid._EXP_GUARD:
+        assert len(chain) <= 20
+        chain.append(pm(chain[-1]))
+        assert np.all(np.isfinite(chain[-1]))
+    with pytest.raises(OverflowError, match="poisson mean"):
+        pm(chain[-1])
     with pytest.raises(ConvergenceError, match="1 attempt") as err:
         fit(prob, SolverConfig(), CoefficientVector.zeros(2, True))
-    assert np.array_equal(err.value.last_iterate, first)
+    assert np.array_equal(err.value.last_iterate, chain[-2])
+
+
+@pytest.fixture(scope="module")
+def wide_poisson_problem():
+    """A p >> n Poisson lasso: simlab's linear_ex1 design (n = 100, p = 2 000,
+    rho = 0.5) with an intercept, counts (seed 0) of mean e^(0.5 + x beta) for
+    beta_j = 0.3 on the first ten columns, and lambda half the largest
+    |x_j^T (y - ybar)|."""
+    x = simlab.gen_dataset(simlab.SimScenario(family="linear_ex1", p=2000, n=100, rho=0.5,
+                                              seed=20260824)).design.values
+    beta = np.zeros(2000)
+    beta[:10] = 0.3
+    y = np.random.default_rng(0).poisson(np.exp(0.5 + x @ beta)).astype(float)
+    lam = 0.5 * float(np.max(np.abs(x.T @ (y - y.mean()))))
+    model = FidelityModel(DesignMatrix(x, has_intercept=True), Response(family=ResponseFamily.POISSON, y=y))
+    return Problem(model, PenaltySpec(family=Family.LASSO, lam=lam))
+
+
+def test_a_wide_poisson_map_is_finite_where_its_b0_exponent_passes_the_guard(wide_poisson_problem):
+    # the squarem iterate after 53 steps (177 maps) of a map that raised
+    # wherever u_ij at b = 0 passed the exponent guard: 15 slopes, max |beta|
+    # 0.417 and max eta 3.02, a point whose mean is finite.  R_j = max_i
+    # |x_ij / w_ij| reaches 2 095 on this design, so -(x_ij / w_ij) theta_j
+    # puts u_ij past the guard at b = 0; those terms only say which side
+    # theta_j is on, and the map reads the finite sums at theta
+    prob = wide_poisson_problem
+    theta = np.zeros(2001)
+    theta[0] = 0.7491149906378092
+    theta[1 + np.array([0, 1, 4, 5, 6, 7, 9, 10, 116, 230, 800, 1037, 1180, 1318, 1474])] = [
+        0.03141745662949014, 0.057608936728749775, 0.4170738220027491, 0.15645309443806676,
+        0.20392551917608556, 0.2241829648832388, 0.057853847167598525, 0.0629022690395411,
+        -0.02568173865768463, 0.007328482218071241, -0.027485346980505282, -0.012600574770548757,
+        0.001950061363680741, -0.007678645401591786, -0.016641159939719017,
+    ]
+    pm = mm_map(prob)
+    eta = prob.model._xt @ theta
+    assert np.max(eta) < 3.1 < fid._EXP_GUARD < np.max(eta[:, None] - pm.ratio * theta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        first = pm(theta)
+        second = pm(first)
+    assert np.all(np.isfinite(first)) and np.all(np.isfinite(second))
+    assert pm.objective(second) <= pm.objective(first) <= pm.objective(theta)
+
+
+def test_a_wide_poisson_squarem_fit_stops_on_coef_tol(wide_poisson_problem):
+    # the same design from zero: most of its maps meet an exponential at b = 0
+    # past the guard, and the fit runs through them to coef_tol
+    res = accelerated_fit(wide_poisson_problem, SolverConfig(coef_tol=1e-10, obj_tol=1e-300),
+                          CoefficientVector.zeros(2000, True), mode="squarem")
+    assert res.termination is Termination.COEF_TOL
+    assert res.kkt_residual <= 1e-5 and math.isfinite(res.objective)
+
+
+@pytest.mark.parametrize("case", ["adaptive weight 0", "scad past the flat tail"])
+def test_a_poisson_map_keeps_an_all_zero_column_at_zero_under_a_zero_threshold(case):
+    # tau_j = 0 on an all-zero column: its slope at b = 0 is an exact 0, so
+    # |g| > tau leaves it out, and the map returns an exact 0 there
+    rng = np.random.default_rng(7)
+    x = np.column_stack([rng.standard_normal(30), np.zeros(30), rng.random(30) < 0.5])
+    y = rng.poisson(np.exp(0.2 + 0.4 * x[:, 0])).astype(float)
+    model = FidelityModel(DesignMatrix(x, has_intercept=True), Response(family=ResponseFamily.POISSON, y=y))
+    theta = np.array([0.1, 0.3, 10.0, -0.2])
+    if case == "adaptive weight 0":
+        spec = PenaltySpec(family=Family.ADAPTIVE_LASSO, lam=1.0, weights=np.array([1.0, 0.0, 1.0]))
+    else:
+        spec = PenaltySpec(family=Family.SCAD, lam=1.0)  # p'(10) = 0 for a lambda = 3.7 < 10
+    pm = mm_map(Problem(model, spec))
+    assert pm.tau(theta)[2] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = pm(theta)
+    assert out[2] == 0.0 and np.all(np.isfinite(out))
 
 
 @pytest.mark.parametrize("count", [1e6, 1e7, 1e8])
