@@ -12,7 +12,9 @@ reads.  The Poisson family has no global
 curvature bound; it gets the separable majorizer machinery at the bottom of
 this module instead.  Every gradient is one product X^T r, with r the
 residual y - mu, or for Cox the martingale residual delta - w a
-(``Kernels.residual``).
+(``Kernels.residual``).  A Cox model sorts its subjects by time once, and
+the martingale residual sums over the blocks of events that share a risk
+set, not over every subject (``_cox_risk_mass``).
 
 Sign convention: ``gradient`` returns the gradient of the log-likelihood, so
 fitting code ascends it (the MM updates add a multiple of it), and the
@@ -161,7 +163,16 @@ class CoefficientVector:
 
 
 class FidelityModel:
-    """A design matrix paired with a response; precomputes Cox risk sets."""
+    """A design matrix paired with a response; precomputes Cox risk sets.
+
+    For Cox, subjects are sorted by descending time once (``_cox_order``),
+    so each risk set is a prefix of that order; ``_cox_event_last`` holds the
+    last sorted index of each event's risk set.  The events that share one
+    risk set form a block: ``_cox_starts`` is where each of the m blocks
+    starts among the events, and ``_cox_pos`` gives each row, in row order,
+    the first block whose risk set holds it, or m for a row in no event's
+    risk set.  ``_cox_risk_mass`` sums over these blocks.
+    """
 
     def __init__(self, design: DesignMatrix, response: Response):
         if design.n_rows != response.n:
@@ -193,6 +204,11 @@ class FidelityModel:
             self._cox_order = order
             self._cox_event = response.status[order] == 1.0
             self._cox_event_last = last[self._cox_event]
+            # the events' risk-set blocks and each row's first block (class docstring)
+            self._cox_starts = np.flatnonzero(np.diff(self._cox_event_last, prepend=-1))
+            pos = np.empty(t.shape[0], dtype=np.intp)
+            pos[order] = np.searchsorted(self._cox_event_last[self._cox_starts], np.arange(t.shape[0]))
+            self._cox_pos = pos
 
     def restrict(self, cols: np.ndarray) -> "FidelityModel":
         """The model on the slope columns ``cols`` only, intercept kept.
@@ -224,15 +240,16 @@ class FidelityModel:
         return self._xt @ self._check(coef)
 
     def _check(self, coef: CoefficientVector) -> np.ndarray:
+        # the intercept first: a missing one would read as a length mismatch
+        if self.has_intercept and coef.intercept is None:
+            raise ValidationError("model has an intercept but the coefficient vector does not")
+        if not self.has_intercept and coef.intercept is not None:
+            raise ValidationError("model has no intercept but the coefficient vector does")
         theta = coef.augmented()
         if theta.shape[0] != self.n_coef:
             raise ValidationError(
                 f"coefficient length {theta.shape[0]} does not match design ({self.n_coef})"
             )
-        if self.has_intercept and coef.intercept is None:
-            raise ValidationError("model has an intercept but the coefficient vector does not")
-        if not self.has_intercept and coef.intercept is not None:
-            raise ValidationError("model has no intercept but the coefficient vector does")
         return theta
 
 
@@ -343,8 +360,8 @@ def kernels(model: FidelityModel) -> Kernels:
         return Kernels(
             lambda eta: _cox_parts(model, eta),
             nll,
-            lambda eta, parts: status - _cox_risk_mass(model, parts),
-            lambda eta, parts: _cox_neg_hessian(model, parts),
+            lambda eta, parts: status - _cox_risk_mass(model, eta, parts),
+            lambda eta, parts: _cox_neg_hessian(model, eta, parts),
             bound,
             bound,
         )
@@ -382,27 +399,36 @@ def _cox_parts(model: FidelityModel, eta: np.ndarray):
     return e, np.logaddexp.accumulate(e)[model._cox_event_last]
 
 
-def _cox_risk_mass(model: FidelityModel, parts) -> np.ndarray:
+def _cox_risk_mass(model: FidelityModel, eta: np.ndarray, parts) -> np.ndarray:
     """w_k a_k in row order, w_k = e^eta_k and a_k the sum of 1/D_i over the
     events whose risk set holds subject k.  Summed in the log domain;
-    w_k <= D_i bounds each term by the event count."""
-    e, log_d = parts
-    log_c = np.full(e.shape[0], -np.inf)
-    np.logaddexp.at(log_c, model._cox_event_last, -log_d)
+    w_k <= D_i bounds each term by the event count.
+
+    a_k changes only where a risk set ends, so it is summed over the events'
+    blocks (``_cox_starts``, the events tied on one risk set): one log-sum
+    per block, a reverse cumulative log-sum over the m blocks, and a gather
+    in row order (``_cox_pos``) from a buffer whose slot m is -inf, the a of
+    a row in no event's risk set.  These are the same bits as folding
+    1/D_i into a slot per sorted row and summing all n slots: logaddexp(-inf,
+    v) = v and logaddexp(v, -inf) = v exactly, and each block folds its ties
+    in event order."""
+    log_c = np.logaddexp.reduceat(-parts[1], model._cox_starts)
+    m = log_c.shape[0]
+    log_a = np.empty(m + 1)
+    log_a[m] = -np.inf
     # each risk set is a prefix of the order, so a is a reverse cumulative sum
-    wa = np.empty_like(e)
-    wa[model._cox_order] = np.exp(e + np.logaddexp.accumulate(log_c[::-1])[::-1])
-    return wa
+    np.logaddexp.accumulate(log_c[::-1], out=log_a[m - 1::-1])
+    return np.exp(eta + log_a[model._cox_pos])
 
 
-def _cox_neg_hessian(model: FidelityModel, parts) -> np.ndarray:
+def _cox_neg_hessian(model: FidelityModel, eta: np.ndarray, parts) -> np.ndarray:
     """X^T diag(w a) X - xbar^T xbar, xbar holding each event's risk-set mean."""
     e, log_d = parts
     shift = e.max()
     xt = model._xt
     wx = np.exp(e - shift)[:, None] * xt[model._cox_order]
     xbar = np.cumsum(wx, axis=0)[model._cox_event_last] / np.exp(log_d - shift)[:, None]
-    return xt.T @ (_cox_risk_mass(model, parts)[:, None] * xt) - xbar.T @ xbar
+    return xt.T @ (_cox_risk_mass(model, eta, parts)[:, None] * xt) - xbar.T @ xbar
 
 
 # -- curvature ------------------------------------------------------------

@@ -251,12 +251,14 @@ def test_a_penalty_value_of_the_wrong_type_exits_one_naming_its_key(toy_csv, pen
         ({"beta": [1, 0, 0, 0]}, "error: unknown start key(s): beta; missing start key(s): coef\n"),
         ([1, 0, 0, 0], "error: start JSON must be an object, got [1, 0, 0, 0]\n"),
         ({"coef": [1, 0, 0, 0], "x": 1}, "error: unknown start key(s): x\n"),
+        ({"coef": [1, 0, 0, 0], "intercept": None},
+         "error: model has an intercept but the coefficient vector does not\n"),
     ],
-    ids=["missing-coef", "not-an-object", "unknown-key"],
+    ids=["missing-coef", "not-an-object", "unknown-key", "null-intercept"],
 )
 def test_a_bad_start_file_exits_one_on_one_error_line(toy_csv, payload, message, tmp_path):
-    # these printed "error: 'coef'", a list-index message, or fitted and
-    # ignored the unknown key
+    # these printed "error: 'coef'", a list-index message, fitted and ignored
+    # the unknown key, or reported a missing intercept as a length mismatch
     (tmp_path / "start.json").write_text(json.dumps(payload))
     r = run_cli("fit", "--data", str(toy_csv), "--penalty-json", '{"family": "lasso", "lambda": 1}',
                 "--start", "file:start.json", "--out", "x.json", cwd=tmp_path)

@@ -399,6 +399,78 @@ def test_cox_likelihood_and_score_match_per_event_references_on_a_wide_eta_span(
         assert np.linalg.norm(got_score - score) <= 1e-10 * (1.0 + np.linalg.norm(score))
 
 
+def _slotwise_cox_risk_mass(model, parts):
+    """w a in row order with one log-domain slot per sorted row: each event's
+    -log D_i folded into the slot where its risk set ends, a reverse
+    cumulative log-sum over all n slots, and a scatter back to row order."""
+    e, log_d = parts
+    log_c = np.full(e.shape[0], -np.inf)
+    np.logaddexp.at(log_c, model._cox_event_last, -log_d)
+    wa = np.empty_like(e)
+    wa[model._cox_order] = np.exp(e + np.logaddexp.accumulate(log_c[::-1])[::-1])
+    return wa
+
+
+def _cox_model(x, time, status):
+    return FidelityModel(
+        DesignMatrix(x, has_intercept=False),
+        Response(family="cox", y=status, time=time, status=status),
+    )
+
+
+def _cox_bit_designs():
+    """Cox designs and linear predictors on which the block score must match
+    the slot-per-row score bit for bit."""
+    yield from _tied_cox_designs(200, None)
+    yield from _tied_cox_designs(300, 1000.0)
+    rng = np.random.default_rng(98)
+    for n in (1, 2, 17, 40):
+        x = rng.standard_normal((n, 3))
+        status = (rng.random(n) < 0.6).astype(float)
+        status[-1] = 1.0
+        designs = [
+            rng.random(n) + 0.5,  # untied
+            np.full(n, 2.0),  # one time shared by every subject
+        ]
+        for time in designs:
+            for scale in (0.1, 1.0, 30.0):
+                yield _cox_model(x, time, status), x @ rng.standard_normal(3) * scale
+        # a single event
+        single = np.zeros(n)
+        single[rng.integers(n)] = 1.0
+        yield _cox_model(x, rng.random(n) + 0.5, single), x @ rng.standard_normal(3)
+    # the earliest times all censored: the last sorted rows lie in no risk
+    # set and read the -inf slot
+    x = rng.standard_normal((30, 3))
+    time = np.floor(rng.permutation(30) / 3.0) + 1.0
+    status = np.where(time <= 3.0, 0.0, 1.0)
+    model = _cox_model(x, time, status)
+    assert np.any(model._cox_pos == model._cox_starts.shape[0])
+    yield model, x @ rng.standard_normal(3)
+    # a restricted model shares the full model's risk-set blocks
+    x = rng.standard_normal((30, 5))
+    status = (rng.random(30) < 0.7).astype(float)
+    status[0] = 1.0
+    sub = _cox_model(x, np.floor(rng.permutation(30) / 2.0) + 1.0, status).restrict(np.array([0, 2, 4]))
+    yield sub, sub._xt @ rng.standard_normal(3)
+
+
+def test_the_cox_block_score_and_hessian_are_the_slot_per_row_bits():
+    for model, eta in _cox_bit_designs():
+        lik = fid.kernels(model)
+        with np.errstate(all="ignore"):
+            parts = lik.parts(eta)
+            wa = _slotwise_cox_risk_mass(model, parts)
+            e, log_d = parts
+            shift = e.max()
+            wx = np.exp(e - shift)[:, None] * model._xt[model._cox_order]
+            xbar = np.cumsum(wx, axis=0)[model._cox_event_last] / np.exp(log_d - shift)[:, None]
+            want_hessian = model._xt.T @ (wa[:, None] * model._xt) - xbar.T @ xbar
+            got_hessian = lik.hessian(eta, parts)
+        assert lik.residual(eta, parts).tobytes() == (model.response.status - wa).tobytes()
+        assert got_hessian.tobytes() == want_hessian.tobytes()
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_the_public_likelihood_functions_are_the_kernels_bit_for_bit(family):
     # one set of parts at eta serves the likelihood, the score and the Hessian
@@ -433,7 +505,7 @@ def test_restrict_shares_the_response_and_matches_a_fresh_restricted_model(famil
     assert sub.design.n_cols == 4 and sub.n_coef == fresh.n_coef
     assert np.array_equal(sub._xt, fresh._xt)
     if family == "cox":
-        for name in ("_cox_order", "_cox_event", "_cox_event_last"):
+        for name in ("_cox_order", "_cox_event", "_cox_event_last", "_cox_starts", "_cox_pos"):
             assert getattr(sub, name) is getattr(model, name)
     coef = random_coef(fresh, seed=91)
     assert neg_loglik(sub, coef) == neg_loglik(fresh, coef)
