@@ -928,9 +928,7 @@ class _PoissonMap(_Objective):
         #: 1 / R_j of each column, R_j = max_i |x_ij / w_ij|; 1 for an
         #: all-zero column, whose step, taken with delta = 0, is then 0
         self.inv_reach = 1.0 / np.where(reach > 0.0, reach, 1.0)
-        d = model.response.offsets
-        #: the offsets as a column, or None when every one is 1, whose product changes no bit
-        self.d = None if np.all(d == 1.0) else d[:, None]
+        self.d = model.response.offsets[:, None]
         self.xy = model.response.y.dot(xt)
         self.ridge = _ridge(problem)
         #: eta at the theta the map is applied to
@@ -1023,8 +1021,7 @@ def _poisson_scalar_min(
         pm.mean(theta)  # raises where the mean at theta overflows
         with np.errstate(over="ignore"):
             eu0 = np.exp(base)
-    if pm.d is not None:
-        eu0 *= pm.d
+    eu0 *= pm.d
     g, h = np.einsum("tij,ij->tj", pm.stack, eu0)
     g -= pm.xy
     act = np.abs(g) > tau

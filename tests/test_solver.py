@@ -1280,25 +1280,6 @@ def test_poisson_mm_map_matches_one_plain_iteration():
     assert np.array_equal(mm_map(prob)(theta), one.coef.augmented())
 
 
-@pytest.mark.parametrize("mode", ["plain", "squarem"])
-def test_poisson_fits_without_offsets_and_with_unit_offsets_are_the_same_bits(mode):
-    # the map skips the offsets product when every offset is 1, which changes no bit
-    rng = np.random.default_rng(43)
-    x = rng.standard_normal((50, 4))
-    y = rng.poisson(np.exp(0.3 + x @ np.array([0.5, 0.0, -0.4, 0.0]))).astype(float)
-    results = []
-    for offsets in (None, np.ones(50)):
-        model = FidelityModel(DesignMatrix(x), Response(family="poisson", y=y, offsets=offsets))
-        prob = Problem(model, PenaltySpec(family=Family.LASSO, lam=2.0))
-        assert solver._PoissonMap(prob).d is None
-        results.append(accelerated_fit(prob, TIGHT, CoefficientVector.zeros(4, True), mode=mode))
-    bare, ones = results
-    assert bare.coef.augmented().tobytes() == ones.coef.augmented().tobytes()
-    assert bare.trace.tobytes() == ones.trace.tobytes()
-    assert (bare.map_evals, bare.outer_iters) == (ones.map_evals, ones.outer_iters)
-    assert bare.termination is ones.termination
-
-
 # -- the backtracked cox step -----------------------------------------------
 
 
